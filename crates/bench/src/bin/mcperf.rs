@@ -2,12 +2,13 @@
 //!
 //! * `scalar` — the per-block oracle ([`comimo_stbc::sim::simulate_ber`])
 //!   replaying the deterministic shard plan on one thread;
-//! * `batch` — the unified lane-parallel engine pinned to the
-//!   **forced-scalar dispatch tier** (the portable fallback every target
-//!   gets), replaying the same plan serially;
-//! * `simd` — the same engine under the **native dispatch tier**
-//!   ([`comimo_math::simd::active`]; AVX2 where the CPU has it) —
-//!   bit-identical to `batch` by the dispatch contract, asserted here;
+//! * `batch` — the unified lane-parallel engine with its compute pass
+//!   on the **scalar tier** (what every CPU without AVX2 runs),
+//!   replaying the same plan serially;
+//! * `simd` — the same engine on the **native tier**
+//!   ([`comimo_math::simd::active`]: AVX2 where the CPU has it, else
+//!   scalar) — bit-identical to `batch` by the dispatch contract,
+//!   asserted here;
 //! * `grid` — the common-random-number grid engine
 //!   ([`comimo_stbc::grid::simulate_ber_grid`]) simulating a whole
 //!   SNR sweep ([`GRID_SWEEP_N0S`] points) from one shared draw stream;
@@ -28,7 +29,7 @@
 //! With `--gate` the run acts as a CI perf-regression gate, defending
 //! three properties:
 //!
-//! 1. the batch(forced-scalar)/scalar speedup against [`GATE_FRACTION`]
+//! 1. the batch(scalar-tier)/scalar speedup against [`GATE_FRACTION`]
 //!    of the last committed entry (ratio-based, hardware-independent);
 //! 2. the simd/scalar speedup likewise (skipped with a note when the
 //!    last committed entry predates the field);
@@ -41,8 +42,7 @@
 //! `(seed, n_blocks)` — CI diffs them across thread counts to prove
 //! engine determinism.
 
-use std::time::Instant;
-
+use comimo_bench::perf::{self, bench, median, RUNS};
 use comimo_bench::EXPERIMENT_SEED;
 use comimo_math::simd;
 use comimo_stbc::batch::{simulate_ber_batch, BatchWorkspace, BATCH_BLOCKS};
@@ -51,10 +51,7 @@ use comimo_stbc::grid::{simulate_ber_grid, GridPoint};
 use comimo_stbc::sim::{
     shard_plan, simulate_ber, simulate_ber_par, BerResult, SimConstellation, DEFAULT_SHARD_BLOCKS,
 };
-use serde::{Serialize, Value};
-
-/// Timing repeats per engine; the median is reported, min/max recorded.
-const RUNS: usize = 5;
+use serde::Serialize;
 
 /// Minimum acceptable fraction of a committed relative-speedup baseline
 /// before `--gate` fails the run. Shared CI runners jitter ratios by
@@ -122,7 +119,7 @@ struct McEntry {
     batch_blocks: usize,
     /// Grid points in the timed CRN sweep.
     grid_points: usize,
-    /// Forced-scalar engine speedup over the per-block oracle, single
+    /// Scalar-tier engine speedup over the per-block oracle, single
     /// thread (the portable-baseline ratio the relative gate defends).
     speedup_batch_over_scalar: f64,
     /// Native-dispatch engine speedup over the oracle, single thread.
@@ -135,63 +132,6 @@ struct McEntry {
     speedup_parallel_over_scalar: f64,
     /// Timed rows.
     engines: Vec<EngineRow>,
-}
-
-/// Times `f` [`RUNS`] times, asserts every repeat returns identical
-/// counts, and returns the ascending times with the counts.
-fn bench<R: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> R) -> (Vec<f64>, R) {
-    let mut times = Vec::with_capacity(RUNS);
-    let mut result: Option<R> = None;
-    for _ in 0..RUNS {
-        let t0 = Instant::now();
-        let r = f();
-        times.push(t0.elapsed().as_secs_f64());
-        match &result {
-            None => result = Some(r),
-            Some(prev) => assert_eq!(*prev, r, "engine is not deterministic across repeats"),
-        }
-    }
-    // total_cmp: a NaN timing (impossible, but cheap to be total about)
-    // sorts instead of panicking mid-benchmark
-    times.sort_by(f64::total_cmp);
-    (times, result.unwrap())
-}
-
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Reads the existing trajectory (`{"entries": [...]}`), tolerating a
-/// missing file and the pre-trajectory single-report schema (which is
-/// dropped — the history restarts from this run).
-fn read_entries(path: &str) -> Vec<Value> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(doc) = serde_json::from_str::<Value>(&text) else {
-        return Vec::new();
-    };
-    match doc.field("entries") {
-        Ok(Value::Seq(list)) => list.clone(),
-        _ => Vec::new(),
-    }
-}
-
-/// Extracts a number field from a trajectory entry.
-fn number_field(entry: &Value, name: &str) -> Option<f64> {
-    match entry.field(name) {
-        Ok(&Value::F64(x)) => Some(x),
-        Ok(&Value::I64(x)) => Some(x as f64),
-        Ok(&Value::U64(x)) => Some(x as f64),
-        _ => None,
-    }
 }
 
 /// Prints usage and exits non-zero — a bad invocation must never reach
@@ -242,13 +182,10 @@ fn main() {
     let n_grid = grid_points.len();
 
     // the committed baseline must be read before this run appends to it
-    let mut entries = read_entries(path);
-    let baseline_batch = entries
-        .last()
-        .and_then(|e| number_field(e, "speedup_batch_over_scalar"));
-    let baseline_simd = entries
-        .last()
-        .and_then(|e| number_field(e, "speedup_simd_over_scalar"));
+    let entries = perf::read_entries(path);
+    let baseline = |name: &str| entries.last().and_then(|e| perf::number_field(e, name));
+    let baseline_batch = baseline("speedup_batch_over_scalar");
+    let baseline_simd = baseline("speedup_simd_over_scalar");
 
     // scalar oracle: replay the parallel engine's shard plan on one
     // stream-per-shard, one thread — the PR-1 reference engine
@@ -262,10 +199,10 @@ fn main() {
         }
         acc
     });
-    // unified engine pinned to the forced-scalar dispatch tier (the
-    // portable fallback), serial shard replay, one thread
+    // unified engine with its compute pass on the scalar tier, serial
+    // shard replay, one thread
     let (t_batch, r_batch) = bench(|| {
-        let mut ws = BatchWorkspace::with_dispatch(&code, &cons, mr, Some(simd::Dispatch::Scalar));
+        let mut ws = BatchWorkspace::with_dispatch(&code, &cons, mr, simd::Dispatch::Scalar);
         let mut acc = BerResult { bits: 0, errors: 0 };
         for (label, blocks) in shard_plan(n_blocks) {
             let mut rng = comimo_math::rng::derive(seed, label);
@@ -284,7 +221,7 @@ fn main() {
 
     assert_eq!(
         r_batch, r_simd,
-        "dispatch tiers diverged: forced-scalar vs native must be bit-identical"
+        "dispatch tiers diverged: scalar vs native must be bit-identical"
     );
     assert_eq!(
         r_par, r_simd,
@@ -301,7 +238,6 @@ fn main() {
 
     let threads = rayon::current_num_threads();
     let native = simd::active().name().to_string();
-    let median = |times: &[f64]| times[RUNS / 2];
     let speedup_batch = median(&t_scalar) / median(&t_batch);
     let speedup_simd = median(&t_scalar) / median(&t_simd);
     let speedup_par = median(&t_scalar) / median(&t_par);
@@ -329,11 +265,8 @@ fn main() {
     let grid_bits: u64 = r_grid.iter().map(|r| r.bits).sum();
     let grid_errors: u64 = r_grid.iter().map(|r| r.errors).sum();
     let entry = McEntry {
-        commit: git_commit(),
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
+        commit: perf::git_commit(),
+        unix_time: perf::unix_time(),
         seed,
         n_blocks,
         shard_blocks: DEFAULT_SHARD_BLOCKS,
@@ -392,16 +325,9 @@ fn main() {
         ],
     };
 
-    let json = match serde_json::to_string_pretty(&entry) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: could not serialise the trajectory entry: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{json}");
+    println!("{}", perf::to_json_or_exit(&entry, "the trajectory entry"));
     // deterministic engine output — CI diffs these lines across thread
-    // counts (and dispatch tiers: the counts may not depend on either)
+    // counts (the tiers are compared in-process above)
     println!(
         "counts seed={seed} n_blocks={n_blocks} bits={} errors={}",
         r_par.bits, r_par.errors
@@ -423,22 +349,7 @@ fn main() {
         r_par.errors as f64 / r_par.bits as f64
     );
 
-    entries.push(entry.to_value());
-    let doc = Value::Map(vec![("entries".to_string(), Value::Seq(entries))]);
-    let doc_json = match serde_json::to_string_pretty(&doc) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: could not serialise {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    // atomic commit (temp + rename): a crash mid-write can truncate only
-    // the temp file, never the committed baseline `--gate` depends on
-    let tmp = format!("{path}.tmp");
-    if let Err(e) = std::fs::write(&tmp, doc_json).and_then(|()| std::fs::rename(&tmp, path)) {
-        eprintln!("error: could not write {path}: {e}");
-        std::process::exit(1);
-    }
+    perf::append_entry(path, entries, entry.to_value());
 
     if gate {
         let mut failed = false;

@@ -39,8 +39,7 @@
 //! `(seed, n_nodes)` — CI diffs them across `RAYON_NUM_THREADS` 1/2/8 to
 //! prove the sharded engine is bit-identical at any thread count.
 
-use std::time::Instant;
-
+use comimo_bench::perf::{self, bench, median, RUNS};
 use comimo_bench::EXPERIMENT_SEED;
 use comimo_channel::geometry::Point;
 use comimo_core::cluster_beam::ClusterBeamformer;
@@ -48,10 +47,7 @@ use comimo_math::rng::derive;
 use comimo_net::{TopologyConfig, TopologyEngine};
 use comimo_sim::{map_shards, ShardedEventQueue, SimTime};
 use rand::Rng;
-use serde::{Serialize, Value};
-
-/// Timing repeats per engine; the median is reported, min/max recorded.
-const RUNS: usize = 5;
+use serde::Serialize;
 
 /// Minimum acceptable fraction of a committed throughput baseline before
 /// `--gate` fails the run. Topology throughput is hardware-dependent, so
@@ -155,62 +151,6 @@ fn fnv(mut h: u64, x: u64) -> u64 {
     h
 }
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// Times `f` [`RUNS`] times, asserts every repeat returns identical
-/// results, and returns the ascending times with the result.
-fn bench<R: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> R) -> (Vec<f64>, R) {
-    let mut times = Vec::with_capacity(RUNS);
-    let mut result: Option<R> = None;
-    for _ in 0..RUNS {
-        let t0 = Instant::now();
-        let r = f();
-        times.push(t0.elapsed().as_secs_f64());
-        match &result {
-            None => result = Some(r),
-            Some(prev) => assert_eq!(*prev, r, "engine is not deterministic across repeats"),
-        }
-    }
-    // total_cmp: a NaN timing (impossible, but cheap to be total about)
-    // sorts instead of panicking mid-benchmark
-    times.sort_by(f64::total_cmp);
-    (times, result.unwrap())
-}
-
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Reads the existing trajectory (`{"entries": [...]}`), tolerating a
-/// missing file.
-fn read_entries(path: &str) -> Vec<Value> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(doc) = serde_json::from_str::<Value>(&text) else {
-        return Vec::new();
-    };
-    match doc.field("entries") {
-        Ok(Value::Seq(list)) => list.clone(),
-        _ => Vec::new(),
-    }
-}
-
-/// Extracts a number field from a trajectory entry.
-fn number_field(entry: &Value, name: &str) -> Option<f64> {
-    match entry.field(name) {
-        Ok(&Value::F64(x)) => Some(x),
-        Ok(&Value::I64(x)) => Some(x as f64),
-        Ok(&Value::U64(x)) => Some(x as f64),
-        _ => None,
-    }
-}
 
 /// Prints usage and exits non-zero — a bad invocation must never reach
 /// (let alone corrupt) the committed perf baseline.
@@ -325,8 +265,8 @@ fn main() {
     let shard_ids: Vec<u32> = (0..N_SHARDS).collect();
 
     // the committed baseline must be read before this run appends to it
-    let mut entries = read_entries(path);
-    let baseline = |name: &str| entries.last().and_then(|e| number_field(e, name));
+    let entries = perf::read_entries(path);
+    let baseline = |name: &str| entries.last().and_then(|e| perf::number_field(e, name));
     let (base_build, base_events, base_churn) = (
         baseline("nodes_per_sec"),
         baseline("events_per_sec"),
@@ -458,7 +398,6 @@ fn main() {
     assert_eq!(rc2_virtual, exh_virtual);
 
     let threads = rayon::current_num_threads();
-    let median = |times: &[f64]| times[RUNS / 2];
     let nodes_per_sec = n_nodes as f64 / median(&t_build);
     // each event is scheduled once and drained once
     let events_per_sec = (per_shard * N_SHARDS as usize) as f64 / median(&t_events);
@@ -474,11 +413,8 @@ fn main() {
         ops_per_sec_max: work / times[0],
     };
     let entry = NetEntry {
-        commit: git_commit(),
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
+        commit: perf::git_commit(),
+        unix_time: perf::unix_time(),
         seed,
         n_nodes,
         n_shards: N_SHARDS,
@@ -502,14 +438,7 @@ fn main() {
         ],
     };
 
-    let json = match serde_json::to_string_pretty(&entry) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: could not serialise the trajectory entry: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("{json}");
+    println!("{}", perf::to_json_or_exit(&entry, "the trajectory entry"));
     // deterministic engine output — CI diffs these lines across thread
     // counts (the sharded engine may not depend on the pool width)
     println!(
@@ -535,22 +464,7 @@ fn main() {
         median(&t_exh),
     );
 
-    entries.push(entry.to_value());
-    let doc = Value::Map(vec![("entries".to_string(), Value::Seq(entries))]);
-    let doc_json = match serde_json::to_string_pretty(&doc) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: could not serialise {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    // atomic commit (temp + rename): a crash mid-write can truncate only
-    // the temp file, never the committed baseline `--gate` depends on
-    let tmp = format!("{path}.tmp");
-    if let Err(e) = std::fs::write(&tmp, doc_json).and_then(|()| std::fs::rename(&tmp, path)) {
-        eprintln!("error: could not write {path}: {e}");
-        std::process::exit(1);
-    }
+    perf::append_entry(path, entries, entry.to_value());
 
     if gate {
         let mut failed = false;

@@ -12,8 +12,10 @@
 //!
 //! The runner functions in this library return structured data so the
 //! binaries, the Criterion benches and the integration tests all share
-//! one code path.
+//! one code path. The perf bins (`mcperf`, `netperf`) share their timing
+//! and trajectory plumbing through [`perf`].
 
+pub mod perf;
 pub mod runners;
 pub mod tables;
 

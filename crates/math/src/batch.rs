@@ -25,8 +25,8 @@
 //!   Box–Muller pair per complex sample).
 //!
 //! The per-element transforms (word → uniform, Box–Muller) execute through
-//! the runtime-dispatched SIMD tier of [`crate::simd`]; every tier is
-//! bit-identical to the scalar kernels in this module, so dispatch never
+//! the CPU-selected SIMD tier of [`crate::simd`]; both tiers are
+//! bit-identical to the scalar kernels in this module, so the tier never
 //! changes a drawn sample, only throughput.
 //!
 //! The batch normals are *not* draw-compatible with the scalar polar
@@ -53,9 +53,9 @@ const CHUNK: usize = 128;
 /// `|s| ≤ √2−1 ≈ 0.172` — truncation after `s¹⁵` leaves ~1e-14 absolute
 /// error, far below anything a Monte-Carlo moment can resolve.
 ///
-/// This scalar kernel is the **pinned oracle** for the SIMD tiers in
-/// [`crate::simd`]: every lane implementation must (and does — the tests
-/// assert it) reproduce it bit for bit.
+/// This scalar kernel is the **pinned oracle** for the AVX2 tier in
+/// [`crate::simd`]: its lane body must (and does — the tests assert it
+/// through the Box–Muller kernel) reproduce it bit for bit.
 #[inline(always)]
 pub fn fast_ln(x: f64) -> f64 {
     debug_assert!(x > 0.0 && x.is_normal());
@@ -89,7 +89,7 @@ pub fn fast_ln(x: f64) -> f64 {
 /// Taylor chains run in parallel on independent units.
 ///
 /// Like [`fast_ln`], this is the pinned scalar oracle the [`crate::simd`]
-/// lane kernels are tested bit-for-bit against.
+/// AVX2 lane body is tested bit-for-bit against.
 #[inline(always)]
 pub fn fast_sincos_tau(t: f64) -> (f64, f64) {
     debug_assert!((0.0..1.0).contains(&t));
@@ -191,7 +191,7 @@ pub fn fill_range_u32<R: RngCore + ?Sized>(rng: &mut R, span: u32, out: &mut [u3
 /// `1 − u1 ∈ (0, 1]` so the log argument is never zero and no rejection
 /// branch is needed. Built on the inline polynomial kernels ([`fast_ln`],
 /// [`fast_sincos_tau`]) — no libm call in the loop body. This is the
-/// scalar reference the [`crate::simd`] lane transforms reproduce bitwise.
+/// scalar reference the [`crate::simd`] AVX2 transform reproduces bitwise.
 #[inline]
 pub(crate) fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
     let r = (-2.0 * fast_ln(1.0 - u1)).sqrt();

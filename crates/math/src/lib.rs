@@ -18,7 +18,7 @@
 //!   (`Ml = 40 dB`, `σ² = −174 dBm/Hz`, …);
 //! * seeded random sampling ([`rng`]) for Monte-Carlo cross-validation and
 //!   the testbed simulator, with bulk batched fillers ([`batch`]) riding a
-//!   runtime-dispatched explicit-SIMD kernel tier ([`simd`]) for the
+//!   CPU-selected explicit-SIMD kernel tier ([`simd`]) for the
 //!   Monte-Carlo hot paths; and
 //! * descriptive statistics ([`stats`]) for experiment reporting.
 //!

@@ -68,17 +68,17 @@ impl BatchWorkspace {
     /// Builds the workspace for `code` × `constellation` with `mr` receive
     /// antennas.
     pub fn new(code: &Ostbc, constellation: &SimConstellation, mr: usize) -> Self {
-        Self::with_dispatch(code, constellation, mr, None)
+        Self::with_dispatch(code, constellation, mr, comimo_math::simd::active())
     }
 
-    /// [`BatchWorkspace::new`] with the SIMD dispatch tier pinned instead
-    /// of following [`comimo_math::simd::active`]. Results are
-    /// bit-identical across tiers; this exists for tests and benches.
+    /// [`BatchWorkspace::new`] with the compute pass on `dispatch`, as in
+    /// [`GridWorkspace::with_dispatch`]. Results are bit-identical across
+    /// tiers; this exists for tests and benches.
     pub fn with_dispatch(
         code: &Ostbc,
         constellation: &SimConstellation,
         mr: usize,
-        dispatch: Option<comimo_math::simd::Dispatch>,
+        dispatch: comimo_math::simd::Dispatch,
     ) -> Self {
         // the placeholder (es, n0) is retargeted on every simulate() call
         let point = [GridPoint {
@@ -212,8 +212,8 @@ mod tests {
     /// The cross-engine agreement test the ISSUE asks for: scalar oracle
     /// and batch engine measure the same BER within binomial confidence
     /// bounds at fixed seeds, for every design — on the native dispatch
-    /// path AND the forced-scalar fallback (which must also be
-    /// bit-identical to native, checked here end to end). The draws differ
+    /// path AND with the compute pass on the scalar tier (which must also
+    /// be bit-identical to native, checked here end to end). The draws differ
     /// (polar vs Box–Muller order), so the oracle comparison is
     /// statistical: with n bits and true error rate p, each measured rate
     /// lies within ~4·√(p(1−p)/n) of p with overwhelming probability, so
@@ -240,17 +240,17 @@ mod tests {
                 scalar.ber(),
                 batch.ber()
             );
-            // the forced-scalar dispatch path is the same engine
+            // the scalar-tier compute pass is the same engine
             // bit-for-bit, so it inherits the oracle agreement verbatim
-            let mut ws = BatchWorkspace::with_dispatch(&code, &cons, mr, Some(Dispatch::Scalar));
-            let mut forced = BerResult { bits: 0, errors: 0 };
+            let mut ws = BatchWorkspace::with_dispatch(&code, &cons, mr, Dispatch::Scalar);
+            let mut scalar_tier = BerResult { bits: 0, errors: 0 };
             for (label, blocks) in shard_plan(n_blocks) {
                 let mut rng = comimo_math::rng::derive(42, label);
                 let r = ws.simulate(&mut rng, es, n0, blocks);
-                forced.bits += r.bits;
-                forced.errors += r.errors;
+                scalar_tier.bits += r.bits;
+                scalar_tier.errors += r.errors;
             }
-            assert_eq!(forced, batch, "{kind:?}: forced-scalar dispatch diverged");
+            assert_eq!(scalar_tier, batch, "{kind:?}: scalar-tier compute diverged");
         }
     }
 

@@ -37,11 +37,12 @@
 //! # Lane parallelism
 //!
 //! The SoA pipeline processes four blocks per iteration through
-//! [`comimo_math::simd::F64x4`]; when the runtime dispatch tier
-//! ([`comimo_math::simd::active`]) is AVX2 the whole compute pass is
-//! compiled under `#[target_feature(enable = "avx2")]` so those lanes map
-//! to 256-bit vector ops. Every tier performs identical IEEE arithmetic —
-//! dispatch changes throughput, never a count.
+//! [`comimo_math::simd::F64x4`]; when the workspace's tier (by default
+//! [`comimo_math::simd::active`], fixed at construction) is AVX2 the
+//! whole compute pass is compiled under `#[target_feature(enable =
+//! "avx2")]` so those lanes map to 256-bit vector ops. Both tiers perform
+//! identical IEEE arithmetic — the tier changes throughput, never a
+//! count.
 
 use crate::batch::BATCH_BLOCKS;
 use crate::design::Ostbc;
@@ -134,9 +135,8 @@ pub struct GridWorkspace {
     cons: Vec<ConsTables>,
     groups: Vec<Group>,
     cfgs: Vec<Cfg>,
-    /// `None` → follow [`simd::active`] per chunk; `Some` pins the tier
-    /// (tests compare tiers without touching global state).
-    dispatch: Option<simd::Dispatch>,
+    /// Tier of the compute pass, fixed at construction.
+    dispatch: simd::Dispatch,
     // shared sample buffers, block-minor: index = plane*n + block
     h_re: Vec<f64>,
     h_im: Vec<f64>,
@@ -168,18 +168,18 @@ impl GridWorkspace {
     /// antennas, deduplicating constellation tables by `bits_per_symbol`
     /// and encode state by `(bits_per_symbol, es)`.
     pub fn new(code: &Ostbc, points: &[GridPoint], mr: usize) -> Self {
-        Self::with_dispatch(code, points, mr, None)
+        Self::with_dispatch(code, points, mr, simd::active())
     }
 
-    /// [`GridWorkspace::new`] with the SIMD dispatch tier pinned instead
-    /// of following [`simd::active`]. Results are bit-identical across
-    /// tiers; this exists so tests and benches can compare them in one
-    /// process without global state.
+    /// [`GridWorkspace::new`] with the compute pass on `dispatch` instead
+    /// of [`simd::active`]; the sample draws always run on the active
+    /// tier. Results are bit-identical across tiers; this exists so tests
+    /// and benches can compare them in one process.
     pub fn with_dispatch(
         code: &Ostbc,
         points: &[GridPoint],
         mr: usize,
-        dispatch: Option<simd::Dispatch>,
+        dispatch: simd::Dispatch,
     ) -> Self {
         assert!(mr >= 1);
         assert!(!points.is_empty(), "a grid needs at least one point");
@@ -385,15 +385,17 @@ impl GridWorkspace {
             &mut self.w_re[..t * mr * n],
             &mut self.w_im[..t * mr * n],
         );
-        match self.dispatch.unwrap_or_else(simd::active) {
+        match self.dispatch {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: the Avx2 tier is only constructible/forcible when
-            // the CPU supports it.
-            simd::Dispatch::Avx2 => unsafe { self.compute_avx2(n) },
-            _ => self.compute_plain(n),
+            // SAFETY: an Avx2 value carries a token that only
+            // `Dispatch::avx2()` makes, after detecting AVX2.
+            simd::Dispatch::Avx2(_) => unsafe { self.compute_avx2(n) },
+            simd::Dispatch::Scalar => self.compute_plain(n),
         }
     }
 
+    /// # Safety
+    /// The CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn compute_avx2(&mut self, n: usize) {
@@ -977,25 +979,22 @@ mod tests {
     }
 
     /// Dispatch tiers must be invisible in the counts: the same grid under
-    /// forced-scalar, portable-lane and (when available) AVX2 dispatch is
-    /// bit-identical.
+    /// the scalar and (when available) AVX2 tier is bit-identical.
     #[test]
     fn grid_is_bit_identical_across_dispatch_tiers() {
         let code = Ostbc::new(StbcKind::H4);
         let points = snr_sweep(2, &[1.5, 0.75]);
-        let run = |d: Option<comimo_math::simd::Dispatch>| {
+        let run = |d: simd::Dispatch| {
             let mut ws = GridWorkspace::with_dispatch(&code, &points, 2, d);
             let mut out = vec![BerResult { bits: 0, errors: 0 }; points.len()];
             let mut rng = comimo_math::rng::derive(99, 0);
             ws.simulate_into(&mut rng, 700, &mut out);
             out
         };
-        let reference = run(Some(comimo_math::simd::Dispatch::Scalar));
-        assert_eq!(run(Some(comimo_math::simd::Dispatch::Lanes)), reference);
-        assert_eq!(run(None), reference, "active tier diverged from scalar");
-        #[cfg(target_arch = "x86_64")]
-        if comimo_math::simd::Dispatch::Avx2.supported() {
-            assert_eq!(run(Some(comimo_math::simd::Dispatch::Avx2)), reference);
+        let reference = run(simd::Dispatch::Scalar);
+        assert_eq!(run(simd::active()), reference, "active tier diverged");
+        if let Some(avx2) = simd::Dispatch::avx2() {
+            assert_eq!(run(avx2), reference, "avx2 tier diverged");
         }
     }
 
