@@ -457,7 +457,7 @@ fn main() {
         "busy/idle",
         "Pd",
         "Pfa",
-        "wllr/llr/hard/cfg/or/local",
+        "soft/hard/or/local",
         "frames",
         "dup",
         "stale",
@@ -471,13 +471,8 @@ fn main() {
             format!("{:.3}", r.pd()),
             format!("{:.3}", r.pfa()),
             format!(
-                "{}/{}/{}/{}/{}/{}",
-                r.used_weighted_llr,
-                r.used_llr_soft,
-                r.used_hard_decode,
-                r.used_configured,
-                r.used_or_fallback,
-                r.used_head_local
+                "{}/{}/{}/{}",
+                r.used_weighted_llr, r.used_hard_decode, r.used_or_fallback, r.used_head_local
             ),
             format!("{}", r.frames_sent),
             format!("{}", r.duplicates),

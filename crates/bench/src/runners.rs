@@ -20,7 +20,7 @@ use comimo_faults::report_channel::{
 use comimo_faults::sensing::{build_reporter_schedule, ReporterFaultConfig, ReporterTimeline};
 use comimo_math::rng::derive;
 use comimo_sensing::{
-    run_byz_campaign, run_roc_campaign, run_round_faulted, ByzCell, ByzSweepSpec, MarkovOnOff,
+    run_byz_campaign, run_roc_campaign, run_round_byz, ByzCell, ByzSweepSpec, MarkovOnOff,
     RocGridSpec, RocPoint, RuleUsed, SensingRound,
 };
 use comimo_stbc::design::{Ostbc, StbcKind};
@@ -333,17 +333,12 @@ pub struct SenseSweepRow {
     pub detections: u64,
     /// Fused busy verdicts on idle slots.
     pub false_alarms: u64,
-    /// Slots fused on the reputation-weighted LLR rung (only reachable
-    /// when the head carries a reputation view — the λ sweeps run
-    /// without one, so this stays 0 here; the byzantine sweep is where
-    /// it lights up).
+    /// Slots fused on the soft LLR rung (noisy long-haul, confident;
+    /// the λ sweeps carry no reputation view, so weights are uniform).
     pub used_weighted_llr: u64,
-    /// Slots fused on the soft LLR rung (noisy long-haul, confident).
-    pub used_llr_soft: u64,
-    /// Slots degraded to hard-decoding the report words (shaky decode).
+    /// Slots fused by counting hard bits against the quorum: the clean
+    /// k-out-of-N head, or a shaky decode of the report words.
     pub used_hard_decode: u64,
-    /// Slots fused with the configured k-out-of-N rule.
-    pub used_configured: u64,
     /// Slots degraded to the OR fallback (quorum below the floor).
     pub used_or_fallback: u64,
     /// Slots degraded to head-local sensing (no reports at all).
@@ -413,9 +408,7 @@ fn sense_sweep_with(lambda: f64, mut cfg: SensingRound, noisy: bool) -> SenseSwe
         detections: 0,
         false_alarms: 0,
         used_weighted_llr: 0,
-        used_llr_soft: 0,
         used_hard_decode: 0,
-        used_configured: 0,
         used_or_fallback: 0,
         used_head_local: 0,
         frames_sent: 0,
@@ -431,14 +424,16 @@ fn sense_sweep_with(lambda: f64, mut cfg: SensingRound, noisy: bool) -> SenseSwe
         let mut head_rng = derive(EXPERIMENT_SEED, SENSE_HEAD_SALT ^ slot as u64);
         let head_snr = if busy { snr } else { 0.0 };
         let head_local = det.decide(det.sample_statistic(&mut head_rng, head_snr));
-        let out = run_round_faulted(
+        let (out, _) = run_round_byz(
             &cfg,
             busy,
             &states,
             &report_states,
+            &[],
             head_local,
             EXPERIMENT_SEED,
             slot as u64,
+            None,
         )
         .expect("the paper sweep config is valid");
         if busy {
@@ -450,9 +445,7 @@ fn sense_sweep_with(lambda: f64, mut cfg: SensingRound, noisy: bool) -> SenseSwe
         }
         match out.decision.rule_used {
             RuleUsed::WeightedLlr => row.used_weighted_llr += 1,
-            RuleUsed::LlrSoft => row.used_llr_soft += 1,
             RuleUsed::HardDecode => row.used_hard_decode += 1,
-            RuleUsed::Configured => row.used_configured += 1,
             RuleUsed::OrFallback => row.used_or_fallback += 1,
             RuleUsed::HeadLocal => row.used_head_local += 1,
         }
@@ -475,7 +468,7 @@ pub fn sense_sweep(lambda: f64) -> SenseSweepRow {
 }
 
 /// One λ point of the sensing sweep with reports on the noisy long-haul
-/// at [`SENSE_REPORT_SNR_DB`]: LLR fusion walks the full five-rung
+/// at [`SENSE_REPORT_SNR_DB`]: LLR fusion walks the full four-rung
 /// ladder, and λ also scales the report-channel fault taxonomy (SNR
 /// collapse, phase desync).
 pub fn sense_sweep_noisy(lambda: f64) -> SenseSweepRow {
@@ -659,7 +652,7 @@ mod tests {
         assert!(s.contains("| 0.0") && s.contains("| 4.0"));
     }
 
-    /// Fault-free λ = 0 stays on the configured fusion rung with
+    /// Fault-free λ = 0 stays on the k-out-of-N (hard) rung with
     /// near-perfect fused detection; a hot λ exhausts the roster and
     /// walks the ladder down to head-local sensing. The sweep is a pure
     /// function of `(λ, seed)` — the property CI leans on when it diffs
@@ -669,7 +662,7 @@ mod tests {
         let clean = sense_sweep(0.0);
         assert_eq!(clean.fault_events, 0);
         assert_eq!(clean.busy_slots + clean.idle_slots, SENSE_HORIZON_S as u64);
-        assert_eq!(clean.used_configured, SENSE_HORIZON_S as u64);
+        assert_eq!(clean.used_hard_decode, SENSE_HORIZON_S as u64);
         assert_eq!(clean.used_head_local, 0);
         assert!(
             clean.pd() > 0.9,
@@ -691,9 +684,7 @@ mod tests {
     fn noisy_sense_sweep_walks_the_soft_ladder() {
         let clean = sense_sweep_noisy(0.0);
         assert_eq!(clean.fault_events, 0);
-        assert_eq!(clean.used_llr_soft, SENSE_HORIZON_S as u64);
-        assert_eq!(clean.used_configured, 0, "the soft path never uses it");
-        assert_eq!(clean.used_weighted_llr, 0, "no reputation view, no rung 0");
+        assert_eq!(clean.used_weighted_llr, SENSE_HORIZON_S as u64);
         assert!(
             clean.pd() > 0.85,
             "soft-fused Pd at 0 dB over a 15 dB long-haul: {}",

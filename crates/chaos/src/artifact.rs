@@ -25,7 +25,10 @@ use serde::{Deserialize, Serialize};
 /// (`byz_missed_budget`), [`ChaosConfig`] gained the adversary cast
 /// (`n_byz`), and the world emits the reputation/containment
 /// observations.
-pub const ARTIFACT_VERSION: u32 = 4;
+/// v5: the fusion ladder has four rungs (weighted LLR, hard decode, OR,
+/// head local), so recorded rung indices and ladder-order violations
+/// from v4 no longer mean the same thing.
+pub const ARTIFACT_VERSION: u32 = 5;
 
 /// One fault event in serialized form (`SimTime` itself carries no serde;
 /// nanoseconds are its exact representation).
@@ -296,15 +299,19 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
+        // a v4 artifact predates the four-rung ladder
         let (cfg, f) = empty_trace_finding();
-        let mut art = ChaosArtifact::from_finding(&cfg, &f);
-        art.version = ARTIFACT_VERSION + 1;
-        let json = art.to_json().expect("serializes");
-        match ChaosArtifact::from_json(&json) {
-            Err(ArtifactError::Version { found, .. }) => {
-                assert_eq!(found, ARTIFACT_VERSION + 1);
+        for version in [4, ARTIFACT_VERSION + 1] {
+            let mut art = ChaosArtifact::from_finding(&cfg, &f);
+            art.version = version;
+            let json = art.to_json().expect("serializes");
+            match ChaosArtifact::from_json(&json) {
+                Err(ArtifactError::Version { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, 5);
+                }
+                other => panic!("expected a version error, got {other:?}"),
             }
-            other => panic!("expected a version error, got {other:?}"),
         }
     }
 

@@ -135,14 +135,14 @@ pub enum Observation {
     FusionLadder {
         /// Slot start (ns) — when sensing reports were fused.
         at_ns: u64,
-        /// Whether the soft (noisy long-haul) fusion path ran.
+        /// Whether the fusion config has a soft rung (a finite
+        /// reliability floor); recorded, not checked.
         soft_path: bool,
-        /// Whether a reputation view was supplied, making the weighted
-        /// LLR rung eligible ahead of the unweighted soft rung.
+        /// Whether a reputation view weighted the soft rung.
         weighted: bool,
         /// The rung that decided ([`RuleUsed::rung_index`] encoding:
-        /// 0 = weighted LLR, 1 = soft LLR, 2 = hard decode,
-        /// 3 = configured, 4 = OR fallback, 5 = head local).
+        /// 0 = weighted LLR, 1 = hard decode, 2 = OR fallback,
+        /// 3 = head local).
         rung: u8,
         /// Distinct reports fused.
         n_reports: usize,
@@ -572,7 +572,7 @@ impl Invariant for MissedDetectBudget {
          then a back-off slot re-senses before radiating again"
     }
     fn guards(&self) -> &'static str {
-        "comimo-sensing run_round fusion ladder; chaos-world sensing stage and post-miss back-off"
+        "comimo-sensing run_round_byz fusion ladder; chaos-world sensing stage and post-miss back-off"
     }
     fn bound_text(&self) -> String {
         format!("missed-detection streak ≤ {} slot(s)", self.budget)
@@ -720,39 +720,18 @@ struct LlrDegradeOrder;
 
 impl LlrDegradeOrder {
     /// The first rung the ladder evidence makes eligible — a deliberate
-    /// re-derivation (not a call into `fuse_soft`) so a fusion-side
-    /// rung-skipping bug cannot hide behind its own bookkeeping.
-    fn first_eligible(
-        soft_path: bool,
-        weighted: bool,
-        n: usize,
-        min_quorum: usize,
-        mean_confidence: f64,
-        reliability_floor: f64,
-    ) -> u8 {
-        let mq = min_quorum.max(1);
-        if soft_path {
-            if n >= mq {
-                if mean_confidence >= reliability_floor {
-                    if weighted {
-                        0 // weighted LLR — a reputation view is held
-                    } else {
-                        1 // soft LLR
-                    }
-                } else {
-                    2 // hard decode
-                }
-            } else if n >= 1 {
-                4 // OR fallback
-            } else {
-                5 // head local
-            }
-        } else if n >= mq {
-            3 // configured rule
-        } else if n >= 1 {
-            4
+    /// re-derivation (not a call into `fuse_soft_weighted`) so a
+    /// fusion-side rung-skipping bug cannot hide behind its own
+    /// bookkeeping.
+    fn first_eligible(n: usize, min_quorum: usize, mean_confidence: f64, floor: f64) -> u8 {
+        if n == 0 {
+            3 // head local
+        } else if n < min_quorum.max(1) {
+            2 // OR fallback
+        } else if mean_confidence >= floor {
+            0 // soft LLR, weighted by trust when a view is held
         } else {
-            5
+            1 // hard decode
         }
     }
 }
@@ -762,11 +741,11 @@ impl Invariant for LlrDegradeOrder {
         INV_LLR_DEGRADE_ORDER
     }
     fn paper_ref(&self) -> &'static str {
-        "soft-fusion degradation ladder: weighted LLR → LLR soft → hard decode → \
-         configured rule → OR fallback → head local, first eligible rung decides"
+        "soft-fusion degradation ladder: weighted LLR → hard decode → OR fallback → \
+         head local, first eligible rung decides"
     }
     fn guards(&self) -> &'static str {
-        "comimo-sensing fuse_soft / fuse_reports rung selection and LadderEvidence accounting"
+        "comimo-sensing fuse_soft_weighted rung selection and LadderEvidence accounting"
     }
     fn bound_text(&self) -> String {
         "every fused decision lands on exactly the first eligible rung".into()
@@ -774,20 +753,18 @@ impl Invariant for LlrDegradeOrder {
     fn check(&self, obs: &Observation) -> Option<Violation> {
         let Observation::FusionLadder {
             at_ns,
-            soft_path,
             weighted,
             rung,
             n_reports,
             min_quorum,
             mean_confidence,
             reliability_floor,
+            ..
         } = obs
         else {
             return None;
         };
         let expected = Self::first_eligible(
-            *soft_path,
-            *weighted,
             *n_reports,
             *min_quorum,
             *mean_confidence,
@@ -800,8 +777,8 @@ impl Invariant for LlrDegradeOrder {
                 observed: f64::from(*rung),
                 bound: f64::from(expected),
                 detail: format!(
-                    "fusion decided on rung {rung} but the evidence (soft={soft_path}, \
-                     weighted={weighted}, n={n_reports}, min_quorum={min_quorum}, \
+                    "fusion decided on rung {rung} but the evidence (weighted={weighted}, \
+                     n={n_reports}, min_quorum={min_quorum}, \
                      confidence={mean_confidence:.4}, floor={reliability_floor:.4}) makes \
                      rung {expected} the first eligible"
                 ),
@@ -1374,63 +1351,42 @@ mod tests {
     fn llr_degrade_order_recomputes_the_first_eligible_rung() {
         let reg = InvariantRegistry::paper();
         let mut v = Vec::new();
+        let ladder = |at_ns, weighted, rung, n_reports, mean_confidence, reliability_floor| {
+            Observation::FusionLadder {
+                at_ns,
+                soft_path: f64::is_finite(reliability_floor),
+                weighted,
+                rung,
+                n_reports,
+                min_quorum: 2,
+                mean_confidence,
+                reliability_floor,
+            }
+        };
         // every legitimate rung in ladder order holds
-        for (soft_path, weighted, rung, n, conf) in [
-            (true, true, 0u8, 5usize, 0.9), // view held, confident quorum → weighted
-            (true, false, 1, 5, 0.9),       // no view, confident quorum → soft
-            (true, false, 2, 5, 0.3),       // shaky quorum → hard decode
-            (false, false, 3, 5, 1.0),      // clean path → configured
-            (true, false, 4, 1, 0.9),       // sub-quorum → OR fallback
-            (false, false, 4, 1, 1.0),
-            (true, false, 5, 0, 0.0), // empty → head local
+        for (weighted, rung, n, conf, floor) in [
+            (true, 0u8, 5usize, 0.9, 0.65), // view held, confident quorum → soft
+            (false, 0, 5, 0.9, 0.65),       // no view, confident quorum → soft
+            (false, 1, 5, 0.3, 0.65),       // shaky quorum → hard decode
+            (false, 1, 5, 1.0, f64::INFINITY), // no soft rung → hard decode
+            (false, 2, 1, 0.9, 0.65),       // sub-quorum → OR fallback
+            (false, 2, 1, 1.0, f64::INFINITY),
+            (false, 3, 0, 0.0, 0.65), // empty → head local
         ] {
-            reg.check(
-                &Observation::FusionLadder {
-                    at_ns: 1,
-                    soft_path,
-                    weighted,
-                    rung,
-                    n_reports: n,
-                    min_quorum: 2,
-                    mean_confidence: conf,
-                    reliability_floor: 0.65,
-                },
-                &mut v,
-            );
+            reg.check(&ladder(1, weighted, rung, n, conf, floor), &mut v);
         }
         assert!(v.is_empty(), "{v:?}");
-        // skipping the weighted rung while a view is held fires
-        reg.check(
-            &Observation::FusionLadder {
-                at_ns: 2,
-                soft_path: true,
-                weighted: true,
-                rung: 1,
-                n_reports: 5,
-                min_quorum: 2,
-                mean_confidence: 0.9,
-                reliability_floor: 0.65,
-            },
-            &mut v,
-        );
+        // skipping the soft rung on a confident quorum fires
+        reg.check(&ladder(2, true, 1, 5, 0.9, 0.65), &mut v);
         // so does jumping straight to head-local with reports in hand
-        reg.check(
-            &Observation::FusionLadder {
-                at_ns: 3,
-                soft_path: false,
-                weighted: false,
-                rung: 5,
-                n_reports: 1,
-                min_quorum: 2,
-                mean_confidence: 1.0,
-                reliability_floor: f64::INFINITY,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 2);
+        reg.check(&ladder(3, false, 3, 1, 1.0, f64::INFINITY), &mut v);
+        // and a confident quorum that lands on the hard rung
+        reg.check(&ladder(4, false, 1, 5, 1.0, 0.65), &mut v);
+        assert_eq!(v.len(), 3);
         assert!(v.iter().all(|x| x.invariant == INV_LLR_DEGRADE_ORDER));
         assert_eq!(v[0].bound, 0.0);
-        assert_eq!(v[1].bound, 4.0);
+        assert_eq!(v[1].bound, 2.0);
+        assert_eq!(v[2].bound, 0.0);
     }
 
     #[test]

@@ -563,13 +563,13 @@ fn run_in_world(
                     },
                     Observation::FusionLadder {
                         at_ns: start_ns,
-                        soft_path: !round_cfg.report_channel.clean_transport,
+                        soft_path: round_cfg.fusion.reliability_floor.is_finite(),
                         weighted: false,
                         rung: RuleUsed::HeadLocal.rung_index(),
                         n_reports: 0,
                         min_quorum: round_cfg.fusion.min_quorum.max(1),
                         mean_confidence: 0.0,
-                        reliability_floor: round_cfg.fusion.reliability_floor(),
+                        reliability_floor: round_cfg.fusion.reliability_floor,
                     },
                     Observation::ReputationSlot {
                         at_ns: start_ns,

@@ -114,16 +114,7 @@ impl CoMimoNet {
                 }
             }
         }
-        let backbone = Self::prim_forest(graph, clusters, &adj);
-        (adj, backbone)
-    }
-
-    /// Prim spanning forest over an already-wired cluster graph, with
-    /// head-to-head distance weights. Split out of [`Self::wire`] so the
-    /// incremental death path can rewire the backbone without paying the
-    /// O(K² · |A| · |B|) pairwise-distance edge recomputation.
-    fn prim_forest(graph: &SuGraph, clusters: &[Cluster], adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-        let k = clusters.len();
+        // Prim spanning forest with head-to-head distance weights
         let head_dist = |a: usize, b: usize| {
             graph.nodes()[clusters[a].head].distance_to(&graph.nodes()[clusters[b].head])
         };
@@ -161,7 +152,7 @@ impl CoMimoNet {
                 }
             }
         }
-        backbone
+        (adj, backbone)
     }
 
     /// The underlying SU graph.
@@ -171,7 +162,7 @@ impl CoMimoNet {
 
     /// Mutable access to the SU graph — for battery drain during traffic
     /// simulation. Structural changes (positions, deaths) require a
-    /// follow-up [`Self::kill_node_and_reconfigure`] or rebuild; battery
+    /// follow-up [`Self::try_kill_node_and_reconfigure`] or rebuild; battery
     /// changes only require [`Self::refresh_head`] where head optimality
     /// matters.
     pub fn graph_mut(&mut self) -> &mut SuGraph {
@@ -338,97 +329,6 @@ impl CoMimoNet {
         validate_clustering(&self.graph, &self.clusters, self.d)
     }
 
-    /// Panicking wrapper of [`Self::try_kill_node_and_reconfigure`] — the
-    /// historical API, for callers that treat a broken reconfiguration as
-    /// a programming error.
-    pub fn kill_node_and_reconfigure(&mut self, node: usize) {
-        self.try_kill_node_and_reconfigure(node)
-            .expect("reconfiguration violated clustering invariants");
-    }
-
-    /// Incremental form of [`Self::try_kill_node_and_reconfigure`]: the SU
-    /// graph loses only the dead node's edges (O(deg) via
-    /// [`SuGraph::kill_node`]), only the bereaved cluster is touched
-    /// (member removal, head re-election, or retirement when it empties),
-    /// only that cluster's row of the cluster graph is re-gated against
-    /// `D` — shrinking a cluster can only *shrink* its max pairwise
-    /// distance, so edges may appear but never silently persist wrongly —
-    /// and the Prim backbone is re-run over the patched adjacency without
-    /// re-measuring any other cluster pair.
-    ///
-    /// Every [`validate_clustering`] invariant is preserved by
-    /// construction (removing a member keeps the survivors' pairwise
-    /// diameter; dead nodes leave exactly one roster), so unlike the full
-    /// rebuild this cannot *repartition* survivors — a cluster split apart
-    /// by deaths shrinks rather than re-forming, which is the paper's
-    /// "reconfigurable" degradation, not a fresh deployment.
-    pub fn try_kill_node_incremental(&mut self, node: usize) -> Result<(), ClusterError> {
-        assert!(node < self.graph.len(), "node index out of range");
-        if !self.graph.nodes()[node].alive {
-            return Ok(());
-        }
-        self.graph.kill_node(node);
-        let Some(ci) = self.clusters.iter().position(|c| c.contains(node)) else {
-            // an alive-but-unclustered node has no cluster-level fallout
-            return Ok(());
-        };
-        let at = self.clusters[ci]
-            .members
-            .binary_search(&node)
-            .expect("contains() said the member is present");
-        self.clusters[ci].members.remove(at);
-        if self.clusters[ci].members.is_empty() {
-            // retire the empty cluster and close the index gap
-            self.clusters.remove(ci);
-            self.cluster_adj.remove(ci);
-            for row in &mut self.cluster_adj {
-                row.retain(|&b| b != ci);
-                for b in row.iter_mut() {
-                    if *b > ci {
-                        *b -= 1;
-                    }
-                }
-            }
-        } else {
-            if self.clusters[ci].head == node {
-                self.clusters[ci].head =
-                    crate::cluster::try_elect_head(&self.graph, &self.clusters[ci].members)?;
-            }
-            // re-gate only row ci: drop its old edges, re-measure max
-            // pairwise distance against every other cluster
-            let old = std::mem::take(&mut self.cluster_adj[ci]);
-            for b in old {
-                if let Ok(at) = self.cluster_adj[b].binary_search(&ci) {
-                    self.cluster_adj[b].remove(at);
-                }
-            }
-            let k = self.clusters.len();
-            let mut row = Vec::new();
-            for b in 0..k {
-                if b == ci {
-                    continue;
-                }
-                let mut max_d = 0.0f64;
-                for &u in &self.clusters[ci].members {
-                    for &v in &self.clusters[b].members {
-                        max_d =
-                            max_d.max(self.graph.nodes()[u].distance_to(&self.graph.nodes()[v]));
-                    }
-                }
-                if max_d <= self.long_range {
-                    row.push(b);
-                    let at = self.cluster_adj[b]
-                        .binary_search(&ci)
-                        .expect_err("edge was just removed");
-                    self.cluster_adj[b].insert(at, ci);
-                }
-            }
-            self.cluster_adj[ci] = row;
-        }
-        self.backbone_adj = Self::prim_forest(&self.graph, &self.clusters, &self.cluster_adj);
-        Ok(())
-    }
-
     /// Re-elects the head of a cluster (e.g. after battery drain).
     pub fn refresh_head(&mut self, cluster: usize) {
         let members = self.clusters[cluster].members.clone();
@@ -593,7 +493,7 @@ mod tests {
     fn reconfiguration_after_node_death() {
         let mut net = two_cluster_net();
         let head0 = net.clusters()[0].head;
-        net.kill_node_and_reconfigure(head0);
+        net.try_kill_node_and_reconfigure(head0).unwrap();
         // invariants hold after reconfiguration
         crate::cluster::validate_clustering(net.graph(), net.clusters(), 5.0).unwrap();
         // the dead node is gone from every cluster
@@ -602,119 +502,6 @@ mod tests {
         let c0 = net.cluster_of(0).or(net.cluster_of(1)).unwrap();
         let c1 = net.cluster_of(3).unwrap();
         assert!(net.backbone_path(c0, c1).is_some());
-    }
-
-    fn assert_spanning_forest(net: &CoMimoNet) {
-        let k = net.clusters().len();
-        let edges: usize = (0..k)
-            .map(|c| net.backbone_neighbours(c).len())
-            .sum::<usize>()
-            / 2;
-        let mut seen = vec![false; k];
-        let mut comps = 0;
-        for s in 0..k {
-            if seen[s] {
-                continue;
-            }
-            comps += 1;
-            let mut stack = vec![s];
-            seen[s] = true;
-            while let Some(u) = stack.pop() {
-                for &v in net.cluster_neighbours(u) {
-                    if !seen[v] {
-                        seen[v] = true;
-                        stack.push(v);
-                    }
-                }
-            }
-        }
-        assert_eq!(edges, k - comps, "spanning forest edge count");
-        for a in 0..k {
-            for b in 0..k {
-                let cg = {
-                    let mut seen = vec![false; k];
-                    let mut stack = vec![a];
-                    seen[a] = true;
-                    while let Some(u) = stack.pop() {
-                        for &v in net.cluster_neighbours(u) {
-                            if !seen[v] {
-                                seen[v] = true;
-                                stack.push(v);
-                            }
-                        }
-                    }
-                    seen[b]
-                };
-                assert_eq!(cg, net.backbone_path(a, b).is_some(), "pair {a},{b}");
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_death_burst_keeps_every_invariant() {
-        // a churn burst handled entirely on the incremental path: after
-        // every single death the clustering invariants and the spanning
-        // forest must hold — this is the regression net under the O(deg)
-        // reconfiguration
-        let mut rng = seeded(77);
-        let nodes = random_deployment(&mut rng, 80, 400.0, 400.0, 25.0);
-        let g = SuGraph::build(nodes, 60.0);
-        let mut net = CoMimoNet::build(g, 30.0, 4, SeedOrder::DegreeGreedy, 500.0);
-        validate_clustering(net.graph(), net.clusters(), 30.0).unwrap();
-        let mut killed = 0;
-        let mut victim = 0;
-        while killed < 30 {
-            // deterministic victim walk over alive nodes (stride 7 is
-            // coprime with 80, so the walk visits everyone)
-            victim = (victim + 7) % net.graph().len();
-            if !net.graph().nodes()[victim].alive {
-                continue;
-            }
-            net.try_kill_node_incremental(victim).unwrap();
-            killed += 1;
-            validate_clustering(net.graph(), net.clusters(), 30.0).unwrap();
-            assert_spanning_forest(&net);
-            assert!(net.clusters().iter().all(|c| !c.contains(victim)));
-        }
-        assert!(net.graph().nodes().iter().filter(|n| n.alive).count() == 50);
-    }
-
-    #[test]
-    fn incremental_death_can_regrow_cluster_edges() {
-        // shrinking a cluster can only shrink its max pairwise distance,
-        // so a D-gated edge can APPEAR after a death: three tight nodes
-        // whose far member keeps the pair distance just over D
-        let nodes = vec![
-            SuNode::new(0, Point::new(0.0, 0.0), 10.0),
-            SuNode::new(1, Point::new(4.0, 0.0), 10.0),
-            SuNode::new(2, Point::new(104.5, 0.0), 10.0),
-        ];
-        let g = SuGraph::build(nodes, 10.0);
-        // clusters: {0,1} and {2}; farthest pair 0-2 is 104.5 > D=104
-        let mut net = CoMimoNet::build(g, 5.0, 4, SeedOrder::IdOrder, 104.0);
-        assert!(net.cluster_neighbours(0).is_empty());
-        assert!(net.backbone_path(0, 1).is_none());
-        // node 0 dies: cluster 0 shrinks to {1}, max distance 100.5 ≤ D
-        net.try_kill_node_incremental(0).unwrap();
-        assert_eq!(net.cluster_neighbours(0), &[1]);
-        assert_eq!(net.backbone_path(0, 1), Some(vec![0, 1]));
-    }
-
-    #[test]
-    fn incremental_death_retires_emptied_clusters() {
-        let mut net = two_cluster_net();
-        assert_eq!(net.clusters().len(), 2);
-        // empty the first cluster one member at a time
-        let members = net.clusters()[0].members.clone();
-        for m in members {
-            net.try_kill_node_incremental(m).unwrap();
-        }
-        assert_eq!(net.clusters().len(), 1, "emptied cluster is retired");
-        validate_clustering(net.graph(), net.clusters(), 5.0).unwrap();
-        // the survivor cluster is self-consistent and index 0 again
-        assert_eq!(net.cluster_of(3), Some(0));
-        // double-kill of an already-dead node is a no-op
-        net.try_kill_node_incremental(0).unwrap();
     }
 
     #[test]

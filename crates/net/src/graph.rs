@@ -66,32 +66,6 @@ impl SuGraph {
         self.nodes.is_empty()
     }
 
-    /// Kills node `i` in place and detaches its edges incrementally —
-    /// O(deg(i) · log deg) against the O(N²) full rebuild, which is what
-    /// keeps a churn burst over a large deployment linear in the churn
-    /// and not in the population. Adjacency lists stay sorted, so BFS
-    /// traversal order (and with it every routing tie-break) is identical
-    /// to a from-scratch [`Self::build`] of the same survivor set.
-    ///
-    /// Returns the former neighbour list (the nodes whose local topology
-    /// changed — exactly the set an incremental reclusterer must revisit).
-    /// Killing an already-dead node is a no-op returning the empty list.
-    pub fn kill_node(&mut self, i: usize) -> Vec<usize> {
-        assert!(i < self.nodes.len(), "node index out of range");
-        if !self.nodes[i].alive {
-            return Vec::new();
-        }
-        self.nodes[i].alive = false;
-        self.nodes[i].battery_j = 0.0;
-        let former = std::mem::take(&mut self.adjacency[i]);
-        for &j in &former {
-            if let Ok(at) = self.adjacency[j].binary_search(&i) {
-                self.adjacency[j].remove(at);
-            }
-        }
-        former
-    }
-
     /// Neighbours of node `i`.
     pub fn neighbours(&self, i: usize) -> &[usize] {
         &self.adjacency[i]
@@ -233,37 +207,6 @@ mod tests {
     fn bfs_none_when_disconnected() {
         let g = SuGraph::build(line_nodes(100.0, 3), 10.0);
         assert!(g.shortest_path(0, 2).is_none());
-    }
-
-    #[test]
-    fn incremental_kill_matches_a_full_rebuild() {
-        // kill a handful of nodes incrementally; adjacency (including
-        // list order) must equal building from scratch on the survivors
-        let mut rng = comimo_math::rng::derive(0x0DD5, 3);
-        let nodes: Vec<SuNode> = (0..60)
-            .map(|i| {
-                use rand::Rng;
-                SuNode::new(
-                    i,
-                    Point::new(rng.gen_range(0.0..200.0), rng.gen_range(0.0..200.0)),
-                    1.0,
-                )
-            })
-            .collect();
-        let mut g = SuGraph::build(nodes.clone(), 40.0);
-        for &victim in &[3usize, 17, 17, 42, 0, 59] {
-            let former = g.kill_node(victim);
-            assert!(former.iter().all(|&j| !g.neighbours(j).contains(&victim)));
-            let mut fresh_nodes = nodes.clone();
-            for (i, n) in fresh_nodes.iter_mut().enumerate() {
-                n.alive = g.nodes()[i].alive;
-            }
-            let fresh = SuGraph::build(fresh_nodes, 40.0);
-            assert_eq!(g.adjacency(), fresh.adjacency(), "after killing {victim}");
-            assert_eq!(g.components(), fresh.components());
-        }
-        // double-kill was a no-op
-        assert!(g.kill_node(17).is_empty());
     }
 
     #[test]

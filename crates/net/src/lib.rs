@@ -57,9 +57,7 @@ pub use node::SuNode;
 pub use recruit::{
     backoff_delay, run_recruitment, run_recruitment_excluding, RecruitConfig, RecruitOutcome,
 };
-pub use report::{
-    collect_reports, try_collect_reports, ReportConfig, ReportError, ReportOutcome, Reporter,
-};
+pub use report::{try_collect_reports, ReportConfig, ReportError, ReportOutcome, Reporter};
 pub use routing::{min_energy_route, EnergyRoute};
 pub use store::{NodeStore, StoreError, NO_CLUSTER};
 pub use topology::{

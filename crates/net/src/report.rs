@@ -151,23 +151,8 @@ enum SenderState {
 /// streams; the outcome is a pure function of
 /// `(reporters, cfg, seed, round)`.
 ///
-/// Panicking wrapper over [`try_collect_reports`] for callers with
-/// statically valid configs; fault-scaled paths (the sensing round, the
-/// chaos world) should use the fallible entry point.
-pub fn collect_reports<P: Copy>(
-    reporters: &[Reporter<P>],
-    cfg: &ReportConfig,
-    seed: u64,
-    round: u64,
-) -> ReportOutcome<P> {
-    match try_collect_reports(reporters, cfg, seed, round) {
-        Ok(out) => out,
-        Err(e) => panic!("collect_reports: {e}"),
-    }
-}
-
-/// Fallible [`collect_reports`]: validates the config up front and
-/// returns a typed [`ReportError`] instead of panicking mid-round.
+/// Validates the config up front and returns a typed [`ReportError`]
+/// instead of panicking mid-round.
 pub fn try_collect_reports<P: Copy>(
     reporters: &[Reporter<P>],
     cfg: &ReportConfig,
@@ -307,7 +292,7 @@ mod tests {
 
     #[test]
     fn lossless_round_delivers_every_payload_first_try() {
-        let out = collect_reports(&healthy(5), &ReportConfig::default(), 7, 0);
+        let out = try_collect_reports(&healthy(5), &ReportConfig::default(), 7, 0).unwrap();
         assert_eq!(
             out.delivered,
             vec![(0, true), (1, false), (2, true), (3, false), (4, true)]
@@ -324,7 +309,7 @@ mod tests {
             loss_prob: 1.0,
             ..ReportConfig::default()
         };
-        let out = collect_reports(&healthy(3), &cfg, 7, 0);
+        let out = try_collect_reports(&healthy(3), &cfg, 7, 0).unwrap();
         assert!(out.delivered.is_empty());
         assert_eq!(out.missing, vec![0, 1, 2]);
         assert_eq!(out.frames_sent, 3 * (cfg.max_retries as u64 + 1));
@@ -336,12 +321,12 @@ mod tests {
             loss_prob: 0.4,
             ..ReportConfig::default()
         };
-        let a = collect_reports(&healthy(8), &cfg, 42, 3);
-        let b = collect_reports(&healthy(8), &cfg, 42, 3);
+        let a = try_collect_reports(&healthy(8), &cfg, 42, 3).unwrap();
+        let b = try_collect_reports(&healthy(8), &cfg, 42, 3).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.delivered.len() + a.missing.len(), 8);
         // different rounds draw from different streams
-        let c = collect_reports(&healthy(8), &cfg, 42, 4);
+        let c = try_collect_reports(&healthy(8), &cfg, 42, 4).unwrap();
         assert!(a != c || a.frames_sent == 8, "round salt must matter");
     }
 
@@ -355,7 +340,7 @@ mod tests {
         };
         let mut dup_total = 0;
         for round in 0..50 {
-            let out = collect_reports(&healthy(6), &cfg, 2013, round);
+            let out = try_collect_reports(&healthy(6), &cfg, 2013, round).unwrap();
             // dedup invariant: a reporter is delivered at most once
             assert_eq!(out.delivered.len() + out.missing.len(), 6);
             dup_total += out.duplicates;
@@ -371,7 +356,7 @@ mod tests {
         };
         let mut reporters = healthy(3);
         reporters[1].extra_delay = SimTime::from_millis(50); // arrives way late
-        let out = collect_reports(&reporters, &cfg, 7, 0);
+        let out = try_collect_reports(&reporters, &cfg, 7, 0).unwrap();
         assert_eq!(out.delivered.len(), 2);
         assert_eq!(out.missing, vec![1]);
         assert_eq!(out.stale, 1);
@@ -381,7 +366,7 @@ mod tests {
     fn dead_reporters_stop_transmitting() {
         let mut reporters = healthy(3);
         reporters[0].dies_at = Some(SimTime::ZERO); // dead at round start
-        let out = collect_reports(&reporters, &ReportConfig::default(), 7, 0);
+        let out = try_collect_reports(&reporters, &ReportConfig::default(), 7, 0).unwrap();
         assert_eq!(out.missing, vec![0]);
         assert_eq!(out.frames_sent, 2, "the dead reporter sent nothing");
     }
@@ -395,7 +380,7 @@ mod tests {
         let mut reporters = healthy(1);
         // dies after the first timeout fires but before retries can finish
         reporters[0].dies_at = Some(SimTime::from_millis(21));
-        let out = collect_reports(&reporters, &cfg, 7, 0);
+        let out = try_collect_reports(&reporters, &cfg, 7, 0).unwrap();
         assert_eq!(out.missing, vec![0]);
         assert!(
             out.frames_sent < u64::from(cfg.max_retries) + 1,
@@ -429,7 +414,7 @@ mod proptests {
             };
             let reporters: Vec<Reporter<u8>> =
                 (0..6).map(|i| Reporter::healthy(i, i as u8)).collect();
-            let out = collect_reports(&reporters, &cfg, seed, round);
+            let out = try_collect_reports(&reporters, &cfg, seed, round).unwrap();
             prop_assert_eq!(out.delivered.len() + out.missing.len(), 6);
             prop_assert!(out.frames_sent <= 6 * (u64::from(max_retries) + 1));
             // payloads arrive untampered

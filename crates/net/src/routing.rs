@@ -215,54 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn routing_survives_an_incremental_churn_burst() {
-        // the router consumes the incrementally-rewired cluster graph and
-        // backbone: after a death burst the optimal route must still never
-        // beat the backbone the wrong way, and both must agree on
-        // connectivity
-        let mut n = net(9);
-        let model = EnergyModel::paper();
-        let mut victim = 0;
-        for _ in 0..15 {
-            victim = (victim + 11) % n.graph().len();
-            if n.graph().nodes()[victim].alive {
-                n.try_kill_node_incremental(victim).unwrap();
-            }
-        }
-        let k = n.clusters().len();
-        let mut compared = 0;
-        for from in 0..k.min(8) {
-            for to in 0..k.min(8) {
-                let bb = n.backbone_path(from, to);
-                let opt = min_energy_route(
-                    &n,
-                    &model,
-                    1e-3,
-                    40e3,
-                    1e4,
-                    from,
-                    to,
-                    ForwardPolicy::AllMembers,
-                );
-                assert_eq!(bb.is_some(), opt.is_some(), "{from}->{to} connectivity");
-                if let (Some(bb), Some(opt)) = (bb, opt) {
-                    let bb_e = n.route_energy_per_bit(
-                        &model,
-                        1e-3,
-                        40e3,
-                        1e4,
-                        &bb,
-                        ForwardPolicy::AllMembers,
-                    );
-                    assert!(opt.energy_per_bit <= bb_e * (1.0 + 1e-9));
-                    compared += 1;
-                }
-            }
-        }
-        assert!(compared > 4, "too few connected pairs after the burst");
-    }
-
-    #[test]
     fn disconnected_pairs_return_none() {
         // two far-apart islands
         let mut rng = seeded(4);

@@ -21,9 +21,9 @@
 //! see `crate::roc` for the count-for-count uniform-weights pin.
 
 use crate::detector::EnergyDetector;
-use crate::fusion::{FusionConfig, FusionRule, RuleUsed};
+use crate::fusion::{FusionConfig, RuleUsed};
 use crate::reputation::{ReputationConfig, ReputationTracker};
-use crate::round::{run_round_byz, ReportChannelConfig, SensingError, SensingRound};
+use crate::round::{run_round_byz, ReportChannelConfig, RoundOutcome, SensingError, SensingRound};
 use comimo_campaign::{
     fingerprint64, run_campaign_multi, CampaignConfig, CampaignError, CampaignReport,
 };
@@ -182,10 +182,8 @@ impl ByzSweepSpec {
         SensingRound {
             detector: EnergyDetector::from_target_pfa(self.n_samples, self.target_pfa),
             fusion: FusionConfig {
-                rule: FusionRule::Llr {
-                    k_frac: self.k_frac,
-                    reliability_floor: self.reliability_floor,
-                },
+                k_frac: self.k_frac,
+                reliability_floor: self.reliability_floor,
                 min_quorum: self.min_quorum,
             },
             transport: ReportConfig::default(),
@@ -320,8 +318,13 @@ pub fn byz_shard_counts(
                     w_fa += u64::from(weighted.decision.busy);
                     u_fa += u64::from(unweighted.decision.busy);
                 }
-                w_rung += u64::from(weighted.decision.rule_used == RuleUsed::WeightedLlr);
-                u_rung += u64::from(unweighted.decision.rule_used == RuleUsed::WeightedLlr);
+                // the soft rung counts as weighted only under a view, so
+                // the unweighted head reads 0 here
+                let on_weighted_rung = |o: &RoundOutcome| {
+                    o.decision.rule_used == RuleUsed::WeightedLlr && o.ladder.weighted
+                };
+                w_rung += u64::from(on_weighted_rung(&weighted));
+                u_rung += u64::from(on_weighted_rung(&unweighted));
             }
             // the tracker always trains on the weighted verdict — the
             // head it models is the one actually deployed

@@ -44,8 +44,8 @@ pub mod round;
 pub use byz::{byz_shard_counts, run_byz_campaign, ByzCell, ByzError, ByzSweepSpec};
 pub use detector::EnergyDetector;
 pub use fusion::{
-    fuse, fuse_reports, fuse_reports_weighted, fuse_soft, fuse_soft_weighted, fused_positive_prob,
-    quorum_of, FusionConfig, FusionDecision, FusionRule, LadderEvidence, RuleUsed,
+    fuse_soft_weighted, fused_positive_prob, quorum_of, FusionConfig, FusionDecision,
+    LadderEvidence, RuleUsed,
 };
 pub use markov::MarkovOnOff;
 pub use reputation::{
@@ -56,6 +56,5 @@ pub use roc::{
     RocPoint,
 };
 pub use round::{
-    run_round, run_round_byz, run_round_faulted, ReportChannelConfig, ReportSummary, RoundOutcome,
-    SensingError, SensingRound,
+    run_round_byz, ReportChannelConfig, ReportSummary, RoundOutcome, SensingError, SensingRound,
 };

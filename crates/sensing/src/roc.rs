@@ -12,7 +12,7 @@
 //! Every decision runs the **full noisy-long-haul path**: each
 //! reporter's bit rides a BPSK report word over a block-Rayleigh
 //! channel and the head fuses the decoded posteriors on the soft rung
-//! ([`crate::fusion::fuse_soft`]). The paper grid pins the report SNR
+//! ([`crate::fusion::fuse_soft_weighted`]). The paper grid pins the report SNR
 //! at `+inf` — the channel draws still happen, the LLRs saturate to
 //! exactly `±inf`, and the soft decisions reproduce the clean
 //! k-out-of-N counts bit for bit (`infinite_report_snr_is_the_oracle`
@@ -20,7 +20,7 @@
 //! finite report SNRs expose the long-haul's erosion.
 
 use crate::detector::EnergyDetector;
-use crate::fusion::{fuse_soft_weighted, quorum_of, FusionConfig, FusionRule};
+use crate::fusion::{fuse_soft_weighted, quorum_of, FusionConfig};
 use crate::reputation::ReputationView;
 use comimo_campaign::{
     fingerprint64, run_campaign_multi, CampaignConfig, CampaignError, CampaignReport,
@@ -207,10 +207,8 @@ pub fn roc_shard_counts_with_view(
         // the raw soft rung: floor 0 and quorum 1 so a full healthy
         // roster always fuses on the LLR rule itself
         let fusion = FusionConfig {
-            rule: FusionRule::Llr {
-                k_frac: p.k_frac,
-                reliability_floor: 0.0,
-            },
+            k_frac: p.k_frac,
+            reliability_floor: 0.0,
             min_quorum: 1,
         };
         for hyp_busy in [true, false] {
@@ -272,7 +270,7 @@ pub fn run_roc_campaign(
                 report_snr_db: p.report_snr_db,
                 snr_db: p.snr_db,
                 k_frac: p.k_frac,
-                k: quorum_of(FusionRule::KOutOfN { k_frac: p.k_frac }, spec.n_reporters),
+                k: quorum_of(p.k_frac, spec.n_reporters),
                 trials: h1.bits,
                 detections: h1.errors,
                 false_alarms: h0.errors,
@@ -369,7 +367,7 @@ mod tests {
             let mut clean = Vec::new();
             for (pi, p) in spec.points().into_iter().enumerate() {
                 let snr = comimo_math::db::db_to_lin(p.snr_db);
-                let k = quorum_of(FusionRule::KOutOfN { k_frac: p.k_frac }, spec.n_reporters);
+                let k = quorum_of(p.k_frac, spec.n_reporters);
                 for hyp_busy in [true, false] {
                     let salt = ROC_SALT
                         ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -400,7 +398,7 @@ mod tests {
     fn uniform_converged_weights_reproduce_the_grid_count_for_count() {
         // the Byzantine-mode pinned oracle: zero adversaries + a
         // uniform converged reputation view must reproduce the
-        // unweighted FusionRule::Llr counts exactly, shard by shard —
+        // unweighted LLR counts exactly, shard by shard —
         // the weighted rung's equal-weights fast path is the same sum
         let spec = small_spec();
         let view = ReputationView::uniform_converged(spec.n_reporters);

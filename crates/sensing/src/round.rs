@@ -1,28 +1,29 @@
 //! One hardened sensing round, end to end: local detection under
 //! reporter faults → report transport over the *noisy virtual-MIMO
 //! long-haul* (or the clean-boolean oracle path) → decision fusion with
-//! graceful degradation.
+//! graceful degradation. [`run_round_byz`] is the one entry point.
 //!
 //! The round is a pure function of `(config, channel state, reporter
-//! states, report-channel states, seed, round index)`: every detector
-//! draws from its own `derive(seed, ROUND_SALT ^ round ^ reporter)`
-//! stream, every report word from its own `derive(seed,
-//! REPORT_WORD_SALT ^ round ^ reporter)` stream, and the transport
-//! uses the split-stream discipline of [`comimo_net::report`]. Stuck
-//! reporters still *burn their detector draws*, dead reporters still
-//! burn their report-word draws, and report-channel faults scale noise
-//! and gain downstream of the draws — toggling any fault never shifts
-//! any other stream.
+//! states, report-channel states, adversaries, reputation view, seed,
+//! round index)`: every detector draws from its own `derive(seed,
+//! ROUND_SALT ^ round ^ reporter)` stream, every report word from its
+//! own `derive(seed, REPORT_WORD_SALT ^ round ^ reporter)` stream, and
+//! the transport uses the split-stream discipline of
+//! [`comimo_net::report`]. Stuck reporters still *burn their detector
+//! draws*, dead reporters still burn their report-word draws, and
+//! report-channel faults scale noise and gain downstream of the draws —
+//! toggling any fault never shifts any other stream.
 //!
-//! The clean path is the pinned oracle for the noisy one: at report
-//! SNR → ∞ the decoded posteriors saturate to exactly 0/1 and
-//! [`fuse_soft`] reproduces the clean path's k-out-of-N decisions
-//! count for count (`oracle_equivalence` test below).
+//! The clean path sends each decision as a [`SoftReport::saturated`]
+//! report and draws no report words; transport and fusion are the same
+//! code on both paths. It is the pinned oracle for the noisy one: at
+//! report SNR → ∞ the decoded posteriors saturate to exactly 0/1 and
+//! [`crate::fusion::fuse_soft_weighted`] reproduces the clean path's
+//! k-out-of-N decisions count for count (`oracle_equivalence` test
+//! below).
 
 use crate::detector::EnergyDetector;
-use crate::fusion::{
-    fuse_reports_weighted, fuse_soft_weighted, FusionConfig, FusionDecision, LadderEvidence,
-};
+use crate::fusion::{fuse_soft_weighted, FusionConfig, FusionDecision, LadderEvidence};
 use crate::reputation::ReputationView;
 use comimo_channel::BlockRayleigh;
 use comimo_faults::byzantine::ReportOverride;
@@ -49,7 +50,8 @@ pub struct ReportChannelConfig {
     /// Shape and power of the BPSK report words on the long-haul.
     pub word: ReportWordConfig,
     /// The pinned oracle flag: `true` bypasses the long-haul entirely
-    /// and delivers clean booleans (PR 7 semantics, bit for bit).
+    /// and delivers each decision as a saturated report (a clean
+    /// boolean at `llr = ±inf`), with no channel draws.
     pub clean_transport: bool,
 }
 
@@ -196,59 +198,22 @@ pub struct RoundOutcome {
     pub stale: u64,
 }
 
-/// Runs one sensing round with a nominal (fault-free) report channel.
-/// `channel_busy` is the ground-truth primary state this slot,
-/// `states[i]` is reporter `i`'s fault condition, and `head_local` is
-/// the head's own detector decision (the last rung of the ladder).
-pub fn run_round(
-    cfg: &SensingRound,
-    channel_busy: bool,
-    states: &[ReporterState],
-    head_local: bool,
-    seed: u64,
-    round: u64,
-) -> Result<RoundOutcome, SensingError> {
-    run_round_faulted(cfg, channel_busy, states, &[], head_local, seed, round)
-}
-
-/// [`run_round`] with per-reporter report-channel fault states.
-/// `report_states[i]` is reporter `i`'s long-haul condition; reporters
-/// past the end of the slice see a nominal channel. Ignored entirely on
-/// the clean-transport oracle path.
-pub fn run_round_faulted(
-    cfg: &SensingRound,
-    channel_busy: bool,
-    states: &[ReporterState],
-    report_states: &[ReportChannelState],
-    head_local: bool,
-    seed: u64,
-    round: u64,
-) -> Result<RoundOutcome, SensingError> {
-    run_round_byz(
-        cfg,
-        channel_busy,
-        states,
-        report_states,
-        &[],
-        head_local,
-        seed,
-        round,
-        None,
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// [`run_round_faulted`] under Byzantine adversaries and an optional
-/// reputation view — the full-stack entry point:
+/// Runs one sensing round. `channel_busy` is the ground-truth primary
+/// state this slot, `states[i]` is reporter `i`'s fault condition, and
+/// `head_local` is the head's own detector decision (the last rung of
+/// the ladder). Further:
 ///
+/// * `report_states[i]` is reporter `i`'s long-haul condition; reporters
+///   past the end of the slice see a nominal channel (ignored on the
+///   clean-transport path);
 /// * `overrides[i]` is reporter `i`'s SSDF falsification this round
 ///   (from `comimo_faults::byzantine`), applied *after* the detector
 ///   draw and after the honest fault-state override, so toggling an
 ///   adversary never shifts any stream (reporters past the end are
 ///   honest);
 /// * `rep` is the head's trust snapshot: quarantined reporters are
-///   dropped before quorum-k re-derivation on every rung, and on the
-///   soft path the weighted LLR rung scales posteriors by trust.
+///   dropped before quorum-k re-derivation on every rung, and the soft
+///   rung scales posteriors by trust.
 ///
 /// Also returns the delivered report summaries so the caller can fold
 /// the round into a [`crate::reputation::ReputationTracker`] —
@@ -310,75 +275,37 @@ pub fn run_round_byz(
         faults.push((extra_delay, dies_at));
     }
 
-    if cfg.report_channel.clean_transport {
-        // the pinned oracle: clean booleans, zero channel draws
-        let reporters: Vec<Reporter<bool>> = bits
-            .iter()
-            .zip(&faults)
-            .enumerate()
-            .map(|(i, (&bit, &(extra_delay, dies_at)))| Reporter {
-                id: i,
-                payload: bit,
-                extra_delay,
-                dies_at,
-            })
-            .collect();
-        let out = try_collect_reports(&reporters, &cfg.transport, seed, round)?;
-        let (decision, ladder) =
-            fuse_reports_weighted(&cfg.fusion, &out.delivered, head_local, rep);
-        let summaries: Vec<ReportSummary> = out
-            .delivered
-            .iter()
-            .map(|&(reporter, busy)| ReportSummary {
-                reporter,
-                busy,
-                confidence: 1.0,
-            })
-            .collect();
-        return Ok((
-            RoundOutcome {
-                decision,
-                ladder,
-                mean_report_snr: f64::INFINITY,
-                delivered: out.delivered.len(),
-                missing: out.missing.len(),
-                frames_sent: out.frames_sent,
-                duplicates: out.duplicates,
-                stale: out.stale,
-            },
-            summaries,
-        ));
-    }
-
     // stage 2: every reporter's decision rides a BPSK report word over
     // the block-Rayleigh long-haul, one derived stream per reporter —
-    // dead reporters still burn their draws
+    // dead reporters still burn their draws. The clean oracle sends
+    // saturated reports and draws nothing.
+    let clean = cfg.report_channel.clean_transport;
     let long_haul = BlockRayleigh::unit();
-    let soft: Vec<SoftReport> = bits
-        .iter()
-        .enumerate()
-        .map(|(i, &bit)| {
-            let rc = report_states
-                .get(i)
-                .copied()
-                .unwrap_or_else(ReportChannelState::nominal);
-            let mut word = cfg.report_channel.word;
-            // collapse inflates the noise; desync erodes the coherent
-            // gain — both applied after the draws (burn-their-draws)
-            word.n0 *= db_to_lin(rc.snr_drop_db);
-            let mut rng = derive(seed, REPORT_WORD_SALT ^ round_mix ^ (i as u64));
-            transmit_report_word(bit, rc.gain, &word, &long_haul, &mut rng)
-        })
-        .collect();
-    let reporters: Vec<Reporter<SoftReport>> = soft
+    let reporters: Vec<Reporter<SoftReport>> = bits
         .iter()
         .zip(&faults)
         .enumerate()
-        .map(|(i, (&payload, &(extra_delay, dies_at)))| Reporter {
-            id: i,
-            payload,
-            extra_delay,
-            dies_at,
+        .map(|(i, (&bit, &(extra_delay, dies_at)))| {
+            let payload = if clean {
+                SoftReport::saturated(bit)
+            } else {
+                let rc = report_states
+                    .get(i)
+                    .copied()
+                    .unwrap_or_else(ReportChannelState::nominal);
+                let mut word = cfg.report_channel.word;
+                // collapse inflates the noise; desync erodes the
+                // coherent gain — both applied after the draws
+                word.n0 *= db_to_lin(rc.snr_drop_db);
+                let mut rng = derive(seed, REPORT_WORD_SALT ^ round_mix ^ (i as u64));
+                transmit_report_word(bit, rc.gain, &word, &long_haul, &mut rng)
+            };
+            Reporter {
+                id: i,
+                payload,
+                extra_delay,
+                dies_at,
+            }
         })
         .collect();
     let out = try_collect_reports(&reporters, &cfg.transport, seed, round)?;
@@ -392,7 +319,9 @@ pub fn run_round_byz(
             confidence: r.confidence(),
         })
         .collect();
-    let mean_report_snr = if out.delivered.is_empty() {
+    let mean_report_snr = if clean {
+        f64::INFINITY
+    } else if out.delivered.is_empty() {
         0.0
     } else {
         out.delivered.iter().map(|(_, r)| r.report_snr).sum::<f64>() / out.delivered.len() as f64
@@ -421,6 +350,30 @@ mod tests {
     };
     use comimo_faults::sensing::{build_reporter_schedule, ReporterFaultConfig, ReporterTimeline};
 
+    /// One round with no adversaries and no reputation view.
+    fn run(
+        cfg: &SensingRound,
+        channel_busy: bool,
+        states: &[ReporterState],
+        report_states: &[ReportChannelState],
+        head_local: bool,
+        seed: u64,
+        round: u64,
+    ) -> Result<RoundOutcome, SensingError> {
+        run_round_byz(
+            cfg,
+            channel_busy,
+            states,
+            report_states,
+            &[],
+            head_local,
+            seed,
+            round,
+            None,
+        )
+        .map(|(outcome, _)| outcome)
+    }
+
     /// High-SNR round where every healthy detector is essentially exact.
     fn sharp_round() -> SensingRound {
         SensingRound {
@@ -443,12 +396,12 @@ mod tests {
     fn healthy_round_detects_both_channel_states() {
         let cfg = sharp_round();
         let states = vec![ReporterState::Healthy; 6];
-        let busy = run_round(&cfg, true, &states, true, 2013, 0).unwrap();
+        let busy = run(&cfg, true, &states, &[], true, 2013, 0).unwrap();
         assert!(busy.decision.busy);
-        assert_eq!(busy.decision.rule_used, RuleUsed::Configured);
+        assert_eq!(busy.decision.rule_used, RuleUsed::HardDecode);
         assert_eq!(busy.delivered, 6);
         assert_eq!(busy.mean_report_snr, f64::INFINITY);
-        let idle = run_round(&cfg, false, &states, false, 2013, 1).unwrap();
+        let idle = run(&cfg, false, &states, &[], false, 2013, 1).unwrap();
         assert!(!idle.decision.busy);
         assert_eq!(idle.missing, 0);
     }
@@ -457,11 +410,11 @@ mod tests {
     fn rounds_are_pure_functions_of_seed_and_round() {
         let cfg = SensingRound::paper(1.0);
         let states = vec![ReporterState::Healthy; 5];
-        let a = run_round(&cfg, true, &states, true, 42, 9).unwrap();
-        assert_eq!(a, run_round(&cfg, true, &states, true, 42, 9).unwrap());
+        let a = run(&cfg, true, &states, &[], true, 42, 9).unwrap();
+        assert_eq!(a, run(&cfg, true, &states, &[], true, 42, 9).unwrap());
         assert_ne!(
             a.decision.busy,
-            run_round(&cfg, false, &states, false, 42, 9)
+            run(&cfg, false, &states, &[], false, 42, 9)
                 .unwrap()
                 .decision
                 .busy,
@@ -481,7 +434,7 @@ mod tests {
             ReporterState::StuckH0,
             ReporterState::StuckH0,
         ];
-        let out = run_round(&cfg, true, &states, true, 2013, 2).unwrap();
+        let out = run(&cfg, true, &states, &[], true, 2013, 2).unwrap();
         assert!(
             out.decision.busy,
             "3-of-5 healthy majority must still detect"
@@ -495,7 +448,7 @@ mod tests {
             ReporterState::StuckH0,
             ReporterState::StuckH0,
         ];
-        let out = run_round(&cfg, true, &mostly_stuck, true, 2013, 3).unwrap();
+        let out = run(&cfg, true, &mostly_stuck, &[], true, 2013, 3).unwrap();
         assert!(!out.decision.busy, "stuck-at-H0 majority causes the miss");
     }
 
@@ -507,23 +460,28 @@ mod tests {
         states[0] = ReporterState::Healthy;
         states[1] = ReporterState::Healthy;
         states[2] = ReporterState::Healthy;
-        let out = run_round(&cfg, true, &states, true, 2013, 4).unwrap();
+        let out = run(&cfg, true, &states, &[], true, 2013, 4).unwrap();
         assert_eq!(out.delivered, 3);
-        assert_eq!(out.decision.rule_used, RuleUsed::Configured);
+        assert_eq!(out.decision.rule_used, RuleUsed::HardDecode);
         assert_eq!(out.decision.quorum, 2, "k must shrink with the roster");
         assert!(out.decision.busy);
         // 7 dead → one report → below min_quorum → OR fallback
         let mut states = vec![ReporterState::Dead; 8];
         states[0] = ReporterState::Healthy;
-        let out = run_round(&cfg, true, &states, true, 2013, 5).unwrap();
+        let out = run(&cfg, true, &states, &[], true, 2013, 5).unwrap();
         assert_eq!(out.decision.rule_used, RuleUsed::OrFallback);
         assert!(out.decision.busy);
         // all dead → zero reports → head-local, and no division anywhere
         let states = vec![ReporterState::Dead; 8];
-        let out = run_round(&cfg, true, &states, true, 2013, 6).unwrap();
+        let out = run(&cfg, true, &states, &[], true, 2013, 6).unwrap();
         assert_eq!(out.decision.rule_used, RuleUsed::HeadLocal);
         assert_eq!(out.delivered, 0);
         assert_eq!(out.frames_sent, 0);
+        assert_eq!(
+            out.mean_report_snr,
+            f64::INFINITY,
+            "the clean path stays at inf"
+        );
         assert!(out.decision.busy, "the head's own sensing still protects");
     }
 
@@ -531,7 +489,7 @@ mod tests {
     fn deterministic_fault_schedule_exercises_the_whole_ladder() {
         // drive reporter states from a real derive(seed, unit) schedule —
         // a hot death rate kills everyone well before the horizon ends,
-        // so walking time walks the ladder Configured → ... → HeadLocal
+        // so walking time walks the ladder HardDecode → ... → HeadLocal
         // deaths only: stuck episodes would make "every rung detects"
         // probabilistic instead of structural
         let fcfg = ReporterFaultConfig {
@@ -544,7 +502,7 @@ mod tests {
         let mut rungs_seen = Vec::new();
         for (round, t) in (0..2000).map(|s| (s as u64, s as f64 * 1.0)) {
             let states: Vec<_> = (0..n).map(|r| tl.state_at(t, r)).collect();
-            let out = run_round(&cfg, true, &states, true, 77, round).unwrap();
+            let out = run(&cfg, true, &states, &[], true, 77, round).unwrap();
             assert!(
                 out.decision.busy,
                 "busy channel at high SNR must be detected on every rung (t={t})"
@@ -554,7 +512,7 @@ mod tests {
             }
         }
         assert!(
-            rungs_seen.contains(&RuleUsed::Configured) && rungs_seen.contains(&RuleUsed::HeadLocal),
+            rungs_seen.contains(&RuleUsed::HardDecode) && rungs_seen.contains(&RuleUsed::HeadLocal),
             "schedule must exercise the ladder ends, saw {rungs_seen:?}"
         );
         assert_eq!(tl.alive_at(2000.0, n), 0, "everyone should be dead by now");
@@ -565,7 +523,7 @@ mod tests {
         let mut cfg = sharp_round();
         cfg.transport.loss_prob = 0.6;
         let states = vec![ReporterState::Healthy; 6];
-        let out = run_round(&cfg, true, &states, true, 11, 0).unwrap();
+        let out = run(&cfg, true, &states, &[], true, 11, 0).unwrap();
         assert_eq!(out.delivered + out.missing, 6);
         assert!(out.decision.busy, "high-SNR busy must survive 60% loss");
         assert!(out.decision.quorum <= out.decision.reports_used.max(1));
@@ -577,19 +535,19 @@ mod tests {
         let mut cfg = sharp_round();
         cfg.snr = f64::NAN;
         assert!(matches!(
-            run_round(&cfg, true, &states, true, 1, 0),
+            run(&cfg, true, &states, &[], true, 1, 0),
             Err(SensingError::InvalidSnr(_))
         ));
         let mut cfg = sharp_round();
         cfg.transport.loss_prob = 1.5;
         assert!(matches!(
-            run_round(&cfg, true, &states, true, 1, 0),
+            run(&cfg, true, &states, &[], true, 1, 0),
             Err(SensingError::Transport(ReportError::InvalidLossProb(_)))
         ));
         let cfg = sharp_round();
         let bad = vec![ReporterState::Delayed { delay_s: -2.0 }];
         assert_eq!(
-            run_round(&cfg, true, &bad, true, 1, 0),
+            run(&cfg, true, &bad, &[], true, 1, 0),
             Err(SensingError::InvalidDelay {
                 reporter: 0,
                 delay_s: -2.0
@@ -614,8 +572,8 @@ mod tests {
             let states: Vec<_> = (0..n).map(|r| tl.state_at(t, r)).collect();
             let truth = round % 3 != 0;
             let head = truth;
-            let a = run_round(&clean, truth, &states, head, 2013, round).unwrap();
-            let b = run_round(&noisy, truth, &states, head, 2013, round).unwrap();
+            let a = run(&clean, truth, &states, &[], head, 2013, round).unwrap();
+            let b = run(&noisy, truth, &states, &[], head, 2013, round).unwrap();
             assert_eq!(
                 a.decision.busy, b.decision.busy,
                 "decision diverged at round {round}"
@@ -647,9 +605,9 @@ mod tests {
         let mut hard_rounds = 0u64;
         for (round, t) in (0..400).map(|s| (s as u64, s as f64)) {
             let rstates: Vec<_> = (0..n).map(|r| tl.state_at(t, r)).collect();
-            let out = run_round_faulted(&cfg, true, &states, &rstates, true, 99, round).unwrap();
+            let out = run(&cfg, true, &states, &rstates, true, 99, round).unwrap();
             match out.decision.rule_used {
-                RuleUsed::LlrSoft => soft_rounds += 1,
+                RuleUsed::WeightedLlr => soft_rounds += 1,
                 RuleUsed::HardDecode => hard_rounds += 1,
                 other => panic!("full roster cannot reach {other:?}"),
             }
@@ -660,21 +618,21 @@ mod tests {
     }
 
     #[test]
-    fn byz_round_with_no_adversaries_and_no_view_is_the_identity() {
-        // run_round_byz(.., &[], .., None) must be run_round_faulted
-        // bit for bit, on both transport paths, and the summaries must
-        // mirror the delivered set
+    fn summaries_mirror_the_delivered_reports_on_both_paths() {
+        // the clean path's saturated reports summarize to exact
+        // confidence 1.0; both paths summarize exactly the delivered set
         let states = vec![ReporterState::Healthy; 5];
         for cfg in [sharp_round(), sharp_noisy(18.0)] {
-            let base = run_round_faulted(&cfg, true, &states, &[], true, 31, 4).unwrap();
-            let (byz, summaries) =
+            let (out, summaries) =
                 run_round_byz(&cfg, true, &states, &[], &[], true, 31, 4, None).unwrap();
-            assert_eq!(base, byz);
-            assert_eq!(summaries.len(), byz.delivered);
+            assert_eq!(summaries.len(), out.delivered);
+            let clean = cfg.report_channel.clean_transport;
             for s in &summaries {
                 assert!(s.reporter < 5);
                 assert!((0.5..=1.0).contains(&s.confidence));
+                assert!(!clean || s.confidence == 1.0);
             }
+            assert_eq!(out.ladder.soft_path, !clean);
         }
     }
 
@@ -689,10 +647,8 @@ mod tests {
         let n = 7usize;
         let cfg = SensingRound {
             fusion: FusionConfig {
-                rule: crate::fusion::FusionRule::Llr {
-                    k_frac: 0.75,
-                    reliability_floor: 0.65,
-                },
+                k_frac: 0.75,
+                reliability_floor: 0.65,
                 min_quorum: 2,
             },
             report_channel: ReportChannelConfig::noisy(25.0),
@@ -754,13 +710,10 @@ mod tests {
         let cfg = sharp_noisy(12.0);
         let states = vec![ReporterState::Healthy; 5];
         let nominal = vec![ReportChannelState::nominal(); 5];
-        let a = run_round_faulted(&cfg, true, &states, &nominal, true, 7, 3).unwrap();
-        assert_eq!(
-            a,
-            run_round_faulted(&cfg, true, &states, &nominal, true, 7, 3).unwrap()
-        );
+        let a = run(&cfg, true, &states, &nominal, true, 7, 3).unwrap();
+        assert_eq!(a, run(&cfg, true, &states, &nominal, true, 7, 3).unwrap());
         // an empty report-state slice means a nominal channel
-        assert_eq!(a, run_round(&cfg, true, &states, true, 7, 3).unwrap());
+        assert_eq!(a, run(&cfg, true, &states, &[], true, 7, 3).unwrap());
         // a desync on reporter 0 must not change reporter 1+'s llrs:
         // compare through the fused mean at full vs scaled gain
         let mut desynced = nominal.clone();
@@ -768,7 +721,7 @@ mod tests {
             snr_drop_db: 0.0,
             gain: 0.0,
         };
-        let b = run_round_faulted(&cfg, true, &states, &desynced, true, 7, 3).unwrap();
+        let b = run(&cfg, true, &states, &desynced, true, 7, 3).unwrap();
         assert_eq!(a.frames_sent, b.frames_sent);
         assert_eq!(a.delivered, b.delivered);
         assert!(
@@ -812,26 +765,23 @@ mod proptests {
                 SensingRound::paper_noisy(4.0, report_snr_db)
             };
             let rounds = 60u64;
-            let mut counts = [0u64; 6];
+            let mut counts = [0u64; 4];
             for round in 0..rounds {
                 let t = round as f64;
                 let states: Vec<_> = (0..n).map(|r| rtl.state_at(t, r)).collect();
                 let rstates: Vec<_> = (0..n).map(|r| ctl.state_at(t, r)).collect();
-                let out = run_round_faulted(
-                    &cfg, round % 2 == 0, &states, &rstates, false, seed, round,
+                let (out, _) = run_round_byz(
+                    &cfg, round % 2 == 0, &states, &rstates, &[], false, seed, round, None,
                 ).unwrap();
                 counts[out.decision.rule_used.rung_index() as usize] += 1;
                 prop_assert_eq!(out.decision.rule_used, out.ladder.rung);
+                prop_assert!(!out.ladder.weighted, "no reputation view was supplied");
+                prop_assert_eq!(out.ladder.soft_path, !clean);
             }
             prop_assert_eq!(counts.iter().sum::<u64>(), rounds);
             if clean {
-                // the clean path never reaches the soft rungs
-                prop_assert_eq!(counts[0] + counts[1] + counts[2], 0);
-            } else {
-                // the soft path never lands on the clean Configured
-                // rung, and without a reputation view never on the
-                // weighted rung
-                prop_assert_eq!(counts[0] + counts[3], 0);
+                // k-out-of-N over saturated reports has no soft rung
+                prop_assert_eq!(counts[0], 0);
             }
         }
     }

@@ -98,6 +98,21 @@ pub struct SoftReport {
 }
 
 impl SoftReport {
+    /// A clean 1-bit decision as a report off a noiseless long-haul:
+    /// `llr = ±inf`, so the posterior is exactly `1.0`/`0.0` and the
+    /// confidence exactly `1.0`.
+    pub fn saturated(bit: bool) -> Self {
+        Self {
+            llr: if bit {
+                f64::INFINITY
+            } else {
+                f64::NEG_INFINITY
+            },
+            channel_gain: 1.0,
+            report_snr: f64::INFINITY,
+        }
+    }
+
     /// Posterior probability that the reporter sent "busy" (equal
     /// priors): `sigmoid(llr)`, exactly `1.0`/`0.0` at `llr = ±inf`.
     pub fn posterior_busy(&self) -> f64 {
@@ -194,6 +209,16 @@ mod tests {
                 assert_eq!(r.hard_bit(), bit);
                 assert_eq!(r.report_snr, f64::INFINITY);
             }
+        }
+    }
+
+    #[test]
+    fn saturated_reports_are_exact() {
+        for bit in [false, true] {
+            let r = SoftReport::saturated(bit);
+            assert_eq!(r.confidence(), 1.0);
+            assert_eq!(r.posterior_busy(), if bit { 1.0 } else { 0.0 });
+            assert_eq!(r.hard_bit(), bit);
         }
     }
 
