@@ -19,12 +19,26 @@
 //! nothing about detectors or fusion rules, so `comimo-net` does not
 //! depend on `comimo-sensing`. Loss draws come from one [`derive`]d
 //! stream per `(round, reporter)`, so a round's outcome is bit-identical
-//! regardless of event interleaving, thread count or which other rounds
-//! ran before it.
+//! regardless of thread count or which other rounds ran before it.
+//!
+//! A round walks each reporter's own timeline, attempt by attempt: send,
+//! draw report then ack loss, arrive at `send + rtt`, time out at
+//! `send + report_timeout`, resend after the backoff. This needs no event
+//! queue and is exact:
+//!
+//! * reporters share no state: each one changes only through its own events;
+//! * one reporter's arrivals come in attempt order, so the first at or
+//!   before the deadline is accepted, later ones by it are duplicates and
+//!   the rest stale; `completed_at` is the latest accepted arrival;
+//! * **tie rule:** an ack is scheduled when its report is sent, before the
+//!   timeout or resend it races, so on equal timestamps the ack wins —
+//!   "acked by `t`" means the first ack arrived at or before `t`.
+//!
+//! The event-queue formulation is kept in this module's tests as the
+//! oracle the walk must match outcome for outcome.
 
 use crate::recruit::backoff_delay;
-use comimo_math::rng::{derive, SeededRng};
-use comimo_sim::engine::EventQueue;
+use comimo_math::rng::derive;
 use comimo_sim::time::SimTime;
 use rand::Rng;
 
@@ -131,21 +145,6 @@ impl std::fmt::Display for ReportError {
 
 impl std::error::Error for ReportError {}
 
-#[derive(Debug)]
-enum Ev {
-    SendReport { reporter: usize, attempt: u32 },
-    ReportArrived { reporter: usize },
-    AckArrived { reporter: usize },
-    ReportTimeout { reporter: usize, attempt: u32 },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SenderState {
-    Pending { attempt: u32 },
-    Acked,
-    GaveUp,
-}
-
 /// Collects one round of reports from `reporters` at the head. `round`
 /// indexes the sensing round so successive rounds draw from independent
 /// streams; the outcome is a pure function of
@@ -162,101 +161,66 @@ pub fn try_collect_reports<P: Copy>(
     if !(0.0..=1.0).contains(&cfg.loss_prob) {
         return Err(ReportError::InvalidLossProb(cfg.loss_prob));
     }
-    // one loss stream per (round, reporter): determinism independent of
-    // interleaving, and round n's draws don't shift round n+1's
-    let mut streams: Vec<(SeededRng, SenderState)> = reporters
-        .iter()
-        .map(|r| {
-            let salt = REPORT_SALT ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (r.id as u64);
-            (derive(seed, salt), SenderState::Pending { attempt: 0 })
-        })
-        .collect();
-    let mut received: Vec<Option<P>> = vec![None; reporters.len()];
+    let mut delivered = Vec::with_capacity(reporters.len());
+    let mut missing = Vec::new();
     let mut frames_sent = 0u64;
     let mut duplicates = 0u64;
     let mut stale = 0u64;
     let mut completed_at = SimTime::ZERO;
 
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    for (i, r) in reporters.iter().enumerate() {
-        q.schedule_at(
-            r.extra_delay,
-            Ev::SendReport {
-                reporter: i,
-                attempt: 0,
-            },
-        );
-    }
-
-    let dead_at = |r: &Reporter<P>, t: SimTime| r.dies_at.is_some_and(|d| t >= d);
-
-    while let Some((now, ev)) = q.pop() {
-        match ev {
-            Ev::SendReport { reporter, attempt } => {
-                if streams[reporter].1 != (SenderState::Pending { attempt }) {
-                    continue; // acked or gave up meanwhile
-                }
-                if dead_at(&reporters[reporter], now) {
-                    streams[reporter].1 = SenderState::GaveUp;
-                    continue; // the dead don't transmit
-                }
-                frames_sent += 1;
-                let report_lost = streams[reporter].0.gen_bool(cfg.loss_prob);
-                let ack_lost = streams[reporter].0.gen_bool(cfg.loss_prob);
-                if !report_lost {
-                    q.schedule_in(cfg.rtt, Ev::ReportArrived { reporter });
-                    if !ack_lost {
-                        q.schedule_in(cfg.rtt, Ev::AckArrived { reporter });
-                    }
-                }
-                q.schedule_in(cfg.report_timeout, Ev::ReportTimeout { reporter, attempt });
+    for r in reporters {
+        // one loss stream per (round, reporter): round n's draws don't
+        // shift round n+1's, nor one reporter's another's
+        let salt = REPORT_SALT ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (r.id as u64);
+        let mut rng = derive(seed, salt);
+        let dead_at = |t: SimTime| r.dies_at.is_some_and(|d| t >= d);
+        let mut accepted_at = None;
+        // the earliest ack; it wins every tie with the reporter's own
+        // timeout or resend, so "acked by t" is `first_ack <= t`
+        let mut first_ack: Option<SimTime> = None;
+        let mut send_at = r.extra_delay;
+        for attempt in 0..=cfg.max_retries {
+            if first_ack.is_some_and(|a| a <= send_at) || dead_at(send_at) {
+                break;
             }
-            Ev::ReportArrived { reporter } => {
-                if now > cfg.deadline {
-                    stale += 1; // too late to fuse; drop, don't corrupt
-                    continue;
-                }
-                if received[reporter].is_some() {
-                    duplicates += 1; // ack got lost; we already hold it
-                    continue;
-                }
-                received[reporter] = Some(reporters[reporter].payload);
-                completed_at = now;
-            }
-            Ev::AckArrived { reporter } => {
-                if matches!(streams[reporter].1, SenderState::Pending { .. }) {
-                    streams[reporter].1 = SenderState::Acked;
-                }
-            }
-            Ev::ReportTimeout { reporter, attempt } => {
-                if streams[reporter].1 != (SenderState::Pending { attempt }) {
-                    continue; // acked meanwhile
-                }
-                if attempt >= cfg.max_retries || dead_at(&reporters[reporter], now) {
-                    streams[reporter].1 = SenderState::GaveUp;
+            frames_sent += 1;
+            let report_lost = rng.gen_bool(cfg.loss_prob);
+            let ack_lost = rng.gen_bool(cfg.loss_prob);
+            if !report_lost {
+                // arrivals come in attempt order: the first by the
+                // deadline is fused, later ones by it are duplicates
+                let arrival = send_at + cfg.rtt;
+                if arrival > cfg.deadline {
+                    stale += 1;
+                } else if accepted_at.is_some() {
+                    duplicates += 1;
                 } else {
-                    let next = attempt + 1;
-                    streams[reporter].1 = SenderState::Pending { attempt: next };
-                    q.schedule_in(
-                        backoff_delay(cfg.backoff_base, attempt),
-                        Ev::SendReport {
-                            reporter,
-                            attempt: next,
-                        },
-                    );
+                    accepted_at = Some(arrival);
+                }
+                if !ack_lost && first_ack.is_none() {
+                    first_ack = Some(arrival);
                 }
             }
+            let timeout_at = send_at + cfg.report_timeout;
+            // acked, out of retries or dead at the timeout: no resend is
+            // scheduled, so its time is never computed (nor can overflow)
+            if first_ack.is_some_and(|a| a <= timeout_at)
+                || attempt >= cfg.max_retries
+                || dead_at(timeout_at)
+            {
+                break;
+            }
+            send_at = timeout_at + backoff_delay(cfg.backoff_base, attempt);
         }
-    }
-
-    let mut delivered = Vec::new();
-    let mut missing = Vec::new();
-    for (i, r) in reporters.iter().enumerate() {
-        match received[i] {
-            Some(p) => delivered.push((r.id, p)),
+        match accepted_at {
+            Some(at) => {
+                delivered.push((r.id, r.payload));
+                completed_at = completed_at.max(at);
+            }
             None => missing.push(r.id),
         }
     }
+
     delivered.sort_unstable_by_key(|&(id, _)| id);
     missing.sort_unstable();
     Ok(ReportOutcome {
@@ -272,6 +236,142 @@ pub fn try_collect_reports<P: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comimo_math::rng::SeededRng;
+    use comimo_sim::engine::EventQueue;
+
+    #[derive(Debug)]
+    enum Ev {
+        SendReport { reporter: usize, attempt: u32 },
+        ReportArrived { reporter: usize },
+        AckArrived { reporter: usize },
+        ReportTimeout { reporter: usize, attempt: u32 },
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum SenderState {
+        Pending { attempt: u32 },
+        Acked,
+        GaveUp,
+    }
+
+    /// The event-queue formulation of [`try_collect_reports`]: every send,
+    /// arrival, ack and timeout is an event popped in `(time, schedule
+    /// order)`. The per-reporter walk must reproduce it exactly.
+    pub(super) fn collect_reports_event_queue<P: Copy>(
+        reporters: &[Reporter<P>],
+        cfg: &ReportConfig,
+        seed: u64,
+        round: u64,
+    ) -> Result<ReportOutcome<P>, ReportError> {
+        if !(0.0..=1.0).contains(&cfg.loss_prob) {
+            return Err(ReportError::InvalidLossProb(cfg.loss_prob));
+        }
+        // one loss stream per (round, reporter): determinism independent of
+        // interleaving, and round n's draws don't shift round n+1's
+        let mut streams: Vec<(SeededRng, SenderState)> = reporters
+            .iter()
+            .map(|r| {
+                let salt = REPORT_SALT ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (r.id as u64);
+                (derive(seed, salt), SenderState::Pending { attempt: 0 })
+            })
+            .collect();
+        let mut received: Vec<Option<P>> = vec![None; reporters.len()];
+        let mut frames_sent = 0u64;
+        let mut duplicates = 0u64;
+        let mut stale = 0u64;
+        let mut completed_at = SimTime::ZERO;
+
+        let mut q: EventQueue<Ev> = EventQueue::new();
+        for (i, r) in reporters.iter().enumerate() {
+            q.schedule_at(
+                r.extra_delay,
+                Ev::SendReport {
+                    reporter: i,
+                    attempt: 0,
+                },
+            );
+        }
+
+        let dead_at = |r: &Reporter<P>, t: SimTime| r.dies_at.is_some_and(|d| t >= d);
+
+        while let Some((now, ev)) = q.pop() {
+            match ev {
+                Ev::SendReport { reporter, attempt } => {
+                    if streams[reporter].1 != (SenderState::Pending { attempt }) {
+                        continue; // acked or gave up meanwhile
+                    }
+                    if dead_at(&reporters[reporter], now) {
+                        streams[reporter].1 = SenderState::GaveUp;
+                        continue; // the dead don't transmit
+                    }
+                    frames_sent += 1;
+                    let report_lost = streams[reporter].0.gen_bool(cfg.loss_prob);
+                    let ack_lost = streams[reporter].0.gen_bool(cfg.loss_prob);
+                    if !report_lost {
+                        q.schedule_in(cfg.rtt, Ev::ReportArrived { reporter });
+                        if !ack_lost {
+                            q.schedule_in(cfg.rtt, Ev::AckArrived { reporter });
+                        }
+                    }
+                    q.schedule_in(cfg.report_timeout, Ev::ReportTimeout { reporter, attempt });
+                }
+                Ev::ReportArrived { reporter } => {
+                    if now > cfg.deadline {
+                        stale += 1; // too late to fuse; drop, don't corrupt
+                        continue;
+                    }
+                    if received[reporter].is_some() {
+                        duplicates += 1; // ack got lost; we already hold it
+                        continue;
+                    }
+                    received[reporter] = Some(reporters[reporter].payload);
+                    completed_at = now;
+                }
+                Ev::AckArrived { reporter } => {
+                    if matches!(streams[reporter].1, SenderState::Pending { .. }) {
+                        streams[reporter].1 = SenderState::Acked;
+                    }
+                }
+                Ev::ReportTimeout { reporter, attempt } => {
+                    if streams[reporter].1 != (SenderState::Pending { attempt }) {
+                        continue; // acked meanwhile
+                    }
+                    if attempt >= cfg.max_retries || dead_at(&reporters[reporter], now) {
+                        streams[reporter].1 = SenderState::GaveUp;
+                    } else {
+                        let next = attempt + 1;
+                        streams[reporter].1 = SenderState::Pending { attempt: next };
+                        q.schedule_in(
+                            backoff_delay(cfg.backoff_base, attempt),
+                            Ev::SendReport {
+                                reporter,
+                                attempt: next,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+
+        let mut delivered = Vec::new();
+        let mut missing = Vec::new();
+        for (i, r) in reporters.iter().enumerate() {
+            match received[i] {
+                Some(p) => delivered.push((r.id, p)),
+                None => missing.push(r.id),
+            }
+        }
+        delivered.sort_unstable_by_key(|&(id, _)| id);
+        missing.sort_unstable();
+        Ok(ReportOutcome {
+            delivered,
+            missing,
+            frames_sent,
+            duplicates,
+            stale,
+            completed_at,
+        })
+    }
 
     fn healthy(n: usize) -> Vec<Reporter<bool>> {
         (0..n).map(|i| Reporter::healthy(i, i % 2 == 0)).collect()
@@ -388,22 +488,225 @@ mod tests {
             out.frames_sent
         );
     }
+
+    #[test]
+    fn an_ack_landing_exactly_at_its_timeout_suppresses_the_resend() {
+        let cfg = ReportConfig {
+            rtt: SimTime::from_millis(20),
+            report_timeout: SimTime::from_millis(20),
+            ..ReportConfig::default()
+        };
+        let out = try_collect_reports(&healthy(4), &cfg, 7, 0).unwrap();
+        assert_eq!(out.delivered.len(), 4);
+        assert_eq!(out.frames_sent, 4, "no reporter resent");
+        assert_eq!(out.duplicates, 0);
+        assert_eq!(out.completed_at, SimTime::from_millis(20));
+        assert_eq!(
+            out,
+            collect_reports_event_queue(&healthy(4), &cfg, 7, 0).unwrap()
+        );
+    }
+
+    #[test]
+    fn clock_overflow_panics_exactly_where_the_oracle_does() {
+        let max = SimTime::from_nanos(u64::MAX);
+        let base = ReportConfig::default();
+        let cases = [
+            // acked at the timeout instant: the resend whose time would
+            // overflow is never scheduled
+            (
+                ReportConfig {
+                    rtt: base.report_timeout,
+                    backoff_base: max,
+                    ..base
+                },
+                false,
+            ),
+            // every frame lost: the first resend's time overflows
+            (
+                ReportConfig {
+                    loss_prob: 1.0,
+                    backoff_base: max,
+                    ..base
+                },
+                true,
+            ),
+            // a lost report schedules no arrival, so its `rtt` is never added
+            (
+                ReportConfig {
+                    loss_prob: 1.0,
+                    rtt: max,
+                    max_retries: 0,
+                    ..base
+                },
+                false,
+            ),
+            (ReportConfig { rtt: max, ..base }, true),
+        ];
+        let mut reporters = healthy(2);
+        reporters[1].extra_delay = SimTime::from_millis(1);
+        for (cfg, overflows) in cases {
+            let walk = std::panic::catch_unwind(|| try_collect_reports(&reporters, &cfg, 7, 0));
+            let queue =
+                std::panic::catch_unwind(|| collect_reports_event_queue(&reporters, &cfg, 7, 0));
+            assert_eq!(walk.is_err(), overflows, "{cfg:?}");
+            assert_eq!(queue.is_err(), overflows, "{cfg:?}");
+            if let (Ok(w), Ok(q)) = (walk, queue) {
+                assert_eq!(w, q);
+            }
+        }
+        // dead at its timeout instant: no resend is scheduled either
+        let cfg = ReportConfig {
+            loss_prob: 1.0,
+            backoff_base: max,
+            ..base
+        };
+        let mut dying = healthy(1);
+        dying[0].dies_at = Some(base.report_timeout);
+        assert_eq!(
+            try_collect_reports(&dying, &cfg, 7, 0).unwrap(),
+            collect_reports_event_queue(&dying, &cfg, 7, 0).unwrap()
+        );
+    }
+
+    #[test]
+    fn zero_timing_gives_duplicates_not_extra_deliveries() {
+        let mut cfg = ReportConfig {
+            rtt: SimTime::ZERO,
+            report_timeout: SimTime::ZERO,
+            backoff_base: SimTime::ZERO,
+            ..ReportConfig::default()
+        };
+        // lossless: every ack ties with its own timeout and wins
+        let out = try_collect_reports(&healthy(5), &cfg, 7, 0).unwrap();
+        assert_eq!((out.frames_sent, out.duplicates), (5, 0));
+        cfg.loss_prob = 0.4;
+        let mut dup_total = 0;
+        for round in 0..50 {
+            let out = try_collect_reports(&healthy(5), &cfg, 2013, round).unwrap();
+            assert_eq!(
+                out,
+                collect_reports_event_queue(&healthy(5), &cfg, 2013, round).unwrap()
+            );
+            assert_eq!(out.delivered.len() + out.missing.len(), 5);
+            assert!(out.delivered.windows(2).all(|w| w[0].0 < w[1].0));
+            assert_eq!(out.completed_at, SimTime::ZERO);
+            dup_total += out.duplicates;
+        }
+        assert!(dup_total > 0, "no zero-time resend of a held report");
+    }
+
+    #[test]
+    fn a_reporter_dying_exactly_at_a_resend_instant_sends_nothing() {
+        let cfg = ReportConfig {
+            loss_prob: 1.0,
+            ..ReportConfig::default()
+        };
+        // first resend: report_timeout + backoff_base = 20 + 5 ms
+        let resend = cfg.report_timeout + cfg.backoff_base;
+        for (dies_at, frames) in [(resend, 1), (resend + SimTime::from_nanos(1), 2)] {
+            let mut reporters = healthy(1);
+            reporters[0].dies_at = Some(dies_at);
+            let out = try_collect_reports(&reporters, &cfg, 7, 0).unwrap();
+            assert_eq!(out.frames_sent, frames, "dies at {dies_at}");
+            assert_eq!(
+                out,
+                collect_reports_event_queue(&reporters, &cfg, 7, 0).unwrap()
+            );
+        }
+    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::collect_reports_event_queue;
     use super::*;
+    use proptest::collection::vec;
     use proptest::prelude::*;
+
+    const LOSS_PROBS: [f64; 5] = [0.0, 0.05, 0.4, 0.9, 1.0];
+
+    /// `n` reporters with distinct, gapped ids in shuffled order; delays
+    /// and death instants in ms (a death drawn past 260 ms means none).
+    fn reporters(
+        n: usize,
+        id_gaps: &[usize],
+        delays_ms: &[u64],
+        deaths_ms: &[u64],
+        shuffle: u64,
+    ) -> Vec<Reporter<u16>> {
+        let mut id = 0;
+        let mut out: Vec<Reporter<u16>> = (0..n)
+            .map(|i| {
+                id += id_gaps[i];
+                Reporter {
+                    id,
+                    payload: id as u16 * 3 + 1,
+                    extra_delay: SimTime::from_millis(delays_ms[i]),
+                    dies_at: (deaths_ms[i] < 260).then(|| SimTime::from_millis(deaths_ms[i])),
+                }
+            })
+            .collect();
+        let mut rng = derive(shuffle, 0);
+        for i in (1..n).rev() {
+            out.swap(i, rng.gen_range(0..i + 1));
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The per-reporter walk reproduces the event-queue oracle on the
+        /// whole outcome: small integer timings make ties between acks,
+        /// timeouts, resends, deaths and the deadline common.
+        #[test]
+        fn prop_walk_matches_event_queue_oracle(
+            seed in any::<u64>(),
+            round in any::<u64>(),
+            n in 0usize..9,
+            id_gaps in vec(1usize..4, 9..10),
+            delays_ms in vec(0u64..40, 9..10),
+            deaths_ms in vec(0u64..400, 9..10),
+            shuffle in any::<u64>(),
+            rtt_ms in 0u64..30,
+            timeout_ms in 0u64..30,
+            backoff_ms in 0u64..12,
+            deadline_ms in 0u64..260,
+            max_retries in 0u32..5,
+            loss_ix in 0usize..5,
+        ) {
+            let cfg = ReportConfig {
+                report_timeout: SimTime::from_millis(timeout_ms),
+                rtt: SimTime::from_millis(rtt_ms),
+                max_retries,
+                backoff_base: SimTime::from_millis(backoff_ms),
+                loss_prob: LOSS_PROBS[loss_ix],
+                deadline: SimTime::from_millis(deadline_ms),
+            };
+            let rs = reporters(n, &id_gaps, &delays_ms, &deaths_ms, shuffle);
+            prop_assert_eq!(
+                try_collect_reports(&rs, &cfg, seed, round).unwrap(),
+                collect_reports_event_queue(&rs, &cfg, seed, round).unwrap()
+            );
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Every round terminates, resolves every reporter exactly once,
-        /// and never exceeds the retry budget — at any loss rate.
+        /// never exceeds the retry budget and only completes by the
+        /// deadline — at any loss rate, with delayed and dying reporters.
         #[test]
         fn prop_round_resolves_all_reporters(
             seed in any::<u64>(),
             round in any::<u64>(),
+            n in 0usize..9,
+            id_gaps in vec(1usize..4, 9..10),
+            delays_ms in vec(0u64..450, 9..10),
+            deaths_ms in vec(0u64..400, 9..10),
+            shuffle in any::<u64>(),
             max_retries in 0u32..8,
             loss_pct in 0u8..101,
         ) {
@@ -412,14 +715,18 @@ mod proptests {
                 loss_prob: f64::from(loss_pct) / 100.0,
                 ..ReportConfig::default()
             };
-            let reporters: Vec<Reporter<u8>> =
-                (0..6).map(|i| Reporter::healthy(i, i as u8)).collect();
-            let out = try_collect_reports(&reporters, &cfg, seed, round).unwrap();
-            prop_assert_eq!(out.delivered.len() + out.missing.len(), 6);
-            prop_assert!(out.frames_sent <= 6 * (u64::from(max_retries) + 1));
+            let rs = reporters(n, &id_gaps, &delays_ms, &deaths_ms, shuffle);
+            let out = try_collect_reports(&rs, &cfg, seed, round).unwrap();
+            prop_assert_eq!(out.delivered.len() + out.missing.len(), n);
+            prop_assert!(out.frames_sent <= n as u64 * (u64::from(max_retries) + 1));
+            if out.delivered.is_empty() {
+                prop_assert_eq!(out.completed_at, SimTime::ZERO);
+            } else {
+                prop_assert!(out.completed_at <= cfg.deadline);
+            }
             // payloads arrive untampered
             for &(id, p) in &out.delivered {
-                prop_assert_eq!(p, id as u8);
+                prop_assert_eq!(p, id as u16 * 3 + 1);
             }
         }
     }
