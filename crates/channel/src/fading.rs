@@ -9,8 +9,7 @@
 use comimo_math::batch::complex_gaussian_fill;
 use comimo_math::cmatrix::CMatrix;
 use comimo_math::complex::Complex;
-use comimo_math::rng::complex_gaussian;
-use rand::Rng;
+use comimo_math::rng::{complex_gaussian, erlang};
 
 /// Coefficients per internal planar scratch chunk of the batched fillers.
 const FILL_CHUNK: usize = 64;
@@ -49,6 +48,18 @@ pub trait FadingChannel {
     /// that reuse one matrix across blocks.
     fn fill_matrix(&self, rng: &mut dyn rand::RngCore, h: &mut CMatrix) {
         self.fill_coeffs(rng, h.as_mut_slice());
+    }
+
+    /// Draws the diversity gain `Σ|h|²` of one block of `taps` fresh
+    /// coefficients — what a matched filter over an orthogonal design
+    /// sees. The default sums [`sample_coeff`](Self::sample_coeff)
+    /// draws; [`BlockRayleigh`] overrides it with one exact Gamma draw.
+    fn sample_block_gain(&self, rng: &mut dyn rand::RngCore, taps: usize) -> f64 {
+        let mut g = 0.0;
+        for _ in 0..taps {
+            g += self.sample_coeff(rng).norm_sqr();
+        }
+        g
     }
 
     /// Mean power `E[|h|²]` of a coefficient.
@@ -102,6 +113,13 @@ impl FadingChannel for BlockRayleigh {
 
     fn fill_coeffs(&self, rng: &mut dyn rand::RngCore, out: &mut [Complex]) {
         fill_scatter(rng, self.mean_power, out, |_| {});
+    }
+
+    /// Each `|h|²` is exponential with mean `mean_power`, so the block
+    /// gain is exactly `Gamma(taps, mean_power)`: one Erlang draw of
+    /// `taps` uniforms instead of `taps` polar Gaussian pairs.
+    fn sample_block_gain(&self, rng: &mut dyn rand::RngCore, taps: usize) -> f64 {
+        self.mean_power * erlang(rng, taps)
     }
 
     fn mean_power(&self) -> f64 {
@@ -162,19 +180,12 @@ impl FadingChannel for Rician {
     }
 }
 
-/// Sum of the squared magnitudes of an `mr × mt` fading matrix drawn from
-/// unit Rayleigh — convenience used by Monte-Carlo validators; distributed
-/// `Gamma(mt·mr, 1)`.
-pub fn rayleigh_frobenius_sqr(rng: &mut impl Rng, mr: usize, mt: usize) -> f64 {
-    let ch = BlockRayleigh::unit();
-    ch.sample_matrix(rng, mr, mt).frobenius_norm_sqr()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use comimo_math::rng::seeded;
-    use comimo_math::stats::RunningStats;
+    use comimo_math::stats::{ks_two_sample, RunningStats};
+    use rand::Rng;
 
     #[test]
     fn rayleigh_unit_power() {
@@ -201,17 +212,58 @@ mod tests {
         assert!((st.mean() - 24.0).abs() < 0.5, "{}", st.mean());
     }
 
-    #[test]
-    fn frobenius_is_gamma_distributed() {
-        // mean = k, variance = k for Gamma(k,1)
-        let mut rng = seeded(23);
-        let k = 6.0; // 2x3
-        let mut st = RunningStats::new();
-        for _ in 0..50_000 {
-            st.push(rayleigh_frobenius_sqr(&mut rng, 2, 3));
+    /// The block gain summed coefficient by coefficient — what
+    /// `BlockRayleigh::sample_block_gain` replaced with one Erlang draw.
+    fn gain_by_coeffs(ch: &impl FadingChannel, rng: &mut impl Rng, taps: usize) -> f64 {
+        let mut g = 0.0;
+        for _ in 0..taps {
+            g += ch.sample_coeff(rng).norm_sqr();
         }
-        assert!((st.mean() - k).abs() < 0.1, "mean {}", st.mean());
-        assert!((st.variance() - k).abs() < 0.3, "var {}", st.variance());
+        g
+    }
+
+    #[test]
+    fn rayleigh_block_gain_matches_the_coefficient_sum_in_law() {
+        // two-sample KS at the 1 % level (1.63·sqrt(2/n)), with a power
+        // check: a 10 % mean-power error must reject
+        let n_obs = 20_000usize;
+        let crit = 1.63 * (2.0 / n_obs as f64).sqrt();
+        for taps in [1usize, 2, 4, 17] {
+            for power in [1.0, 2.0] {
+                let ch = BlockRayleigh::with_mean_power(power);
+                let mut rng = seeded(31 + taps as u64 + 100 * power as u64);
+                let direct: Vec<f64> = (0..n_obs)
+                    .map(|_| ch.sample_block_gain(&mut rng, taps))
+                    .collect();
+                let summed: Vec<f64> = (0..n_obs)
+                    .map(|_| gain_by_coeffs(&ch, &mut rng, taps))
+                    .collect();
+                let d = ks_two_sample(&direct, &summed);
+                assert!(d < crit, "taps {taps} P {power}: D = {d} vs {crit}");
+                let off: Vec<f64> = summed.iter().map(|g| g * 1.1).collect();
+                let d_off = ks_two_sample(&direct, &off);
+                assert!(d_off > crit, "taps {taps} P {power}: 10 % off kept");
+            }
+        }
+    }
+
+    #[test]
+    fn default_block_gain_sums_sample_coeff_bit_for_bit() {
+        // Rician keeps the trait default: the same stream gives the same
+        // bits as summing its coefficients by hand
+        let ch = Rician::new(4.0, 1.5, 0.3);
+        let mut a = seeded(32);
+        let mut b = seeded(32);
+        for taps in [1usize, 2, 4, 17] {
+            for _ in 0..100 {
+                let direct = ch.sample_block_gain(&mut a, taps);
+                assert_eq!(
+                    direct.to_bits(),
+                    gain_by_coeffs(&ch, &mut b, taps).to_bits()
+                );
+            }
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "streams stay in step");
     }
 
     #[test]

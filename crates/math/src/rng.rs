@@ -106,6 +106,31 @@ pub fn gamma<R: Rng + ?Sized>(rng: &mut R, k: f64) -> f64 {
     }
 }
 
+/// Uniform factors multiplied together before [`erlang`] takes a log:
+/// each factor is at least `2⁻⁵³`, so a full chunk stays at or above
+/// `2⁻⁸⁴⁸`, far from the `f64` underflow at `2⁻¹⁰⁷⁴`.
+const ERLANG_CHUNK: usize = 16;
+
+/// Samples `Gamma(k, 1)` for integer `k ≥ 1` (the Erlang law) as
+/// `−ln ∏(1 − uᵢ)` over exactly `k` uniforms, one `u64` each — a fixed
+/// draw budget, unlike the rejection loop of [`gamma`]. The product is
+/// logged every [`ERLANG_CHUNK`] factors so it never underflows.
+pub fn erlang<R: Rng + ?Sized>(rng: &mut R, k: usize) -> f64 {
+    assert!(k >= 1, "erlang shape must be at least 1");
+    let mut sum = 0.0;
+    let mut left = k;
+    while left > 0 {
+        let chunk = left.min(ERLANG_CHUNK);
+        let mut prod = 1.0f64;
+        for _ in 0..chunk {
+            prod *= 1.0 - rng.gen::<f64>();
+        }
+        sum -= prod.ln();
+        left -= chunk;
+    }
+    sum
+}
+
 /// Samples an exponential with unit mean.
 pub fn exponential_unit<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u: f64 = rng.gen_range(0.0f64..1.0);
@@ -143,6 +168,22 @@ mod tests {
         assert_eq!(same, 0);
     }
 
+    /// Counts the `u64`s a sampler pulls from a seeded stream.
+    struct CountingRng {
+        inner: SeededRng,
+        u64s: u64,
+    }
+
+    impl rand::RngCore for CountingRng {
+        fn next_u32(&mut self) -> u32 {
+            self.inner.next_u32()
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.u64s += 1;
+            self.inner.next_u64()
+        }
+    }
+
     /// Pins the polar sampler's draw-order contract (see the
     /// `standard_normal` docs): consumption is variable per call — strictly
     /// more than the 2-per-normal floor over many calls — and its exact
@@ -151,19 +192,6 @@ mod tests {
     /// fails this test instead.
     #[test]
     fn polar_draw_consumption_is_variable_and_pinned() {
-        struct CountingRng {
-            inner: SeededRng,
-            u64s: u64,
-        }
-        impl rand::RngCore for CountingRng {
-            fn next_u32(&mut self) -> u32 {
-                self.inner.next_u32()
-            }
-            fn next_u64(&mut self) -> u64 {
-                self.u64s += 1;
-                self.inner.next_u64()
-            }
-        }
         let mut rng = CountingRng {
             inner: seeded(2013),
             u64s: 0,
@@ -258,6 +286,62 @@ mod tests {
         let p1 = hits_direct as f64 / trials as f64;
         let p2 = hits_sum as f64 / trials as f64;
         assert!((p1 - p2).abs() < 0.01, "tails {p1} vs {p2}");
+    }
+
+    #[test]
+    fn erlang_passes_a_ks_test_against_the_gamma_cdf() {
+        // shapes below, at and across the 16-factor log chunk
+        use crate::special::gamma_cdf;
+        use crate::stats::ks_statistic;
+        let n_obs = 20_000usize;
+        let crit = 1.36 / (n_obs as f64).sqrt();
+        for k in [1usize, 2, 4, 16, 17, 40] {
+            let mut rng = derive(2013, k as u64);
+            let xs: Vec<f64> = (0..n_obs).map(|_| erlang(&mut rng, k)).collect();
+            let d = ks_statistic(&xs, |x| gamma_cdf(k as f64, x.max(0.0)));
+            assert!(d < crit, "k = {k}: D = {d} vs critical {crit}");
+            // a shape off by one is a different law and must reject
+            let d_wrong = ks_statistic(&xs, |x| gamma_cdf(k as f64 + 1.0, x.max(0.0)));
+            assert!(d_wrong > crit, "k = {k}: wrong shape kept, D = {d_wrong}");
+        }
+    }
+
+    #[test]
+    fn erlang_consumes_exactly_k_u64s() {
+        // the fixed draw budget the report-word gain relies on: k
+        // uniforms, one u64 each, whatever values come out
+        let mut rng = CountingRng {
+            inner: seeded(2013),
+            u64s: 0,
+        };
+        let mut expected = 0u64;
+        for k in (1usize..=40).chain([64, 100]) {
+            for _ in 0..50 {
+                let x = erlang(&mut rng, k);
+                assert!(x.is_finite() && x > 0.0, "k = {k}: {x}");
+                expected += k as u64;
+                assert_eq!(rng.u64s, expected, "k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn erlang_chunks_never_underflow_at_the_smallest_factor() {
+        // every uniform at its maximum 1 − 2⁻⁵³ makes each factor 2⁻⁵³;
+        // chunked logs keep the sum exact where one product would hit 0
+        struct MaxRng;
+        impl rand::RngCore for MaxRng {
+            fn next_u32(&mut self) -> u32 {
+                u32::MAX
+            }
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        let k = 40;
+        let x = erlang(&mut MaxRng, k);
+        let exact = k as f64 * 53.0 * std::f64::consts::LN_2;
+        assert!((x - exact).abs() < 1e-9 * exact, "{x} vs {exact}");
     }
 
     #[test]

@@ -169,6 +169,38 @@ pub fn ks_statistic(xs: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
     d
 }
 
+/// Two-sample Kolmogorov–Smirnov statistic: the supremum distance
+/// between the empirical CDFs of `xs` and `ys`. Sorts copies; fine for
+/// experiment-sized data. The classic 5 % critical value for large
+/// samples is `1.36 · sqrt((n + m) / (n · m))`.
+pub fn ks_two_sample(xs: &[f64], ys: &[f64]) -> f64 {
+    assert!(
+        !xs.is_empty() && !ys.is_empty(),
+        "KS statistic of empty sample"
+    );
+    let sorted = |s: &[f64]| {
+        let mut v = s.to_vec();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
+        v
+    };
+    let (a, b) = (sorted(xs), sorted(ys));
+    let (n, m) = (a.len() as f64, b.len() as f64);
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut d = 0.0f64;
+    while i < a.len() && j < b.len() {
+        // step both CDFs past the smaller value (ties jump together)
+        let x = a[i].min(b[j]);
+        while i < a.len() && a[i] == x {
+            i += 1;
+        }
+        while j < b.len() && b[j] == x {
+            j += 1;
+        }
+        d = d.max((i as f64 / n - j as f64 / m).abs());
+    }
+    d
+}
+
 /// Fixed-width histogram over `[lo, hi)` with saturation buckets at the ends.
 #[derive(Debug, Clone)]
 pub struct Histogram {
@@ -297,6 +329,33 @@ mod tests {
         let xs = [100.0; 50];
         let d = ks_statistic(&xs, |x| x.clamp(0.0, 1.0));
         assert!(d <= 1.0 + 1e-12 && d > 0.9, "D = {d}");
+    }
+
+    #[test]
+    fn ks_two_sample_accepts_one_law_and_rejects_another() {
+        // two interleaved uniform grids are the same law: D = 1/n
+        let xs: Vec<f64> = (0..1000).map(|i| (i as f64 + 0.25) / 1000.0).collect();
+        let ys: Vec<f64> = (0..1000).map(|i| (i as f64 + 0.75) / 1000.0).collect();
+        let crit = 1.36 * (2.0f64 / 1000.0).sqrt();
+        let d_same = ks_two_sample(&xs, &ys);
+        assert!((d_same - 1e-3).abs() < 1e-12, "D = {d_same}");
+        // squaring one sample changes its law and must reject
+        let sq: Vec<f64> = ys.iter().map(|y| y * y).collect();
+        let d_wrong = ks_two_sample(&xs, &sq);
+        assert!(d_wrong > crit, "D = {d_wrong}");
+        // symmetric in its arguments
+        assert_eq!(d_wrong, ks_two_sample(&sq, &xs));
+    }
+
+    #[test]
+    fn ks_two_sample_bounds_and_ties() {
+        // a sample against itself (ties everywhere) is distance 0
+        let xs = [3.0, 1.0, 2.0, 2.0, 5.0];
+        assert_eq!(ks_two_sample(&xs, &xs), 0.0);
+        // disjoint supports saturate D at exactly 1
+        assert_eq!(ks_two_sample(&[0.0, 0.5], &[2.0, 3.0, 4.0]), 1.0);
+        // unequal sizes: {1} vs {1, 2} differ by ½ at x = 1
+        assert_eq!(ks_two_sample(&[1.0], &[1.0, 2.0]), 0.5);
     }
 
     #[test]

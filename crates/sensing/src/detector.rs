@@ -17,7 +17,7 @@
 //! expression by bisection; the classic CLT/Q-function approximations
 //! are provided for cross-checks against the literature's formulas.
 
-use comimo_math::rng::exponential_unit;
+use comimo_math::rng::gamma;
 use comimo_math::roots::bisect;
 use comimo_math::special::{gamma_cdf, q_function};
 use rand::Rng;
@@ -95,15 +95,14 @@ impl EnergyDetector {
         q_function((self.threshold - n * m) / (n.sqrt() * m))
     }
 
-    /// Draws one energy statistic at linear SNR `snr` (`0.0` for `H0`).
-    /// Always consumes exactly `n_samples` draws from `rng`, so streams
-    /// stay aligned whichever hypothesis is active.
+    /// Draws one energy statistic at linear SNR `snr` (`0.0` for `H0`):
+    /// the sum of `n_samples` sample energies drawn at once as its exact
+    /// law, one `Gamma(N, 1)` variate scaled by `1 + snr`. The draws
+    /// never see `snr`, so the stream advances identically whichever
+    /// hypothesis is active.
     pub fn sample_statistic<R: Rng + ?Sized>(&self, rng: &mut R, snr: f64) -> f64 {
         assert!(snr >= 0.0);
-        let scale = 1.0 + snr;
-        (0..self.n_samples)
-            .map(|_| exponential_unit(rng) * scale)
-            .sum()
+        gamma(rng, self.n_samples as f64) * (1.0 + snr)
     }
 
     /// The threshold test: `true` means "busy" (`H1` declared).
@@ -115,8 +114,43 @@ impl EnergyDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comimo_math::rng::derive;
-    use comimo_math::stats::ks_statistic;
+    use comimo_math::rng::{derive, exponential_unit};
+    use comimo_math::stats::{ks_statistic, ks_two_sample};
+
+    /// The sample-by-sample statistic `sample_statistic` replaced: `N`
+    /// unit exponentials, each scaled by `1 + snr`, summed.
+    fn statistic_by_samples(det: &EnergyDetector, rng: &mut impl Rng, snr: f64) -> f64 {
+        let scale = 1.0 + snr;
+        (0..det.n_samples())
+            .map(|_| exponential_unit(rng) * scale)
+            .sum()
+    }
+
+    #[test]
+    fn gamma_statistic_matches_the_sample_by_sample_oracle() {
+        // two-sample KS at the 1 % level (1.63·sqrt(2/n)): over 8 cells
+        // a 5 % level would flag a true match a third of the time
+        let n_obs = 20_000usize;
+        let crit = 1.63 * (2.0 / n_obs as f64).sqrt();
+        for n in [1usize, 2, 16, 32] {
+            let det = EnergyDetector::new(n, n as f64);
+            for snr in [0.0, 1.5] {
+                let mut rng = derive(2013, (n as u64) << 8 | (snr > 0.0) as u64);
+                let direct: Vec<f64> = (0..n_obs)
+                    .map(|_| det.sample_statistic(&mut rng, snr))
+                    .collect();
+                let oracle: Vec<f64> = (0..n_obs)
+                    .map(|_| statistic_by_samples(&det, &mut rng, snr))
+                    .collect();
+                let d = ks_two_sample(&direct, &oracle);
+                assert!(d < crit, "N={n} snr={snr}: D = {d} vs critical {crit}");
+                // power: a 10 % scale error must not pass
+                let off: Vec<f64> = oracle.iter().map(|x| x * 1.1).collect();
+                let d_off = ks_two_sample(&direct, &off);
+                assert!(d_off > crit, "N={n} snr={snr}: 10 % off kept, D = {d_off}");
+            }
+        }
+    }
 
     #[test]
     fn cfar_threshold_hits_the_target_pfa_exactly() {

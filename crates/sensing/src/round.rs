@@ -595,26 +595,51 @@ mod tests {
     #[test]
     fn report_channel_faults_walk_the_soft_ladder() {
         // a hot collapse/desync schedule must push rounds off the soft
-        // rung into hard decoding while the roster stays full
+        // rung into hard decoding while the roster stays full. Each
+        // collapse takes the 25 dB long-haul to -25 dB, so it forces the
+        // hard rung on its own; the sweep covers 32 schedule seeds
         let cfg = sharp_noisy(25.0);
         let n = 6usize;
-        let rcfg = ReportChannelFaultConfig::nominal(400.0).scaled(8.0);
-        let tl = ReportChannelTimeline::from_schedule(&build_report_channel_schedule(&rcfg, n, 99));
+        let rcfg = ReportChannelFaultConfig {
+            collapse_drop_db: 50.0,
+            ..ReportChannelFaultConfig::nominal(400.0).scaled(8.0)
+        };
         let states = vec![ReporterState::Healthy; n];
-        let mut soft_rounds = 0u64;
-        let mut hard_rounds = 0u64;
-        for (round, t) in (0..400).map(|s| (s as u64, s as f64)) {
-            let rstates: Vec<_> = (0..n).map(|r| tl.state_at(t, r)).collect();
-            let out = run(&cfg, true, &states, &rstates, true, 99, round).unwrap();
-            match out.decision.rule_used {
-                RuleUsed::WeightedLlr => soft_rounds += 1,
-                RuleUsed::HardDecode => hard_rounds += 1,
-                other => panic!("full roster cannot reach {other:?}"),
+        for seed in 99..131u64 {
+            let tl = ReportChannelTimeline::from_schedule(&build_report_channel_schedule(
+                &rcfg, n, seed,
+            ));
+            let mut soft_rounds = 0u64;
+            let mut hard_rounds = 0u64;
+            for (round, t) in (0..400).map(|s| (s as u64, s as f64)) {
+                let rstates: Vec<_> = (0..n).map(|r| tl.state_at(t, r)).collect();
+                let out = run(&cfg, true, &states, &rstates, true, seed, round).unwrap();
+                let uncollapsed = rstates.iter().any(|s| s.snr_drop_db == 0.0);
+                let want = if uncollapsed {
+                    soft_rounds += 1;
+                    RuleUsed::WeightedLlr
+                } else {
+                    hard_rounds += 1;
+                    RuleUsed::HardDecode
+                };
+                assert_eq!(out.decision.rule_used, want, "seed {seed} round {round}");
+                // an all-collapsed roster hard-decodes noise and may
+                // miss; any uncollapsed report channel must carry the
+                // 30 dB busy verdict
+                assert!(
+                    out.decision.busy || !uncollapsed,
+                    "seed {seed} round {round}: missed with an uncollapsed reporter"
+                );
             }
-            assert!(out.decision.busy, "30 dB busy must survive every rung");
+            assert!(
+                soft_rounds > 0,
+                "seed {seed}: nominal stretches must fuse softly"
+            );
+            assert!(
+                hard_rounds > 0,
+                "seed {seed}: collapses must force hard decoding"
+            );
         }
-        assert!(soft_rounds > 0, "nominal stretches must fuse softly");
-        assert!(hard_rounds > 0, "collapses must force hard decoding");
     }
 
     #[test]

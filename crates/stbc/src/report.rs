@@ -23,11 +23,17 @@
 //! which is what makes the clean-boolean fusion path a pinned oracle
 //! for the soft path.
 //!
-//! Determinism: the encode/decode is pure scalar math over
-//! [`FadingChannel::sample_coeff`] draws from the caller's derived
-//! stream — the same bits at any thread count and SIMD dispatch tier.
-//! The draw sequence depends only on `(mt, mr, n_blocks)`, never on
-//! the transmitted bit or on fault scaling (`gain_scale`, `n0`
+//! Each block draws two variates from the caller's derived stream: the
+//! gain `g_b` as one [`FadingChannel::sample_block_gain`] call over the
+//! `mt·mr` taps (exactly `Gamma(mt·mr, P)` under block Rayleigh, one
+//! Erlang draw), then the unit noise draw `w_b`. Given `g_b` the matched
+//! filter output is Gaussian, so those two draws are the whole law of
+//! the block — the individual coefficients never matter.
+//!
+//! Determinism: the encode/decode is pure scalar math over those draws
+//! — the same bits at any thread count and SIMD dispatch tier. The draw
+//! sequence depends only on `(mt, mr, n_blocks)` and the stream, never
+//! on the transmitted bit or on fault scaling (`gain_scale`, `n0`
 //! inflation act *after* the draws), preserving the burn-their-draws
 //! discipline of the fault layer.
 
@@ -76,12 +82,6 @@ impl ReportWordConfig {
     pub fn clamp_es(&mut self, e_pa_ceiling: f64) {
         assert!(e_pa_ceiling >= 0.0);
         self.es = self.es.min(e_pa_ceiling);
-    }
-
-    /// Complex channel-coefficient draws one word consumes (fixed: the
-    /// transmitted bit and any fault scaling never shift the stream).
-    pub fn coeff_draws(&self) -> usize {
-        self.n_blocks * self.mt * self.mr
     }
 }
 
@@ -155,10 +155,7 @@ pub fn transmit_report_word(
     let mut llr = 0.0;
     let mut gain_sum = 0.0;
     for _ in 0..cfg.n_blocks {
-        let mut g = 0.0;
-        for _ in 0..cfg.mt * cfg.mr {
-            g += channel.sample_coeff(rng).norm_sqr();
-        }
+        let g = channel.sample_block_gain(rng, cfg.mt * cfg.mr);
         // noise draw happens at full gain so faults burn their draws
         let w = standard_normal(rng);
         let g = g * gain_scale;
@@ -186,8 +183,9 @@ pub fn transmit_report_word(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comimo_channel::BlockRayleigh;
+    use comimo_channel::{BlockRayleigh, Rician};
     use comimo_math::rng::derive;
+    use comimo_math::stats::ks_two_sample;
 
     fn word(snr_db: f64) -> ReportWordConfig {
         ReportWordConfig::from_report_snr_db(2, 1, 2, snr_db)
@@ -301,6 +299,87 @@ mod tests {
         assert_eq!(cfg.es, 0.4);
         cfg.clamp_es(0.9);
         assert_eq!(cfg.es, 0.4, "clamp never raises energy");
-        assert_eq!(word(10.0).coeff_draws(), 4);
+    }
+
+    /// The coefficient-by-coefficient word `transmit_report_word`
+    /// replaced: every block sums `mt·mr` fresh `|h|²` draws, then draws
+    /// its noise.
+    fn word_by_coeffs(
+        bit: bool,
+        gain_scale: f64,
+        cfg: &ReportWordConfig,
+        channel: &impl FadingChannel,
+        rng: &mut impl Rng,
+    ) -> SoftReport {
+        let amp = (cfg.es / cfg.mt as f64).sqrt();
+        let s = if bit { amp } else { -amp };
+        let mut llr = 0.0;
+        let mut gain_sum = 0.0;
+        for _ in 0..cfg.n_blocks {
+            let mut g = 0.0;
+            for _ in 0..cfg.mt * cfg.mr {
+                g += channel.sample_coeff(rng).norm_sqr();
+            }
+            let w = standard_normal(rng);
+            let g = g * gain_scale;
+            let m = g * s + (g * cfg.n0 / 2.0).sqrt() * w;
+            if m != 0.0 {
+                llr += 4.0 * amp * m / cfg.n0;
+            }
+            gain_sum += g;
+        }
+        let channel_gain = gain_sum / cfg.n_blocks as f64;
+        let report_snr = if cfg.n0 == 0.0 {
+            f64::INFINITY
+        } else {
+            channel_gain * cfg.es / (cfg.mt as f64 * cfg.n0)
+        };
+        SoftReport {
+            llr,
+            channel_gain,
+            report_snr,
+        }
+    }
+
+    #[test]
+    fn coefficient_summing_channels_reproduce_the_oracle_bit_for_bit() {
+        // Rician keeps the default block gain, which sums sample_coeff
+        // draws: the word must equal the old body on the same stream
+        let ch = Rician::indoor_los();
+        for (trial, snr_db) in [(0u64, 6.0), (1, 20.0), (2, f64::INFINITY)] {
+            let cfg = ReportWordConfig::from_report_snr_db(2, 2, 3, snr_db);
+            for (bit, scale) in [(true, 1.0), (false, 0.5)] {
+                let a = transmit_report_word(bit, scale, &cfg, &ch, &mut derive(17, trial));
+                let b = word_by_coeffs(bit, scale, &cfg, &ch, &mut derive(17, trial));
+                assert_eq!(a.llr.to_bits(), b.llr.to_bits());
+                assert_eq!(a.channel_gain.to_bits(), b.channel_gain.to_bits());
+                assert_eq!(a.report_snr.to_bits(), b.report_snr.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn rayleigh_word_llr_matches_the_coefficient_oracle_in_law() {
+        // the Erlang gain changes the draws, not the law: two-sample KS
+        // on the decoded LLR at the 1 % level (1.63·sqrt(2/n)), for the
+        // paper's 2x1 two-block word at a noisy and a clean-ish SNR, and
+        // a 2x2 word so a gain over mt instead of mt·mr taps shows
+        let ch = BlockRayleigh::unit();
+        let n_obs = 20_000u64;
+        let crit = 1.63 * (2.0 / n_obs as f64).sqrt();
+        for (mr, snr_db) in [(1, 0.0), (1, 10.0), (2, 0.0)] {
+            let cfg = ReportWordConfig::from_report_snr_db(2, mr, 2, snr_db);
+            let (mut direct, mut oracle) = (Vec::new(), Vec::new());
+            for trial in 0..n_obs {
+                let bit = trial % 2 == 0;
+                direct.push(transmit_report_word(bit, 1.0, &cfg, &ch, &mut derive(41, trial)).llr);
+                oracle.push(word_by_coeffs(bit, 1.0, &cfg, &ch, &mut derive(42, trial)).llr);
+            }
+            let d = ks_two_sample(&direct, &oracle);
+            assert!(
+                d < crit,
+                "2x{mr} at {snr_db} dB: D = {d} vs critical {crit}"
+            );
+        }
     }
 }
