@@ -18,27 +18,18 @@
 //! * [`geometry`] — 2-D points, angles (`∠PrSt1St2` of Section 5), segments;
 //! * [`pathloss`] — the two path-loss laws plus Friis free space;
 //! * [`fading`] — block Rayleigh / Rician fading and channel matrices;
-//! * [`awgn`] — complex AWGN injection at calibrated Es/N0;
 //! * [`multipath`] — tapped-delay-line indoor channels;
 //! * [`obstacle`] — wall segments with penetration loss;
-//! * [`link`] — link budget: received power, SNR, noise floor, margins;
-//! * [`doppler`] — Jakes sum-of-sinusoids time-varying fading;
-//! * [`shadowing`] — spatially correlated log-normal shadowing
-//!   (Gudmundson model).
+//! * [`link`] — link budget: received power, SNR, noise floor, margins.
 
-pub mod awgn;
-pub mod doppler;
 pub mod fading;
 pub mod geometry;
 pub mod link;
 pub mod multipath;
 pub mod obstacle;
 pub mod pathloss;
-pub mod shadowing;
 
-pub use doppler::JakesProcess;
 pub use fading::{BlockRayleigh, FadingChannel, Rician};
 pub use geometry::Point;
 pub use link::{noise_floor_watts, LinkBudget};
 pub use pathloss::{FriisFreeSpace, KappaLaw, PathLoss, SquareLawLongHaul};
-pub use shadowing::{ShadowField, ShadowingConfig};

@@ -26,6 +26,7 @@
 
 use comimo_channel::geometry::{angle_at_vertex, collinearity_deviation, Point};
 use comimo_math::complex::Complex;
+use comimo_sim::map_shards;
 use serde::{Deserialize, Serialize};
 
 /// The paper's phase delay `δ = π(2r·cos α/w − 1)`.
@@ -257,7 +258,7 @@ pub fn run_trial(rng: &mut impl rand::Rng, cfg: &InterweaveConfig) -> Interweave
 /// streams; returns the rows.
 pub fn run_table1(seed: u64, cfg: &InterweaveConfig) -> Vec<InterweaveTrial> {
     let trials: Vec<u64> = (0..cfg.n_trials as u64).collect();
-    crate::par_map(&trials, |&t| {
+    map_shards(&trials, |_, &t| {
         let mut rng = comimo_math::rng::derive(seed, t);
         run_trial(&mut rng, cfg)
     })

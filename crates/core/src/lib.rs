@@ -15,10 +15,8 @@
 //! * [`interweave`] — **Algorithm 3**: pairwise transmit null-steering with
 //!   the phase delay `δ = π(2r·cosα/w − 1)`, the PU-selection heuristic,
 //!   and the beam-pattern evaluation (Table 1, Figure 8).
-//! * [`pu`] — primary-user entities and a duty-cycle activity model used
-//!   by the interweave sensing step;
-//! * [`spectrum`] — the sensing half of Algorithm 3 Step 1: energy
-//!   detection over licensed channels and the PU-selection policies;
+//! * [`pu`] — primary-user entities (sensing them and picking one for
+//!   Algorithm 3 Step 1 is `comimo_sensing::select`);
 //! * [`cluster_beam`] — the full multi-pair form of Algorithm 3
 //!   (`⌊mt/2⌋` pairs acting as virtual antennas of a `⌊mt/2⌋ × mr`
 //!   MIMO link).
@@ -27,36 +25,10 @@ pub mod cluster_beam;
 pub mod interweave;
 pub mod overlay;
 pub mod pu;
-pub mod spectrum;
 pub mod underlay;
-
-/// Maps `f` over `items` — on the rayon pool when the `parallel` feature
-/// is on, serially otherwise. Output order always matches input order, so
-/// the two paths are interchangeable bit-for-bit; callers must derive any
-/// randomness per item (never thread one stream through the loop).
-#[cfg(feature = "parallel")]
-pub(crate) fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Send + Sync,
-{
-    use rayon::prelude::*;
-    items.par_iter().map(f).collect()
-}
-
-/// Serial fallback of [`par_map`] (identical results by construction).
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    F: Fn(&T) -> R,
-{
-    items.iter().map(f).collect()
-}
 
 pub use cluster_beam::{analyze_interweave_link, BeamRepair, ClusterBeamformer};
 pub use interweave::{phase_delay, InterweaveConfig, TransmitPair};
 pub use overlay::{OverlayAnalysis, OverlayConfig, OverlayDegradation};
-pub use pu::{PrimaryPair, PuActivity};
-pub use spectrum::{SensingConfig, SpectrumError, SpectrumMap};
+pub use pu::PrimaryPair;
 pub use underlay::{FallbackStep, UnderlayAnalysis, UnderlayConfig};

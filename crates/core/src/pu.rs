@@ -3,8 +3,9 @@
 //! The cognitive-radio setting has licensed primary pairs whose spectrum
 //! the secondary users overlay/underlay/interweave into. The interweave
 //! paradigm's Step 1 ("The head ... determines the PU to share the
-//! frequency based on the sensed environment") needs a minimal model of
-//! which primaries exist, where they are, and when they are active.
+//! frequency based on the sensed environment") needs to know which
+//! primaries exist and where they are; when they are active is the
+//! sensing crate's slotted `MarkovOnOff` chain.
 
 use comimo_channel::geometry::Point;
 use serde::{Deserialize, Serialize};
@@ -32,123 +33,13 @@ impl PrimaryPair {
     }
 }
 
-/// A two-state (on/off) duty-cycle activity model: the PU transmits in
-/// exponentially-distributed bursts separated by exponentially-distributed
-/// idle gaps — the standard interweave-opportunity model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PuActivity {
-    /// Mean on-burst duration (s).
-    pub mean_on_s: f64,
-    /// Mean idle-gap duration (s).
-    pub mean_off_s: f64,
-}
-
-impl PuActivity {
-    /// Builds an activity model.
-    pub fn new(mean_on_s: f64, mean_off_s: f64) -> Self {
-        assert!(mean_on_s > 0.0 && mean_off_s > 0.0);
-        Self {
-            mean_on_s,
-            mean_off_s,
-        }
-    }
-
-    /// Long-run fraction of time the PU is on.
-    pub fn duty_cycle(&self) -> f64 {
-        self.mean_on_s / (self.mean_on_s + self.mean_off_s)
-    }
-
-    /// Samples an alternating on/off schedule covering at least
-    /// `horizon_s` seconds; returns `(start, end, active)` intervals.
-    pub fn sample_schedule(
-        &self,
-        rng: &mut impl rand::Rng,
-        horizon_s: f64,
-    ) -> Vec<(f64, f64, bool)> {
-        assert!(horizon_s > 0.0);
-        let mut t = 0.0;
-        let mut active = rng.gen_bool(self.duty_cycle());
-        let mut out = Vec::new();
-        while t < horizon_s {
-            let mean = if active {
-                self.mean_on_s
-            } else {
-                self.mean_off_s
-            };
-            let dur = mean * comimo_math::rng::exponential_unit(rng);
-            let end = (t + dur).min(horizon_s);
-            if end > t {
-                out.push((t, end, active));
-            }
-            t = end;
-            active = !active;
-        }
-        out
-    }
-
-    /// Whether the PU is active at time `t_s` under a sampled schedule.
-    pub fn is_active_at(schedule: &[(f64, f64, bool)], t_s: f64) -> bool {
-        schedule
-            .iter()
-            .find(|&&(s, e, _)| t_s >= s && t_s < e)
-            .map(|&(_, _, a)| a)
-            .unwrap_or(false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comimo_math::rng::seeded;
 
     #[test]
     fn link_length() {
         let p = PrimaryPair::new(Point::new(0.0, 0.0), Point::new(250.0, 0.0), 3);
         assert!((p.link_length() - 250.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duty_cycle_formula() {
-        let a = PuActivity::new(2.0, 8.0);
-        assert!((a.duty_cycle() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn schedule_covers_horizon_and_alternates() {
-        let mut rng = seeded(11);
-        let a = PuActivity::new(1.0, 3.0);
-        let sched = a.sample_schedule(&mut rng, 100.0);
-        assert!((sched.last().unwrap().1 - 100.0).abs() < 1e-9);
-        assert!((sched[0].0 - 0.0).abs() < 1e-12);
-        for w in sched.windows(2) {
-            assert!((w[0].1 - w[1].0).abs() < 1e-9, "gap in schedule");
-            assert_ne!(w[0].2, w[1].2, "states must alternate");
-        }
-    }
-
-    #[test]
-    fn long_run_duty_cycle_matches() {
-        let mut rng = seeded(12);
-        let a = PuActivity::new(1.0, 4.0);
-        let sched = a.sample_schedule(&mut rng, 20_000.0);
-        let on: f64 = sched
-            .iter()
-            .filter(|&&(_, _, act)| act)
-            .map(|&(s, e, _)| e - s)
-            .sum();
-        let frac = on / 20_000.0;
-        assert!((frac - 0.2).abs() < 0.02, "measured duty {frac}");
-    }
-
-    #[test]
-    fn point_queries() {
-        let sched = vec![(0.0, 1.0, true), (1.0, 3.0, false), (3.0, 4.0, true)];
-        assert!(PuActivity::is_active_at(&sched, 0.5));
-        assert!(!PuActivity::is_active_at(&sched, 2.0));
-        assert!(PuActivity::is_active_at(&sched, 3.5));
-        assert!(
-            !PuActivity::is_active_at(&sched, 10.0),
-            "past horizon = off"
-        );
     }
 }

@@ -290,9 +290,19 @@ mod tests {
 
     #[test]
     fn b1_uses_equation_six() {
-        // instantaneous: b=1 is Q(sqrt(2γ))
+        // instantaneous: b=1 is Q(sqrt(2γ)), and so is QPSK (b=2):
+        // coef = (4/2)(1 − 1/2) = 1, arg = sqrt(3·2/3·γ) = sqrt(2γ)
         for &g in &[0.1, 1.0, 4.0] {
             assert!((instantaneous_ber(1, g) - q_function((2.0 * g).sqrt())).abs() < 1e-15);
+            assert!((instantaneous_ber(2, g) - q_function((2.0 * g).sqrt())).abs() < 1e-15);
+        }
+        // at fixed per-bit SNR, denser constellations are more error-prone
+        let g = 8.0;
+        let mut prev = instantaneous_ber(2, g);
+        for b in [4u32, 6, 8] {
+            let ber = instantaneous_ber(b, g);
+            assert!(ber > prev, "b={b}: {ber} <= {prev}");
+            prev = ber;
         }
     }
 

@@ -22,8 +22,8 @@
 //! gain *after* the channel draws (burn-their-draws), so arming or
 //! scaling them never shifts any RNG stream.
 
-use crate::par_map;
 use crate::schedule::arrivals;
+use comimo_sim::map_shards;
 use comimo_sim::time::SimTime;
 use serde::Serialize;
 
@@ -172,7 +172,7 @@ pub fn build_report_channel_schedule(
     })
     .collect();
     let reporters: Vec<usize> = (0..n_reporters).collect();
-    let desyncs = par_map(&reporters, |&r| {
+    let desyncs = map_shards(&reporters, |_, &r| {
         arrivals(
             seed,
             SALT_PHASE_DESYNC,

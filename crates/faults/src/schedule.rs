@@ -9,8 +9,8 @@
 //! canonical key `(time, class, unit, ordinal)`.
 
 use crate::model::{FaultConfig, FaultEvent, FaultKind, Topology};
-use crate::par_map;
 use comimo_math::rng::{derive, exponential_unit};
+use comimo_sim::map_shards;
 use comimo_sim::time::SimTime;
 
 const SALT_RELAY_DEATH: u64 = 0xFA17_0000_0001;
@@ -53,7 +53,7 @@ pub fn build_schedule(cfg: &FaultConfig, topo: &Topology, seed: u64) -> Vec<Faul
     let channels: Vec<usize> = (0..topo.n_channels).collect();
     let clusters: Vec<usize> = (0..topo.n_clusters).collect();
 
-    let deaths = par_map(&nodes, |&node| {
+    let deaths = map_shards(&nodes, |_, &node| {
         arrivals(
             seed,
             SALT_RELAY_DEATH,
@@ -70,7 +70,7 @@ pub fn build_schedule(cfg: &FaultConfig, topo: &Topology, seed: u64) -> Vec<Faul
         })
         .collect::<Vec<_>>()
     });
-    let returns = par_map(&channels, |&channel| {
+    let returns = map_shards(&channels, |_, &channel| {
         arrivals(
             seed,
             SALT_PU_RETURN,
@@ -88,7 +88,7 @@ pub fn build_schedule(cfg: &FaultConfig, topo: &Topology, seed: u64) -> Vec<Faul
         })
         .collect::<Vec<_>>()
     });
-    let shadows = par_map(&nodes, |&node| {
+    let shadows = map_shards(&nodes, |_, &node| {
         arrivals(seed, SALT_SHADOW, node, cfg.shadow_rate_hz, cfg.horizon_s)
             .into_iter()
             .map(|(t, d)| FaultEvent {
@@ -101,7 +101,7 @@ pub fn build_schedule(cfg: &FaultConfig, topo: &Topology, seed: u64) -> Vec<Faul
             })
             .collect::<Vec<_>>()
     });
-    let losses = par_map(&clusters, |&cluster| {
+    let losses = map_shards(&clusters, |_, &cluster| {
         arrivals(
             seed,
             SALT_BROADCAST,

@@ -19,8 +19,8 @@
 //! Poisson arrivals, canonical `(time, class, reporter)` sort — a pure
 //! function of `(config, n_reporters, seed)` at any thread count.
 
-use crate::par_map;
 use crate::schedule::arrivals;
+use comimo_sim::map_shards;
 use comimo_sim::time::SimTime;
 use serde::Serialize;
 
@@ -173,7 +173,7 @@ pub fn build_reporter_schedule(
         return Vec::new();
     }
     let reporters: Vec<usize> = (0..n_reporters).collect();
-    let stuck_h0 = par_map(&reporters, |&r| {
+    let stuck_h0 = map_shards(&reporters, |_, &r| {
         arrivals(seed, SALT_STUCK_H0, r, cfg.stuck_h0_rate_hz, cfg.horizon_s)
             .into_iter()
             .map(|(t, d)| ReporterFaultEvent {
@@ -185,7 +185,7 @@ pub fn build_reporter_schedule(
             })
             .collect::<Vec<_>>()
     });
-    let stuck_h1 = par_map(&reporters, |&r| {
+    let stuck_h1 = map_shards(&reporters, |_, &r| {
         arrivals(seed, SALT_STUCK_H1, r, cfg.stuck_h1_rate_hz, cfg.horizon_s)
             .into_iter()
             .map(|(t, d)| ReporterFaultEvent {
@@ -197,7 +197,7 @@ pub fn build_reporter_schedule(
             })
             .collect::<Vec<_>>()
     });
-    let deaths = par_map(&reporters, |&r| {
+    let deaths = map_shards(&reporters, |_, &r| {
         arrivals(seed, SALT_SILENT_DEATH, r, cfg.death_rate_hz, cfg.horizon_s)
             .into_iter()
             // a reporter dies once; later arrivals on the stream are moot
@@ -209,7 +209,7 @@ pub fn build_reporter_schedule(
             })
             .collect::<Vec<_>>()
     });
-    let delays = par_map(&reporters, |&r| {
+    let delays = map_shards(&reporters, |_, &r| {
         arrivals(seed, SALT_REPORT_DELAY, r, cfg.delay_rate_hz, cfg.horizon_s)
             .into_iter()
             .map(|(t, d)| ReporterFaultEvent {

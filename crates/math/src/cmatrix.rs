@@ -110,12 +110,6 @@ impl CMatrix {
         self.cols
     }
 
-    /// Row-major slice of all elements.
-    #[inline]
-    pub fn as_slice(&self) -> &[Complex] {
-        &self.data
-    }
-
     /// Mutable row-major slice of all elements — the entry point for
     /// batched fillers (e.g. `comimo_channel`'s `FadingChannel::fill_matrix`)
     /// that rewrite a whole matrix in one pass.
@@ -151,23 +145,6 @@ impl CMatrix {
     /// Frobenius norm `‖A‖_F`.
     pub fn frobenius_norm(&self) -> f64 {
         self.frobenius_norm_sqr().sqrt()
-    }
-
-    /// Matrix–vector product `A·x`.
-    ///
-    /// # Panics
-    /// If `x.len() != self.cols()`.
-    pub fn mul_vec(&self, x: &[Complex]) -> Vec<Complex> {
-        assert_eq!(x.len(), self.cols, "vector length mismatch");
-        (0..self.rows)
-            .map(|r| {
-                self.row(r)
-                    .iter()
-                    .zip(x)
-                    .map(|(&a, &b)| a * b)
-                    .sum::<Complex>()
-            })
-            .collect()
     }
 
     /// Scales every element by a real factor.
@@ -319,18 +296,6 @@ mod tests {
         assert!(p[(0, 1)].approx_eq(c(1.0, -2.0), 1e-12));
         assert!(p[(1, 0)].approx_eq(c(4.0, 3.0), 1e-12));
         assert!(p[(1, 1)].approx_eq(c(3.0, -4.0), 1e-12));
-    }
-
-    #[test]
-    fn mul_vec_matches_matmul() {
-        let a = CMatrix::from_fn(3, 2, |r, cc| c((r + cc) as f64, (r as f64) * 0.5));
-        let x = vec![c(1.0, -1.0), c(0.5, 2.0)];
-        let xm = CMatrix::from_vec(2, 1, x.clone());
-        let via_matmul = &a * &xm;
-        let via_vec = a.mul_vec(&x);
-        for r in 0..3 {
-            assert!(via_vec[r].approx_eq(via_matmul[(r, 0)], 1e-12));
-        }
     }
 
     #[test]

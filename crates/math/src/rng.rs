@@ -61,11 +61,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// Samples `N(mu, sigma²)`.
-pub fn normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    mu + sigma * standard_normal(rng)
-}
-
 /// Samples a circularly-symmetric complex Gaussian `CN(0, variance)` —
 /// i.e. each of real/imag parts is `N(0, variance/2)`.
 ///

@@ -200,37 +200,6 @@ pub fn factorial(n: u32) -> f64 {
     }
 }
 
-/// Bessel function of the first kind, order zero, `J₀(x)`.
-///
-/// Series expansion for `|x| ≤ 12`, Hankel asymptotic form beyond —
-/// accurate to ~1e-9 across the range used here (the Clarke/Jakes
-/// autocorrelation `J₀(2π f_D τ)` of `comimo-channel::doppler`).
-pub fn bessel_j0(x: f64) -> f64 {
-    let ax = x.abs();
-    if ax <= 12.0 {
-        // J0(x) = sum (-1)^k (x/2)^{2k} / (k!)^2
-        let q = ax * ax / 4.0;
-        let mut term = 1.0;
-        let mut sum = 1.0;
-        for k in 1..80 {
-            term *= -q / ((k * k) as f64);
-            sum += term;
-            if term.abs() < 1e-18 {
-                break;
-            }
-        }
-        sum
-    } else {
-        // Hankel's asymptotic expansion (two terms)
-        let z = 8.0 / ax;
-        let y = z * z;
-        let p0 = 1.0 - y * (0.1098628627e-2 - y * 0.2734510407e-4);
-        let q0 = -0.1562499995e-1 * z * (1.0 - y * 0.1430488765e-2);
-        let xx = ax - std::f64::consts::FRAC_PI_4;
-        (2.0 / (std::f64::consts::PI * ax)).sqrt() * (p0 * xx.cos() - q0 * xx.sin())
-    }
-}
-
 /// Probability density of `Gamma(shape k, scale 1)` at `x`:
 /// `x^{k-1} e^{-x} / Γ(k)`.
 ///
@@ -398,26 +367,6 @@ mod tests {
                 "cdf mismatch at x={x}: integral {s} vs cdf {}",
                 gamma_cdf(k, x)
             );
-        }
-    }
-
-    #[test]
-    fn bessel_j0_anchors() {
-        // standard table values
-        assert!((bessel_j0(0.0) - 1.0).abs() < 1e-15);
-        assert!((bessel_j0(1.0) - 0.765_197_686_557_966_6).abs() < 1e-9);
-        assert!(
-            (bessel_j0(2.404_825_557_695_773) - 0.0).abs() < 1e-9,
-            "first zero"
-        );
-        assert!((bessel_j0(5.0) - (-0.177_596_771_314_338_3)).abs() < 1e-9);
-        assert!((bessel_j0(20.0) - 0.167_024_664_340_583).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bessel_j0_even() {
-        for &x in &[0.3, 1.7, 6.0, 15.0] {
-            assert!((bessel_j0(x) - bessel_j0(-x)).abs() < 1e-12);
         }
     }
 

@@ -4,7 +4,8 @@
 //! fusion. The paper assumes the spectrum holes its three paradigms
 //! exploit are already known; this crate builds the cooperative sensing
 //! stage that finds them — and makes it survive the fault world of
-//! `comimo-faults`:
+//! `comimo-faults` — and the channel pick of Algorithm 3 step 1 that
+//! consumes them:
 //!
 //! * [`detector`] — per-SU energy detection: the gamma/chi-square
 //!   threshold test on the `comimo-math` special-function machinery,
@@ -31,7 +32,10 @@
 //!   words over the noisy block-Rayleigh long-haul — then fusion;
 //! * [`roc`] — Pd/Pfa ROC campaigns on the `comimo-campaign`
 //!   supervisor: checkpointable, crash-resumable, bit-identical at any
-//!   thread count.
+//!   thread count;
+//! * [`select`] — Algorithm 3 step 1: per-channel occupancy sensed with
+//!   the round's detector over each channel's [`MarkovOnOff`] slots, and
+//!   the idlest and nulling-geometry channel picks.
 
 pub mod byz;
 pub mod detector;
@@ -40,6 +44,7 @@ pub mod markov;
 pub mod reputation;
 pub mod roc;
 pub mod round;
+pub mod select;
 
 pub use byz::{byz_shard_counts, run_byz_campaign, ByzCell, ByzError, ByzSweepSpec};
 pub use detector::EnergyDetector;
@@ -58,3 +63,4 @@ pub use roc::{
 pub use round::{
     run_round_byz, ReportChannelConfig, ReportSummary, RoundOutcome, SensingError, SensingRound,
 };
+pub use select::{occupancy, pick_for_nulling, pick_idlest, OccupancyEstimate};

@@ -5,9 +5,9 @@
 //! at slot boundaries: `P(off → on) = p_off_to_on`,
 //! `P(on → off) = p_on_to_off`. The chain starts from its stationary
 //! distribution, so the very first slot is already representative —
-//! campaigns need no burn-in. (The continuous-time exponential ON/OFF
-//! process lives in `comimo_core::pu::PuActivity`; this is its slotted
-//! counterpart for the sensing rounds.)
+//! campaigns need no burn-in. It is the one primary-activity model of
+//! the workspace: the sensing rounds and the channel pick of
+//! [`crate::select`] both read it.
 //!
 //! Per-channel state sequences come from one `derive(seed, salt ^
 //! channel)` stream each, so any thread count or slot-evaluation order

@@ -132,8 +132,9 @@ pub enum SensingError {
         /// The bad delay (s).
         delay_s: f64,
     },
-    /// A sweep/campaign spec failed validation before any shard ran
-    /// (see [`crate::byz::ByzSweepSpec::validate`]).
+    /// A sweep, campaign or channel-sensing spec failed validation
+    /// before anything ran (see [`crate::byz::ByzSweepSpec::validate`]
+    /// and [`crate::select::occupancy`]).
     InvalidSpec {
         /// What was wrong.
         what: &'static str,
@@ -151,7 +152,7 @@ impl std::fmt::Display for SensingError {
                     "reporter {reporter} delay {delay_s} s is not finite and >= 0"
                 )
             }
-            Self::InvalidSpec { what } => write!(f, "invalid sweep spec: {what}"),
+            Self::InvalidSpec { what } => write!(f, "invalid sensing spec: {what}"),
         }
     }
 }

@@ -210,7 +210,10 @@ impl<E> ShardedEventQueue<E> {
 /// Maps `f` over per-shard work items, on the rayon pool in `parallel`
 /// builds, serially otherwise. Outputs come back **in shard order**
 /// either way, so the fold downstream is schedule-independent — the same
-/// order-stable contract as `comimo_chaos::par_map`.
+/// order-stable contract as `comimo_chaos::par_map`. It is the
+/// workspace's one order-stable fan-out: the Table-1 trials, fault
+/// schedules and testbed experiments map over it too, so callers must
+/// derive any randomness per item (never thread one stream through).
 pub fn map_shards<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -31,11 +31,9 @@ pub mod batch;
 pub mod decode;
 pub mod design;
 pub mod grid;
-pub mod multiplex;
 pub mod report;
 pub mod sim;
 
 pub use decode::{decode_block, equivalent_real_matrix};
 pub use design::{Ostbc, StbcKind};
-pub use multiplex::{detect, Detector};
 pub use report::{transmit_report_word, ReportWordConfig, SoftReport};

@@ -482,6 +482,13 @@ mod tests {
         let g = 10.0f64;
         let single = 0.5 * (1.0 - (g / (1.0 + g)).sqrt());
         assert!((bpsk_mrc_rayleigh_ber(1, g) - single).abs() < 1e-12);
+        // the textbook value at 10 dB average SNR, and fading always
+        // costs against AWGN at the same average SNR
+        assert!((single - 0.02327).abs() < 1e-4, "{single}");
+        for db in [0.0, 5.0, 10.0, 20.0] {
+            let gl = comimo_math::db::db_to_lin(db);
+            assert!(bpsk_mrc_rayleigh_ber(1, gl) > bpsk_awgn_ber(gl));
+        }
         // more branches help
         assert!(bpsk_mrc_rayleigh_ber(2, g) < bpsk_mrc_rayleigh_ber(1, g));
         assert!(bpsk_mrc_rayleigh_ber(4, g) < bpsk_mrc_rayleigh_ber(2, g));

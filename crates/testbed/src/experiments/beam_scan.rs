@@ -20,6 +20,7 @@ use comimo_channel::geometry::{semicircle_scan, Point};
 use comimo_core::interweave::TransmitPair;
 use comimo_math::complex::Complex;
 use comimo_math::rng::complex_gaussian;
+use comimo_sim::map_shards;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -93,7 +94,7 @@ pub fn run(cfg: &BeamScanConfig, seed: u64) -> Vec<BeamScanPoint> {
         .enumerate()
         .map(|(i, &sp)| (i as u64, sp))
         .collect();
-    crate::par_map(&indexed, |&(i, (angle_deg, p))| {
+    map_shards(&indexed, |_, &(i, (angle_deg, p))| {
         let mut rng = comimo_math::rng::derive(seed, i);
         let ideal = pair.amplitude_at(p, delta);
         let measured = measure(&mut rng, cfg, &pair, p, delta, true);

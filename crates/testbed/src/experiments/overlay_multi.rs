@@ -15,6 +15,7 @@ use crate::bpsk_link::{decode_and_forward, decode_egc, decode_single, transmit_b
 use crate::calib::TestbedCalibration;
 use comimo_channel::obstacle::multi_relay_corridor;
 use comimo_dsp::bits::{count_bit_errors, pn_sequence};
+use comimo_sim::map_shards;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the multi-relay rig.
@@ -94,7 +95,7 @@ pub fn run(cfg: &MultiRelayConfig, seed: u64) -> MultiRelayRow {
     // pool and their per-run BER triples are folded back in input order,
     // so the average is bit-identical to the serial loop
     let experiments: Vec<usize> = (0..cfg.n_experiments).collect();
-    let per_run = crate::par_map(&experiments, |&e| {
+    let per_run = map_shards(&experiments, |_, &e| {
         let mut rng = comimo_math::rng::derive(seed, e as u64);
         let bits = pn_sequence(0xC0DE ^ e as u16, cfg.n_bits);
         let mut errs = (0u64, 0u64, 0u64);

@@ -16,6 +16,7 @@ use crate::bpsk_link::{decode_and_forward, decode_egc, decode_single, transmit_b
 use crate::calib::TestbedCalibration;
 use comimo_channel::obstacle::single_relay_room;
 use comimo_dsp::bits::{count_bit_errors, pn_sequence};
+use comimo_sim::map_shards;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the single-relay rig.
@@ -98,7 +99,7 @@ pub fn run(cfg: &SingleRelayConfig, seed: u64) -> SingleRelayResult {
     // one derived stream per experiment, so the experiments can run on the
     // rayon pool without changing the reported rows
     let experiments: Vec<usize> = (0..cfg.n_experiments).collect();
-    let rows = crate::par_map(&experiments, |&e| {
+    let rows = map_shards(&experiments, |_, &e| {
         let mut rng = comimo_math::rng::derive(seed, e as u64);
         let bits = pn_sequence(0x5EED ^ e as u16, cfg.n_bits);
         let mut errs_coop = 0u64;

@@ -24,6 +24,7 @@ use crate::usrp::UsrpFrontEnd;
 use comimo_dsp::frame::FrameCodec;
 use comimo_dsp::gmsk::GmskModem;
 use comimo_math::complex::Complex;
+use comimo_sim::map_shards;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -187,7 +188,7 @@ pub fn run(cfg: &UnderlayImageConfig, amplitudes: &[u32], seed: u64) -> Underlay
             // cooperative and solo transmission, so the packets fan out
             // onto the rayon pool without changing either PER column
             let packets: Vec<usize> = (0..cfg.n_packets).collect();
-            let outcomes = crate::par_map(&packets, |&p| {
+            let outcomes = map_shards(&packets, |_, &p| {
                 let start = (p * cfg.packet_bytes) % image.pixels.len();
                 let end = (start + cfg.packet_bytes).min(image.pixels.len());
                 let payload = &image.pixels[start..end];

@@ -11,20 +11,20 @@
 
 use comimo::channel::geometry::Point;
 use comimo::core::interweave::{run_table1, InterweaveConfig, TransmitPair};
-use comimo::core::pu::PuActivity;
+use comimo::sensing::MarkovOnOff;
 use comimo::testbed::experiments::beam_scan::{self, BeamScanConfig};
 
 fn main() {
     // ---------------- when is the channel even occupied? ----------------
-    let mut rng = comimo::math::rng::seeded(7);
-    let activity = PuActivity::new(2.0, 6.0);
-    let schedule = activity.sample_schedule(&mut rng, 60.0);
-    let busy: f64 = schedule.iter().filter(|s| s.2).map(|s| s.1 - s.0).sum();
+    let activity = MarkovOnOff::new(0.05, 0.15);
+    let slots = activity.sample_states(7, 0, 20_000);
+    let busy = slots.iter().filter(|&&on| on).count() as f64 / slots.len() as f64;
     println!(
-        "primary duty cycle {:.0}% (measured {:.0}% over 60 s) — interweave shares\n\
+        "primary duty cycle {:.0}% (measured {:.0}% over {} slots) — interweave shares\n\
          the band even while the PU is ON, by spatial nulling:\n",
-        activity.duty_cycle() * 100.0,
-        busy / 60.0 * 100.0
+        activity.stationary_on() * 100.0,
+        busy * 100.0,
+        slots.len()
     );
 
     // ---------------- steer a null and sweep the pattern ----------------

@@ -5,8 +5,10 @@
 //! ```
 //!
 //! A secondary cluster faces an environment of licensed channels with
-//! different duty cycles and primary-receiver geometries. The head
-//! senses, then each paradigm makes its move:
+//! different occupancies and primary-receiver geometries. Each channel's
+//! primary follows a slotted Markov ON/OFF chain; the head senses every
+//! slot with the sensing crate's energy detector (16-sample CFAR at 10 %
+//! false alarm), then each paradigm makes its move:
 //!
 //! * classic interweave picks the idlest channel;
 //! * the paper's nulling interweave picks the *geometrically best* PU —
@@ -16,37 +18,36 @@
 
 use comimo::channel::geometry::Point;
 use comimo::core::cluster_beam::{analyze_interweave_link, ClusterBeamformer};
-use comimo::core::pu::{PrimaryPair, PuActivity};
-use comimo::core::spectrum::{SensingConfig, SpectrumMap};
+use comimo::core::pu::PrimaryPair;
 use comimo::core::underlay::{Underlay, UnderlayConfig};
 use comimo::energy::model::EnergyModel;
+use comimo::sensing::select::{occupancy, pick_for_nulling, pick_idlest};
+use comimo::sensing::{MarkovOnOff, SensingRound};
 
 fn main() {
-    let mut rng = comimo::math::rng::seeded(99);
-
     // ---------------- the licensed environment ----------------
     let st_head = Point::origin();
     let sr = Point::new(120.0, 0.0);
-    let pus = vec![
+    let channels = vec![
         (
             PrimaryPair::new(Point::new(-200.0, 50.0), Point::new(160.0, 20.0), 0),
-            PuActivity::new(8.0, 2.0), // 80 % busy, receiver near the Sr line
+            MarkovOnOff::new(0.2, 0.05), // 80 % busy, receiver near the Sr line
         ),
         (
             PrimaryPair::new(Point::new(100.0, 300.0), Point::new(10.0, 170.0), 1),
-            PuActivity::new(5.0, 5.0), // 50 % busy, receiver perpendicular
+            MarkovOnOff::new(0.1, 0.1), // 50 % busy, receiver perpendicular
         ),
         (
             PrimaryPair::new(Point::new(-300.0, -300.0), Point::new(-80.0, -60.0), 2),
-            PuActivity::new(1.0, 9.0), // 10 % busy
+            MarkovOnOff::new(0.02, 0.18), // 10 % busy
         ),
     ];
-    let cfg = SensingConfig::typical();
-    let map = SpectrumMap::sense(&mut rng, &pus, &cfg);
-    let est = map
-        .estimate_occupancy(&mut rng, &cfg)
-        .expect("typical sensing config is valid");
-    println!("sensed occupancy:");
+    let pus: Vec<PrimaryPair> = channels.iter().map(|(pu, _)| *pu).collect();
+    // primaries arrive 20 dB above the noise at the head
+    let n_slots = 2_000;
+    let est = occupancy(&SensingRound::paper(100.0), &channels, 99, n_slots)
+        .expect("paper sensing round is valid");
+    println!("sensed occupancy over {n_slots} slots:");
     for e in &est {
         println!(
             "  channel {}: busy {:5.1}% (true duty {:4.0}%)",
@@ -56,10 +57,8 @@ fn main() {
         );
     }
 
-    let idle_pick = map.pick_idlest(&est).expect("environment has channels");
-    let null_pick = map
-        .pick_for_nulling(st_head, sr)
-        .expect("environment has channels");
+    let idle_pick = pick_idlest(&est).expect("environment has channels");
+    let null_pick = pick_for_nulling(&pus, st_head, sr).expect("environment has channels");
     println!("\nclassic interweave picks channel {idle_pick} (the idlest)");
     println!("nulling interweave picks channel {null_pick} (best geometry, busy is fine)\n");
 
@@ -72,7 +71,7 @@ fn main() {
         Point::new(3.0, w / 2.0),
     ];
     let bf = ClusterBeamformer::pair_up(&cluster_nodes, w);
-    let target_pr = map.channels()[null_pick].pu.rx;
+    let target_pr = pus[null_pick].rx;
     let asg = bf.steer(target_pr);
     println!(
         "4-node cluster -> {} virtual antennas; field at the protected Pr: {:.2e}",
@@ -105,11 +104,11 @@ fn main() {
     let a = u.analyze(st_head.distance(sr));
     let pl = comimo::channel::pathloss::SquareLawLongHaul::paper_defaults();
     println!("underlay alternative (2x3 hop over the same distance):");
-    for ch in map.channels() {
-        let d = st_head.distance(ch.pu.rx);
+    for pu in &pus {
+        let d = st_head.distance(pu.rx);
         println!(
             "  margin below noise floor at channel {}'s Pr ({:>3.0} m away): {:+.1} dB",
-            ch.pu.channel,
+            pu.channel,
             d,
             u.noise_floor_margin_db(&a, &pl, d)
         );
