@@ -28,6 +28,7 @@
 
 use crate::checkpoint::{self, Checkpoint, LoadError, Quarantined};
 use comimo_faults::CampaignFaultPlan;
+use comimo_sim::map_shards;
 use comimo_stbc::sim::BerResult;
 use std::any::Any;
 use std::cell::Cell;
@@ -235,24 +236,6 @@ fn backoff(base: Duration, cap: Duration, k: u32) -> Duration {
         .min(cap)
 }
 
-/// Maps `f` over `items` on the rayon pool when compiled with the
-/// `parallel` feature and `serial` is false; in order, serially,
-/// otherwise. Output order always matches input order.
-fn par_map<T, R, F>(items: &[T], serial: bool, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Send + Sync,
-{
-    #[cfg(feature = "parallel")]
-    if !serial {
-        use rayon::prelude::*;
-        return items.par_iter().map(f).collect();
-    }
-    let _ = serial;
-    items.iter().map(f).collect()
-}
-
 /// Outcome of supervising one shard.
 struct ShardOutcome {
     label: u64,
@@ -371,7 +354,12 @@ where
             stopped = true;
             break;
         }
-        for o in par_map(chunk, cfg.serial, run_one) {
+        let outcomes = if cfg.serial {
+            chunk.iter().map(&run_one).collect()
+        } else {
+            map_shards(chunk, |_, label| run_one(label))
+        };
+        for o in outcomes {
             match o.result {
                 Some(r) => {
                     state.mark_done_multi(o.label, &r);
@@ -584,14 +572,14 @@ where
 {
     assert!(cfg.max_attempts >= 1, "max_attempts must be at least 1");
     install_quiet_hook();
-    let indexed: Vec<usize> = (0..items.len()).collect();
-    par_map(&indexed, false, |&i| {
+    map_shards(items, |i, item| {
+        let i = i as usize;
         let mut last_message = String::new();
         for attempt in 0..cfg.max_attempts {
             if attempt > 0 {
                 std::thread::sleep(backoff(cfg.backoff_base, cfg.backoff_cap, attempt));
             }
-            match quiet_catch(|| f(i, &items[i])) {
+            match quiet_catch(|| f(i, item)) {
                 Ok(r) => return Ok(r),
                 Err(payload) => last_message = panic_message(payload.as_ref()),
             }

@@ -16,6 +16,7 @@ use crate::shrink::ddmin;
 use crate::world::{ChaosConfig, ChaosWorld};
 use comimo_faults::{build_schedule, FaultConfig, FaultEvent};
 use comimo_math::rng::derive;
+use comimo_sim::map_shards;
 use rand::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -200,7 +201,11 @@ fn explore_one(cfg: &ExploreConfig, run: u64) -> RunOutcome {
 /// count.
 pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
     let runs: Vec<u64> = (cfg.start_run..cfg.start_run + cfg.runs).collect();
-    let outcomes = crate::par_map(&runs, cfg.serial, |&run| explore_one(cfg, run));
+    let outcomes = if cfg.serial {
+        runs.iter().map(|&run| explore_one(cfg, run)).collect()
+    } else {
+        map_shards(&runs, |_, &run| explore_one(cfg, run))
+    };
 
     let mut report = ExploreReport {
         runs: cfg.runs,

@@ -495,7 +495,7 @@ impl Invariant for EventqTime {
         "discrete-event engine contract (deterministic CSMA/CA substrate, Sec. 2.1)"
     }
     fn guards(&self) -> &'static str {
-        "comimo-sim EventQueue::run_with_probe pop ordering"
+        "comimo-sim ShardedEventQueue::pop ordering"
     }
     fn bound_text(&self) -> String {
         "event pops never move the clock backwards".into()

@@ -49,8 +49,7 @@ use comimo_sensing::{
     run_round_byz, ReportSummary, ReputationConfig, ReputationTracker, ReputationView,
     RoundOutcome, RuleUsed, SensingRound,
 };
-use comimo_sim::engine::{EventQueue, StepProbe};
-use comimo_sim::time::SimTime;
+use comimo_sim::{ShardedEventQueue, SimTime};
 use comimo_stbc::sim::BerResult;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -186,25 +185,6 @@ pub struct ChaosOutcome {
     pub recruit_abandoned: usize,
 }
 
-/// The [`StepProbe`] feeding every event pop to the registry.
-struct RegistryProbe<'a> {
-    reg: &'a InvariantRegistry,
-    violations: Vec<Violation>,
-    checks: u64,
-}
-
-impl StepProbe for RegistryProbe<'_> {
-    fn on_event(&mut self, prev: SimTime, now: SimTime) {
-        self.checks += self.reg.check(
-            &Observation::EventPop {
-                prev_ns: prev.as_nanos(),
-                now_ns: now.as_nanos(),
-            },
-            &mut self.violations,
-        );
-    }
-}
-
 /// The config-derived state of the chaos world: the degradation ladders,
 /// null-steering geometry and energy analyses every run consults. These
 /// are *expensive* (each ladder rung runs a constellation optimisation)
@@ -316,21 +296,26 @@ fn run_in_world(
     serial: bool,
 ) -> ChaosOutcome {
     let cfg = &world.cfg;
-    let mut probe = RegistryProbe {
-        reg,
-        violations: Vec::new(),
-        checks: 0,
-    };
 
     // ---- stage A: replay the schedule through the event queue --------
-    // every pop runs the time-monotonicity invariant via the probe
-    let mut q: EventQueue<FaultKind> = EventQueue::new();
+    // every pop runs the time-monotonicity invariant
+    let mut violations = Vec::new();
+    let mut checks = 0;
+    let mut q: ShardedEventQueue<FaultKind> = ShardedEventQueue::new(1);
     for ev in events {
-        q.schedule_at(ev.at, ev.kind);
+        q.schedule_at(0, ev.at, 0, ev.kind);
     }
-    q.run_with_probe(usize::MAX, &mut probe, |_, _, _| true);
-    let mut violations = probe.violations;
-    let mut checks = probe.checks;
+    loop {
+        let prev = q.now();
+        let Some((key, _)) = q.pop() else { break };
+        checks += reg.check(
+            &Observation::EventPop {
+                prev_ns: prev.as_nanos(),
+                now_ns: key.at.as_nanos(),
+            },
+            &mut violations,
+        );
+    }
 
     // ---- stage B: slotted paradigm campaigns -------------------------
     let tl = Timeline::from_schedule(events);

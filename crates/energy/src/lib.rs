@@ -17,9 +17,9 @@
 //!
 //! The "Preprocessing" step of the paper's Algorithms 1 and 2 ("Calculate
 //! the value of ē_b ... Load the table ... in each SU node") is
-//! [`table::EbTable`], a rayon-parallel precomputed, serde-serialisable
-//! table; the per-link "determine constellation size b which minimizes ē_b"
-//! step is [`optimize`].
+//! [`table::EbTable`], a precomputed, serde-serialisable table fanned out
+//! over `comimo_sim::map_shards`; the per-link "determine constellation
+//! size b which minimizes ē_b" step is [`optimize`].
 //!
 //! ### Unit anchor
 //!

@@ -4,12 +4,13 @@
 //! > of p, b, mt, and mr. Load the table of ē_b(p, b, mt, mr) in each SU
 //! > node."  — Algorithms 1 and 2
 //!
-//! The table is built in parallel with rayon (the sweep is embarrassingly
-//! parallel: one independent root-solve per cell) and serialises with
-//! serde so nodes can "load" it, exactly as the paper prescribes.
+//! The table is built with [`comimo_sim::map_shards`] (the sweep is
+//! embarrassingly parallel: one independent root-solve per cell, fanned
+//! out on the rayon pool whenever the build enables `comimo-sim/parallel`)
+//! and serialises with serde so nodes can "load" it, exactly as the paper
+//! prescribes.
 
 use crate::ebar::EbarSolver;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Inclusive antenna range covered by the table (the paper sweeps 1..=4).
@@ -29,7 +30,7 @@ pub struct EbTable {
 impl EbTable {
     /// Builds the table for the given BER grid with the supplied solver,
     /// sweeping `b ∈ 1..=16`, `mt, mr ∈ 1..=4` (1344 cells for a 6-point
-    /// BER grid), in parallel.
+    /// BER grid), cell by cell through [`comimo_sim::map_shards`].
     pub fn build(solver: &EbarSolver, bers: &[f64]) -> Self {
         assert!(!bers.is_empty(), "BER grid cannot be empty");
         for &p in bers {
@@ -45,10 +46,9 @@ impl EbTable {
                 })
             })
             .collect();
-        let values: Vec<f64> = cells
-            .par_iter()
-            .map(|&(pi, b, mt, mr)| solver.solve(bers[pi], b, mt, mr))
-            .collect();
+        let values = comimo_sim::map_shards(&cells, |_, &(pi, b, mt, mr)| {
+            solver.solve(bers[pi], b, mt, mr)
+        });
         Self {
             bers: bers.to_vec(),
             values,

@@ -5,8 +5,7 @@
 //! text form that CI diffs across thread counts and feature configs.
 
 use crate::model::{FaultEvent, FaultKind};
-use comimo_sim::engine::EventQueue;
-use comimo_sim::time::SimTime;
+use comimo_sim::{ShardedEventQueue, SimTime};
 use serde::Serialize;
 
 /// One fault and the degradation action taken in response.
@@ -53,24 +52,24 @@ impl FaultTrace {
     }
 }
 
-/// Loads `schedule` into an [`EventQueue`] and pops it in order, calling
-/// `handler` for each fault. The handler returns the action string
-/// recorded in the trace — scenarios put their degradation decision
-/// there ("re-weighted MISO to 2 survivors", "muted: no admissible
-/// rung", ...).
+/// Loads `schedule` into a one-shard [`ShardedEventQueue`] and pops it in
+/// `(time, schedule order)`, calling `handler` for each fault. The
+/// handler returns the action string recorded in the trace — scenarios
+/// put their degradation decision there ("re-weighted MISO to 2
+/// survivors", "muted: no admissible rung", ...).
 pub fn inject_all(
     schedule: &[FaultEvent],
     mut handler: impl FnMut(SimTime, &FaultKind) -> String,
 ) -> FaultTrace {
-    let mut q: EventQueue<FaultKind> = EventQueue::new();
+    let mut q: ShardedEventQueue<FaultKind> = ShardedEventQueue::new(1);
     for ev in schedule {
-        q.schedule_at(ev.at, ev.kind);
+        q.schedule_at(0, ev.at, 0, ev.kind);
     }
     let mut trace = FaultTrace::default();
-    while let Some((now, kind)) = q.pop() {
-        let action = handler(now, &kind);
+    while let Some((key, kind)) = q.pop() {
+        let action = handler(key.at, &kind);
         trace.entries.push(TraceEntry {
-            at_ns: now.as_nanos(),
+            at_ns: key.at.as_nanos(),
             fault: kind.label().to_string(),
             unit: kind.unit(),
             action,

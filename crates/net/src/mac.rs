@@ -14,7 +14,7 @@
 //! changes the qualitative contention behaviour the network layer needs.
 
 use comimo_math::rng::SeededRng;
-use comimo_sim::{EventQueue, Medium, SimTime, TxId};
+use comimo_sim::{Medium, ShardedEventQueue, SimTime, TxId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -149,7 +149,8 @@ struct NodeState {
 pub struct CsmaSim {
     cfg: MacConfig,
     medium: Medium,
-    events: EventQueue<Ev>,
+    /// One shard, unit 0: pops in `(time, schedule order)`.
+    events: ShardedEventQueue<Ev>,
     nodes: Vec<NodeState>,
     rng: SeededRng,
     stats: MacStats,
@@ -170,7 +171,7 @@ impl CsmaSim {
         Self {
             cfg,
             medium: Medium::new(adjacency),
-            events: EventQueue::new(),
+            events: ShardedEventQueue::new(1),
             nodes,
             rng: comimo_math::rng::seeded(seed),
             stats: MacStats::default(),
@@ -195,8 +196,8 @@ impl CsmaSim {
     pub fn offer(&mut self, frame: MacFrame, at: SimTime) {
         assert!(frame.src < self.nodes.len() && frame.dst < self.nodes.len());
         assert!(frame.src != frame.dst, "frame to self");
-        self.events
-            .schedule_at(at.max(self.events.now()), Ev::Arrive { frame });
+        let at = at.max(self.events.now());
+        self.events.schedule_at(0, at, 0, Ev::Arrive { frame });
     }
 
     fn schedule_backoff_at(&mut self, node: usize, at: SimTime) {
@@ -208,7 +209,7 @@ impl CsmaSim {
         let delay = self.cfg.difs + SimTime::from_nanos(self.cfg.slot.as_nanos() * slots);
         let fire = at.max(self.events.now()) + delay;
         self.nodes[node].backoff_pending = true;
-        self.events.schedule_at(fire, Ev::Sense { node });
+        self.events.schedule_at(0, fire, 0, Ev::Sense { node });
     }
 
     fn schedule_backoff(&mut self, node: usize) {
@@ -220,9 +221,10 @@ impl CsmaSim {
     pub fn run(mut self, max_events: usize) -> MacStats {
         let mut fired = 0usize;
         while fired < max_events {
-            let Some((now, ev)) = self.events.pop() else {
+            let Some((key, ev)) = self.events.pop() else {
                 break;
             };
+            let now = key.at;
             fired += 1;
             match ev {
                 Ev::Arrive { frame } => {
@@ -238,7 +240,7 @@ impl CsmaSim {
                     if let Some(nav) = self.nodes[node].nav_until {
                         if nav > now {
                             self.nodes[node].backoff_pending = true;
-                            self.events.schedule_at(nav, Ev::Sense { node });
+                            self.events.schedule_at(0, nav, 0, Ev::Sense { node });
                             continue;
                         }
                         self.nodes[node].nav_until = None;
@@ -253,13 +255,13 @@ impl CsmaSim {
                         let end = now + self.cfg.control_duration;
                         let tx = self.medium.begin(node, now, end);
                         self.nodes[node].in_flight = true;
-                        self.events.schedule_at(end, Ev::RtsEnd { node, tx });
+                        self.events.schedule_at(0, end, 0, Ev::RtsEnd { node, tx });
                     } else {
                         let end = now + self.cfg.frame_duration;
                         let tx = self.medium.begin(node, now, end);
                         self.nodes[node].in_flight = true;
                         self.stats.attempts += 1;
-                        self.events.schedule_at(end, Ev::TxEnd { node, tx });
+                        self.events.schedule_at(0, end, 0, Ev::TxEnd { node, tx });
                     }
                 }
                 Ev::RtsEnd { node, tx } => {
@@ -286,7 +288,7 @@ impl CsmaSim {
                         let data_tx = self.medium.begin(node, now, data_end);
                         self.stats.attempts += 1;
                         self.events
-                            .schedule_at(data_end, Ev::TxEnd { node, tx: data_tx });
+                            .schedule_at(0, data_end, 0, Ev::TxEnd { node, tx: data_tx });
                     } else {
                         // RTS lost — a cheap collision
                         self.stats.rts_collisions += 1;

@@ -23,8 +23,7 @@
 use crate::cluster::ClusterError;
 use crate::graph::SuGraph;
 use comimo_math::rng::{derive, SeededRng};
-use comimo_sim::engine::EventQueue;
-use comimo_sim::time::SimTime;
+use comimo_sim::{ShardedEventQueue, SimTime};
 use rand::Rng;
 
 /// Salt separating recruitment loss streams from every other consumer of
@@ -187,11 +186,14 @@ pub fn run_recruitment_excluding(
         })
         .collect();
 
-    let mut q: EventQueue<Ev> = EventQueue::new();
+    // one shard, unit 0: events pop in (time, schedule order)
+    let mut q: ShardedEventQueue<Ev> = ShardedEventQueue::new(1);
     for (m, _, state) in &streams {
         if matches!(state, TargetState::Pending { .. }) {
             q.schedule_at(
+                0,
                 SimTime::ZERO,
+                0,
                 Ev::SendInvite {
                     target: *m,
                     attempt: 0,
@@ -200,14 +202,15 @@ pub fn run_recruitment_excluding(
         }
     }
     if let Some(at) = cfg.head_death_at {
-        q.schedule_at(at, Ev::HeadDies);
+        q.schedule_at(0, at, 0, Ev::HeadDies);
     }
 
     let idx_of = |streams: &[(usize, SeededRng, TargetState)], t: usize| {
         streams.iter().position(|(m, _, _)| *m == t)
     };
 
-    while let Some((now, ev)) = q.pop() {
+    while let Some((key, ev)) = q.pop() {
+        let now = key.at;
         match ev {
             Ev::SendInvite { target, attempt } => {
                 let Some(i) = idx_of(&streams, target) else {
@@ -220,9 +223,14 @@ pub fn run_recruitment_excluding(
                 let invite_lost = streams[i].1.gen_bool(cfg.loss_prob);
                 let ack_lost = streams[i].1.gen_bool(cfg.loss_prob);
                 if !invite_lost && !ack_lost {
-                    q.schedule_in(cfg.rtt, Ev::AckArrived { target });
+                    q.schedule_at(0, now + cfg.rtt, 0, Ev::AckArrived { target });
                 }
-                q.schedule_in(cfg.invite_timeout, Ev::InviteTimeout { target, attempt });
+                q.schedule_at(
+                    0,
+                    now + cfg.invite_timeout,
+                    0,
+                    Ev::InviteTimeout { target, attempt },
+                );
             }
             Ev::AckArrived { target } => {
                 let Some(i) = idx_of(&streams, target) else {
@@ -246,8 +254,10 @@ pub fn run_recruitment_excluding(
                 } else {
                     let next = attempt + 1;
                     streams[i].2 = TargetState::Pending { attempt: next };
-                    q.schedule_in(
-                        backoff_delay(cfg.backoff_base, attempt),
+                    q.schedule_at(
+                        0,
+                        now + backoff_delay(cfg.backoff_base, attempt),
+                        0,
                         Ev::SendInvite {
                             target,
                             attempt: next,
@@ -271,8 +281,10 @@ pub fn run_recruitment_excluding(
                     }
                     if let TargetState::Pending { .. } = state {
                         *state = TargetState::Pending { attempt: 0 };
-                        q.schedule_in(
-                            cfg.backoff_base,
+                        q.schedule_at(
+                            0,
+                            now + cfg.backoff_base,
+                            0,
                             Ev::SendInvite {
                                 target: *m,
                                 attempt: 0,

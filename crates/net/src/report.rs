@@ -237,7 +237,7 @@ pub fn try_collect_reports<P: Copy>(
 mod tests {
     use super::*;
     use comimo_math::rng::SeededRng;
-    use comimo_sim::engine::EventQueue;
+    use comimo_sim::ShardedEventQueue;
 
     #[derive(Debug)]
     enum Ev {
@@ -281,10 +281,12 @@ mod tests {
         let mut stale = 0u64;
         let mut completed_at = SimTime::ZERO;
 
-        let mut q: EventQueue<Ev> = EventQueue::new();
+        let mut q: ShardedEventQueue<Ev> = ShardedEventQueue::new(1);
         for (i, r) in reporters.iter().enumerate() {
             q.schedule_at(
+                0,
                 r.extra_delay,
+                0,
                 Ev::SendReport {
                     reporter: i,
                     attempt: 0,
@@ -294,7 +296,8 @@ mod tests {
 
         let dead_at = |r: &Reporter<P>, t: SimTime| r.dies_at.is_some_and(|d| t >= d);
 
-        while let Some((now, ev)) = q.pop() {
+        while let Some((key, ev)) = q.pop() {
+            let now = key.at;
             match ev {
                 Ev::SendReport { reporter, attempt } => {
                     if streams[reporter].1 != (SenderState::Pending { attempt }) {
@@ -308,12 +311,17 @@ mod tests {
                     let report_lost = streams[reporter].0.gen_bool(cfg.loss_prob);
                     let ack_lost = streams[reporter].0.gen_bool(cfg.loss_prob);
                     if !report_lost {
-                        q.schedule_in(cfg.rtt, Ev::ReportArrived { reporter });
+                        q.schedule_at(0, now + cfg.rtt, 0, Ev::ReportArrived { reporter });
                         if !ack_lost {
-                            q.schedule_in(cfg.rtt, Ev::AckArrived { reporter });
+                            q.schedule_at(0, now + cfg.rtt, 0, Ev::AckArrived { reporter });
                         }
                     }
-                    q.schedule_in(cfg.report_timeout, Ev::ReportTimeout { reporter, attempt });
+                    q.schedule_at(
+                        0,
+                        now + cfg.report_timeout,
+                        0,
+                        Ev::ReportTimeout { reporter, attempt },
+                    );
                 }
                 Ev::ReportArrived { reporter } => {
                     if now > cfg.deadline {
@@ -341,8 +349,10 @@ mod tests {
                     } else {
                         let next = attempt + 1;
                         streams[reporter].1 = SenderState::Pending { attempt: next };
-                        q.schedule_in(
-                            backoff_delay(cfg.backoff_base, attempt),
+                        q.schedule_at(
+                            0,
+                            now + backoff_delay(cfg.backoff_base, attempt),
+                            0,
                             Ev::SendReport {
                                 reporter,
                                 attempt: next,

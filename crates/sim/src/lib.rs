@@ -8,23 +8,23 @@
 //!
 //! * [`time::SimTime`] — integer nanoseconds, total ordering, no float
 //!   drift;
-//! * [`engine::EventQueue`] — a binary-heap scheduler with deterministic
-//!   FIFO tie-breaking and lazy cancellation;
+//! * [`sharded::ShardedEventQueue`] — the one scheduler: a queue sharded
+//!   by spatial region with a canonical `(time, shard, unit, seq)` pop
+//!   order. With one shard and unit 0 it pops in `(time, schedule
+//!   order)`, which is how the MAC, recruitment, fault injection and the
+//!   chaos replay run; the million-SU topology engine spreads it over
+//!   regions and drains slots serially or on the rayon pool;
+//! * [`sharded::map_shards`] — the one order-stable fan-out, on the rayon
+//!   pool under the `parallel` feature and serial otherwise;
 //! * [`medium::Medium`] — a shared broadcast medium over an arbitrary
 //!   adjacency relation with carrier sensing and collision detection
 //!   (two overlapping transmissions audible at the same receiver destroy
-//!   each other there);
-//! * [`sharded::ShardedEventQueue`] — the million-SU scheduler: the
-//!   queue sharded by spatial region with a canonical
-//!   `(time, shard, unit, seq)` cross-shard order, bit-identical whether
-//!   slots drain serially or on the rayon pool (`parallel` feature).
+//!   each other there).
 
-pub mod engine;
 pub mod medium;
 pub mod sharded;
 pub mod time;
 
-pub use engine::{EventId, EventQueue, StepProbe};
 pub use medium::{Medium, TxId, TxOutcome, UnknownTxId};
 pub use sharded::{map_shards, ShardKey, ShardedEventQueue};
 pub use time::SimTime;

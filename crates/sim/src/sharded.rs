@@ -1,9 +1,5 @@
-//! Region-sharded event queue with deterministic cross-shard ordering.
-//!
-//! The single [`crate::EventQueue`] orders events by `(time, seq)` under
-//! one global sequence counter — correct, but a serialization point: at a
-//! million SUs the scheduler itself becomes the bottleneck, and nothing
-//! about it can run on more than one thread.
+//! Region-sharded event queue with deterministic cross-shard ordering:
+//! the workspace's one discrete-event scheduler.
 //!
 //! [`ShardedEventQueue`] splits the queue by spatial region (the caller
 //! picks the shard map — `netperf` uses a coarse grid over the field) and
@@ -21,6 +17,12 @@
 //! `derive(seed, unit)` discipline to `derive(seed, shard)`: each shard
 //! owns an independent RNG stream and a private seq counter, and the
 //! merge is deterministic by construction.
+//!
+//! With one shard and a constant unit the order collapses to `(time,
+//! seq)`: same-instant events pop in schedule (FIFO) order, including
+//! events scheduled at `now()` while the drain is running. The CSMA/CA
+//! MAC, cluster recruitment, fault injection and the chaos replay all
+//! run on that one-shard form.
 //!
 //! Parallelism happens at slot granularity: [`ShardedEventQueue::drain_up_to`]
 //! pops everything due in the slot grouped per shard (each group already
@@ -209,11 +211,12 @@ impl<E> ShardedEventQueue<E> {
 
 /// Maps `f` over per-shard work items, on the rayon pool in `parallel`
 /// builds, serially otherwise. Outputs come back **in shard order**
-/// either way, so the fold downstream is schedule-independent — the same
-/// order-stable contract as `comimo_chaos::par_map`. It is the
+/// either way, so the fold downstream is schedule-independent. It is the
 /// workspace's one order-stable fan-out: the Table-1 trials, fault
-/// schedules and testbed experiments map over it too, so callers must
-/// derive any randomness per item (never thread one stream through).
+/// schedules, testbed experiments, STBC Monte-Carlo shards, the `ē_b`
+/// table, campaign chunks and chaos runs map over it too, so callers
+/// must derive any randomness per item (never thread one stream
+/// through).
 pub fn map_shards<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -328,6 +331,27 @@ mod tests {
         q.schedule_at(0, ns(2), 0, 4);
         let g = q.drain_up_to(ns(2));
         assert_eq!(g[0].iter().map(|&(_, e)| e).collect::<Vec<_>>(), vec![3, 4]);
+    }
+
+    #[test]
+    fn one_shard_reschedule_at_now_pops_after_queued_ties() {
+        // the one-shard FIFO contract the MAC and recruitment rely on: an
+        // event scheduled at `now()` mid-drain queues behind the
+        // same-instant events already waiting
+        let mut q = ShardedEventQueue::new(1);
+        q.schedule_at(0, ns(1), 0, "first");
+        q.schedule_at(0, ns(1), 0, "second");
+        q.schedule_at(0, ns(2), 0, "later");
+        let mut order = Vec::new();
+        while let Some((key, e)) = q.pop() {
+            order.push(e);
+            if e == "first" {
+                q.schedule_at(0, q.now(), 0, "rescheduled");
+            }
+            assert_eq!(key.at, q.now());
+        }
+        assert_eq!(order, vec!["first", "second", "rescheduled", "later"]);
+        assert_eq!(q.now(), ns(2));
     }
 
     #[test]

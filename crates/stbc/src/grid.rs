@@ -818,8 +818,9 @@ pub fn simulate_ber_grid(
     total
 }
 
-/// Deterministic parallel grid simulation: [`shard_plan`] shards on the
-/// rayon pool (serial without the `parallel` feature), one derived stream
+/// Deterministic parallel grid simulation: [`shard_plan`] shards fanned
+/// out by [`comimo_sim::map_shards`] (serial without the `parallel`
+/// feature), one derived stream
 /// and one [`GridWorkspace`] per shard, counts merged per grid point.
 /// Bit-identical to [`simulate_ber_grid`] at any thread count.
 pub fn simulate_ber_grid_par(
@@ -830,20 +831,13 @@ pub fn simulate_ber_grid_par(
     n_blocks: usize,
 ) -> Vec<BerResult> {
     let shards: Vec<(u64, usize)> = shard_plan(n_blocks).collect();
-    let run = |&(label, blocks): &(u64, usize)| {
+    let parts = comimo_sim::map_shards(&shards, |_, &(label, blocks)| {
         let mut rng = comimo_math::rng::derive(seed, label);
         let mut ws = GridWorkspace::new(code, points, mr);
         let mut out = vec![BerResult { bits: 0, errors: 0 }; points.len()];
         ws.simulate_into(&mut rng, blocks, &mut out);
         out
-    };
-    #[cfg(feature = "parallel")]
-    let parts: Vec<Vec<BerResult>> = {
-        use rayon::prelude::*;
-        shards.par_iter().map(run).collect()
-    };
-    #[cfg(not(feature = "parallel"))]
-    let parts: Vec<Vec<BerResult>> = shards.iter().map(run).collect();
+    });
     let mut total = vec![BerResult { bits: 0, errors: 0 }; points.len()];
     for part in parts {
         for (acc, p) in total.iter_mut().zip(&part) {

@@ -302,24 +302,16 @@ pub fn simulate_ber_par(
     n_blocks: usize,
 ) -> BerResult {
     let shards: Vec<(u64, usize)> = shard_plan(n_blocks).collect();
-    let run = |&(label, blocks): &(u64, usize)| {
+    comimo_sim::map_shards(&shards, |_, &(label, blocks)| {
         let mut rng = comimo_math::rng::derive(seed, label);
         let mut ws = crate::batch::BatchWorkspace::new(code, constellation, mr);
         ws.simulate(&mut rng, es, n0, blocks)
-    };
-    #[cfg(feature = "parallel")]
-    let parts: Vec<BerResult> = {
-        use rayon::prelude::*;
-        shards.par_iter().map(run).collect()
-    };
-    #[cfg(not(feature = "parallel"))]
-    let parts: Vec<BerResult> = shards.iter().map(run).collect();
-    parts
-        .into_iter()
-        .fold(BerResult { bits: 0, errors: 0 }, |acc, p| BerResult {
-            bits: acc.bits + p.bits,
-            errors: acc.errors + p.errors,
-        })
+    })
+    .into_iter()
+    .fold(BerResult { bits: 0, errors: 0 }, |acc, p| BerResult {
+        bits: acc.bits + p.bits,
+        errors: acc.errors + p.errors,
+    })
 }
 
 /// Closed-form BER of BPSK with `L`-branch maximum-ratio combining over

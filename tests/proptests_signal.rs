@@ -6,7 +6,7 @@ use comimo::dsp::frame::FrameCodec;
 use comimo::dsp::gmsk::GmskModem;
 use comimo::dsp::modem::{Bpsk, Modem, Psk8, Qam16, Qpsk};
 use comimo::math::complex::Complex;
-use comimo::sim::{EventQueue, SimTime};
+use comimo::sim::{ShardedEventQueue, SimTime};
 use comimo::stbc::design::{Ostbc, StbcKind};
 use proptest::prelude::*;
 
@@ -115,17 +115,18 @@ proptest! {
         }
     }
 
-    /// The event queue pops in nondecreasing time order with FIFO ties,
-    /// regardless of insertion order.
+    /// The one-shard event queue (the MAC's, recruitment's and the fault
+    /// injector's scheduler) pops in nondecreasing time order with FIFO
+    /// ties, regardless of insertion order.
     #[test]
     fn prop_event_queue_total_order(times in proptest::collection::vec(0u64..1000, 1..64)) {
-        let mut q = EventQueue::new();
+        let mut q = ShardedEventQueue::new(1);
         for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(SimTime::from_nanos(t), i);
+            q.schedule_at(0, SimTime::from_nanos(t), 0, i);
         }
         let mut popped: Vec<(SimTime, usize)> = Vec::new();
-        while let Some(x) = q.pop() {
-            popped.push(x);
+        while let Some((key, i)) = q.pop() {
+            popped.push((key.at, i));
         }
         prop_assert_eq!(popped.len(), times.len());
         for w in popped.windows(2) {
