@@ -31,12 +31,14 @@
 //!
 //! 1. the batch(scalar-tier)/scalar speedup against [`GATE_FRACTION`]
 //!    of the last committed entry (ratio-based, hardware-independent);
-//! 2. the simd/scalar speedup likewise (skipped with a note when the
-//!    last committed entry predates the field);
+//! 2. the simd/scalar speedup likewise;
 //! 3. the grid/scalar speedup against the **absolute floor**
 //!    [`GRID_GATE_FLOOR`] — the CRN grid engine must stay an
 //!    order-of-magnitude win over the per-block oracle on a single
 //!    thread, on any hardware.
+//!
+//! A last committed entry without one of the two baselines fails the
+//! gate.
 //!
 //! The lines starting with `counts` on stdout are a pure function of
 //! `(seed, n_blocks)` — CI diffs them across thread counts to prove
@@ -352,71 +354,26 @@ fn main() {
     perf::append_entry(path, entries, entry.to_value());
 
     if gate {
-        let mut failed = false;
-        // 1. portable-baseline ratio vs committed history
-        match baseline_batch {
-            Some(base) => {
-                let floor = GATE_FRACTION * base;
-                if speedup_batch < floor {
-                    eprintln!(
-                        "PERF GATE FAILED: batch/scalar speedup {speedup_batch:.2}x fell below \
-                         {floor:.2}x ({:.0}% of committed baseline {base:.2}x)",
-                        GATE_FRACTION * 100.0
-                    );
-                    failed = true;
-                } else {
-                    println!(
-                        "perf gate OK: batch/scalar speedup {speedup_batch:.2}x >= {floor:.2}x \
-                         ({:.0}% of committed baseline {base:.2}x)",
-                        GATE_FRACTION * 100.0
-                    );
-                }
-            }
-            None => {
-                eprintln!("PERF GATE FAILED: no committed baseline entry in {path}");
-                failed = true;
-            }
-        }
-        // 2. native-dispatch ratio vs committed history (entries from
-        //    before the simd engine existed carry no baseline — noted,
-        //    not failed, so the first simd entry can land)
-        match baseline_simd {
-            Some(base) => {
-                let floor = GATE_FRACTION * base;
-                if speedup_simd < floor {
-                    eprintln!(
-                        "PERF GATE FAILED: simd/scalar speedup {speedup_simd:.2}x fell below \
-                         {floor:.2}x ({:.0}% of committed baseline {base:.2}x)",
-                        GATE_FRACTION * 100.0
-                    );
-                    failed = true;
-                } else {
-                    println!(
-                        "perf gate OK: simd/scalar speedup {speedup_simd:.2}x >= {floor:.2}x \
-                         ({:.0}% of committed baseline {base:.2}x)",
-                        GATE_FRACTION * 100.0
-                    );
-                }
-            }
-            None => println!(
-                "perf gate note: last committed entry has no simd baseline; \
-                 absolute grid floor still applies"
-            ),
-        }
-        // 3. absolute order-of-magnitude floor on the CRN grid engine
-        if speedup_grid < GRID_GATE_FLOOR {
-            eprintln!(
-                "PERF GATE FAILED: grid/scalar speedup {speedup_grid:.2}x fell below the \
-                 absolute floor {GRID_GATE_FLOOR:.0}x"
-            );
-            failed = true;
-        } else {
-            println!(
-                "perf gate OK: grid/scalar speedup {speedup_grid:.2}x >= absolute floor \
-                 {GRID_GATE_FLOOR:.0}x"
-            );
-        }
-        if failed {
+        let relative = |name, measured, baseline| perf::Gate {
+            name,
+            measured,
+            floor: perf::Floor::Relative {
+                fraction: GATE_FRACTION,
+                baseline,
+            },
+        };
+        let gates = [
+            // portable-baseline and native-dispatch ratios vs committed history
+            relative("batch/scalar speedup", speedup_batch, baseline_batch),
+            relative("simd/scalar speedup", speedup_simd, baseline_simd),
+            // absolute order-of-magnitude floor on the CRN grid engine
+            perf::Gate {
+                name: "grid/scalar speedup",
+                measured: speedup_grid,
+                floor: perf::Floor::Absolute(GRID_GATE_FLOOR),
+            },
+        ];
+        if !perf::run_gates(&gates) {
             std::process::exit(1);
         }
     }

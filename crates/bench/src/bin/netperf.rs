@@ -467,46 +467,25 @@ fn main() {
     perf::append_entry(path, entries, entry.to_value());
 
     if gate {
-        let mut failed = false;
-        let mut check = |name: &str, measured: f64, base: Option<f64>| match base {
-            Some(base) => {
-                let floor = GATE_FRACTION * base;
-                if measured < floor {
-                    eprintln!(
-                        "PERF GATE FAILED: {name} {measured:.0}/s fell below {floor:.0}/s \
-                         ({:.0}% of committed baseline {base:.0}/s)",
-                        GATE_FRACTION * 100.0
-                    );
-                    failed = true;
-                } else {
-                    println!(
-                        "perf gate OK: {name} {measured:.0}/s >= {floor:.0}/s \
-                         ({:.0}% of committed baseline {base:.0}/s)",
-                        GATE_FRACTION * 100.0
-                    );
-                }
-            }
-            None => {
-                eprintln!("PERF GATE FAILED: no committed {name} baseline in {path}");
-                failed = true;
-            }
+        let relative = |name, measured, baseline| perf::Gate {
+            name,
+            measured,
+            floor: perf::Floor::Relative {
+                fraction: GATE_FRACTION,
+                baseline,
+            },
         };
-        check("nodes_per_sec", nodes_per_sec, base_build);
-        check("events_per_sec", events_per_sec, base_events);
-        check("churn_ops_per_sec", churn_ops_per_sec, base_churn);
-        if speedup_rc2 < RC2_GATE_FLOOR {
-            eprintln!(
-                "PERF GATE FAILED: RC-C2/exhaustive speedup {speedup_rc2:.2}x fell below the \
-                 absolute floor {RC2_GATE_FLOOR:.1}x"
-            );
-            failed = true;
-        } else {
-            println!(
-                "perf gate OK: RC-C2/exhaustive speedup {speedup_rc2:.2}x >= absolute floor \
-                 {RC2_GATE_FLOOR:.1}x"
-            );
-        }
-        if failed {
+        let gates = [
+            relative("nodes_per_sec", nodes_per_sec, base_build),
+            relative("events_per_sec", events_per_sec, base_events),
+            relative("churn_ops_per_sec", churn_ops_per_sec, base_churn),
+            perf::Gate {
+                name: "RC-C2/exhaustive speedup",
+                measured: speedup_rc2,
+                floor: perf::Floor::Absolute(RC2_GATE_FLOOR),
+            },
+        ];
+        if !perf::run_gates(&gates) {
             std::process::exit(1);
         }
     }

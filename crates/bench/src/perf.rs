@@ -4,7 +4,8 @@
 //!
 //! A trajectory file is `{"entries": [...]}`, oldest first. A bin reads
 //! it before timing (the last entry is the `--gate` baseline), then
-//! appends its own entry with [`append_entry`].
+//! appends its own entry with [`append_entry`]. `--gate` runs its
+//! [`Gate`]s through [`run_gates`].
 
 use std::time::Instant;
 
@@ -109,6 +110,77 @@ pub fn append_entry(path: &str, mut entries: Vec<Value>, entry: Value) {
     }
 }
 
+/// The floor a `--gate` check holds a measurement to.
+#[derive(Debug, Clone, Copy)]
+pub enum Floor {
+    /// `fraction` of the last committed baseline; a missing baseline
+    /// fails the gate.
+    Relative {
+        /// Share of the baseline the measurement must keep.
+        fraction: f64,
+        /// The committed value, `None` if the trajectory lacks it.
+        baseline: Option<f64>,
+    },
+    /// A fixed floor that holds on any hardware.
+    Absolute(f64),
+}
+
+/// One `--gate` check: `measured` must not fall below `floor`.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// What is measured, e.g. `grid/scalar speedup`.
+    pub name: &'static str,
+    /// This run's value.
+    pub measured: f64,
+    /// The floor it is held to.
+    pub floor: Floor,
+}
+
+impl Gate {
+    /// `Ok` with the pass line, or `Err` with the failure line.
+    pub fn check(&self) -> Result<String, String> {
+        let (name, measured) = (self.name, self.measured);
+        let (floor, why) = match self.floor {
+            Floor::Relative {
+                fraction,
+                baseline: Some(base),
+            } => (
+                fraction * base,
+                format!("{:.0}% of committed baseline {base:.2}", fraction * 100.0),
+            ),
+            Floor::Relative { baseline: None, .. } => {
+                return Err(format!("PERF GATE FAILED: no committed {name} baseline"))
+            }
+            Floor::Absolute(floor) => (floor, "absolute floor".to_string()),
+        };
+        if measured < floor {
+            Err(format!(
+                "PERF GATE FAILED: {name} {measured:.2} fell below {floor:.2} ({why})"
+            ))
+        } else {
+            Ok(format!(
+                "perf gate OK: {name} {measured:.2} >= {floor:.2} ({why})"
+            ))
+        }
+    }
+}
+
+/// Checks every gate, printing passes to stdout and failures to stderr;
+/// returns whether all of them passed.
+pub fn run_gates(gates: &[Gate]) -> bool {
+    let mut passed = true;
+    for gate in gates {
+        match gate.check() {
+            Ok(line) => println!("{line}"),
+            Err(line) => {
+                eprintln!("{line}");
+                passed = false;
+            }
+        }
+    }
+    passed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,5 +227,33 @@ mod tests {
             "another schema restarts the history"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn gates_pass_fail_and_fail_without_a_baseline() {
+        let relative = |measured, baseline| Gate {
+            name: "x",
+            measured,
+            floor: Floor::Relative {
+                fraction: 0.5,
+                baseline,
+            },
+        };
+        assert!(
+            relative(2.0, Some(4.0)).check().is_ok(),
+            "exactly at the floor"
+        );
+        assert!(relative(1.9, Some(4.0)).check().is_err());
+        let missing = relative(100.0, None).check().unwrap_err();
+        assert!(missing.contains("no committed x baseline"), "{missing}");
+        let absolute = |measured| Gate {
+            name: "y",
+            measured,
+            floor: Floor::Absolute(10.0),
+        };
+        assert!(absolute(10.0).check().is_ok());
+        assert!(absolute(9.99).check().is_err());
+        assert!(run_gates(&[relative(3.0, Some(4.0)), absolute(12.0)]));
+        assert!(!run_gates(&[relative(3.0, Some(4.0)), relative(3.0, None)]));
     }
 }

@@ -18,11 +18,14 @@
 //!     explore batch after batch until the wall-clock budget runs out or
 //!     SIGINT is raised (the in-flight batch always finishes).
 //!
-//! chaos replay FILE [--serial] [--parallel]
+//! chaos replay FILE [--serial]
 //!     re-execute an artifact's minimized trace and compare the violation
 //!     bit for bit. Prints the canonical digest.
 //!     exit 0 = reproduced, 2 = not reproduced.
 //! ```
+//!
+//! An argument the subcommand does not know exits 64 (`EX_USAGE`) before
+//! anything runs.
 //!
 //! The weakened-bound flags exist so CI can prove the pipeline end to
 //! end: weaken a bound, watch the explorer find and shrink a violation,
@@ -32,7 +35,7 @@
 use comimo_campaign::install_sigint_stop;
 use comimo_chaos::{
     explore, replay, soak, ChaosArtifact, ExploreConfig, ExploreReport, InvariantBounds,
-    InvariantRegistry,
+    InvariantRegistry, N_INVARIANTS,
 };
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -46,6 +49,55 @@ fn usage() -> ExitCode {
          see `cargo doc -p comimo-chaos --bin chaos` or the module docs for flags"
     );
     ExitCode::from(EX_USAGE)
+}
+
+/// Value-taking flags of `explore` (and of `soak`, which adds its own).
+const EXPLORE_VALUED: &[&str] = &[
+    "--seed",
+    "--runs",
+    "--start-run",
+    "--horizon",
+    "--lambda-min",
+    "--lambda-max",
+    "--mt",
+    "--epa-floor-db",
+    "--null-residual-max",
+    "--overdraw-max",
+    "--missed-budget",
+    "--fusion-quorum-min",
+    "--report-epa-floor-db",
+    "--byz-containment",
+    "--out",
+];
+const EXPLORE_SWITCHES: &[&str] = &["--serial", "--no-shrink"];
+
+/// Accepts `rest` only if every argument is one subcommand `cmd` knows:
+/// a valued flag followed by its value, a switch, or one of its bare
+/// positional arguments.
+fn check_args(cmd: &str, rest: &[String]) -> Result<(), String> {
+    let soak_valued = [EXPLORE_VALUED, &["--wall-secs", "--batch"]].concat();
+    let (valued, switches, positionals): (&[&str], &[&str], usize) = match cmd {
+        "list-invariants" => (&[], &[], 0),
+        "explore" => (EXPLORE_VALUED, EXPLORE_SWITCHES, 0),
+        "soak" => (&soak_valued, EXPLORE_SWITCHES, 0),
+        "replay" => (&[], &["--serial"], 1),
+        _ => return Err(format!("unknown subcommand {cmd:?}")),
+    };
+    let mut bare = 0;
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        if valued.contains(&arg.as_str()) {
+            if it.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            if arg.starts_with('-') || bare == positionals {
+                return Err(format!("unknown argument {arg:?} for `chaos {cmd}`"));
+            }
+            bare += 1;
+        }
+    }
+    Ok(())
 }
 
 /// `--name value` lookup; exits with a usage error on an unparsable value.
@@ -121,13 +173,12 @@ fn explore_config_from(args: &[String]) -> ExploreConfig {
 }
 
 fn list_invariants() -> ExitCode {
-    let reg = InvariantRegistry::paper();
-    println!("{} paper invariants (true bounds):\n", reg.len());
-    for inv in reg.invariants() {
-        println!("{}", inv.id());
-        println!("  bound:  {}", inv.bound_text());
-        println!("  paper:  {}", inv.paper_ref());
-        println!("  guards: {}", inv.guards());
+    println!("{N_INVARIANTS} paper invariants (true bounds):\n");
+    for inv in InvariantRegistry::paper().invariants() {
+        println!("{}", inv.id);
+        println!("  bound:  {}", inv.bound);
+        println!("  paper:  {}", inv.paper_ref);
+        println!("  guards: {}", inv.guards);
         println!();
     }
     ExitCode::SUCCESS
@@ -239,11 +290,51 @@ fn replay_cmd(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list-invariants") => list_invariants(),
-        Some("explore") => explore_cmd(&args[1..]),
-        Some("soak") => soak_cmd(&args[1..]),
-        Some("replay") => replay_cmd(&args[1..]),
-        _ => usage(),
+    let Some((cmd, rest)) = args.split_first() else {
+        return usage();
+    };
+    if let Err(problem) = check_args(cmd, rest) {
+        eprintln!("chaos: {problem}");
+        return usage();
+    }
+    match cmd.as_str() {
+        "list-invariants" => list_invariants(),
+        "explore" => explore_cmd(rest),
+        "soak" => soak_cmd(rest),
+        _ => replay_cmd(rest),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_args;
+
+    fn check(cmd: &str, args: &[&str]) -> Result<(), String> {
+        check_args(cmd, &args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn each_subcommand_accepts_its_flags_and_rejects_others() {
+        assert!(check("list-invariants", &[]).is_ok());
+        assert!(check("list-invariants", &["--seed", "1"]).is_err());
+
+        let explore = ["--runs", "1", "--epa-floor-db", "-3", "--serial"];
+        assert!(check("explore", &explore).is_ok());
+        assert!(check("explore", &["--run", "1", "--horizon", "5"]).is_err());
+
+        let soak = ["--wall-secs", "60", "--batch", "4", "--no-shrink"];
+        assert!(check("soak", &soak).is_ok());
+        assert!(check("soak", &["--wall-secs", "60", "--batches", "4"]).is_err());
+
+        assert!(check("replay", &["run.json", "--serial"]).is_ok());
+        assert!(check("replay", &["run.json", "--paralel"]).is_err());
+        assert!(check("replay", &["run.json", "--parallel"]).is_err());
+        assert!(check("replay", &["a.json", "b.json"]).is_err());
+
+        assert!(
+            check("explore", &["--runs"]).is_err(),
+            "a valued flag needs its value"
+        );
+        assert!(check("shrink", &[]).is_err());
     }
 }

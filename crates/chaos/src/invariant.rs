@@ -19,7 +19,10 @@
 //! | `INV-REPUTATION-SANE` | Beta-posterior trust contract | trust weights stay in [0, 1] and quarantined reporters are never counted toward the fused quorum |
 //!
 //! Checks are driven by [`Observation`]s the chaos world emits — one per
-//! simulated slot, event pop, or campaign completion — and produce
+//! simulated slot, event pop, or campaign completion. Each observation
+//! variant belongs to exactly one invariant, so
+//! [`InvariantRegistry::check`] is one `match` on the variant whose arms
+//! are the eleven checks. They produce
 //! [`Violation`]s carrying the observed value, the bound it broke, and a
 //! human-readable detail string. A violation is data, not a panic: the
 //! explorer shrinks it, the replayer reproduces it bit-identically.
@@ -53,8 +56,8 @@ pub const INV_BYZ_CONTAINMENT: &str = "INV-BYZ-CONTAINMENT";
 /// counted toward the fused quorum.
 pub const INV_REPUTATION_SANE: &str = "INV-REPUTATION-SANE";
 
-/// One fact the chaos world observed; the registry fans each observation
-/// out to every invariant.
+/// One fact the chaos world observed. Each variant is checked by exactly
+/// one invariant, the one that owns it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Observation {
     /// One underlay slot: the rung chosen (or mute) and its margin.
@@ -297,726 +300,472 @@ impl Default for InvariantBounds {
     }
 }
 
-/// A paper constraint as a checkable predicate over [`Observation`]s.
-pub trait Invariant: Send + Sync {
+/// Number of paper invariants. Every [`InvariantRegistry::check`] consults
+/// all of them, so a run's check count is observations × `N_INVARIANTS`.
+pub const N_INVARIANTS: usize = 11;
+
+/// One row of the invariant listing (`chaos list-invariants`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct InvariantInfo {
     /// Stable ID (`INV-…`), the key artifacts and CLIs refer to.
-    fn id(&self) -> &'static str;
+    pub id: &'static str,
+    /// Human-readable bound, with the armed numeric values.
+    pub bound: String,
     /// Paper equation / section this encodes.
-    fn paper_ref(&self) -> &'static str;
+    pub paper_ref: &'static str,
     /// The code paths this invariant guards.
-    fn guards(&self) -> &'static str;
-    /// Human-readable bound (with the active numeric values).
-    fn bound_text(&self) -> String;
-    /// Checks one observation; `None` means the invariant holds for it.
-    fn check(&self, obs: &Observation) -> Option<Violation>;
+    pub guards: &'static str,
 }
 
-// ---------------------------------------------------------------------
-// The eleven paper invariants
-// ---------------------------------------------------------------------
-
-struct EpaCeiling {
-    floor_db: f64,
-}
-
-impl Invariant for EpaCeiling {
-    fn id(&self) -> &'static str {
-        INV_EPA_CEILING
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Sec. 4, E_PA = max(e_PA^Lt, mt·e_PA^MIMOt) under the primary noise floor"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-core Underlay::degrade / fallback_chain rung admission"
-    }
-    fn bound_text(&self) -> String {
-        format!("every slot: muted, or margin_db ≥ {:.3} dB", self.floor_db)
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        // checked on EVERY underlay slot, transmitting or muted: a muted
-        // slot radiates nothing, so the ceiling holds trivially — but the
-        // check still runs, which is what "every slot" means.
-        let Observation::UnderlaySlot {
-            at_ns,
-            transmitting,
-            mt,
-            mr,
-            margin_db,
-        } = obs
-        else {
-            return None;
-        };
-        if *transmitting && *margin_db < self.floor_db {
-            return Some(Violation {
-                invariant: INV_EPA_CEILING,
-                at_ns: *at_ns,
-                observed: *margin_db,
-                bound: self.floor_db,
-                detail: format!(
-                    "underlay transmitted on the {mt}x{mr} rung with noise-floor margin \
-                     {margin_db:.6} dB < floor {:.6} dB",
-                    self.floor_db
-                ),
-            });
-        }
-        None
-    }
-}
-
-struct NullDepth {
-    residual_max: f64,
-}
-
-impl Invariant for NullDepth {
-    fn id(&self) -> &'static str {
-        INV_NULL_DEPTH
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Sec. 5, null delay δ = π(2r·cos α/w − 1); interweave channel discipline"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-core ClusterBeamformer::repair / steer; interweave channel pick"
-    }
-    fn bound_text(&self) -> String {
-        format!(
-            "transmitting slots: PU-free channel and null residual ≤ {:e}",
-            self.residual_max
-        )
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        let Observation::InterweaveSlot {
-            at_ns,
-            transmitting,
-            channel,
-            pu_active,
-            null_residual,
-        } = obs
-        else {
-            return None;
-        };
-        if !transmitting {
-            return None;
-        }
-        if *pu_active {
-            return Some(Violation {
-                invariant: INV_NULL_DEPTH,
-                at_ns: *at_ns,
-                observed: 1.0,
-                bound: 0.0,
-                detail: format!(
-                    "interweave transmitted on channel {channel} while its primary was active"
-                ),
-            });
-        }
-        if *null_residual > self.residual_max {
-            return Some(Violation {
-                invariant: INV_NULL_DEPTH,
-                at_ns: *at_ns,
-                observed: *null_residual,
-                bound: self.residual_max,
-                detail: format!(
-                    "steered-null residual {null_residual:e} > {:e} at the protected primary \
-                     (channel {channel})",
-                    self.residual_max
-                ),
-            });
-        }
-        None
-    }
-}
-
-struct DegradePower {
-    overdraw_max: f64,
-}
-
-impl Invariant for DegradePower {
-    fn id(&self) -> &'static str {
-        INV_DEGRADE_POWER
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Sec. 3, per-SU energy budget E1 of the relayed burst"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-core Overlay::degrade re-weighting and direct-link fallback"
-    }
-    fn bound_text(&self) -> String {
-        format!(
-            "feasible bursts: overdraw ≤ {:.9}; infeasible bursts must fall back direct",
-            self.overdraw_max
-        )
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        let Observation::OverlaySlot {
-            at_ns,
-            survivors,
-            overdraw,
-            claims_feasible,
-            fallback_direct,
-        } = obs
-        else {
-            return None;
-        };
-        if *claims_feasible && *overdraw > self.overdraw_max {
-            return Some(Violation {
-                invariant: INV_DEGRADE_POWER,
-                at_ns: *at_ns,
-                observed: *overdraw,
-                bound: self.overdraw_max,
-                detail: format!(
-                    "overlay claimed a feasible burst on {survivors} survivors with energy \
-                     overdraw {overdraw:.9} > {:.9}",
-                    self.overdraw_max
-                ),
-            });
-        }
-        if !*claims_feasible && !*fallback_direct {
-            return Some(Violation {
-                invariant: INV_DEGRADE_POWER,
-                at_ns: *at_ns,
-                observed: *overdraw,
-                bound: self.overdraw_max,
-                detail: format!(
-                    "overlay burst infeasible on {survivors} survivors (overdraw {overdraw:.9}) \
-                     but did not fall back to the direct link"
-                ),
-            });
-        }
-        None
-    }
-}
-
-struct EventqTime;
-
-impl Invariant for EventqTime {
-    fn id(&self) -> &'static str {
-        INV_EVENTQ_TIME
-    }
-    fn paper_ref(&self) -> &'static str {
-        "discrete-event engine contract (deterministic CSMA/CA substrate, Sec. 2.1)"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-sim ShardedEventQueue::pop ordering"
-    }
-    fn bound_text(&self) -> String {
-        "event pops never move the clock backwards".into()
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        let Observation::EventPop { prev_ns, now_ns } = obs else {
-            return None;
-        };
-        if now_ns < prev_ns {
-            return Some(Violation {
-                invariant: INV_EVENTQ_TIME,
-                at_ns: *now_ns,
-                observed: *now_ns as f64,
-                bound: *prev_ns as f64,
-                detail: format!("event queue popped t={now_ns} ns after t={prev_ns} ns"),
-            });
-        }
-        None
-    }
-}
-
-struct CkptCounts;
-
-impl Invariant for CkptCounts {
-    fn id(&self) -> &'static str {
-        INV_CKPT_COUNTS
-    }
-    fn paper_ref(&self) -> &'static str {
-        "campaign determinism contract: counts are a pure function of (seed, shard)"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-campaign run_campaign merge, retry and quarantine accounting"
-    }
-    fn bound_text(&self) -> String {
-        "completed campaigns merge exactly the oracle's (bits, errors)".into()
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        let Observation::CampaignCounts {
-            at_ns,
-            bits,
-            errors,
-            expected_bits,
-            expected_errors,
-        } = obs
-        else {
-            return None;
-        };
-        if bits != expected_bits || errors != expected_errors {
-            return Some(Violation {
-                invariant: INV_CKPT_COUNTS,
-                at_ns: *at_ns,
-                observed: *bits as f64,
-                bound: *expected_bits as f64,
-                detail: format!(
-                    "campaign merged ({bits} bits, {errors} errors) but the seed oracle \
-                     predicts ({expected_bits} bits, {expected_errors} errors)"
-                ),
-            });
-        }
-        None
-    }
-}
-
-struct MissedDetectBudget {
-    budget: u32,
-}
-
-impl Invariant for MissedDetectBudget {
-    fn id(&self) -> &'static str {
-        INV_MISSED_DETECT_BUDGET
-    }
-    fn paper_ref(&self) -> &'static str {
-        "cooperative-sensing contract: a returning primary is detected within one slot, \
-         then a back-off slot re-senses before radiating again"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-sensing run_round_byz fusion ladder; chaos-world sensing stage and post-miss back-off"
-    }
-    fn bound_text(&self) -> String {
-        format!("missed-detection streak ≤ {} slot(s)", self.budget)
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        let Observation::SensingSlot {
-            at_ns,
-            missed_streak,
-        } = obs
-        else {
-            return None;
-        };
-        if *missed_streak > self.budget {
-            return Some(Violation {
-                invariant: INV_MISSED_DETECT_BUDGET,
-                at_ns: *at_ns,
-                observed: f64::from(*missed_streak),
-                bound: f64::from(self.budget),
-                detail: format!(
-                    "cluster radiated into an active primary for {missed_streak} consecutive \
-                     slot(s), budget {}",
-                    self.budget
-                ),
-            });
-        }
-        None
-    }
-}
-
-struct FusionQuorum {
-    min_quorum: usize,
-}
-
-impl Invariant for FusionQuorum {
-    fn id(&self) -> &'static str {
-        INV_FUSION_QUORUM
-    }
-    fn paper_ref(&self) -> &'static str {
-        "decision-fusion degradation ladder: k re-derived from arrived reports, \
-         OR fallback below min_quorum, head-local at zero"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-sensing fuse / quorum_of; comimo-net report transport accounting"
-    }
-    fn bound_text(&self) -> String {
-        format!(
-            "non-head-local decisions: reports_used ≥ quorum ≥ {}",
-            self.min_quorum
-        )
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        let Observation::FusionDecision {
-            at_ns,
-            reports_used,
-            quorum,
-            head_local,
-        } = obs
-        else {
-            return None;
-        };
-        if *head_local {
-            // the head deciding alone fuses nothing; quorum accounting
-            // does not apply
-            return None;
-        }
-        if reports_used < quorum {
-            return Some(Violation {
-                invariant: INV_FUSION_QUORUM,
-                at_ns: *at_ns,
-                observed: *reports_used as f64,
-                bound: *quorum as f64,
-                detail: format!(
-                    "fused a decision over {reports_used} arrived report(s) against a quorum \
-                     of {quorum}"
-                ),
-            });
-        }
-        if *quorum < self.min_quorum {
-            return Some(Violation {
-                invariant: INV_FUSION_QUORUM,
-                at_ns: *at_ns,
-                observed: *quorum as f64,
-                bound: self.min_quorum as f64,
-                detail: format!(
-                    "a fused rung decided with quorum {quorum} < configured minimum {}",
-                    self.min_quorum
-                ),
-            });
-        }
-        None
-    }
-}
-
-struct ReportEpa {
-    floor_db: f64,
-}
-
-impl Invariant for ReportEpa {
-    fn id(&self) -> &'static str {
-        INV_REPORT_EPA
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Sec. 3/4: sensing report words reuse the underlay E_PA ceiling of the data long-haul"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-stbc ReportWordConfig::clamp_es; chaos-world report-word power account"
-    }
-    fn bound_text(&self) -> String {
-        format!(
-            "transmitted report words: clamping rung margin ≥ {:.3} dB",
-            self.floor_db
-        )
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        // mirrors INV-EPA-CEILING's shape: an untransmitted slot
-        // radiates nothing, so the ceiling holds trivially — but the
-        // check still runs every slot
-        let Observation::ReportLongHaul {
-            at_ns,
-            transmitted,
-            margin_db,
-            mt,
-        } = obs
-        else {
-            return None;
-        };
-        if *transmitted && *margin_db < self.floor_db {
-            return Some(Violation {
-                invariant: INV_REPORT_EPA,
-                at_ns: *at_ns,
-                observed: *margin_db,
-                bound: self.floor_db,
-                detail: format!(
-                    "sensing report words radiated on a {mt}-antenna long-haul whose clamping \
-                     rung margin {margin_db:.6} dB < floor {:.6} dB",
-                    self.floor_db
-                ),
-            });
-        }
-        None
-    }
-}
-
-struct LlrDegradeOrder;
-
-impl LlrDegradeOrder {
-    /// The first rung the ladder evidence makes eligible — a deliberate
-    /// re-derivation (not a call into `fuse_soft_weighted`) so a
-    /// fusion-side rung-skipping bug cannot hide behind its own
-    /// bookkeeping.
-    fn first_eligible(n: usize, min_quorum: usize, mean_confidence: f64, floor: f64) -> u8 {
-        if n == 0 {
-            3 // head local
-        } else if n < min_quorum.max(1) {
-            2 // OR fallback
-        } else if mean_confidence >= floor {
-            0 // soft LLR, weighted by trust when a view is held
-        } else {
-            1 // hard decode
-        }
-    }
-}
-
-impl Invariant for LlrDegradeOrder {
-    fn id(&self) -> &'static str {
-        INV_LLR_DEGRADE_ORDER
-    }
-    fn paper_ref(&self) -> &'static str {
-        "soft-fusion degradation ladder: weighted LLR → hard decode → OR fallback → \
-         head local, first eligible rung decides"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-sensing fuse_soft_weighted rung selection and LadderEvidence accounting"
-    }
-    fn bound_text(&self) -> String {
-        "every fused decision lands on exactly the first eligible rung".into()
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        let Observation::FusionLadder {
-            at_ns,
-            weighted,
-            rung,
-            n_reports,
-            min_quorum,
-            mean_confidence,
-            reliability_floor,
-            ..
-        } = obs
-        else {
-            return None;
-        };
-        let expected = Self::first_eligible(
-            *n_reports,
-            *min_quorum,
-            *mean_confidence,
-            *reliability_floor,
-        );
-        if *rung != expected {
-            return Some(Violation {
-                invariant: INV_LLR_DEGRADE_ORDER,
-                at_ns: *at_ns,
-                observed: f64::from(*rung),
-                bound: f64::from(expected),
-                detail: format!(
-                    "fusion decided on rung {rung} but the evidence (weighted={weighted}, \
-                     n={n_reports}, min_quorum={min_quorum}, \
-                     confidence={mean_confidence:.4}, floor={reliability_floor:.4}) makes \
-                     rung {expected} the first eligible"
-                ),
-            });
-        }
-        None
-    }
-}
-
-struct ByzContainmentBudget {
-    budget: u32,
-}
-
-impl Invariant for ByzContainmentBudget {
-    fn id(&self) -> &'static str {
-        INV_BYZ_CONTAINMENT
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Sec. 5 sensing contract under SSDF: with f = ⌊(n−1)/3⌋ falsifiers the fused \
-         verdict still detects a returning primary within the slotted budget"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-sensing fuse_soft_weighted + ReputationTracker quarantine; chaos-world \
-         Byzantine cast and sensing stage"
-    }
-    fn bound_text(&self) -> String {
-        format!(
-            "≤ f adversaries after reputation convergence: missed-detection streak ≤ {} slot(s)",
-            self.budget
-        )
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        let Observation::ByzContainment {
-            at_ns,
-            n_adversaries,
-            f_max,
-            converged,
-            missed_streak,
-        } = obs
-        else {
-            return None;
-        };
-        // containment is only promised inside the tolerance bound and
-        // after the trust posteriors have had time to converge — the
-        // cold-start window is the median guard's problem, and > f
-        // adversaries is outside the paper's contract
-        if !converged || n_adversaries > f_max {
-            return None;
-        }
-        if *missed_streak > self.budget {
-            return Some(Violation {
-                invariant: INV_BYZ_CONTAINMENT,
-                at_ns: *at_ns,
-                observed: f64::from(*missed_streak),
-                bound: f64::from(self.budget),
-                detail: format!(
-                    "with {n_adversaries} adversary(ies) ≤ f = {f_max} and converged \
-                     reputation, the cluster radiated into an active primary for \
-                     {missed_streak} consecutive slot(s), budget {}",
-                    self.budget
-                ),
-            });
-        }
-        None
-    }
-}
-
-struct ReputationSane;
-
-impl Invariant for ReputationSane {
-    fn id(&self) -> &'static str {
-        INV_REPUTATION_SANE
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Beta-posterior trust contract: weights are posterior means in [0, 1]; \
-         quarantined reporters are dropped before quorum-k re-derivation"
-    }
-    fn guards(&self) -> &'static str {
-        "comimo-sensing ReputationTracker / ReputationView; fuse_* eligibility filtering"
-    }
-    fn bound_text(&self) -> String {
-        "weights ∈ [0, 1]; fused reports_used ≤ distinct eligible reports".into()
-    }
-    fn check(&self, obs: &Observation) -> Option<Violation> {
-        let Observation::ReputationSlot {
-            at_ns,
-            min_weight,
-            max_weight,
-            reports_used,
-            eligible_distinct,
-        } = obs
-        else {
-            return None;
-        };
-        if !(0.0..=1.0).contains(min_weight) || !(0.0..=1.0).contains(max_weight) {
-            return Some(Violation {
-                invariant: INV_REPUTATION_SANE,
-                at_ns: *at_ns,
-                observed: if *min_weight < 0.0 {
-                    *min_weight
-                } else {
-                    *max_weight
-                },
-                bound: 1.0,
-                detail: format!(
-                    "trust weights left the Beta-posterior range: min {min_weight:.6}, \
-                     max {max_weight:.6} outside [0, 1]"
-                ),
-            });
-        }
-        if reports_used > eligible_distinct {
-            return Some(Violation {
-                invariant: INV_REPUTATION_SANE,
-                at_ns: *at_ns,
-                observed: *reports_used as f64,
-                bound: *eligible_distinct as f64,
-                detail: format!(
-                    "fusion counted {reports_used} report(s) toward its quorum but only \
-                     {eligible_distinct} distinct non-quarantined report(s) arrived — a \
-                     quarantined reporter was counted"
-                ),
-            });
-        }
-        None
-    }
-}
-
-// ---------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------
-
-/// The shared registry every checker (chaos explorer, faultbench, tests)
-/// registers against and consults.
+/// The eleven paper invariants, armed at one set of [`InvariantBounds`].
+/// Every checker (chaos explorer, faultbench, tests) consults one.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvariantRegistry {
-    invariants: Vec<Box<dyn Invariant>>,
+    bounds: InvariantBounds,
 }
 
 impl InvariantRegistry {
-    /// An empty registry (for custom invariant sets).
-    pub fn empty() -> Self {
-        Self {
-            invariants: Vec::new(),
-        }
-    }
-
     /// The eleven paper invariants at their true bounds.
     pub fn paper() -> Self {
         Self::with_bounds(InvariantBounds::paper())
     }
 
     /// The eleven paper invariants at explicit (possibly weakened) bounds.
-    pub fn with_bounds(b: InvariantBounds) -> Self {
-        let mut reg = Self::empty();
-        reg.register(Box::new(EpaCeiling {
-            floor_db: b.epa_margin_floor_db,
-        }));
-        reg.register(Box::new(NullDepth {
-            residual_max: b.null_residual_max,
-        }));
-        reg.register(Box::new(DegradePower {
-            overdraw_max: b.overdraw_max,
-        }));
-        reg.register(Box::new(EventqTime));
-        reg.register(Box::new(CkptCounts));
-        reg.register(Box::new(MissedDetectBudget {
-            budget: b.missed_detect_budget,
-        }));
-        reg.register(Box::new(FusionQuorum {
-            min_quorum: b.fusion_quorum_min,
-        }));
-        reg.register(Box::new(ReportEpa {
-            floor_db: b.report_epa_floor_db,
-        }));
-        reg.register(Box::new(LlrDegradeOrder));
-        reg.register(Box::new(ByzContainmentBudget {
-            budget: b.byz_missed_budget,
-        }));
-        reg.register(Box::new(ReputationSane));
-        reg
+    pub fn with_bounds(bounds: InvariantBounds) -> Self {
+        Self { bounds }
     }
 
-    /// Registers an invariant.
-    ///
-    /// # Panics
-    /// On a duplicate ID — stable IDs are the whole point.
-    pub fn register(&mut self, inv: Box<dyn Invariant>) {
-        assert!(
-            self.get(inv.id()).is_none(),
-            "duplicate invariant id {}",
-            inv.id()
-        );
-        self.invariants.push(inv);
+    /// The eleven invariants in check order, bounds rendered with the
+    /// armed values.
+    pub fn invariants(&self) -> [InvariantInfo; N_INVARIANTS] {
+        let b = &self.bounds;
+        let row = |id, bound, paper_ref, guards| InvariantInfo {
+            id,
+            bound,
+            paper_ref,
+            guards,
+        };
+        [
+            row(
+                INV_EPA_CEILING,
+                format!(
+                    "every slot: muted, or margin_db ≥ {:.3} dB",
+                    b.epa_margin_floor_db
+                ),
+                "Sec. 4, E_PA = max(e_PA^Lt, mt·e_PA^MIMOt) under the primary noise floor",
+                "comimo-core Underlay::degrade / fallback_chain rung admission",
+            ),
+            row(
+                INV_NULL_DEPTH,
+                format!(
+                    "transmitting slots: PU-free channel and null residual ≤ {:e}",
+                    b.null_residual_max
+                ),
+                "Sec. 5, null delay δ = π(2r·cos α/w − 1); interweave channel discipline",
+                "comimo-core ClusterBeamformer::repair / steer; interweave channel pick",
+            ),
+            row(
+                INV_DEGRADE_POWER,
+                format!(
+                    "feasible bursts: overdraw ≤ {:.9}; infeasible bursts must fall back direct",
+                    b.overdraw_max
+                ),
+                "Sec. 3, per-SU energy budget E1 of the relayed burst",
+                "comimo-core Overlay::degrade re-weighting and direct-link fallback",
+            ),
+            row(
+                INV_EVENTQ_TIME,
+                "event pops never move the clock backwards".into(),
+                "discrete-event engine contract (deterministic CSMA/CA substrate, Sec. 2.1)",
+                "comimo-sim ShardedEventQueue::pop ordering",
+            ),
+            row(
+                INV_CKPT_COUNTS,
+                "completed campaigns merge exactly the oracle's (bits, errors)".into(),
+                "campaign determinism contract: counts are a pure function of (seed, shard)",
+                "comimo-campaign run_campaign merge, retry and quarantine accounting",
+            ),
+            row(
+                INV_MISSED_DETECT_BUDGET,
+                format!(
+                    "missed-detection streak ≤ {} slot(s)",
+                    b.missed_detect_budget
+                ),
+                "cooperative-sensing contract: a returning primary is detected within one slot, \
+                 then a back-off slot re-senses before radiating again",
+                "comimo-sensing run_round_byz fusion ladder; chaos-world sensing stage and post-miss back-off",
+            ),
+            row(
+                INV_FUSION_QUORUM,
+                format!(
+                    "non-head-local decisions: reports_used ≥ quorum ≥ {}",
+                    b.fusion_quorum_min
+                ),
+                "decision-fusion degradation ladder: k re-derived from arrived reports, \
+                 OR fallback below min_quorum, head-local at zero",
+                "comimo-sensing fuse / quorum_of; comimo-net report transport accounting",
+            ),
+            row(
+                INV_REPORT_EPA,
+                format!(
+                    "transmitted report words: clamping rung margin ≥ {:.3} dB",
+                    b.report_epa_floor_db
+                ),
+                "Sec. 3/4: sensing report words reuse the underlay E_PA ceiling of the data long-haul",
+                "comimo-stbc ReportWordConfig::clamp_es; chaos-world report-word power account",
+            ),
+            row(
+                INV_LLR_DEGRADE_ORDER,
+                "every fused decision lands on exactly the first eligible rung".into(),
+                "soft-fusion degradation ladder: weighted LLR → hard decode → OR fallback → \
+                 head local, first eligible rung decides",
+                "comimo-sensing fuse_soft_weighted rung selection and LadderEvidence accounting",
+            ),
+            row(
+                INV_BYZ_CONTAINMENT,
+                format!(
+                    "≤ f adversaries after reputation convergence: missed-detection streak ≤ {} slot(s)",
+                    b.byz_missed_budget
+                ),
+                "Sec. 5 sensing contract under SSDF: with f = ⌊(n−1)/3⌋ falsifiers the fused \
+                 verdict still detects a returning primary within the slotted budget",
+                "comimo-sensing fuse_soft_weighted + ReputationTracker quarantine; chaos-world \
+                 Byzantine cast and sensing stage",
+            ),
+            row(
+                INV_REPUTATION_SANE,
+                "weights ∈ [0, 1]; fused reports_used ≤ distinct eligible reports".into(),
+                "Beta-posterior trust contract: weights are posterior means in [0, 1]; \
+                 quarantined reporters are dropped before quorum-k re-derivation",
+                "comimo-sensing ReputationTracker / ReputationView; fuse_* eligibility filtering",
+            ),
+        ]
     }
 
-    /// Looks an invariant up by its stable ID.
-    pub fn get(&self, id: &str) -> Option<&dyn Invariant> {
-        self.invariants
-            .iter()
-            .find(|i| i.id() == id)
-            .map(|b| b.as_ref())
-    }
-
-    /// All registered invariants, in registration order.
-    pub fn invariants(&self) -> impl Iterator<Item = &dyn Invariant> {
-        self.invariants.iter().map(|b| b.as_ref())
-    }
-
-    /// Number of registered invariants.
-    pub fn len(&self) -> usize {
-        self.invariants.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.invariants.is_empty()
-    }
-
-    /// Fans `obs` out to every invariant, appending violations to `out`.
-    /// Returns the number of invariant checks consulted (for check-count
-    /// accounting: "how hard did we look").
+    /// Checks `obs` against the one invariant that owns its variant,
+    /// appending a violation to `out` if it breaks. Returns the number of
+    /// invariant checks consulted, [`N_INVARIANTS`] per observation (for
+    /// check-count accounting: "how hard did we look").
     pub fn check(&self, obs: &Observation, out: &mut Vec<Violation>) -> u64 {
-        for inv in &self.invariants {
-            if let Some(v) = inv.check(obs) {
-                out.push(v);
+        out.extend(self.breach(obs));
+        N_INVARIANTS as u64
+    }
+
+    /// The violation `obs` makes, if any.
+    fn breach(&self, obs: &Observation) -> Option<Violation> {
+        let b = &self.bounds;
+        let (invariant, at_ns, observed, bound, detail) = match *obs {
+            // INV-EPA-CEILING, checked on EVERY underlay slot, transmitting
+            // or muted: a muted slot radiates nothing, so the ceiling holds
+            // trivially — but the check still runs, which is what "every
+            // slot" means.
+            Observation::UnderlaySlot {
+                at_ns,
+                transmitting,
+                mt,
+                mr,
+                margin_db,
+            } => {
+                let floor = b.epa_margin_floor_db;
+                if !(transmitting && margin_db < floor) {
+                    return None;
+                }
+                (
+                    INV_EPA_CEILING,
+                    at_ns,
+                    margin_db,
+                    floor,
+                    format!(
+                        "underlay transmitted on the {mt}x{mr} rung with noise-floor margin \
+                         {margin_db:.6} dB < floor {floor:.6} dB"
+                    ),
+                )
             }
-        }
-        self.invariants.len() as u64
+            Observation::InterweaveSlot {
+                at_ns,
+                transmitting,
+                channel,
+                pu_active,
+                null_residual,
+            } => {
+                let max = b.null_residual_max;
+                if transmitting && pu_active {
+                    (
+                        INV_NULL_DEPTH,
+                        at_ns,
+                        1.0,
+                        0.0,
+                        format!(
+                            "interweave transmitted on channel {channel} while its primary was \
+                             active"
+                        ),
+                    )
+                } else if transmitting && null_residual > max {
+                    (
+                        INV_NULL_DEPTH,
+                        at_ns,
+                        null_residual,
+                        max,
+                        format!(
+                            "steered-null residual {null_residual:e} > {max:e} at the protected \
+                             primary (channel {channel})"
+                        ),
+                    )
+                } else {
+                    return None;
+                }
+            }
+            Observation::OverlaySlot {
+                at_ns,
+                survivors,
+                overdraw,
+                claims_feasible,
+                fallback_direct,
+            } => {
+                let max = b.overdraw_max;
+                let detail = if claims_feasible && overdraw > max {
+                    format!(
+                        "overlay claimed a feasible burst on {survivors} survivors with energy \
+                         overdraw {overdraw:.9} > {max:.9}"
+                    )
+                } else if !claims_feasible && !fallback_direct {
+                    format!(
+                        "overlay burst infeasible on {survivors} survivors (overdraw \
+                         {overdraw:.9}) but did not fall back to the direct link"
+                    )
+                } else {
+                    return None;
+                };
+                (INV_DEGRADE_POWER, at_ns, overdraw, max, detail)
+            }
+            Observation::EventPop { prev_ns, now_ns } => {
+                if now_ns >= prev_ns {
+                    return None;
+                }
+                (
+                    INV_EVENTQ_TIME,
+                    now_ns,
+                    now_ns as f64,
+                    prev_ns as f64,
+                    format!("event queue popped t={now_ns} ns after t={prev_ns} ns"),
+                )
+            }
+            Observation::CampaignCounts {
+                at_ns,
+                bits,
+                errors,
+                expected_bits,
+                expected_errors,
+            } => {
+                if bits == expected_bits && errors == expected_errors {
+                    return None;
+                }
+                (
+                    INV_CKPT_COUNTS,
+                    at_ns,
+                    bits as f64,
+                    expected_bits as f64,
+                    format!(
+                        "campaign merged ({bits} bits, {errors} errors) but the seed oracle \
+                         predicts ({expected_bits} bits, {expected_errors} errors)"
+                    ),
+                )
+            }
+            Observation::SensingSlot {
+                at_ns,
+                missed_streak,
+            } => {
+                let budget = b.missed_detect_budget;
+                if missed_streak <= budget {
+                    return None;
+                }
+                (
+                    INV_MISSED_DETECT_BUDGET,
+                    at_ns,
+                    f64::from(missed_streak),
+                    f64::from(budget),
+                    format!(
+                        "cluster radiated into an active primary for {missed_streak} consecutive \
+                         slot(s), budget {budget}"
+                    ),
+                )
+            }
+            Observation::FusionDecision {
+                at_ns,
+                reports_used,
+                quorum,
+                head_local,
+            } => {
+                let min = b.fusion_quorum_min;
+                // the head deciding alone fuses nothing; quorum accounting
+                // does not apply
+                if head_local {
+                    return None;
+                } else if reports_used < quorum {
+                    (
+                        INV_FUSION_QUORUM,
+                        at_ns,
+                        reports_used as f64,
+                        quorum as f64,
+                        format!(
+                            "fused a decision over {reports_used} arrived report(s) against a \
+                             quorum of {quorum}"
+                        ),
+                    )
+                } else if quorum < min {
+                    (
+                        INV_FUSION_QUORUM,
+                        at_ns,
+                        quorum as f64,
+                        min as f64,
+                        format!(
+                            "a fused rung decided with quorum {quorum} < configured minimum {min}"
+                        ),
+                    )
+                } else {
+                    return None;
+                }
+            }
+            // INV-REPORT-EPA mirrors INV-EPA-CEILING's shape: an
+            // untransmitted slot radiates nothing, so the ceiling holds
+            // trivially — but the check still runs every slot
+            Observation::ReportLongHaul {
+                at_ns,
+                transmitted,
+                margin_db,
+                mt,
+            } => {
+                let floor = b.report_epa_floor_db;
+                if !(transmitted && margin_db < floor) {
+                    return None;
+                }
+                (
+                    INV_REPORT_EPA,
+                    at_ns,
+                    margin_db,
+                    floor,
+                    format!(
+                        "sensing report words radiated on a {mt}-antenna long-haul whose \
+                         clamping rung margin {margin_db:.6} dB < floor {floor:.6} dB"
+                    ),
+                )
+            }
+            Observation::FusionLadder {
+                at_ns,
+                weighted,
+                rung,
+                n_reports,
+                min_quorum,
+                mean_confidence,
+                reliability_floor,
+                ..
+            } => {
+                let expected =
+                    first_eligible_rung(n_reports, min_quorum, mean_confidence, reliability_floor);
+                if rung == expected {
+                    return None;
+                }
+                (
+                    INV_LLR_DEGRADE_ORDER,
+                    at_ns,
+                    f64::from(rung),
+                    f64::from(expected),
+                    format!(
+                        "fusion decided on rung {rung} but the evidence (weighted={weighted}, \
+                         n={n_reports}, min_quorum={min_quorum}, \
+                         confidence={mean_confidence:.4}, floor={reliability_floor:.4}) makes \
+                         rung {expected} the first eligible"
+                    ),
+                )
+            }
+            Observation::ByzContainment {
+                at_ns,
+                n_adversaries,
+                f_max,
+                converged,
+                missed_streak,
+            } => {
+                // containment is only promised inside the tolerance bound
+                // and after the trust posteriors have had time to converge
+                // — the cold-start window is the median guard's problem,
+                // and > f adversaries is outside the paper's contract
+                let budget = b.byz_missed_budget;
+                if !converged || n_adversaries > f_max || missed_streak <= budget {
+                    return None;
+                }
+                (
+                    INV_BYZ_CONTAINMENT,
+                    at_ns,
+                    f64::from(missed_streak),
+                    f64::from(budget),
+                    format!(
+                        "with {n_adversaries} adversary(ies) ≤ f = {f_max} and converged \
+                         reputation, the cluster radiated into an active primary for \
+                         {missed_streak} consecutive slot(s), budget {budget}"
+                    ),
+                )
+            }
+            Observation::ReputationSlot {
+                at_ns,
+                min_weight,
+                max_weight,
+                reports_used,
+                eligible_distinct,
+            } => {
+                if !(0.0..=1.0).contains(&min_weight) || !(0.0..=1.0).contains(&max_weight) {
+                    (
+                        INV_REPUTATION_SANE,
+                        at_ns,
+                        if min_weight < 0.0 {
+                            min_weight
+                        } else {
+                            max_weight
+                        },
+                        1.0,
+                        format!(
+                            "trust weights left the Beta-posterior range: min {min_weight:.6}, \
+                             max {max_weight:.6} outside [0, 1]"
+                        ),
+                    )
+                } else if reports_used > eligible_distinct {
+                    (
+                        INV_REPUTATION_SANE,
+                        at_ns,
+                        reports_used as f64,
+                        eligible_distinct as f64,
+                        format!(
+                            "fusion counted {reports_used} report(s) toward its quorum but only \
+                             {eligible_distinct} distinct non-quarantined report(s) arrived — a \
+                             quarantined reporter was counted"
+                        ),
+                    )
+                } else {
+                    return None;
+                }
+            }
+        };
+        Some(Violation {
+            invariant,
+            at_ns,
+            observed,
+            bound,
+            detail,
+        })
     }
 }
 
-impl std::fmt::Debug for InvariantRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InvariantRegistry")
-            .field(
-                "ids",
-                &self.invariants.iter().map(|i| i.id()).collect::<Vec<_>>(),
-            )
-            .finish()
+/// The first rung the ladder evidence makes eligible — a deliberate
+/// re-derivation (not a call into `fuse_soft_weighted`) so a fusion-side
+/// rung-skipping bug cannot hide behind its own bookkeeping.
+fn first_eligible_rung(n: usize, min_quorum: usize, mean_confidence: f64, floor: f64) -> u8 {
+    if n == 0 {
+        3 // head local
+    } else if n < min_quorum.max(1) {
+        2 // OR fallback
+    } else if mean_confidence >= floor {
+        0 // soft LLR, weighted by trust when a view is held
+    } else {
+        1 // hard decode
     }
 }
 
@@ -1024,369 +773,308 @@ impl std::fmt::Debug for InvariantRegistry {
 mod tests {
     use super::*;
 
-    #[test]
-    fn paper_registry_has_the_eleven_stable_ids() {
-        let reg = InvariantRegistry::paper();
-        assert_eq!(reg.len(), 11);
-        for id in [
-            INV_EPA_CEILING,
-            INV_NULL_DEPTH,
-            INV_DEGRADE_POWER,
-            INV_EVENTQ_TIME,
-            INV_CKPT_COUNTS,
-            INV_MISSED_DETECT_BUDGET,
-            INV_FUSION_QUORUM,
-            INV_REPORT_EPA,
-            INV_LLR_DEGRADE_ORDER,
-            INV_BYZ_CONTAINMENT,
-            INV_REPUTATION_SANE,
-        ] {
-            let inv = reg.get(id).unwrap_or_else(|| panic!("missing {id}"));
-            assert_eq!(inv.id(), id);
-            assert!(!inv.paper_ref().is_empty());
-            assert!(!inv.guards().is_empty());
-            assert!(!inv.bound_text().is_empty());
+    const IDS: [&str; N_INVARIANTS] = [
+        INV_EPA_CEILING,
+        INV_NULL_DEPTH,
+        INV_DEGRADE_POWER,
+        INV_EVENTQ_TIME,
+        INV_CKPT_COUNTS,
+        INV_MISSED_DETECT_BUDGET,
+        INV_FUSION_QUORUM,
+        INV_REPORT_EPA,
+        INV_LLR_DEGRADE_ORDER,
+        INV_BYZ_CONTAINMENT,
+        INV_REPUTATION_SANE,
+    ];
+
+    /// Checks every observation, asserting each consults all eleven
+    /// invariants, and returns what fired.
+    fn fired(reg: &InvariantRegistry, obs: &[Observation]) -> Vec<Violation> {
+        let mut v = Vec::new();
+        for o in obs {
+            assert_eq!(reg.check(o, &mut v), N_INVARIANTS as u64);
         }
-        assert!(reg.get("INV-NO-SUCH").is_none());
+        v
+    }
+
+    fn underlay(transmitting: bool, margin_db: f64) -> Observation {
+        Observation::UnderlaySlot {
+            at_ns: 20,
+            transmitting,
+            mt: 2,
+            mr: 3,
+            margin_db,
+        }
+    }
+
+    fn interweave(transmitting: bool, pu_active: bool, null_residual: f64) -> Observation {
+        Observation::InterweaveSlot {
+            at_ns: 5,
+            transmitting,
+            channel: 2,
+            pu_active,
+            null_residual,
+        }
+    }
+
+    fn overlay(overdraw: f64, claims_feasible: bool, fallback_direct: bool) -> Observation {
+        Observation::OverlaySlot {
+            at_ns: 1,
+            survivors: 2,
+            overdraw,
+            claims_feasible,
+            fallback_direct,
+        }
+    }
+
+    fn pop(prev_ns: u64, now_ns: u64) -> Observation {
+        Observation::EventPop { prev_ns, now_ns }
+    }
+
+    fn counts(errors: u64, expected_errors: u64) -> Observation {
+        Observation::CampaignCounts {
+            at_ns: 0,
+            bits: 4096,
+            errors,
+            expected_bits: 4096,
+            expected_errors,
+        }
+    }
+
+    fn sensing(missed_streak: u32) -> Observation {
+        Observation::SensingSlot {
+            at_ns: 3,
+            missed_streak,
+        }
+    }
+
+    fn fusion(reports_used: usize, quorum: usize, head_local: bool) -> Observation {
+        Observation::FusionDecision {
+            at_ns: 2,
+            reports_used,
+            quorum,
+            head_local,
+        }
+    }
+
+    fn report(transmitted: bool, margin_db: f64) -> Observation {
+        Observation::ReportLongHaul {
+            at_ns: 4,
+            transmitted,
+            margin_db,
+            mt: 2,
+        }
+    }
+
+    fn ladder(weighted: bool, rung: u8, n_reports: usize, conf: f64, floor: f64) -> Observation {
+        Observation::FusionLadder {
+            at_ns: 6,
+            soft_path: floor.is_finite(),
+            weighted,
+            rung,
+            n_reports,
+            min_quorum: 2,
+            mean_confidence: conf,
+            reliability_floor: floor,
+        }
+    }
+
+    fn byz(n_adversaries: usize, converged: bool, missed_streak: u32) -> Observation {
+        Observation::ByzContainment {
+            at_ns: 8,
+            n_adversaries,
+            f_max: 2,
+            converged,
+            missed_streak,
+        }
+    }
+
+    fn reputation(min_weight: f64, max_weight: f64, used: usize, eligible: usize) -> Observation {
+        Observation::ReputationSlot {
+            at_ns: 9,
+            min_weight,
+            max_weight,
+            reports_used: used,
+            eligible_distinct: eligible,
+        }
     }
 
     #[test]
-    #[should_panic(expected = "duplicate invariant id")]
-    fn duplicate_registration_panics() {
-        let mut reg = InvariantRegistry::paper();
-        reg.register(Box::new(EventqTime));
+    fn paper_listing_has_the_eleven_stable_ids_in_check_order() {
+        let rows = InvariantRegistry::paper().invariants();
+        assert_eq!(rows.each_ref().map(|r| r.id), IDS);
+        for r in &rows {
+            assert!(!r.bound.is_empty(), "{}", r.id);
+            assert!(!r.paper_ref.is_empty(), "{}", r.id);
+            assert!(!r.guards.is_empty(), "{}", r.id);
+        }
     }
 
     #[test]
-    fn epa_ceiling_fires_only_on_transmitting_sub_floor_slots() {
+    fn each_violating_observation_fires_exactly_its_owner() {
+        // (observation, owning invariant, observed, bound, detail excerpt):
+        // every variant at least once, every breach branch once
+        let cases = [
+            (underlay(true, -0.5), INV_EPA_CEILING, -0.5, 0.0, "2x3 rung"),
+            (
+                interweave(true, true, 0.0),
+                INV_NULL_DEPTH,
+                1.0,
+                0.0,
+                "was active",
+            ),
+            (
+                interweave(true, false, 1e-3),
+                INV_NULL_DEPTH,
+                1e-3,
+                1e-6,
+                "residual 1e-3",
+            ),
+            (
+                overlay(1.5, true, false),
+                INV_DEGRADE_POWER,
+                1.5,
+                1.0 + 1e-9,
+                "claimed",
+            ),
+            (
+                overlay(3.0, false, false),
+                INV_DEGRADE_POWER,
+                3.0,
+                1.0 + 1e-9,
+                "fall back",
+            ),
+            (
+                pop(10, 9),
+                INV_EVENTQ_TIME,
+                9.0,
+                10.0,
+                "t=9 ns after t=10 ns",
+            ),
+            (counts(8, 7), INV_CKPT_COUNTS, 4096.0, 4096.0, "8 errors"),
+            (sensing(2), INV_MISSED_DETECT_BUDGET, 2.0, 1.0, "budget 1"),
+            (
+                fusion(2, 3, false),
+                INV_FUSION_QUORUM,
+                2.0,
+                3.0,
+                "quorum of 3",
+            ),
+            (
+                fusion(1, 0, false),
+                INV_FUSION_QUORUM,
+                0.0,
+                1.0,
+                "minimum 1",
+            ),
+            (report(true, -0.25), INV_REPORT_EPA, -0.25, 0.0, "2-antenna"),
+            (
+                ladder(true, 1, 5, 0.9, 0.65),
+                INV_LLR_DEGRADE_ORDER,
+                1.0,
+                0.0,
+                "rung 0 the",
+            ),
+            (byz(2, true, 2), INV_BYZ_CONTAINMENT, 2.0, 1.0, "f = 2"),
+            (
+                reputation(0.2, 1.5, 0, 0),
+                INV_REPUTATION_SANE,
+                1.5,
+                1.0,
+                "Beta-posterior",
+            ),
+            (
+                reputation(-0.1, 0.9, 0, 0),
+                INV_REPUTATION_SANE,
+                -0.1,
+                1.0,
+                "min -0.1",
+            ),
+            (
+                reputation(0.2, 0.9, 5, 4),
+                INV_REPUTATION_SANE,
+                5.0,
+                4.0,
+                "quarantined",
+            ),
+        ];
+        assert!(IDS.iter().all(|id| cases.iter().any(|c| c.1 == *id)));
         let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        // muted slot with a terrible margin: trivially holds
-        let checks = reg.check(
-            &Observation::UnderlaySlot {
-                at_ns: 10,
-                transmitting: false,
-                mt: 0,
-                mr: 0,
-                margin_db: -40.0,
-            },
-            &mut v,
-        );
-        assert_eq!(checks, 11, "every slot consults every invariant");
-        assert!(v.is_empty());
-        // transmitting below the floor: violation
-        reg.check(
-            &Observation::UnderlaySlot {
-                at_ns: 20,
-                transmitting: true,
-                mt: 2,
-                mr: 3,
-                margin_db: -0.5,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, INV_EPA_CEILING);
-        assert_eq!(v[0].at_ns, 20);
-        assert_eq!(v[0].observed, -0.5);
+        for (obs, id, observed, bound, excerpt) in cases {
+            let v = fired(&reg, std::slice::from_ref(&obs));
+            assert_eq!(v.len(), 1, "{obs:?}: {v:?}");
+            assert_eq!(v[0].invariant, id);
+            assert_eq!(v[0].at_ns, obs.at_ns());
+            assert_eq!((v[0].observed, v[0].bound), (observed, bound), "{id}");
+            assert!(v[0].detail.contains(excerpt), "{id}: {}", v[0].detail);
+        }
     }
 
     #[test]
-    fn null_depth_fires_on_pu_active_channel_and_on_residual() {
+    fn observations_inside_the_paper_bounds_hold() {
         let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        reg.check(
-            &Observation::InterweaveSlot {
-                at_ns: 5,
-                transmitting: true,
-                channel: 2,
-                pu_active: true,
-                null_residual: 0.0,
-            },
-            &mut v,
+        let v = fired(
+            &reg,
+            &[
+                // a muted slot radiates nothing, however bad the margin
+                underlay(false, -40.0),
+                interweave(false, true, 9.0),
+                overlay(1.0, true, false),
+                overlay(3.0, false, true),
+                pop(10, 10),
+                counts(7, 7),
+                // a single missed slot is within the paper budget of 1
+                sensing(1),
+                fusion(5, 3, false),
+                // head-local decisions are exempt even with zero reports
+                fusion(5, 3, true),
+                fusion(0, 0, true),
+                report(false, -20.0),
+                report(true, 4.2),
+                byz(2, true, 1),
+                // cold start and an over-tolerance cast are outside the
+                // containment contract, however long the streak
+                byz(2, false, 7),
+                byz(3, true, 7),
+                reputation(0.2, 0.9, 4, 5),
+            ],
         );
-        reg.check(
-            &Observation::InterweaveSlot {
-                at_ns: 6,
-                transmitting: true,
-                channel: 0,
-                pu_active: false,
-                null_residual: 1e-3,
-            },
-            &mut v,
-        );
-        // muted slot never fires
-        reg.check(
-            &Observation::InterweaveSlot {
-                at_ns: 7,
-                transmitting: false,
-                channel: 0,
-                pu_active: true,
-                null_residual: 9.0,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|x| x.invariant == INV_NULL_DEPTH));
-        assert!(v[1].detail.contains("residual"));
-    }
-
-    #[test]
-    fn degrade_power_fires_on_overdraw_and_on_missing_fallback() {
-        let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        reg.check(
-            &Observation::OverlaySlot {
-                at_ns: 1,
-                survivors: 2,
-                overdraw: 1.5,
-                claims_feasible: true,
-                fallback_direct: false,
-            },
-            &mut v,
-        );
-        reg.check(
-            &Observation::OverlaySlot {
-                at_ns: 2,
-                survivors: 1,
-                overdraw: 3.0,
-                claims_feasible: false,
-                fallback_direct: false,
-            },
-            &mut v,
-        );
-        // the correct pair of outcomes never fires
-        reg.check(
-            &Observation::OverlaySlot {
-                at_ns: 3,
-                survivors: 4,
-                overdraw: 1.0,
-                claims_feasible: true,
-                fallback_direct: false,
-            },
-            &mut v,
-        );
-        reg.check(
-            &Observation::OverlaySlot {
-                at_ns: 4,
-                survivors: 1,
-                overdraw: 3.0,
-                claims_feasible: false,
-                fallback_direct: true,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|x| x.invariant == INV_DEGRADE_POWER));
-    }
-
-    #[test]
-    fn eventq_time_fires_on_clock_regression() {
-        let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        reg.check(
-            &Observation::EventPop {
-                prev_ns: 10,
-                now_ns: 10,
-            },
-            &mut v,
-        );
-        reg.check(
-            &Observation::EventPop {
-                prev_ns: 10,
-                now_ns: 9,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, INV_EVENTQ_TIME);
-        assert_eq!(v[0].at_ns, 9);
-    }
-
-    #[test]
-    fn ckpt_counts_fires_on_oracle_mismatch() {
-        let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        reg.check(
-            &Observation::CampaignCounts {
-                at_ns: 0,
-                bits: 4096,
-                errors: 7,
-                expected_bits: 4096,
-                expected_errors: 7,
-            },
-            &mut v,
-        );
-        assert!(v.is_empty());
-        reg.check(
-            &Observation::CampaignCounts {
-                at_ns: 0,
-                bits: 4096,
-                errors: 8,
-                expected_bits: 4096,
-                expected_errors: 7,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, INV_CKPT_COUNTS);
-    }
-
-    #[test]
-    fn missed_detect_budget_fires_above_the_streak_bound() {
-        let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        // a single missed slot is within the paper budget of 1
-        reg.check(
-            &Observation::SensingSlot {
-                at_ns: 3,
-                missed_streak: 1,
-            },
-            &mut v,
-        );
-        assert!(v.is_empty());
-        reg.check(
-            &Observation::SensingSlot {
-                at_ns: 4,
-                missed_streak: 2,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, INV_MISSED_DETECT_BUDGET);
-        assert_eq!(v[0].observed, 2.0);
-        assert_eq!(v[0].bound, 1.0);
-    }
-
-    #[test]
-    fn fusion_quorum_fires_on_thin_evidence_but_exempts_head_local() {
-        let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        // a healthy majority decision holds
-        reg.check(
-            &Observation::FusionDecision {
-                at_ns: 1,
-                reports_used: 5,
-                quorum: 3,
-                head_local: true,
-            },
-            &mut v,
-        );
-        reg.check(
-            &Observation::FusionDecision {
-                at_ns: 2,
-                reports_used: 5,
-                quorum: 3,
-                head_local: false,
-            },
-            &mut v,
-        );
-        assert!(v.is_empty());
-        // fewer arrived reports than the quorum demands: structural breach
-        reg.check(
-            &Observation::FusionDecision {
-                at_ns: 3,
-                reports_used: 2,
-                quorum: 3,
-                head_local: false,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, INV_FUSION_QUORUM);
-        // head-local decisions are exempt even with zero reports
-        reg.check(
-            &Observation::FusionDecision {
-                at_ns: 4,
-                reports_used: 0,
-                quorum: 0,
-                head_local: true,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-    }
-
-    #[test]
-    fn report_epa_fires_only_on_transmitted_sub_floor_words() {
-        let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        // nothing radiated: the ceiling holds however bad the margin is
-        reg.check(
-            &Observation::ReportLongHaul {
-                at_ns: 1,
-                transmitted: false,
-                margin_db: -20.0,
-                mt: 2,
-            },
-            &mut v,
-        );
-        // transmitted with headroom: holds
-        reg.check(
-            &Observation::ReportLongHaul {
-                at_ns: 2,
-                transmitted: true,
-                margin_db: 4.2,
-                mt: 2,
-            },
-            &mut v,
-        );
-        assert!(v.is_empty());
-        // transmitted below the floor: the breach the explorer hunts
-        reg.check(
-            &Observation::ReportLongHaul {
-                at_ns: 3,
-                transmitted: true,
-                margin_db: -0.25,
-                mt: 2,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, INV_REPORT_EPA);
-        assert_eq!(v[0].observed, -0.25);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn llr_degrade_order_recomputes_the_first_eligible_rung() {
         let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        let ladder = |at_ns, weighted, rung, n_reports, mean_confidence, reliability_floor| {
-            Observation::FusionLadder {
-                at_ns,
-                soft_path: f64::is_finite(reliability_floor),
-                weighted,
-                rung,
-                n_reports,
-                min_quorum: 2,
-                mean_confidence,
-                reliability_floor,
-            }
-        };
         // every legitimate rung in ladder order holds
-        for (weighted, rung, n, conf, floor) in [
-            (true, 0u8, 5usize, 0.9, 0.65), // view held, confident quorum → soft
-            (false, 0, 5, 0.9, 0.65),       // no view, confident quorum → soft
-            (false, 1, 5, 0.3, 0.65),       // shaky quorum → hard decode
-            (false, 1, 5, 1.0, f64::INFINITY), // no soft rung → hard decode
-            (false, 2, 1, 0.9, 0.65),       // sub-quorum → OR fallback
-            (false, 2, 1, 1.0, f64::INFINITY),
-            (false, 3, 0, 0.0, 0.65), // empty → head local
-        ] {
-            reg.check(&ladder(1, weighted, rung, n, conf, floor), &mut v);
-        }
-        assert!(v.is_empty(), "{v:?}");
-        // skipping the soft rung on a confident quorum fires
-        reg.check(&ladder(2, true, 1, 5, 0.9, 0.65), &mut v);
-        // so does jumping straight to head-local with reports in hand
-        reg.check(&ladder(3, false, 3, 1, 1.0, f64::INFINITY), &mut v);
-        // and a confident quorum that lands on the hard rung
-        reg.check(&ladder(4, false, 1, 5, 1.0, 0.65), &mut v);
-        assert_eq!(v.len(), 3);
+        let legitimate = fired(
+            &reg,
+            &[
+                ladder(true, 0, 5, 0.9, 0.65),  // view held, confident quorum → soft
+                ladder(false, 0, 5, 0.9, 0.65), // no view, confident quorum → soft
+                ladder(false, 1, 5, 0.3, 0.65), // shaky quorum → hard decode
+                ladder(false, 1, 5, 1.0, f64::INFINITY), // no soft rung → hard decode
+                ladder(false, 2, 1, 0.9, 0.65), // sub-quorum → OR fallback
+                ladder(false, 2, 1, 1.0, f64::INFINITY),
+                ladder(false, 3, 0, 0.0, 0.65), // empty → head local
+            ],
+        );
+        assert!(legitimate.is_empty(), "{legitimate:?}");
+        let v = fired(
+            &reg,
+            &[
+                // skipping the soft rung on a confident quorum fires
+                ladder(true, 1, 5, 0.9, 0.65),
+                // so does jumping straight to head-local with reports in hand
+                ladder(false, 3, 1, 1.0, f64::INFINITY),
+                // and a confident quorum that lands on the hard rung
+                ladder(false, 1, 5, 1.0, 0.65),
+            ],
+        );
         assert!(v.iter().all(|x| x.invariant == INV_LLR_DEGRADE_ORDER));
-        assert_eq!(v[0].bound, 0.0);
-        assert_eq!(v[1].bound, 2.0);
-        assert_eq!(v[2].bound, 0.0);
+        assert_eq!(
+            v.iter().map(|x| x.bound).collect::<Vec<_>>(),
+            [0.0, 2.0, 0.0]
+        );
     }
 
     #[test]
@@ -1400,170 +1088,63 @@ mod tests {
             report_epa_floor_db: 5.0,
             byz_missed_budget: 0,
         });
-        let mut v = Vec::new();
-        // a margin fine at the paper floor breaks a +3 dB floor
-        weak.check(
-            &Observation::UnderlaySlot {
-                at_ns: 0,
-                transmitting: true,
-                mt: 4,
-                mr: 3,
-                margin_db: 1.0,
-            },
-            &mut v,
-        );
-        // a perfect null breaks a negative residual bound
-        weak.check(
-            &Observation::InterweaveSlot {
-                at_ns: 0,
-                transmitting: true,
-                channel: 0,
-                pu_active: false,
-                null_residual: 0.0,
-            },
-            &mut v,
-        );
-        // one missed slot — fine at the paper budget — breaks budget 0
-        weak.check(
-            &Observation::SensingSlot {
-                at_ns: 0,
-                missed_streak: 1,
-            },
-            &mut v,
-        );
-        // an OR-fallback quorum of 1 breaks a raised quorum minimum
-        weak.check(
-            &Observation::FusionDecision {
-                at_ns: 0,
-                reports_used: 1,
-                quorum: 1,
-                head_local: false,
-            },
-            &mut v,
-        );
-        // a report word fine at the paper floor breaks a +5 dB floor
-        weak.check(
-            &Observation::ReportLongHaul {
-                at_ns: 0,
-                transmitted: true,
-                margin_db: 2.0,
-                mt: 2,
-            },
-            &mut v,
-        );
-        // a one-slot miss under a converged, ≤ f adversary cast — within
-        // the paper containment budget — breaks a zero budget
-        weak.check(
-            &Observation::ByzContainment {
-                at_ns: 0,
-                n_adversaries: 1,
-                f_max: 2,
-                converged: true,
-                missed_streak: 1,
-            },
-            &mut v,
+        let v = fired(
+            &weak,
+            &[
+                // a margin fine at the paper floor breaks a +3 dB floor
+                underlay(true, 1.0),
+                // a perfect null breaks a negative residual bound
+                interweave(true, false, 0.0),
+                // one missed slot — fine at the paper budget — breaks budget 0
+                sensing(1),
+                // an OR-fallback quorum of 1 breaks a raised quorum minimum
+                fusion(1, 1, false),
+                // a report word fine at the paper floor breaks a +5 dB floor
+                report(true, 2.0),
+                // a one-slot miss under a converged, ≤ f adversary cast —
+                // within the paper containment budget — breaks a zero budget
+                byz(1, true, 1),
+            ],
         );
         assert_eq!(v.len(), 6);
     }
 
     #[test]
-    fn byz_containment_fires_only_inside_the_contract() {
-        let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        // within budget: holds
-        reg.check(
-            &Observation::ByzContainment {
-                at_ns: 1,
-                n_adversaries: 2,
-                f_max: 2,
-                converged: true,
-                missed_streak: 1,
-            },
-            &mut v,
+    fn weakened_bounds_render_into_the_bound_texts() {
+        let weak = InvariantRegistry::with_bounds(InvariantBounds {
+            epa_margin_floor_db: 9.42,
+            null_residual_max: 0.25,
+            overdraw_max: 0.5,
+            missed_detect_budget: 0,
+            fusion_quorum_min: 4,
+            report_epa_floor_db: 7.5,
+            byz_missed_budget: 3,
+        })
+        .invariants();
+        let bound = |id: &str| &weak.iter().find(|r| r.id == id).unwrap().bound;
+        assert_eq!(
+            bound(INV_EPA_CEILING),
+            "every slot: muted, or margin_db ≥ 9.420 dB"
         );
-        // cold start: the contract has not begun, however long the streak
-        reg.check(
-            &Observation::ByzContainment {
-                at_ns: 2,
-                n_adversaries: 2,
-                f_max: 2,
-                converged: false,
-                missed_streak: 7,
-            },
-            &mut v,
+        assert!(bound(INV_NULL_DEPTH).ends_with("null residual ≤ 2.5e-1"));
+        assert!(bound(INV_DEGRADE_POWER).contains("overdraw ≤ 0.500000000;"));
+        assert_eq!(
+            bound(INV_MISSED_DETECT_BUDGET),
+            "missed-detection streak ≤ 0 slot(s)"
         );
-        // over-tolerance cast: outside the paper's promise
-        reg.check(
-            &Observation::ByzContainment {
-                at_ns: 3,
-                n_adversaries: 3,
-                f_max: 2,
-                converged: true,
-                missed_streak: 7,
-            },
-            &mut v,
-        );
-        assert!(v.is_empty(), "{v:?}");
-        // converged, ≤ f, streak past the budget: the breach
-        reg.check(
-            &Observation::ByzContainment {
-                at_ns: 4,
-                n_adversaries: 2,
-                f_max: 2,
-                converged: true,
-                missed_streak: 2,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, INV_BYZ_CONTAINMENT);
-        assert_eq!(v[0].observed, 2.0);
-        assert_eq!(v[0].bound, 1.0);
-    }
-
-    #[test]
-    fn reputation_sane_fires_on_bad_weights_and_on_quarantine_leaks() {
-        let reg = InvariantRegistry::paper();
-        let mut v = Vec::new();
-        // healthy slot: weights bounded, fused count within eligibility
-        reg.check(
-            &Observation::ReputationSlot {
-                at_ns: 1,
-                min_weight: 0.2,
-                max_weight: 0.9,
-                reports_used: 4,
-                eligible_distinct: 5,
-            },
-            &mut v,
-        );
-        assert!(v.is_empty());
-        // a weight past 1 breaks the posterior-mean contract
-        reg.check(
-            &Observation::ReputationSlot {
-                at_ns: 2,
-                min_weight: 0.2,
-                max_weight: 1.5,
-                reports_used: 0,
-                eligible_distinct: 0,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, INV_REPUTATION_SANE);
-        assert_eq!(v[0].observed, 1.5);
-        // counting more reports than eligible means a quarantined
-        // reporter leaked into the quorum
-        reg.check(
-            &Observation::ReputationSlot {
-                at_ns: 3,
-                min_weight: 0.2,
-                max_weight: 0.9,
-                reports_used: 5,
-                eligible_distinct: 4,
-            },
-            &mut v,
-        );
-        assert_eq!(v.len(), 2);
-        assert!(v[1].detail.contains("quarantined"));
+        assert!(bound(INV_FUSION_QUORUM).ends_with("≥ quorum ≥ 4"));
+        assert!(bound(INV_REPORT_EPA).ends_with("margin ≥ 7.500 dB"));
+        assert!(bound(INV_BYZ_CONTAINMENT).ends_with("streak ≤ 3 slot(s)"));
+        // the rows without a numeric bound read the same at any bounds
+        let bound_free = [
+            INV_EVENTQ_TIME,
+            INV_CKPT_COUNTS,
+            INV_LLR_DEGRADE_ORDER,
+            INV_REPUTATION_SANE,
+        ];
+        let paper = InvariantRegistry::paper().invariants();
+        for (w, p) in weak.iter().zip(&paper) {
+            assert_eq!(w.bound == p.bound, bound_free.contains(&w.id), "{}", w.id);
+        }
     }
 }

@@ -12,8 +12,10 @@
 //!    `INV-EVENTQ-TIME`, `INV-CKPT-COUNTS`, `INV-MISSED-DETECT-BUDGET`,
 //!    `INV-FUSION-QUORUM`, `INV-REPORT-EPA`, `INV-LLR-DEGRADE-ORDER`,
 //!    `INV-BYZ-CONTAINMENT`, `INV-REPUTATION-SANE`), each tied to the
-//!    equation or section it encodes and the code path it guards, in a
-//!    registry every checker (the explorer, `faultbench`, tests) shares.
+//!    equation or section it encodes and the code path it guards. Each
+//!    observation variant belongs to one invariant, so a check is one
+//!    `match`; every checker (the explorer, `faultbench`, tests) arms the
+//!    same eleven through `InvariantRegistry`.
 //! 2. **[`world`]** — one end-to-end scenario that drives a fault
 //!    schedule through the event queue, cooperative spectrum sensing
 //!    with hardened decision fusion, all three paradigm degradation
@@ -45,10 +47,10 @@ pub mod world;
 pub use artifact::{replay, ArtifactError, ChaosArtifact, ReplayOutcome, TraceEvent};
 pub use explore::{explore, run_params, soak, ExploreConfig, ExploreReport, RunFinding};
 pub use invariant::{
-    Invariant, InvariantBounds, InvariantRegistry, Observation, Violation, INV_BYZ_CONTAINMENT,
+    InvariantBounds, InvariantInfo, InvariantRegistry, Observation, Violation, INV_BYZ_CONTAINMENT,
     INV_CKPT_COUNTS, INV_DEGRADE_POWER, INV_EPA_CEILING, INV_EVENTQ_TIME, INV_FUSION_QUORUM,
     INV_LLR_DEGRADE_ORDER, INV_MISSED_DETECT_BUDGET, INV_NULL_DEPTH, INV_REPORT_EPA,
-    INV_REPUTATION_SANE,
+    INV_REPUTATION_SANE, N_INVARIANTS,
 };
 pub use shrink::{ddmin, ShrinkResult};
 pub use world::{run_events, ChaosConfig, ChaosOutcome, ChaosWorld};

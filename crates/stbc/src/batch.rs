@@ -1,6 +1,6 @@
 //! Batched per-point Monte-Carlo engine for OSTBC BER.
 //!
-//! [`crate::sim::simulate_ber_with`] is the draw-order *oracle*: one block
+//! [`crate::sim::simulate_ber`] is the draw-order *oracle*: one block
 //! at a time, matrices in row-major `CMatrix` form, the generic
 //! least-squares decoder. That shape is easy to audit but slow — every
 //! block pays `fill_from_fn` index arithmetic, per-coefficient polar
@@ -94,7 +94,7 @@ impl BatchWorkspace {
 
     /// Simulates `n_blocks` blocks from `rng` in chunks of
     /// [`BATCH_BLOCKS`], mirroring the link model of
-    /// [`crate::sim::simulate_ber_with`] (per-symbol energy `es` split
+    /// [`crate::sim::simulate_ber`] (per-symbol energy `es` split
     /// over `mt` antennas, complex noise variance `n0`). The chunk
     /// decomposition and per-chunk draw order depend only on `n_blocks`,
     /// so the stream consumption is reproducible — and identical to any

@@ -167,40 +167,14 @@ impl BerResult {
     }
 }
 
-/// Preallocated per-thread state for the Monte-Carlo hot path: channel,
-/// transmit and receive blocks, symbol buffers and the decoder's scratch.
-/// After the first block of a run, simulation is allocation-free.
-#[derive(Debug, Clone)]
-pub struct SimWorkspace {
-    h: CMatrix,
-    x: CMatrix,
-    y: CMatrix,
-    idx: Vec<u32>,
-    syms: Vec<Complex>,
-    est: Vec<Complex>,
-    scratch: DecodeScratch,
-}
-
-impl SimWorkspace {
-    /// Allocates buffers sized for `code` with `mr` receive antennas.
-    pub fn new(code: &Ostbc, mr: usize) -> Self {
-        assert!(mr >= 1);
-        Self {
-            h: CMatrix::zeros(mr, code.n_tx()),
-            x: CMatrix::zeros(code.n_slots(), code.n_tx()),
-            y: CMatrix::zeros(code.n_slots(), mr),
-            idx: Vec::with_capacity(code.n_symbols()),
-            syms: Vec::with_capacity(code.n_symbols()),
-            est: Vec::with_capacity(code.n_symbols()),
-            scratch: DecodeScratch::new(),
-        }
-    }
-}
-
 /// Simulates `n_blocks` OSTBC blocks over i.i.d. block-Rayleigh fading with
 /// `mr` receive antennas at per-symbol transmit energy `es` (split evenly
 /// over the `mt` antennas, as in the paper's `γ_b = ‖H‖²ē_b/(N0·mt)`) and
 /// complex noise variance `n0`. Returns the measured BER.
+///
+/// This is the per-block scalar draw-order oracle: channel draw → encode
+/// → channel apply + noise → decode → slice, one block at a time, with
+/// buffers allocated once per call.
 pub fn simulate_ber<R: Rng + ?Sized>(
     rng: &mut R,
     code: &Ostbc,
@@ -210,26 +184,16 @@ pub fn simulate_ber<R: Rng + ?Sized>(
     n0: f64,
     n_blocks: usize,
 ) -> BerResult {
-    let mut ws = SimWorkspace::new(code, mr);
-    simulate_ber_with(rng, &mut ws, code, constellation, es, n0, n_blocks)
-}
-
-/// [`simulate_ber`] with caller-provided buffers: the per-block pipeline
-/// (channel draw → encode → channel apply + noise → decode → slice) runs
-/// entirely in `ws`, so steady state does not allocate. Draws from `rng`
-/// in exactly the same order as [`simulate_ber`], which delegates here.
-pub fn simulate_ber_with<R: Rng + ?Sized>(
-    rng: &mut R,
-    ws: &mut SimWorkspace,
-    code: &Ostbc,
-    constellation: &SimConstellation,
-    es: f64,
-    n0: f64,
-    n_blocks: usize,
-) -> BerResult {
+    assert!(mr >= 1);
     assert!(es > 0.0 && n0 > 0.0);
     let mt = code.n_tx();
-    assert_eq!(ws.h.cols(), mt, "workspace was built for a different code");
+    let mut h = CMatrix::zeros(mr, mt);
+    let mut x = CMatrix::zeros(code.n_slots(), mt);
+    let mut y = CMatrix::zeros(code.n_slots(), mr);
+    let mut idx = Vec::with_capacity(code.n_symbols());
+    let mut syms = Vec::with_capacity(code.n_symbols());
+    let mut est = Vec::with_capacity(code.n_symbols());
+    let mut scratch = DecodeScratch::new();
     let b = constellation.bits_per_symbol();
     let m = constellation.size() as u32;
     let amp = (es / mt as f64).sqrt();
@@ -237,22 +201,22 @@ pub fn simulate_ber_with<R: Rng + ?Sized>(
     let mut bits = 0u64;
     let mut errors = 0u64;
     for _ in 0..n_blocks {
-        ws.h.fill_from_fn(|_, _| complex_gaussian(rng, 1.0));
-        ws.idx.clear();
+        h.fill_from_fn(|_, _| complex_gaussian(rng, 1.0));
+        idx.clear();
         for _ in 0..code.n_symbols() {
-            ws.idx.push(rng.gen_range(0..m));
+            idx.push(rng.gen_range(0..m));
         }
-        ws.syms.clear();
-        ws.syms.extend(ws.idx.iter().map(|&i| constellation.map(i)));
-        code.encode_scaled_into(&ws.syms, amp, &mut ws.x);
-        ws.x.mul_bt_into(&ws.h, &mut ws.y);
-        for slot in 0..ws.y.rows() {
-            for j in 0..ws.y.cols() {
-                ws.y[(slot, j)] += complex_gaussian(rng, n0);
+        syms.clear();
+        syms.extend(idx.iter().map(|&i| constellation.map(i)));
+        code.encode_scaled_into(&syms, amp, &mut x);
+        x.mul_bt_into(&h, &mut y);
+        for slot in 0..y.rows() {
+            for j in 0..y.cols() {
+                y[(slot, j)] += complex_gaussian(rng, n0);
             }
         }
-        decode_block_into(code, &ws.h, &ws.y, &mut ws.scratch, &mut ws.est);
-        for (e, &i) in ws.est.iter().zip(&ws.idx) {
+        decode_block_into(code, &h, &y, &mut scratch, &mut est);
+        for (e, &i) in est.iter().zip(&idx) {
             let hat = constellation.slice_fast(e.scale(inv_amp));
             errors += u64::from((hat ^ i).count_ones());
             bits += u64::from(b);
@@ -512,22 +476,6 @@ mod tests {
                 let x = c.map(i) + complex_gaussian(&mut rng, 0.5);
                 assert_eq!(c.slice_fast(x), c.slice(x), "b={b} trial={trial} x={x}");
             }
-        }
-    }
-
-    #[test]
-    fn workspace_reuse_matches_fresh_workspaces() {
-        // one workspace across calls == a fresh workspace per call,
-        // bit-for-bit (same rng stream either way)
-        let code = Ostbc::new(StbcKind::H4);
-        let cons = SimConstellation::new(2);
-        let mut rng_a = seeded(301);
-        let mut rng_b = seeded(301);
-        let mut ws = SimWorkspace::new(&code, 2);
-        for _ in 0..3 {
-            let a = simulate_ber_with(&mut rng_a, &mut ws, &code, &cons, 6.0, 1.0, 200);
-            let b = simulate_ber(&mut rng_b, &code, &cons, 2, 6.0, 1.0, 200);
-            assert_eq!(a, b);
         }
     }
 
