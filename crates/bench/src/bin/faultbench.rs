@@ -59,7 +59,7 @@ fn assert_registry_invariants(lambda: f64) {
     let world = ChaosConfig::paper(EXPERIMENT_SEED, HORIZON_S);
     let schedule = build_schedule(&cfg.faults, &world.topology(), EXPERIMENT_SEED);
     let reg = InvariantRegistry::paper();
-    let out = run_events(&world, &schedule, &reg, false);
+    let out = run_events(&world, &schedule, &reg);
     assert!(
         out.violations.is_empty(),
         "lambda {lambda}: {} invariant violation(s) at paper bounds, first: {:?}",
@@ -78,7 +78,7 @@ fn assert_registry_invariants_large(lambdas: &[f64]) {
     for &lambda in lambdas {
         let cfg = large_scenario(lambda);
         let schedule = build_schedule(&cfg.faults, &world.cfg().topology(), EXPERIMENT_SEED);
-        let out = world.run(&schedule, &reg, false);
+        let out = world.run(&schedule, &reg);
         assert!(
             out.violations.is_empty(),
             "lambda {lambda} at K=128: {} invariant violation(s) at paper bounds, first: {:?}",

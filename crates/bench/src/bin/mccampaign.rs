@@ -14,6 +14,7 @@
 //! **bit-identical** to an uninterrupted run at any thread count — the
 //! `counts` lines on stdout are pure functions of the parameters, and CI
 //! diffs them between a SIGKILLed-then-resumed run and a clean one.
+//! `RAYON_NUM_THREADS=1` runs the shards on one thread.
 //!
 //! Usage:
 //! `cargo run --release -p comimo-bench --bin mccampaign -- [options]`
@@ -28,7 +29,6 @@
 //! --max-attempts K  attempts per shard before quarantine (default 3)
 //! --wall-secs S     graceful-stop wall-clock budget
 //! --seed S          campaign seed                  (default 2013)
-//! --serial          force serial shard execution (bit-identical)
 //! --fault-panic P   injected shard-panic probability    (default 0)
 //! --fault-io P      injected checkpoint-IO-error probability (default 0)
 //! --fault-seed S    fault-plan seed                (default 77)
@@ -49,7 +49,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: mccampaign [--blocks N] [--snr-db LIST] [--checkpoint PATH] [--resume] \
-         [--chunk N] [--max-attempts K] [--wall-secs S] [--seed S] [--serial] \
+         [--chunk N] [--max-attempts K] [--wall-secs S] [--seed S] \
          [--fault-panic P] [--fault-io P] [--fault-seed S]"
     );
     std::process::exit(2);
@@ -64,7 +64,6 @@ struct Args {
     max_attempts: u32,
     wall_secs: Option<f64>,
     seed: u64,
-    serial: bool,
     fault_panic: f64,
     fault_io: f64,
     fault_seed: u64,
@@ -80,7 +79,6 @@ fn parse_args() -> Args {
         max_attempts: 3,
         wall_secs: None,
         seed: EXPERIMENT_SEED,
-        serial: false,
         fault_panic: 0.0,
         fault_io: 0.0,
         fault_seed: 77,
@@ -131,7 +129,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| usage("--seed must be an integer"))
             }
-            "--serial" => a.serial = true,
             "--fault-panic" => {
                 a.fault_panic = value(&mut args, "--fault-panic")
                     .parse()
@@ -185,7 +182,6 @@ fn main() {
         cfg.resume = args.resume;
         cfg.checkpoint_every_shards = args.chunk.max(1);
         cfg.wall_clock_budget = args.wall_secs.map(Duration::from_secs_f64);
-        cfg.serial = args.serial;
         cfg.faults = CampaignFaultPlan {
             seed: args.fault_seed,
             shard_panic_prob: args.fault_panic,

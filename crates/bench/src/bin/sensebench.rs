@@ -34,7 +34,6 @@
 //! --resume            load an existing checkpoint instead of starting fresh
 //! --chunk N           shards per checkpoint commit          (default 2)
 //! --seed S            campaign seed                         (default 2013)
-//! --serial            force serial shard execution
 //! --report-snrs-db L  comma-separated report-channel SNR axis in dB;
 //!                     `inf` = clean oracle                  (default inf)
 //! ```
@@ -45,9 +44,12 @@
 //! --warmup N          training rounds per shard before counting (default 40)
 //! --shards N          shards (independent replicates)       (default 8)
 //! --byz-counts L      comma-separated always-no adversary axis (default 0,1,2)
-//! --checkpoint P / --resume / --chunk N / --seed S / --serial
+//! --checkpoint P / --resume / --chunk N / --seed S
 //!                     as in --roc
 //! ```
+//!
+//! Counts are the same at any thread count; `RAYON_NUM_THREADS=1` runs
+//! the shards on one thread.
 //!
 //! The campaign config binds the checkpoint to `spec.fingerprint()`, so a
 //! checkpoint written for one grid (e.g. the clean axis) refuses to
@@ -71,9 +73,9 @@ fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: sensebench [--roc [--trials N] [--shards N] [--checkpoint PATH] [--resume] \
-         [--chunk N] [--seed S] [--serial] [--report-snrs-db LIST]]\n\
+         [--chunk N] [--seed S] [--report-snrs-db LIST]]\n\
          \x20      sensebench [--byz [--rounds N] [--warmup N] [--shards N] [--byz-counts LIST] \
-         [--checkpoint PATH] [--resume] [--chunk N] [--seed S] [--serial]]"
+         [--checkpoint PATH] [--resume] [--chunk N] [--seed S]]"
     );
     std::process::exit(2);
 }
@@ -85,7 +87,6 @@ struct RocArgs {
     resume: bool,
     chunk: usize,
     seed: u64,
-    serial: bool,
     report_snrs_db: Option<Vec<f64>>,
 }
 
@@ -119,7 +120,6 @@ fn parse_roc_args(args: &[String]) -> RocArgs {
         resume: false,
         chunk: 2,
         seed: EXPERIMENT_SEED,
-        serial: false,
         report_snrs_db: None,
     };
     let mut it = args.iter();
@@ -152,7 +152,6 @@ fn parse_roc_args(args: &[String]) -> RocArgs {
                     .parse()
                     .unwrap_or_else(|_| usage("--seed must be an integer"))
             }
-            "--serial" => a.serial = true,
             "--report-snrs-db" => {
                 a.report_snrs_db = Some(parse_report_snrs(&value(&mut it, "--report-snrs-db")))
             }
@@ -206,7 +205,6 @@ fn roc_mode(args: &[String]) {
     cfg.checkpoint = args.checkpoint.as_ref().map(|p| p.into());
     cfg.resume = args.resume;
     cfg.checkpoint_every_shards = args.chunk.max(1);
-    cfg.serial = args.serial;
 
     let (report, roc) = match run_roc_campaign(&spec, &cfg) {
         Ok(out) => out,
@@ -264,7 +262,6 @@ struct ByzArgs {
     resume: bool,
     chunk: usize,
     seed: u64,
-    serial: bool,
 }
 
 /// Parses the `--byz-counts` axis: comma-separated always-no adversary
@@ -296,7 +293,6 @@ fn parse_byz_args(args: &[String]) -> ByzArgs {
         resume: false,
         chunk: 2,
         seed: EXPERIMENT_SEED,
-        serial: false,
     };
     let mut it = args.iter();
     let value = |it: &mut dyn Iterator<Item = &String>, flag: &str| -> String {
@@ -336,7 +332,6 @@ fn parse_byz_args(args: &[String]) -> ByzArgs {
                     .parse()
                     .unwrap_or_else(|_| usage("--seed must be an integer"))
             }
-            "--serial" => a.serial = true,
             other => usage(&format!("unknown argument {other:?}")),
         }
     }
@@ -366,7 +361,6 @@ fn byz_mode(args: &[String]) {
     cfg.checkpoint = args.checkpoint.as_ref().map(|p| p.into());
     cfg.resume = args.resume;
     cfg.checkpoint_every_shards = args.chunk.max(1);
-    cfg.serial = args.serial;
 
     let (report, cells) = match run_byz_campaign(&spec, &cfg) {
         Ok(out) => out,

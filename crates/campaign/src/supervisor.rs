@@ -7,15 +7,18 @@
 //! The pending shards (everything the checkpoint does not already mark
 //! done or quarantined) are processed in *chunks* of
 //! [`CampaignConfig::checkpoint_every_shards`]. Within a chunk, shards
-//! run on the rayon pool (serially without the `parallel` feature or
-//! with [`CampaignConfig::serial`]); each shard execution is wrapped in
-//! `catch_unwind`, retried with bounded exponential backoff on panic,
-//! and quarantined after [`CampaignConfig::max_attempts`] failures —
-//! the sweep keeps going instead of aborting. After every chunk the
-//! merged state is committed atomically to the checkpoint file, and the
-//! stop conditions (stop flag, wall-clock budget) are polled; a stop
-//! returns a partial result with a Wilson interval plus a resumable
-//! checkpoint.
+//! fan out through [`comimo_sim::map_shards`]: on the rayon pool, or
+//! inline when the pool has one thread (`RAYON_NUM_THREADS=1`, or a
+//! build without the `parallel` feature) or the campaign itself runs on
+//! a worker of a map that fills the pool (a chaos run's mini-campaign
+//! inside an explore sweep of at least as many runs as threads). Each
+//! shard execution is wrapped in `catch_unwind`, retried with bounded
+//! exponential backoff on panic, and quarantined after
+//! [`CampaignConfig::max_attempts`] failures — the sweep keeps going
+//! instead of aborting. After every chunk the merged state is committed
+//! atomically to the checkpoint file, and the stop conditions (stop
+//! flag, wall-clock budget) are polled; a stop returns a partial result
+//! with a Wilson interval plus a resumable checkpoint.
 //!
 //! # Determinism
 //!
@@ -71,9 +74,6 @@ pub struct CampaignConfig {
     /// Cooperative stop flag (e.g. from [`crate::install_sigint_stop`]),
     /// polled at chunk boundaries.
     pub stop: Option<Arc<AtomicBool>>,
-    /// Force serial chunk execution even in `parallel` builds (the two
-    /// modes are bit-identical; this exists so tests can prove it).
-    pub serial: bool,
     /// Deterministic fault injection (disabled by default).
     pub faults: CampaignFaultPlan,
 }
@@ -94,7 +94,6 @@ impl CampaignConfig {
             io_retries: 3,
             wall_clock_budget: None,
             stop: None,
-            serial: false,
             faults: CampaignFaultPlan::disabled(),
         }
     }
@@ -354,12 +353,7 @@ where
             stopped = true;
             break;
         }
-        let outcomes = if cfg.serial {
-            chunk.iter().map(&run_one).collect()
-        } else {
-            map_shards(chunk, |_, label| run_one(label))
-        };
-        for o in outcomes {
+        for o in map_shards(chunk, |_, label| run_one(label)) {
             match o.result {
                 Some(r) => {
                     state.mark_done_multi(o.label, &r);
@@ -557,7 +551,7 @@ impl std::fmt::Display for SupervisedFailure {
 }
 
 /// Maps `f` over `items` under the supervisor's panic isolation and
-/// bounded retries (on the rayon pool with the `parallel` feature).
+/// bounded retries, fanned out by [`comimo_sim::map_shards`].
 /// Output order matches input order; an item whose every attempt
 /// panicked yields `Err` instead of unwinding through the whole map.
 pub fn supervised_map<T, R, F>(

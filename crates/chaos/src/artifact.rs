@@ -185,17 +185,17 @@ pub struct ReplayOutcome {
     /// Invariant checks the replay consulted.
     pub checks: u64,
     /// A canonical text digest of the replay (identical across thread
-    /// counts iff the replay is — CI diffs the serial digest against the
-    /// pooled one).
+    /// counts iff the replay is — CI diffs the `RAYON_NUM_THREADS=1`
+    /// digest against the 8-thread one).
     pub digest: String,
 }
 
 /// Re-executes an artifact's minimized trace through the full world and
 /// compares what fires against the recorded violation, bit for bit.
-pub fn replay(art: &ChaosArtifact, serial: bool) -> ReplayOutcome {
+pub fn replay(art: &ChaosArtifact) -> ReplayOutcome {
     let reg = InvariantRegistry::with_bounds(art.bounds);
     let events = art.events();
-    let out = run_events(&art.config, &events, &reg, serial);
+    let out = run_events(&art.config, &events, &reg);
     let violation = out
         .violations
         .iter()
@@ -253,7 +253,6 @@ mod tests {
                 overdraw_max: 0.5,
                 ..InvariantBounds::paper()
             },
-            serial: true,
             ..ExploreConfig::new(21)
         };
         let report = explore(&cfg);
@@ -277,14 +276,13 @@ mod tests {
     }
 
     #[test]
-    fn replay_reproduces_bit_identically_at_any_thread_count() {
+    fn replay_reproduces_bit_identically() {
         let (cfg, f) = empty_trace_finding();
         let art = ChaosArtifact::from_finding(&cfg, &f);
-        let serial = replay(&art, true);
-        let pooled = replay(&art, false);
-        assert!(serial.reproduced, "{}", serial.digest);
-        assert!(pooled.reproduced, "{}", pooled.digest);
-        assert_eq!(serial.digest, pooled.digest);
+        let first = replay(&art);
+        let second = replay(&art);
+        assert!(first.reproduced, "{}", first.digest);
+        assert_eq!(first.digest, second.digest);
     }
 
     #[test]
@@ -292,7 +290,7 @@ mod tests {
         let (cfg, f) = empty_trace_finding();
         let mut art = ChaosArtifact::from_finding(&cfg, &f);
         art.observed_bits ^= 1;
-        let out = replay(&art, true);
+        let out = replay(&art);
         assert!(!out.reproduced);
         assert!(out.violation.is_some(), "the violation still fires");
     }

@@ -9,7 +9,7 @@
 //!               [--epa-floor-db F] [--null-residual-max F] [--overdraw-max F]
 //!               [--missed-budget N] [--fusion-quorum-min N]
 //!               [--report-epa-floor-db F] [--byz-containment N]
-//!               [--out DIR] [--serial] [--no-shrink]
+//!               [--out DIR] [--no-shrink]
 //!     run a deterministic sweep; write one replayable JSON artifact per
 //!     violating run into DIR (default chaos-artifacts/).
 //!     exit 0 = clean, 1 = violations found.
@@ -18,19 +18,23 @@
 //!     explore batch after batch until the wall-clock budget runs out or
 //!     SIGINT is raised (the in-flight batch always finishes).
 //!
-//! chaos replay FILE [--serial]
+//! chaos replay FILE
 //!     re-execute an artifact's minimized trace and compare the violation
 //!     bit for bit. Prints the canonical digest.
 //!     exit 0 = reproduced, 2 = not reproduced.
 //! ```
 //!
-//! An argument the subcommand does not know exits 64 (`EX_USAGE`) before
-//! anything runs.
+//! An argument the subcommand does not know, or a sweep the world cannot
+//! run (λ range outside finite `0 ≤ λ_min ≤ λ_max`, `--mt` below 2, a
+//! horizon that is not finite and positive, `--batch 0`), exits 64
+//! (`EX_USAGE`) before anything runs.
 //!
-//! The weakened-bound flags exist so CI can prove the pipeline end to
-//! end: weaken a bound, watch the explorer find and shrink a violation,
-//! then watch `replay` reproduce it bit-identically at both thread
-//! counts. At the paper's true bounds a sweep must come back clean.
+//! Results are the same at any thread count; `RAYON_NUM_THREADS=1` runs
+//! everything on one thread. The weakened-bound flags exist so CI can
+//! prove the pipeline end to end: weaken a bound, watch the explorer find
+//! and shrink a violation, then watch `replay` reproduce it
+//! bit-identically at 1 and 8 threads. At the paper's true bounds a
+//! sweep must come back clean.
 
 use comimo_campaign::install_sigint_stop;
 use comimo_chaos::{
@@ -69,7 +73,7 @@ const EXPLORE_VALUED: &[&str] = &[
     "--byz-containment",
     "--out",
 ];
-const EXPLORE_SWITCHES: &[&str] = &["--serial", "--no-shrink"];
+const EXPLORE_SWITCHES: &[&str] = &["--no-shrink"];
 
 /// Accepts `rest` only if every argument is one subcommand `cmd` knows:
 /// a valued flag followed by its value, a switch, or one of its bare
@@ -80,7 +84,7 @@ fn check_args(cmd: &str, rest: &[String]) -> Result<(), String> {
         "list-invariants" => (&[], &[], 0),
         "explore" => (EXPLORE_VALUED, EXPLORE_SWITCHES, 0),
         "soak" => (&soak_valued, EXPLORE_SWITCHES, 0),
-        "replay" => (&[], &["--serial"], 1),
+        "replay" => (&[], &[], 1),
         _ => return Err(format!("unknown subcommand {cmd:?}")),
     };
     let mut bare = 0;
@@ -167,9 +171,16 @@ fn explore_config_from(args: &[String]) -> ExploreConfig {
         cfg.mt = v;
     }
     cfg.bounds = bounds_from(args);
-    cfg.serial = has(args, "--serial");
     cfg.shrink = !has(args, "--no-shrink");
     cfg
+}
+
+/// `soak`'s runs per batch; a batch must hold at least one run.
+fn soak_batch(args: &[String]) -> Result<u64, String> {
+    match flag(args, "--batch").unwrap_or(8) {
+        0 => Err("--batch must be at least 1".into()),
+        batch => Ok(batch),
+    }
 }
 
 fn list_invariants() -> ExitCode {
@@ -221,9 +232,25 @@ fn summarize(report: &ExploreReport) {
     );
 }
 
+/// Prints the sweep's summary and writes one artifact per finding;
+/// exit 0 when clean, 1 on violations.
+fn finish_sweep(cfg: &ExploreConfig, report: &ExploreReport, args: &[String]) -> ExitCode {
+    let out_dir: String = flag(args, "--out").unwrap_or_else(|| "chaos-artifacts".into());
+    summarize(report);
+    write_artifacts(cfg, report, &out_dir);
+    if report.findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
+}
+
 fn explore_cmd(args: &[String]) -> ExitCode {
     let cfg = explore_config_from(args);
-    let out_dir: String = flag(args, "--out").unwrap_or_else(|| "chaos-artifacts".into());
+    if let Err(problem) = cfg.validate() {
+        eprintln!("chaos explore: {problem}");
+        return usage();
+    }
     println!(
         "chaos explore: seed {}, runs {}..{}, horizon {} s, λ ∈ [{}, {}]",
         cfg.seed,
@@ -234,20 +261,19 @@ fn explore_cmd(args: &[String]) -> ExitCode {
         cfg.lambda_max
     );
     let report = explore(&cfg);
-    summarize(&report);
-    write_artifacts(&cfg, &report, &out_dir);
-    if report.findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    finish_sweep(&cfg, &report, args)
 }
 
 fn soak_cmd(args: &[String]) -> ExitCode {
     let cfg = explore_config_from(args);
-    let out_dir: String = flag(args, "--out").unwrap_or_else(|| "chaos-artifacts".into());
+    let batch = match cfg.validate().and_then(|()| soak_batch(args)) {
+        Ok(batch) => batch,
+        Err(problem) => {
+            eprintln!("chaos soak: {problem}");
+            return usage();
+        }
+    };
     let wall_secs: u64 = flag(args, "--wall-secs").unwrap_or(30);
-    let batch: u64 = flag(args, "--batch").unwrap_or(8);
     let stop = install_sigint_stop();
     println!(
         "chaos soak: seed {}, {} s wall budget, batches of {} runs (Ctrl-C stops at the \
@@ -255,13 +281,7 @@ fn soak_cmd(args: &[String]) -> ExitCode {
         cfg.seed, wall_secs, batch
     );
     let report = soak(&cfg, Duration::from_secs(wall_secs), batch, stop);
-    summarize(&report);
-    write_artifacts(&cfg, &report, &out_dir);
-    if report.findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    finish_sweep(&cfg, &report, args)
 }
 
 fn replay_cmd(args: &[String]) -> ExitCode {
@@ -269,7 +289,6 @@ fn replay_cmd(args: &[String]) -> ExitCode {
         eprintln!("chaos replay: missing artifact path");
         return ExitCode::from(EX_USAGE);
     };
-    let serial = has(args, "--serial");
     let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("chaos replay: cannot read {path}: {e}");
         std::process::exit(EX_USAGE as i32);
@@ -278,7 +297,7 @@ fn replay_cmd(args: &[String]) -> ExitCode {
         eprintln!("chaos replay: {e}");
         std::process::exit(EX_USAGE as i32);
     });
-    let out = replay(&art, serial);
+    let out = replay(&art);
     print!("{}", out.digest);
     if out.reproduced {
         ExitCode::SUCCESS
@@ -307,10 +326,14 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::check_args;
+    use super::{check_args, explore_config_from, soak_batch};
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
 
     fn check(cmd: &str, args: &[&str]) -> Result<(), String> {
-        check_args(cmd, &args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        check_args(cmd, &strings(args))
     }
 
     #[test]
@@ -318,15 +341,17 @@ mod tests {
         assert!(check("list-invariants", &[]).is_ok());
         assert!(check("list-invariants", &["--seed", "1"]).is_err());
 
-        let explore = ["--runs", "1", "--epa-floor-db", "-3", "--serial"];
+        let explore = ["--runs", "1", "--epa-floor-db", "-3", "--no-shrink"];
         assert!(check("explore", &explore).is_ok());
+        assert!(check("explore", &["--runs", "1", "--serial"]).is_err());
         assert!(check("explore", &["--run", "1", "--horizon", "5"]).is_err());
 
         let soak = ["--wall-secs", "60", "--batch", "4", "--no-shrink"];
         assert!(check("soak", &soak).is_ok());
         assert!(check("soak", &["--wall-secs", "60", "--batches", "4"]).is_err());
 
-        assert!(check("replay", &["run.json", "--serial"]).is_ok());
+        assert!(check("replay", &["run.json"]).is_ok());
+        assert!(check("replay", &["run.json", "--serial"]).is_err());
         assert!(check("replay", &["run.json", "--paralel"]).is_err());
         assert!(check("replay", &["run.json", "--parallel"]).is_err());
         assert!(check("replay", &["a.json", "b.json"]).is_err());
@@ -336,5 +361,26 @@ mod tests {
             "a valued flag needs its value"
         );
         assert!(check("shrink", &[]).is_err());
+    }
+
+    #[test]
+    fn sweeps_the_world_cannot_run_are_usage_errors() {
+        assert!(explore_config_from(&[]).validate().is_ok());
+        assert_eq!(soak_batch(&[]), Ok(8));
+        assert_eq!(soak_batch(&strings(&["--batch", "1"])), Ok(1));
+        let rejected: [&[&str]; 7] = [
+            &["--lambda-min", "-1", "--lambda-max", "0"],
+            &["--lambda-min", "3", "--lambda-max", "2"],
+            &["--lambda-max", "inf"],
+            &["--mt", "1"],
+            &["--mt", "0"],
+            &["--horizon", "0"],
+            &["--horizon", "NaN"],
+        ];
+        for args in rejected {
+            let cfg = explore_config_from(&strings(args));
+            assert!(cfg.validate().is_err(), "{args:?}");
+        }
+        assert!(soak_batch(&strings(&["--batch", "0"])).is_err());
     }
 }

@@ -7,9 +7,12 @@
 //! [`crate::shrink::ddmin`] to a 1-minimal reproducing trace.
 //!
 //! Runs are independent by construction (nothing is shared but the
-//! immutable config), so exploring on the rayon pool and exploring
-//! serially produce the *same findings in the same order* — the property
-//! the CI smoke job pins.
+//! immutable config), so a sweep produces the *same findings in the same
+//! order* at any thread count, and a sweep split into consecutive batches
+//! (soak mode) adds up to the whole — the properties the CI smoke job
+//! and the tests pin. The sweep fans out across runs; once it has at
+//! least as many runs as the pool has threads, each run's own fan-outs
+//! run inline on its worker.
 
 use crate::invariant::{InvariantBounds, InvariantRegistry, Violation};
 use crate::shrink::ddmin;
@@ -47,9 +50,6 @@ pub struct ExploreConfig {
     /// Invariant bounds to arm (paper values by default; weakened bounds
     /// prove the explorer finds and shrinks real violations).
     pub bounds: InvariantBounds,
-    /// Force the sweep onto one thread (findings are identical either
-    /// way; this exists so CI can prove it).
-    pub serial: bool,
     /// Shrink violating schedules with ddmin (on by default; soak mode
     /// may disable it to maximize schedule coverage per second).
     pub shrink: bool,
@@ -68,8 +68,25 @@ impl ExploreConfig {
             lambda_max: 4.0,
             mt: 4,
             bounds: InvariantBounds::paper(),
-            serial: false,
             shrink: true,
+        }
+    }
+
+    /// Checks the sweep parameters the world cannot run with: a finite λ
+    /// range with `0 ≤ λ_min ≤ λ_max`, a transmit cluster of at least 2
+    /// and a finite positive horizon.
+    pub fn validate(&self) -> Result<(), String> {
+        let (lo, hi, horizon) = (self.lambda_min, self.lambda_max, self.horizon_s);
+        if !(lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo <= hi) {
+            Err(format!(
+                "λ range [{lo}, {hi}] is not finite 0 ≤ λ_min ≤ λ_max"
+            ))
+        } else if self.mt < 2 {
+            Err(format!("mt {} is below the 2-transmitter cluster", self.mt))
+        } else if !(horizon.is_finite() && horizon > 0.0) {
+            Err(format!("horizon {horizon} s is not finite and positive"))
+        } else {
+            Ok(())
         }
     }
 }
@@ -148,8 +165,7 @@ fn explore_one(cfg: &ExploreConfig, run: u64) -> RunOutcome {
     // build the world once: the run, the shrink probes and the minimized
     // replay all reuse its precomputed degradation ladders
     let world = ChaosWorld::new(&wcfg);
-    // each run is serial inside; the sweep parallelises across runs
-    let out = world.run(&schedule, &reg, true);
+    let out = world.run(&schedule, &reg);
     let Some(first) = out.violations.first().cloned() else {
         return RunOutcome {
             checks: out.checks,
@@ -168,7 +184,7 @@ fn explore_one(cfg: &ExploreConfig, run: u64) -> RunOutcome {
 
     // the canonical violation is the one the *minimized* trace fires —
     // that is what the artifact must reproduce bit-identically
-    let replay = world.run(&minimized, &reg, true);
+    let replay = world.run(&minimized, &reg);
     let canonical: Violation = replay
         .violations
         .iter()
@@ -201,11 +217,7 @@ fn explore_one(cfg: &ExploreConfig, run: u64) -> RunOutcome {
 /// count.
 pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
     let runs: Vec<u64> = (cfg.start_run..cfg.start_run + cfg.runs).collect();
-    let outcomes = if cfg.serial {
-        runs.iter().map(|&run| explore_one(cfg, run)).collect()
-    } else {
-        map_shards(&runs, |_, &run| explore_one(cfg, run))
-    };
+    let outcomes = map_shards(&runs, |_, &run| explore_one(cfg, run));
 
     let mut report = ExploreReport {
         runs: cfg.runs,
@@ -262,6 +274,7 @@ pub fn soak(cfg: &ExploreConfig, wall: Duration, batch: u64, stop: &AtomicBool) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::ChaosArtifact;
     use crate::invariant::INV_EPA_CEILING;
     use comimo_channel::pathloss::SquareLawLongHaul;
     use comimo_core::underlay::{Underlay, UnderlayConfig};
@@ -294,7 +307,6 @@ mod tests {
         let cfg = ExploreConfig {
             runs: 4,
             horizon_s: 60.0,
-            serial: true,
             ..ExploreConfig::new(2013)
         };
         let report = explore(&cfg);
@@ -305,41 +317,36 @@ mod tests {
         assert!(report.total_faults > 0, "nominal faults must be scheduled");
     }
 
-    #[test]
-    fn weakened_bound_is_found_and_shrunk() {
+    /// Explores 8 runs over 120 s at λ ∈ [2, 4] under `bounds` and checks
+    /// every finding: it fired `invariant`, ddmin shrank it to a
+    /// non-empty subset of its schedule, and its artifact replays the
+    /// minimized trace to the identical violation, bit for bit.
+    fn weakened_sweep(bounds: InvariantBounds, invariant: &str) -> Vec<RunFinding> {
         let cfg = ExploreConfig {
             runs: 8,
             horizon_s: 120.0,
             lambda_min: 2.0,
             lambda_max: 4.0,
-            bounds: weakened_epa_bounds(),
-            serial: true,
+            bounds,
             ..ExploreConfig::new(2013)
         };
-        let report = explore(&cfg);
-        assert!(
-            !report.findings.is_empty(),
-            "λ ∈ [2,4] over 120 s must knock a transmitter out in 8 runs"
-        );
-        for f in &report.findings {
-            assert_eq!(f.invariant, INV_EPA_CEILING);
+        let findings = explore(&cfg).findings;
+        assert!(!findings.is_empty(), "{invariant} must fire in 8 runs");
+        for f in &findings {
+            assert_eq!(f.invariant, invariant);
             assert!(!f.minimized.is_empty(), "a fault is required to violate");
             assert!(f.minimized.len() <= f.schedule_len);
             assert!(f.shrink_probes > 0);
-            // the minimized trace must replay to the identical violation
-            let wcfg = ChaosConfig::paper(f.run_seed, cfg.horizon_s);
-            let reg = InvariantRegistry::with_bounds(cfg.bounds);
-            let replay = crate::world::run_events(&wcfg, &f.minimized, &reg, true);
-            let v = replay
-                .violations
-                .iter()
-                .find(|v| v.invariant == f.invariant)
-                .expect("minimized trace still fires");
-            assert_eq!(v.at_ns, f.at_ns);
-            assert_eq!(v.observed.to_bits(), f.observed.to_bits());
-            assert_eq!(v.bound.to_bits(), f.bound.to_bits());
-            assert_eq!(v.detail, f.detail);
+            let replay = crate::artifact::replay(&ChaosArtifact::from_finding(&cfg, f));
+            assert!(replay.reproduced, "{}", replay.digest);
         }
+        findings
+    }
+
+    #[test]
+    fn weakened_bound_is_found_and_shrunk() {
+        // any schedule that ever knocks a transmitter out violates it
+        weakened_sweep(weakened_epa_bounds(), INV_EPA_CEILING);
     }
 
     #[test]
@@ -350,44 +357,11 @@ mod tests {
         // a transmitter out makes the sensing report words radiate past
         // their weakened PA budget — INV-REPORT-EPA, not INV-EPA-CEILING,
         // because the underlay floor stays at its paper value
-        let report_floor = weakened_epa_bounds().epa_margin_floor_db;
-        let cfg = ExploreConfig {
-            runs: 8,
-            horizon_s: 120.0,
-            lambda_min: 2.0,
-            lambda_max: 4.0,
-            bounds: InvariantBounds {
-                report_epa_floor_db: report_floor,
-                ..InvariantBounds::paper()
-            },
-            serial: true,
-            ..ExploreConfig::new(2013)
+        let bounds = InvariantBounds {
+            report_epa_floor_db: weakened_epa_bounds().epa_margin_floor_db,
+            ..InvariantBounds::paper()
         };
-        let report = explore(&cfg);
-        assert!(
-            !report.findings.is_empty(),
-            "λ ∈ [2,4] over 120 s must knock a transmitter out in 8 runs"
-        );
-        for f in &report.findings {
-            assert_eq!(f.invariant, crate::invariant::INV_REPORT_EPA);
-            assert!(!f.minimized.is_empty(), "a fault is required to violate");
-            assert!(f.minimized.len() <= f.schedule_len);
-            assert!(f.shrink_probes > 0);
-            // the 1-minimal trace must replay to the identical violation,
-            // bit for bit
-            let wcfg = ChaosConfig::paper(f.run_seed, cfg.horizon_s);
-            let reg = InvariantRegistry::with_bounds(cfg.bounds);
-            let replay = crate::world::run_events(&wcfg, &f.minimized, &reg, true);
-            let v = replay
-                .violations
-                .iter()
-                .find(|v| v.invariant == f.invariant)
-                .expect("minimized trace still fires");
-            assert_eq!(v.at_ns, f.at_ns);
-            assert_eq!(v.observed.to_bits(), f.observed.to_bits());
-            assert_eq!(v.bound.to_bits(), f.bound.to_bits());
-            assert_eq!(v.detail, f.detail);
-        }
+        weakened_sweep(bounds, crate::invariant::INV_REPORT_EPA);
     }
 
     #[test]
@@ -396,52 +370,19 @@ mod tests {
         // paper budget) one-slot miss after a mid-slot PU return into a
         // violation — the explorer must find one and ddmin must strip
         // the schedule down to the lone PuReturn that causes it
-        let cfg = ExploreConfig {
-            runs: 8,
-            horizon_s: 120.0,
-            lambda_min: 2.0,
-            lambda_max: 4.0,
-            bounds: InvariantBounds {
-                missed_detect_budget: 0,
-                ..InvariantBounds::paper()
-            },
-            serial: true,
-            ..ExploreConfig::new(2013)
+        let bounds = InvariantBounds {
+            missed_detect_budget: 0,
+            ..InvariantBounds::paper()
         };
-        let report = explore(&cfg);
+        let findings = weakened_sweep(bounds, crate::invariant::INV_MISSED_DETECT_BUDGET);
         assert!(
-            !report.findings.is_empty(),
-            "λ ∈ [2,4] over 120 s must land a PU return inside a radiating slot"
-        );
-        let mut saw_single_pu_return = false;
-        for f in &report.findings {
-            assert_eq!(f.invariant, crate::invariant::INV_MISSED_DETECT_BUDGET);
-            assert!(!f.minimized.is_empty(), "a fault is required to violate");
-            assert!(f.minimized.len() <= f.schedule_len);
-            assert!(f.shrink_probes > 0);
-            if f.minimized.len() == 1
-                && matches!(
-                    f.minimized[0].kind,
-                    comimo_faults::FaultKind::PuReturn { .. }
-                )
-            {
-                saw_single_pu_return = true;
-            }
-            // the minimized trace must replay to the identical violation
-            let wcfg = ChaosConfig::paper(f.run_seed, cfg.horizon_s);
-            let reg = InvariantRegistry::with_bounds(cfg.bounds);
-            let replay = crate::world::run_events(&wcfg, &f.minimized, &reg, true);
-            let v = replay
-                .violations
-                .iter()
-                .find(|v| v.invariant == f.invariant)
-                .expect("minimized trace still fires");
-            assert_eq!(v.at_ns, f.at_ns);
-            assert_eq!(v.observed.to_bits(), f.observed.to_bits());
-            assert_eq!(v.detail, f.detail);
-        }
-        assert!(
-            saw_single_pu_return,
+            findings.iter().any(|f| matches!(
+                f.minimized[..],
+                [FaultEvent {
+                    kind: comimo_faults::FaultKind::PuReturn { .. },
+                    ..
+                }]
+            )),
             "at least one finding shrinks to a lone PuReturn event"
         );
     }
@@ -453,70 +394,45 @@ mod tests {
         // into a containment violation — but only once the reputation
         // tracker has converged, so ddmin must keep a PuReturn landing
         // deep enough into the horizon to fire
-        let cfg = ExploreConfig {
-            runs: 8,
-            horizon_s: 120.0,
-            lambda_min: 2.0,
-            lambda_max: 4.0,
-            bounds: InvariantBounds {
-                byz_missed_budget: 0,
-                ..InvariantBounds::paper()
-            },
-            serial: true,
-            ..ExploreConfig::new(2013)
+        let bounds = InvariantBounds {
+            byz_missed_budget: 0,
+            ..InvariantBounds::paper()
         };
-        let report = explore(&cfg);
-        assert!(
-            !report.findings.is_empty(),
-            "λ ∈ [2,4] over 120 s must land a PU return inside a radiating slot \
-             after reputation convergence"
-        );
-        for f in &report.findings {
-            assert_eq!(f.invariant, crate::invariant::INV_BYZ_CONTAINMENT);
-            assert!(!f.minimized.is_empty(), "a fault is required to violate");
-            assert!(f.minimized.len() <= f.schedule_len);
-            assert!(f.shrink_probes > 0);
+        for f in weakened_sweep(bounds, crate::invariant::INV_BYZ_CONTAINMENT) {
             assert!(
                 f.minimized
                     .iter()
                     .any(|e| matches!(e.kind, comimo_faults::FaultKind::PuReturn { .. })),
                 "a PuReturn must survive shrinking — it causes the miss"
             );
-            // the minimized trace must replay to the identical violation
-            let wcfg = ChaosConfig::paper(f.run_seed, cfg.horizon_s);
-            let reg = InvariantRegistry::with_bounds(cfg.bounds);
-            let replay = crate::world::run_events(&wcfg, &f.minimized, &reg, true);
-            let v = replay
-                .violations
-                .iter()
-                .find(|v| v.invariant == f.invariant)
-                .expect("minimized trace still fires");
-            assert_eq!(v.at_ns, f.at_ns);
-            assert_eq!(v.observed.to_bits(), f.observed.to_bits());
-            assert_eq!(v.detail, f.detail);
         }
     }
 
     #[test]
-    fn serial_and_pooled_sweeps_agree() {
-        let serial = ExploreConfig {
+    fn split_sweeps_agree_with_the_whole() {
+        let whole = ExploreConfig {
             runs: 6,
             horizon_s: 60.0,
             bounds: weakened_epa_bounds(),
-            serial: true,
             ..ExploreConfig::new(7)
         };
-        let pooled = ExploreConfig {
-            serial: false,
-            ..serial
-        };
-        assert_eq!(explore(&serial), explore(&pooled));
+        let all = explore(&whole);
+        let head = explore(&ExploreConfig { runs: 2, ..whole });
+        let tail = explore(&ExploreConfig {
+            runs: 4,
+            start_run: 2,
+            ..whole
+        });
+        assert!(!all.findings.is_empty(), "the weakened bound must fire");
+        let joined: Vec<RunFinding> = head.findings.into_iter().chain(tail.findings).collect();
+        assert_eq!(joined, all.findings);
+        assert_eq!(head.total_checks + tail.total_checks, all.total_checks);
+        assert_eq!(head.total_faults + tail.total_faults, all.total_faults);
     }
 
     #[test]
     fn soak_respects_a_preraised_stop_flag() {
         let cfg = ExploreConfig {
-            serial: true,
             ..ExploreConfig::new(1)
         };
         let stop = AtomicBool::new(true);
@@ -528,7 +444,6 @@ mod tests {
     fn soak_explores_disjoint_batches_until_the_deadline() {
         let cfg = ExploreConfig {
             horizon_s: 20.0,
-            serial: true,
             ..ExploreConfig::new(5)
         };
         let stop = AtomicBool::new(false);

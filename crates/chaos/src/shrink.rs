@@ -23,10 +23,9 @@ pub struct ShrinkResult {
 }
 
 /// Shrinks `events` to a 1-minimal schedule on which `invariant_id` still
-/// fires under `reg`, re-running the world (serially — shrinking is a
-/// search, not a benchmark) once per candidate. Takes a prebuilt
-/// [`ChaosWorld`] so the config-derived analyses are paid for once, not
-/// once per probe.
+/// fires under `reg`, re-running the world once per candidate, one
+/// candidate after another. Takes a prebuilt [`ChaosWorld`] so the
+/// config-derived analyses are paid for once, not once per probe.
 ///
 /// If the invariant fires on the *empty* schedule (a weakened bound can
 /// break fault-free worlds), the minimum is the empty trace and no search
@@ -41,7 +40,7 @@ pub fn ddmin(
     let fires = |subset: &[FaultEvent]| {
         probes.set(probes.get() + 1);
         world
-            .run(subset, reg, true)
+            .run(subset, reg)
             .violations
             .iter()
             .any(|v| v.invariant == invariant_id)
@@ -185,7 +184,7 @@ mod tests {
         let world = ChaosWorld::new(&cfg);
         assert!(
             world
-                .run(&events, &reg, true)
+                .run(&events, &reg)
                 .violations
                 .iter()
                 .any(|v| v.invariant == INV_EPA_CEILING),
@@ -195,7 +194,7 @@ mod tests {
         assert_eq!(res.minimized, vec![culprit], "only the death matters");
         assert!(res.probes >= 2);
         // 1-minimality: the empty trace does not fire
-        assert!(world.run(&[], &reg, true).violations.is_empty());
+        assert!(world.run(&[], &reg).violations.is_empty());
     }
 
     #[test]
@@ -239,7 +238,7 @@ mod tests {
             without.remove(i);
             assert!(
                 !world
-                    .run(&without, &reg, true)
+                    .run(&without, &reg)
                     .violations
                     .iter()
                     .any(|v| v.invariant == INV_EPA_CEILING),

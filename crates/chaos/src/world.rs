@@ -266,16 +266,11 @@ impl ChaosWorld {
 
     /// Drives `events` through the full chaos world under `reg`,
     /// returning every violation. Pure function of `(config, events,
-    /// registry bounds)`; `serial` forces the mini-campaign onto one
-    /// thread (results are bit-identical either way — that is the
-    /// property CI pins).
-    pub fn run(
-        &self,
-        events: &[FaultEvent],
-        reg: &InvariantRegistry,
-        serial: bool,
-    ) -> ChaosOutcome {
-        run_in_world(self, events, reg, serial)
+    /// registry bounds)` at any thread count: the mini-campaign fans out
+    /// through [`comimo_sim::map_shards`], inline when this run is one
+    /// item of an explore sweep that fills the pool.
+    pub fn run(&self, events: &[FaultEvent], reg: &InvariantRegistry) -> ChaosOutcome {
+        run_in_world(self, events, reg)
     }
 }
 
@@ -285,16 +280,14 @@ pub fn run_events(
     cfg: &ChaosConfig,
     events: &[FaultEvent],
     reg: &InvariantRegistry,
-    serial: bool,
 ) -> ChaosOutcome {
-    ChaosWorld::new(cfg).run(events, reg, serial)
+    ChaosWorld::new(cfg).run(events, reg)
 }
 
 fn run_in_world(
     world: &ChaosWorld,
     events: &[FaultEvent],
     reg: &InvariantRegistry,
-    serial: bool,
 ) -> ChaosOutcome {
     let cfg = &world.cfg;
 
@@ -708,7 +701,6 @@ fn run_in_world(
         ccfg.max_attempts = cfg.campaign_max_attempts;
         ccfg.backoff_base = std::time::Duration::ZERO;
         ccfg.backoff_cap = std::time::Duration::ZERO;
-        ccfg.serial = serial;
         ccfg.faults = plan;
         let shards: Vec<(u64, usize)> = (0..cfg.campaign_shards).map(|l| (l, 1)).collect();
         let seed = cfg.seed;
@@ -787,7 +779,7 @@ mod tests {
     fn paper_bounds_hold_through_a_faulty_horizon() {
         let (cfg, schedule) = paper_world(2013, 120.0);
         let reg = InvariantRegistry::paper();
-        let out = run_events(&cfg, &schedule, &reg, true);
+        let out = run_events(&cfg, &schedule, &reg);
         assert!(
             out.violations.is_empty(),
             "paper bounds must hold: {:?}",
@@ -817,7 +809,7 @@ mod tests {
         let reg = InvariantRegistry::paper();
         let world = ChaosWorld::new(&cfg);
         assert_eq!(world.full_beam.n_virtual_antennas(), 64);
-        let out = world.run(&schedule, &reg, true);
+        let out = world.run(&schedule, &reg);
         assert!(
             out.violations.is_empty(),
             "paper bounds must hold at K = 128: {:?}",
@@ -835,18 +827,9 @@ mod tests {
     fn run_is_a_pure_function_of_config_and_events() {
         let (cfg, schedule) = paper_world(99, 60.0);
         let reg = InvariantRegistry::paper();
-        let a = run_events(&cfg, &schedule, &reg, true);
-        let b = run_events(&cfg, &schedule, &reg, true);
+        let a = run_events(&cfg, &schedule, &reg);
+        let b = run_events(&cfg, &schedule, &reg);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serial_and_pooled_runs_are_bit_identical() {
-        let (cfg, schedule) = paper_world(7, 50.0);
-        let reg = InvariantRegistry::paper();
-        let serial = run_events(&cfg, &schedule, &reg, true);
-        let pooled = run_events(&cfg, &schedule, &reg, false);
-        assert_eq!(serial, pooled);
     }
 
     #[test]
@@ -858,7 +841,7 @@ mod tests {
         });
         // even a fault-free world breaks an overdraw bound below 1: the
         // full-strength burst sits exactly at the budget
-        let out = run_events(&cfg, &[], &reg, true);
+        let out = run_events(&cfg, &[], &reg);
         let fired: Vec<_> = out
             .violations
             .iter()
@@ -876,7 +859,7 @@ mod tests {
         });
         // a fault-free world radiates report words every slot at the
         // full rung's finite margin — an absurd floor breaks all of them
-        let out = run_events(&cfg, &[], &reg, true);
+        let out = run_events(&cfg, &[], &reg);
         let fired: Vec<_> = out
             .violations
             .iter()
@@ -905,7 +888,7 @@ mod tests {
             },
         }];
         let reg = InvariantRegistry::paper();
-        let out = run_events(&cfg, &events, &reg, true);
+        let out = run_events(&cfg, &events, &reg);
         assert!(
             out.violations.is_empty(),
             "one miss sits within the paper budget of 1: {:?}",
@@ -915,7 +898,7 @@ mod tests {
             missed_detect_budget: 0,
             ..InvariantBounds::paper()
         });
-        let out = run_events(&cfg, &events, &reg0, true);
+        let out = run_events(&cfg, &events, &reg0);
         let fired: Vec<_> = out
             .violations
             .iter()
@@ -939,7 +922,7 @@ mod tests {
             },
         }];
         let reg = InvariantRegistry::paper();
-        let out = run_events(&cfg, &events, &reg, true);
+        let out = run_events(&cfg, &events, &reg);
         assert!(
             out.violations.is_empty(),
             "one converged miss sits within the containment budget of 1: {:?}",
@@ -952,7 +935,7 @@ mod tests {
             byz_missed_budget: 0,
             ..InvariantBounds::paper()
         });
-        let out = run_events(&cfg, &events, &reg0, true);
+        let out = run_events(&cfg, &events, &reg0);
         let fired: Vec<_> = out
             .violations
             .iter()
@@ -984,7 +967,7 @@ mod tests {
             },
         ];
         let reg = InvariantRegistry::paper();
-        let out = run_events(&cfg, &events, &reg, true);
+        let out = run_events(&cfg, &events, &reg);
         assert!(out.violations.is_empty());
     }
 
@@ -1000,7 +983,7 @@ mod tests {
             },
         }];
         let reg = InvariantRegistry::paper();
-        let out = run_events(&cfg, &events, &reg, true);
+        let out = run_events(&cfg, &events, &reg);
         assert!(out.violations.is_empty());
         assert!(out.recruit_completed);
         assert_eq!(out.recruit_joined, 0, "nothing crosses a p=1 loss");

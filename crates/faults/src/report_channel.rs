@@ -22,8 +22,7 @@
 //! gain *after* the channel draws (burn-their-draws), so arming or
 //! scaling them never shifts any RNG stream.
 
-use crate::schedule::arrivals;
-use comimo_sim::map_shards;
+use crate::schedule::class_events;
 use comimo_sim::time::SimTime;
 use serde::Serialize;
 
@@ -154,48 +153,41 @@ pub fn build_report_channel_schedule(
         return Vec::new();
     }
     // collapses hit the whole long-haul: one stream, unit 0
-    let collapses: Vec<ReportChannelFault> = arrivals(
+    let h = cfg.horizon_s;
+    let collapses = class_events(
         seed,
         SALT_SNR_COLLAPSE,
-        0,
+        1,
         cfg.collapse_rate_hz,
-        cfg.horizon_s,
-    )
-    .into_iter()
-    .map(|(t, d)| ReportChannelFault {
-        at: SimTime::from_secs_f64(t),
-        reporter: 0,
-        kind: ReportChannelFaultKind::SnrCollapse {
-            drop_db: cfg.collapse_drop_db,
-            duration_s: d * cfg.collapse_mean_s,
+        h,
+        false,
+        |reporter, at, d| ReportChannelFault {
+            at,
+            reporter,
+            kind: ReportChannelFaultKind::SnrCollapse {
+                drop_db: cfg.collapse_drop_db,
+                duration_s: d * cfg.collapse_mean_s,
+            },
         },
-    })
-    .collect();
-    let reporters: Vec<usize> = (0..n_reporters).collect();
-    let desyncs = map_shards(&reporters, |_, &r| {
-        arrivals(
-            seed,
-            SALT_PHASE_DESYNC,
-            r,
-            cfg.desync_rate_hz,
-            cfg.horizon_s,
-        )
-        .into_iter()
-        .map(|(t, d)| ReportChannelFault {
-            at: SimTime::from_secs_f64(t),
-            reporter: r,
+    );
+    let desyncs = class_events(
+        seed,
+        SALT_PHASE_DESYNC,
+        n_reporters,
+        cfg.desync_rate_hz,
+        h,
+        false,
+        |reporter, at, d| ReportChannelFault {
+            at,
+            reporter,
             kind: ReportChannelFaultKind::PhaseDesync {
                 gain: cfg.desync_gain,
                 duration_s: d * cfg.desync_mean_s,
             },
-        })
-        .collect::<Vec<_>>()
-    });
+        },
+    );
 
-    let mut all: Vec<ReportChannelFault> = collapses
-        .into_iter()
-        .chain(desyncs.into_iter().flatten())
-        .collect();
+    let mut all: Vec<ReportChannelFault> = [collapses, desyncs].concat();
     all.sort_by_key(|e| (e.at, e.kind.class_rank(), e.reporter));
     all
 }

@@ -2,15 +2,15 @@
 //! RNG stream per `(class, unit)`, canonically merged.
 //!
 //! The split-stream discipline mirrors the Monte-Carlo engine: because
-//! every unit draws from `derive(seed, salt ^ unit)`, building the
-//! schedule on 1 thread or N threads produces the same byte-for-byte
-//! event list — the per-unit lists are generated independently (in
-//! parallel when the `parallel` feature is on) and then sorted by the
-//! canonical key `(time, class, unit, ordinal)`.
+//! every unit draws from `derive(seed, salt ^ unit)`, a schedule is the
+//! same byte-for-byte event list whoever builds it — the per-unit lists
+//! are generated one unit after another (each is a handful of
+//! exponential draws, and every chaos run builds its own schedules
+//! inside the sweep's fan-out) and then sorted by the canonical key
+//! `(time, class, unit, ordinal)`.
 
 use crate::model::{FaultConfig, FaultEvent, FaultKind, Topology};
 use comimo_math::rng::{derive, exponential_unit};
-use comimo_sim::map_shards;
 use comimo_sim::time::SimTime;
 
 const SALT_RELAY_DEATH: u64 = 0xFA17_0000_0001;
@@ -18,26 +18,38 @@ const SALT_PU_RETURN: u64 = 0xFA17_0000_0002;
 const SALT_SHADOW: u64 = 0xFA17_0000_0003;
 const SALT_BROADCAST: u64 = 0xFA17_0000_0004;
 
-/// Poisson arrival times over `[0, horizon_s)` at `rate_hz`, plus a
-/// sampled exponential duration for each arrival. Shared with the
-/// reporter-fault schedules of [`crate::sensing`].
-pub(crate) fn arrivals(
+/// One fault class over units `0..units`: unit `u` draws Poisson arrival
+/// times over `[0, horizon_s)` at `rate_hz` from `derive(seed, salt ^
+/// u)`, each with a unit-mean exponential duration, and
+/// `event(u, at, duration)` builds the event. `once` keeps only a unit's
+/// first arrival (a unit that dies stays dead). Events come back in unit
+/// order, each unit's in time order. Shared with the reporter and
+/// report-channel schedules of [`crate::sensing`] and
+/// [`crate::report_channel`].
+pub(crate) fn class_events<E>(
     seed: u64,
     salt: u64,
-    unit: usize,
+    units: usize,
     rate_hz: f64,
     horizon_s: f64,
-) -> Vec<(f64, f64)> {
-    if rate_hz <= 0.0 {
-        return Vec::new();
-    }
-    let mut rng = derive(seed, salt ^ (unit as u64));
+    once: bool,
+    event: impl Fn(usize, SimTime, f64) -> E,
+) -> Vec<E> {
     let mut out = Vec::new();
-    let mut t = exponential_unit(&mut rng) / rate_hz;
-    while t < horizon_s {
-        let dur = exponential_unit(&mut rng);
-        out.push((t, dur));
-        t += exponential_unit(&mut rng) / rate_hz;
+    if rate_hz <= 0.0 {
+        return out;
+    }
+    for unit in 0..units {
+        let mut rng = derive(seed, salt ^ (unit as u64));
+        let mut t = exponential_unit(&mut rng) / rate_hz;
+        while t < horizon_s {
+            let dur = exponential_unit(&mut rng);
+            out.push(event(unit, SimTime::from_secs_f64(t), dur));
+            if once {
+                break;
+            }
+            t += exponential_unit(&mut rng) / rate_hz;
+        }
     }
     out
 }
@@ -49,85 +61,68 @@ pub fn build_schedule(cfg: &FaultConfig, topo: &Topology, seed: u64) -> Vec<Faul
     if cfg.is_disabled() {
         return Vec::new();
     }
-    let nodes: Vec<usize> = (0..topo.n_nodes).collect();
-    let channels: Vec<usize> = (0..topo.n_channels).collect();
-    let clusters: Vec<usize> = (0..topo.n_clusters).collect();
-
-    let deaths = map_shards(&nodes, |_, &node| {
-        arrivals(
-            seed,
-            SALT_RELAY_DEATH,
-            node,
-            cfg.relay_death_rate_hz,
-            cfg.horizon_s,
-        )
-        .into_iter()
-        // a node dies once; later arrivals on the same stream are moot
-        .take(1)
-        .map(|(t, _)| FaultEvent {
-            at: SimTime::from_secs_f64(t),
+    let (h, n) = (cfg.horizon_s, topo.n_nodes);
+    let deaths = class_events(
+        seed,
+        SALT_RELAY_DEATH,
+        n,
+        cfg.relay_death_rate_hz,
+        h,
+        true,
+        |node, at, _| FaultEvent {
+            at,
             kind: FaultKind::RelayDeath { node },
-        })
-        .collect::<Vec<_>>()
-    });
-    let returns = map_shards(&channels, |_, &channel| {
-        arrivals(
-            seed,
-            SALT_PU_RETURN,
-            channel,
-            cfg.pu_return_rate_hz,
-            cfg.horizon_s,
-        )
-        .into_iter()
-        .map(|(t, d)| FaultEvent {
-            at: SimTime::from_secs_f64(t),
+        },
+    );
+    let returns = class_events(
+        seed,
+        SALT_PU_RETURN,
+        topo.n_channels,
+        cfg.pu_return_rate_hz,
+        h,
+        false,
+        |channel, at, d| FaultEvent {
+            at,
             kind: FaultKind::PuReturn {
                 channel,
                 duration_s: d * cfg.pu_return_mean_s,
             },
-        })
-        .collect::<Vec<_>>()
-    });
-    let shadows = map_shards(&nodes, |_, &node| {
-        arrivals(seed, SALT_SHADOW, node, cfg.shadow_rate_hz, cfg.horizon_s)
-            .into_iter()
-            .map(|(t, d)| FaultEvent {
-                at: SimTime::from_secs_f64(t),
-                kind: FaultKind::ShadowBurst {
-                    node,
-                    extra_loss_db: cfg.shadow_depth_db,
-                    duration_s: d * cfg.shadow_mean_s,
-                },
-            })
-            .collect::<Vec<_>>()
-    });
-    let losses = map_shards(&clusters, |_, &cluster| {
-        arrivals(
-            seed,
-            SALT_BROADCAST,
-            cluster,
-            cfg.broadcast_loss_rate_hz,
-            cfg.horizon_s,
-        )
-        .into_iter()
-        .map(|(t, d)| FaultEvent {
-            at: SimTime::from_secs_f64(t),
+        },
+    );
+    let shadows = class_events(
+        seed,
+        SALT_SHADOW,
+        n,
+        cfg.shadow_rate_hz,
+        h,
+        false,
+        |node, at, d| FaultEvent {
+            at,
+            kind: FaultKind::ShadowBurst {
+                node,
+                extra_loss_db: cfg.shadow_depth_db,
+                duration_s: d * cfg.shadow_mean_s,
+            },
+        },
+    );
+    let losses = class_events(
+        seed,
+        SALT_BROADCAST,
+        topo.n_clusters,
+        cfg.broadcast_loss_rate_hz,
+        h,
+        false,
+        |cluster, at, d| FaultEvent {
+            at,
             kind: FaultKind::BroadcastLoss {
                 cluster,
                 loss_prob: cfg.broadcast_loss_prob,
                 duration_s: d * cfg.broadcast_loss_mean_s,
             },
-        })
-        .collect::<Vec<_>>()
-    });
+        },
+    );
 
-    let mut all: Vec<FaultEvent> = deaths
-        .into_iter()
-        .chain(returns)
-        .chain(shadows)
-        .chain(losses)
-        .flatten()
-        .collect();
+    let mut all: Vec<FaultEvent> = [deaths, returns, shadows, losses].concat();
     // per-unit lists are already time-ordered, so (time, class, unit) is a
     // total order over the merged set — the ordinal never ties
     all.sort_by_key(|e| (e.at, e.kind.class_rank(), e.kind.unit()));

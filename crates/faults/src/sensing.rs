@@ -19,8 +19,7 @@
 //! Poisson arrivals, canonical `(time, class, reporter)` sort — a pure
 //! function of `(config, n_reporters, seed)` at any thread count.
 
-use crate::schedule::arrivals;
-use comimo_sim::map_shards;
+use crate::schedule::class_events;
 use comimo_sim::time::SimTime;
 use serde::Serialize;
 
@@ -172,64 +171,69 @@ pub fn build_reporter_schedule(
     if cfg.is_disabled() {
         return Vec::new();
     }
-    let reporters: Vec<usize> = (0..n_reporters).collect();
-    let stuck_h0 = map_shards(&reporters, |_, &r| {
-        arrivals(seed, SALT_STUCK_H0, r, cfg.stuck_h0_rate_hz, cfg.horizon_s)
-            .into_iter()
-            .map(|(t, d)| ReporterFaultEvent {
-                at: SimTime::from_secs_f64(t),
-                reporter: r,
-                kind: ReporterFaultKind::StuckAtH0 {
-                    duration_s: d * cfg.stuck_mean_s,
-                },
-            })
-            .collect::<Vec<_>>()
-    });
-    let stuck_h1 = map_shards(&reporters, |_, &r| {
-        arrivals(seed, SALT_STUCK_H1, r, cfg.stuck_h1_rate_hz, cfg.horizon_s)
-            .into_iter()
-            .map(|(t, d)| ReporterFaultEvent {
-                at: SimTime::from_secs_f64(t),
-                reporter: r,
-                kind: ReporterFaultKind::StuckAtH1 {
-                    duration_s: d * cfg.stuck_mean_s,
-                },
-            })
-            .collect::<Vec<_>>()
-    });
-    let deaths = map_shards(&reporters, |_, &r| {
-        arrivals(seed, SALT_SILENT_DEATH, r, cfg.death_rate_hz, cfg.horizon_s)
-            .into_iter()
-            // a reporter dies once; later arrivals on the stream are moot
-            .take(1)
-            .map(|(t, _)| ReporterFaultEvent {
-                at: SimTime::from_secs_f64(t),
-                reporter: r,
-                kind: ReporterFaultKind::SilentDeath,
-            })
-            .collect::<Vec<_>>()
-    });
-    let delays = map_shards(&reporters, |_, &r| {
-        arrivals(seed, SALT_REPORT_DELAY, r, cfg.delay_rate_hz, cfg.horizon_s)
-            .into_iter()
-            .map(|(t, d)| ReporterFaultEvent {
-                at: SimTime::from_secs_f64(t),
-                reporter: r,
-                kind: ReporterFaultKind::ReportDelay {
-                    delay_s: cfg.delay_s,
-                    duration_s: d * cfg.delay_mean_s,
-                },
-            })
-            .collect::<Vec<_>>()
-    });
+    let (n, h) = (n_reporters, cfg.horizon_s);
+    let stuck_h0 = class_events(
+        seed,
+        SALT_STUCK_H0,
+        n,
+        cfg.stuck_h0_rate_hz,
+        h,
+        false,
+        |reporter, at, d| ReporterFaultEvent {
+            at,
+            reporter,
+            kind: ReporterFaultKind::StuckAtH0 {
+                duration_s: d * cfg.stuck_mean_s,
+            },
+        },
+    );
+    let stuck_h1 = class_events(
+        seed,
+        SALT_STUCK_H1,
+        n,
+        cfg.stuck_h1_rate_hz,
+        h,
+        false,
+        |reporter, at, d| ReporterFaultEvent {
+            at,
+            reporter,
+            kind: ReporterFaultKind::StuckAtH1 {
+                duration_s: d * cfg.stuck_mean_s,
+            },
+        },
+    );
+    // a reporter dies once; later arrivals on the stream are moot
+    let deaths = class_events(
+        seed,
+        SALT_SILENT_DEATH,
+        n,
+        cfg.death_rate_hz,
+        h,
+        true,
+        |reporter, at, _| ReporterFaultEvent {
+            at,
+            reporter,
+            kind: ReporterFaultKind::SilentDeath,
+        },
+    );
+    let delays = class_events(
+        seed,
+        SALT_REPORT_DELAY,
+        n,
+        cfg.delay_rate_hz,
+        h,
+        false,
+        |reporter, at, d| ReporterFaultEvent {
+            at,
+            reporter,
+            kind: ReporterFaultKind::ReportDelay {
+                delay_s: cfg.delay_s,
+                duration_s: d * cfg.delay_mean_s,
+            },
+        },
+    );
 
-    let mut all: Vec<ReporterFaultEvent> = stuck_h0
-        .into_iter()
-        .chain(stuck_h1)
-        .chain(deaths)
-        .chain(delays)
-        .flatten()
-        .collect();
+    let mut all: Vec<ReporterFaultEvent> = [stuck_h0, stuck_h1, deaths, delays].concat();
     all.sort_by_key(|e| (e.at, e.kind.class_rank(), e.reporter));
     all
 }

@@ -14,8 +14,13 @@
 //!   order)`, which is how the MAC, recruitment, fault injection and the
 //!   chaos replay run; the million-SU topology engine spreads it over
 //!   regions and drains slots serially or on the rayon pool;
-//! * [`sharded::map_shards`] — the one order-stable fan-out, on the rayon
-//!   pool under the `parallel` feature and serial otherwise;
+//! * [`sharded::map_shards`] — the one order-stable fan-out and the
+//!   workspace's only parallelism decision: it runs on the rayon pool
+//!   when it has more than one item, the pool more than one thread and
+//!   the caller is not a worker of a map that fills the pool (at least as
+//!   many items as threads), and inline otherwise, so a map below one
+//!   that keeps every thread busy spawns no second level of workers. `RAYON_NUM_THREADS=1` forces one thread at run time;
+//!   without the `parallel` feature no rayon is linked;
 //! * [`medium::Medium`] — a shared broadcast medium over an arbitrary
 //!   adjacency relation with carrier sensing and collision detection
 //!   (two overlapping transmissions audible at the same receiver destroy

@@ -27,10 +27,10 @@
 //! Parallelism happens at slot granularity: [`ShardedEventQueue::drain_up_to`]
 //! pops everything due in the slot grouped per shard (each group already
 //! in canonical order), [`map_shards`] fans the groups out on the rayon
-//! pool (`parallel` feature; serial fallback is the identity schedule),
-//! and the caller folds the per-shard outputs back **in shard order** —
-//! a barrier merge that keeps the bit-identical-at-any-thread-count
-//! contract of PR 1–7.
+//! pool (or runs them inline: one thread, one group, or already inside a
+//! map that fills the pool), and the caller folds the per-shard outputs back **in shard
+//! order** — a barrier merge that keeps results bit-identical at any
+//! thread count.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -209,14 +209,32 @@ impl<E> ShardedEventQueue<E> {
     }
 }
 
-/// Maps `f` over per-shard work items, on the rayon pool in `parallel`
-/// builds, serially otherwise. Outputs come back **in shard order**
-/// either way, so the fold downstream is schedule-independent. It is the
-/// workspace's one order-stable fan-out: the Table-1 trials, fault
+#[cfg(feature = "parallel")]
+thread_local! {
+    /// Set on the workers of a [`map_shards`] call that fills the pool: a
+    /// map called from inside one of its items runs inline on that worker.
+    static FILLS_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Maps `f` over per-shard work items. Outputs come back **in shard
+/// order** however the map is scheduled, so the fold downstream is
+/// schedule-independent. It is the workspace's one order-stable fan-out
+/// and its only parallelism decision: the Table-1 trials, fault
 /// schedules, testbed experiments, STBC Monte-Carlo shards, the `ē_b`
 /// table, campaign chunks and chaos runs map over it too, so callers
 /// must derive any randomness per item (never thread one stream
 /// through).
+///
+/// The map fans out on the rayon pool only when there is more than one
+/// item, the pool has more than one thread and the caller is not a
+/// worker of a map that fills the pool; otherwise it runs inline. A map
+/// fills the pool when it has at least as many items as the pool has
+/// threads: every thread then has work, so the maps nested below it run
+/// inline instead of spawning a second level of workers. A narrower map
+/// (`bergrid`'s two configurations on three or more threads, a one-item
+/// supervised run) leaves threads idle, and the maps below it still fan
+/// out. `RAYON_NUM_THREADS=1` forces one thread at run time; building
+/// without the `parallel` feature links no rayon and always runs inline.
 pub fn map_shards<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -225,22 +243,29 @@ where
 {
     #[cfg(feature = "parallel")]
     {
-        use rayon::prelude::*;
-        let indexed: Vec<(u32, &T)> = items
-            .iter()
-            .enumerate()
-            .map(|(s, t)| (s as u32, t))
-            .collect();
-        indexed.into_par_iter().map(|(s, t)| f(s, t)).collect()
+        let threads = rayon::current_num_threads();
+        if items.len() > 1 && threads > 1 && !FILLS_POOL.with(|w| w.get()) {
+            use rayon::prelude::*;
+            let fills_pool = items.len() >= threads;
+            let indexed: Vec<(u32, &T)> = items
+                .iter()
+                .enumerate()
+                .map(|(s, t)| (s as u32, t))
+                .collect();
+            return indexed
+                .into_par_iter()
+                .map(|(s, t)| {
+                    FILLS_POOL.with(|w| w.set(fills_pool));
+                    f(s, t)
+                })
+                .collect();
+        }
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        items
-            .iter()
-            .enumerate()
-            .map(|(s, t)| f(s as u32, t))
-            .collect()
-    }
+    items
+        .iter()
+        .enumerate()
+        .map(|(s, t)| f(s as u32, t))
+        .collect()
 }
 
 #[cfg(test)]
@@ -360,6 +385,39 @@ mod tests {
         let out = map_shards(&items, |s, &v| (s as u64) * 1000 + v);
         let expect: Vec<u64> = (0..64).map(|i| i * 1000 + i).collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn nested_map_shards_runs_inline_on_the_outer_worker() {
+        use std::thread::current;
+        #[cfg(feature = "parallel")]
+        let pool = rayon::current_num_threads();
+        #[cfg(not(feature = "parallel"))]
+        let pool = 1;
+        let inner: Vec<u64> = (0..8).collect();
+
+        // an outer map that fills the pool runs every inner map inline
+        let outer: Vec<u64> = (0..pool.max(4) as u64).collect();
+        let nested = map_shards(&outer, |_, &o| {
+            let worker = current().id();
+            map_shards(&inner, |_, &i| (current().id() == worker, o * 100 + i))
+        });
+        let flat: Vec<Vec<(bool, u64)>> = outer
+            .iter()
+            .map(|&o| inner.iter().map(|&i| (true, o * 100 + i)).collect())
+            .collect();
+        assert_eq!(nested, flat, "inner items run on their outer worker");
+
+        // a narrower outer map (one item runs inline, two fan out) leaves
+        // threads idle, so the map below each of its items still fans out
+        for width in [1, 2] {
+            let fanned = map_shards(&vec![(); width], |_, ()| {
+                let caller = current().id();
+                let ids = map_shards(&inner, |_, _| current().id());
+                ids.into_iter().any(|id| id != caller)
+            });
+            assert_eq!(fanned, vec![pool > width; width], "outer width {width}");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! End-to-end tests of the chaos pipeline through the facade crate:
 //! explore → shrink → artifact → replay, plus the acceptance properties —
 //! clean at the paper's true bounds, and a weakened invariant is found,
-//! minimized and reproduced bit-identically at any thread count.
+//! minimized and reproduced bit-identically. Thread count is covered by
+//! the test process's pool and by CI, which replays every artifact at 1
+//! and 8 threads.
 
 use comimo::chaos::{
     ddmin, explore, replay, ChaosArtifact, ChaosConfig, ChaosWorld, ExploreConfig, InvariantBounds,
@@ -76,16 +78,15 @@ fn weakened_invariant_is_found_shrunk_and_replayed_bit_identically() {
     assert!(!f.minimized.is_empty());
     assert!(f.minimized.len() < f.schedule_len, "shrinking must shrink");
 
-    // artifact → JSON → artifact → replay, serial and pooled
+    // artifact → JSON → artifact → replay, twice
     let art = ChaosArtifact::from_finding(&cfg, f);
     let json = art.to_json().expect("artifact serializes");
     let back = ChaosArtifact::from_json(&json).expect("artifact parses");
     assert_eq!(back, art);
-    let serial = replay(&back, true);
-    let pooled = replay(&back, false);
-    assert!(serial.reproduced, "{}", serial.digest);
-    assert!(pooled.reproduced, "{}", pooled.digest);
-    assert_eq!(serial.digest, pooled.digest, "thread count must not matter");
+    let first = replay(&back);
+    let second = replay(&back);
+    assert!(first.reproduced, "{}", first.digest);
+    assert_eq!(first.digest, second.digest, "a replay is a pure function");
 }
 
 #[test]
@@ -120,7 +121,7 @@ fn ddmin_on_a_real_schedule_is_one_minimal() {
         without.remove(i);
         assert!(
             !world
-                .run(&without, &reg, true)
+                .run(&without, &reg)
                 .violations
                 .iter()
                 .any(|v| v.invariant == INV_EPA_CEILING),
@@ -147,5 +148,5 @@ fn fault_free_violation_shrinks_to_the_empty_trace() {
     assert_eq!(f.invariant, INV_DEGRADE_POWER);
     assert!(f.minimized.is_empty());
     let art = ChaosArtifact::from_finding(&cfg, f);
-    assert!(replay(&art, true).reproduced);
+    assert!(replay(&art).reproduced);
 }
