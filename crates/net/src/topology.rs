@@ -8,10 +8,13 @@
 //! diameter `d`, so every churn operation touches only the affected
 //! cells:
 //!
-//! * **join** — query the d-ball around the newcomer, try the candidate
-//!   clusters in ascending id order (bounding-box quick-accept, member
-//!   scan only on the boundary), else found a new singleton cluster and
-//!   resolve its backbone parent from the head index: O(neighbours).
+//! * **join** — enter the lowest-id cluster the newcomer fits (size
+//!   below max, bounding-box quick-accept, member scan only on the
+//!   boundary). Every member of such a cluster lies within d, head
+//!   included, so the candidates are the heads within d in the head
+//!   index (about six at 1M density). Else found a new singleton cluster
+//!   and resolve its backbone parent from the head index: O(heads within
+//!   d + boundary members).
 //! * **death** — remove the node from its cluster, re-elect the head if
 //!   it died (battery-max, lower id on ties — the same rule as
 //!   [`crate::cluster::try_elect_head`]), retire emptied clusters, and
@@ -26,9 +29,10 @@
 //! forest is acyclic **by construction** — no global spanning-tree pass
 //! ever runs, and a dead parent is re-resolved lazily on next access.
 //!
-//! Determinism: no hash-ordered iteration anywhere — candidate sets are
-//! sorted, ties break on `(distance², id)` — so a replay of the same op
-//! sequence reproduces the same topology bit for bit at any thread count.
+//! Determinism: no hash-ordered iteration anywhere — a join takes the
+//! lowest fitting cluster id, ties break on `(distance², id)` — so a
+//! replay of the same op sequence reproduces the same topology bit for
+//! bit at any thread count.
 
 use crate::grid::SpatialGrid;
 use crate::store::{NodeStore, StoreError, NO_CLUSTER};
@@ -188,7 +192,6 @@ pub struct TopologyEngine {
     free_clusters: Vec<u32>,
     next_stamp: u64,
     stats: TopoStats,
-    scratch: Vec<u32>,
     alive_clusters: usize,
 }
 
@@ -205,7 +208,6 @@ impl TopologyEngine {
             free_clusters: Vec::new(),
             next_stamp: 0,
             stats: TopoStats::default(),
-            scratch: Vec::new(),
             alive_clusters: 0,
         }
     }
@@ -340,29 +342,21 @@ impl TopologyEngine {
         self.grid.insert(node, x, y);
         self.stats.joins += 1;
 
-        // candidate clusters of the d-ball neighbours, ascending id
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        self.grid.for_each_within(x, y, self.cfg.d_m, |e| {
-            if e.id != node {
-                scratch.push(self.store.cluster_of(e.id));
+        // every member of a cluster the newcomer fits lies within d of
+        // it, head included, and the head index holds each head's exact
+        // position under the same squared-distance test: the clusters
+        // whose heads lie within d include every fitting one, and the
+        // lowest fitting id wins whatever order the index visits them in
+        let mut landed: Option<u32> = None;
+        self.heads.for_each_within(x, y, self.cfg.d_m, |e| {
+            let cl = &self.clusters[e.id as usize];
+            if landed.is_none_or(|l| e.id < l)
+                && cl.members.len() < self.cfg.max_cluster
+                && self.fits_cluster(cl, x, y)
+            {
+                landed = Some(e.id);
             }
         });
-        scratch.sort_unstable();
-        scratch.dedup();
-        let mut landed: Option<u32> = None;
-        for &c in scratch.iter() {
-            if c == NO_CLUSTER {
-                continue;
-            }
-            let cl = &self.clusters[c as usize];
-            if cl.members.len() >= self.cfg.max_cluster || !self.fits_cluster(cl, x, y) {
-                continue;
-            }
-            landed = Some(c);
-            break;
-        }
-        self.scratch = scratch;
 
         if let Some(c) = landed {
             let old_head = self.clusters[c as usize].head;
@@ -627,8 +621,9 @@ impl TopologyEngine {
 
     /// Full O(N·K) structural audit, for tests: every alive node in
     /// exactly one live cluster, rosters sorted/alive/within the diameter
-    /// bound, heads battery-maximal members, the head index consistent,
-    /// and parent stamps strictly decreasing.
+    /// bound, heads battery-maximal members, the head index holding one
+    /// entry per live cluster at its head's exact position, and parent
+    /// stamps strictly decreasing.
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = 0usize;
         for c in 0..self.clusters.len() as u32 {
@@ -669,6 +664,18 @@ impl TopologyEngine {
             if !cl.members.contains(&cl.head) {
                 return Err(format!("cluster {c} head {} not a member", cl.head));
             }
+            // joins read their candidates from the head index, so each
+            // entry must sit at its head's exact position
+            let (hx, hy) = self.store.pos(cl.head);
+            let mut indexed = false;
+            self.heads
+                .for_each_within(hx, hy, 0.0, |e| indexed |= e.id == c);
+            if !indexed {
+                return Err(format!(
+                    "cluster {c} has no head index entry at head {}",
+                    cl.head
+                ));
+            }
             if let Some((p, pstamp)) = cl.parent {
                 let pc = &self.clusters[p as usize];
                 // a cache is binding only while the epoch matches; stale
@@ -684,6 +691,8 @@ impl TopologyEngine {
                 self.store.alive_count()
             ));
         }
+        // one entry found per live cluster above and no more entries than
+        // live clusters: the index holds exactly the live clusters
         if self.heads.len() != self.alive_clusters {
             return Err(format!(
                 "head index has {} entries for {} clusters",
@@ -817,6 +826,132 @@ mod tests {
         assert_eq!(e.backbone_parent(c.cluster).unwrap(), None);
         assert!(e.stats().parent_refreshes >= 1);
         e.validate().unwrap();
+    }
+
+    /// Brute-force reference for [`TopologyEngine::join`]: the lowest
+    /// live cluster id that is under `max_cluster`, has a member within d
+    /// and fits (every member within d), else a founding in the slot the
+    /// slab hands out next.
+    fn reference_join(e: &TopologyEngine, x: f64, y: f64, battery_j: f64) -> JoinOutcome {
+        let node = e.store.clone().insert(x, y, battery_j);
+        let d2 = e.cfg.d_m * e.cfg.d_m;
+        let within = |m: u32| {
+            let (mx, my) = e.store.pos(m);
+            let (dx, dy) = (mx - x, my - y);
+            dx * dx + dy * dy <= d2
+        };
+        let fit = e.iter_clusters().find(|&c| {
+            let members = &e.clusters[c as usize].members;
+            members.len() < e.cfg.max_cluster
+                && members.iter().any(|&m| within(m))
+                && members.iter().all(|&m| within(m))
+        });
+        match fit {
+            Some(c) => {
+                let head = e.clusters[c as usize].head;
+                let became_head = match battery_j.total_cmp(&e.store.battery_j(head)) {
+                    std::cmp::Ordering::Greater => true,
+                    std::cmp::Ordering::Less => false,
+                    std::cmp::Ordering::Equal => node < head,
+                };
+                JoinOutcome {
+                    node,
+                    cluster: c,
+                    founded: false,
+                    became_head,
+                }
+            }
+            None => JoinOutcome {
+                node,
+                cluster: e
+                    .free_clusters
+                    .last()
+                    .copied()
+                    .unwrap_or(e.clusters.len() as u32),
+                founded: true,
+                became_head: true,
+            },
+        }
+    }
+
+    /// Random joins, deaths (a third of them aimed at heads) and PU
+    /// arrivals; every join must match [`reference_join`] and every op
+    /// must leave the engine valid.
+    fn churn_against_reference(cfg: TopologyConfig, ops: usize, seed: u64) -> TopoStats {
+        let mut rng = derive(seed, 0x0AC1E);
+        let mut e = TopologyEngine::new(cfg);
+        let mut live: Vec<u32> = Vec::new();
+        for op in 0..ops {
+            let roll = rng.gen_range(0..100u32);
+            if live.is_empty() || roll < 60 {
+                let x = rng.gen_range(0.0..cfg.width_m);
+                let y = rng.gen_range(0.0..cfg.height_m);
+                let b = rng.gen_range(1.0..100.0);
+                let want = reference_join(&e, x, y, b);
+                assert_eq!(
+                    e.join(x, y, b).unwrap(),
+                    want,
+                    "op {op}: join at ({x}, {y})"
+                );
+                live.push(want.node);
+            } else if roll < 70 {
+                let clusters: Vec<u32> = e.iter_clusters().collect();
+                let head = e.head(clusters[rng.gen_range(0..clusters.len())]).unwrap();
+                e.death(head).unwrap();
+                live.retain(|&n| n != head);
+            } else if roll < 90 {
+                let n = live.swap_remove(rng.gen_range(0..live.len()));
+                e.death(n).unwrap();
+            } else {
+                let x = rng.gen_range(0.0..cfg.width_m);
+                let y = rng.gen_range(0.0..cfg.height_m);
+                e.pu_arrival(x, y, 2.0 * cfg.d_m);
+            }
+            e.validate()
+                .unwrap_or_else(|err| panic!("op {op} left the engine invalid: {err}"));
+        }
+        e.stats()
+    }
+
+    #[test]
+    fn joins_match_the_brute_force_reference_under_churn() {
+        let geometries = [
+            // paper-like: D spans the whole 450 m field
+            TopologyConfig {
+                width_m: 450.0,
+                height_m: 450.0,
+                d_m: 40.0,
+                max_cluster: 4,
+                long_range_m: 650.0,
+            },
+            // dense: ~100 SUs per d-ball, max_cluster never binds
+            TopologyConfig {
+                width_m: 150.0,
+                height_m: 150.0,
+                d_m: 40.0,
+                max_cluster: 128,
+                long_range_m: 120.0,
+            },
+            // D < d: the head index's cells are smaller than a d-ball
+            TopologyConfig {
+                width_m: 300.0,
+                height_m: 300.0,
+                d_m: 40.0,
+                max_cluster: 8,
+                long_range_m: 25.0,
+            },
+        ];
+        for (g, cfg) in geometries.into_iter().enumerate() {
+            let s = churn_against_reference(cfg, 1500, 11 + g as u64);
+            assert!(
+                s.clusters_founded > 0 && s.joins > s.clusters_founded,
+                "geometry {g} both founds and enters clusters: {s:?}"
+            );
+            assert!(
+                s.head_reelections > 0 && s.recruits > 0 && s.pu_arrivals > 0,
+                "geometry {g} exercises re-election, recruitment and PU arrivals: {s:?}"
+            );
+        }
     }
 
     #[test]
