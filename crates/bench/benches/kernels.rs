@@ -15,6 +15,7 @@ use comimo_stbc::decode::decode_block;
 use comimo_stbc::design::{Ostbc, StbcKind};
 use comimo_stbc::sim::{simulate_ber, simulate_ber_par, SimConstellation};
 
+/// One `ē_b` solve: log-bisection over the closed-form forward map.
 fn bench_ebar(c: &mut Criterion) {
     let mut g = c.benchmark_group("ebar_solver");
     g.sample_size(20);

@@ -30,15 +30,16 @@
 //! three properties:
 //!
 //! 1. the batch(scalar-tier)/scalar speedup against [`GATE_FRACTION`]
-//!    of the last committed entry (ratio-based, hardware-independent);
+//!    of the last committed entry at the same `n_blocks` (ratio-based,
+//!    hardware-independent);
 //! 2. the simd/scalar speedup likewise;
 //! 3. the grid/scalar speedup against the **absolute floor**
 //!    [`GRID_GATE_FLOOR`] — the CRN grid engine must stay an
 //!    order-of-magnitude win over the per-block oracle on a single
 //!    thread, on any hardware.
 //!
-//! A last committed entry without one of the two baselines fails the
-//! gate.
+//! No committed entry at the same `n_blocks`, or one without either of
+//! the two baselines, fails the gate.
 //!
 //! The lines starting with `counts` on stdout are a pure function of
 //! `(seed, n_blocks)` — CI diffs them across thread counts to prove
@@ -144,7 +145,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("  n_blocks  Monte-Carlo blocks per engine run (default 200000)");
     eprintln!("  --gate    fail if the batch/simd speedups regressed below");
     eprintln!(
-        "            {:.0}% of the last committed BENCH_mc.json entry, or",
+        "            {:.0}% of the last BENCH_mc.json entry at this n_blocks, or",
         GATE_FRACTION * 100.0
     );
     eprintln!("            the grid/scalar speedup fell below {GRID_GATE_FLOOR:.0}x");
@@ -185,7 +186,8 @@ fn main() {
 
     // the committed baseline must be read before this run appends to it
     let entries = perf::read_entries(path);
-    let baseline = |name: &str| entries.last().and_then(|e| perf::number_field(e, name));
+    let base_entry = perf::baseline_entry(&entries, "n_blocks", n_blocks as f64);
+    let baseline = |name: &str| base_entry.and_then(|e| perf::number_field(e, name));
     let baseline_batch = baseline("speedup_batch_over_scalar");
     let baseline_simd = baseline("speedup_simd_over_scalar");
 

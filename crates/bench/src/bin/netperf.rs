@@ -29,8 +29,8 @@
 //! With `--gate` the run acts as a CI perf-regression gate:
 //!
 //! 1. build / events / churn throughput against [`GATE_FRACTION`] of the
-//!    last committed entry (same-class hardware assumption, identical to
-//!    the mcperf ratio discipline);
+//!    last committed entry at the same `n_nodes` (same-class hardware
+//!    assumption, identical to the mcperf ratio discipline);
 //! 2. the RC-C2/exhaustive pairing speedup against the **absolute
 //!    floor** [`RC2_GATE_FLOOR`] — losing it means the heuristic
 //!    degenerated back into a scan, on any hardware.
@@ -160,7 +160,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("  n_nodes   SUs to deploy (default 1000000)");
     eprintln!("  --gate    fail if build/events/churn throughput regressed below");
     eprintln!(
-        "            {:.0}% of the last committed BENCH_net.json entry, or the",
+        "            {:.0}% of the last BENCH_net.json entry at this n_nodes, or the",
         GATE_FRACTION * 100.0
     );
     eprintln!("            RC-C2/exhaustive pairing speedup fell below {RC2_GATE_FLOOR:.1}x");
@@ -266,7 +266,8 @@ fn main() {
 
     // the committed baseline must be read before this run appends to it
     let entries = perf::read_entries(path);
-    let baseline = |name: &str| entries.last().and_then(|e| perf::number_field(e, name));
+    let base_entry = perf::baseline_entry(&entries, "n_nodes", n_nodes as f64);
+    let baseline = |name: &str| base_entry.and_then(|e| perf::number_field(e, name));
     let (base_build, base_events, base_churn) = (
         baseline("nodes_per_sec"),
         baseline("events_per_sec"),

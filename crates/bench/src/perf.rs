@@ -3,8 +3,9 @@
 //! trajectory each run appends one entry to.
 //!
 //! A trajectory file is `{"entries": [...]}`, oldest first. A bin reads
-//! it before timing (the last entry is the `--gate` baseline), then
-//! appends its own entry with [`append_entry`]. `--gate` runs its
+//! it before timing (the last entry at the run's own scale is the
+//! `--gate` baseline, see [`baseline_entry`]), then appends its own entry
+//! with [`append_entry`]. `--gate` runs its
 //! [`Gate`]s through [`run_gates`].
 
 use std::time::Instant;
@@ -72,6 +73,20 @@ pub fn read_entries(path: &str) -> Vec<Value> {
         Ok(Value::Seq(list)) => list.clone(),
         _ => Vec::new(),
     }
+}
+
+/// The `--gate` baseline: the last entry whose `scale_field` (e.g.
+/// `n_nodes`) equals this run's `scale`. Smaller runs appended earlier in
+/// the same job are never the yardstick for a larger one.
+pub fn baseline_entry<'a>(
+    entries: &'a [Value],
+    scale_field: &str,
+    scale: f64,
+) -> Option<&'a Value> {
+    entries
+        .iter()
+        .rev()
+        .find(|e| number_field(e, scale_field) == Some(scale))
 }
 
 /// Extracts a number field from a trajectory entry.
@@ -227,6 +242,27 @@ mod tests {
             "another schema restarts the history"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn baseline_is_the_last_entry_at_the_same_scale() {
+        let entry = |n: u64, rate: f64| {
+            Value::Map(vec![
+                ("n_nodes".to_string(), Value::U64(n)),
+                ("rate".to_string(), Value::F64(rate)),
+            ])
+        };
+        let entries = [
+            entry(200_000, 1.0),
+            entry(200_000, 2.0),
+            entry(50_000, 7.0),
+            entry(50_000, 8.0),
+        ];
+        let rate =
+            |n: f64| baseline_entry(&entries, "n_nodes", n).and_then(|e| number_field(e, "rate"));
+        assert_eq!(rate(200_000.0), Some(2.0), "later 50 k rows are skipped");
+        assert_eq!(rate(50_000.0), Some(8.0));
+        assert_eq!(rate(1_000_000.0), None, "no row at this scale");
     }
 
     #[test]

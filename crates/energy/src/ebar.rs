@@ -1,5 +1,5 @@
-//! Numerical inversion of the paper's equations (5)–(6): the required
-//! received symbol energy `ē_b(p, b, mt, mr)`.
+//! Inversion of the paper's equations (5)–(6): the required received
+//! symbol energy `ē_b(p, b, mt, mr)`.
 //!
 //! The forward map is
 //!
@@ -7,58 +7,58 @@
 //! p(ē) = ε_H { BER_b( γ_b ) },   γ_b = ‖H‖_F²·ē / (N0·mt)
 //! ```
 //!
-//! with `BER_b(γ) = (4/b)(1 − 2^{−b/2})·Q(√(3b/(M−1)·γ))` for `b ≥ 2`
-//! (equation (5)) and `BER_1(γ) = Q(√(2γ))` (equation (6)). For `H` with
-//! i.i.d. `CN(0,1)` entries, `‖H‖_F² ∼ Gamma(mt·mr, 1)`, so the channel
-//! average is a one-dimensional Gamma-weighted integral evaluated by
-//! deterministic adaptive quadrature; `ē` is then found by bisection in
-//! log-space (the forward map is strictly decreasing in `ē`).
+//! with `BER_b(γ) = A·Q(√(β·γ))`: `A = (4/b)(1 − 2^{−b/2})`,
+//! `β = 3b/(M−1)` for `b ≥ 2` (equation (5)) and `A = 1`, `β = 2` for
+//! `b = 1` (equation (6)). For `H` with i.i.d. `CN(0,1)` entries,
+//! `‖H‖_F² ∼ Gamma(mt·mr, 1)` has an integer shape, so the channel average
+//! is the exact `L = mt·mr` MRC–Rayleigh sum
+//! [`rayleigh_mrc_q_average`] at `x = β·ē/(2·N0·mt)`. `ē` is then found by
+//! bisection in log-space (the forward map is strictly decreasing in `ē`).
+//! Gamma quadrature (in this module's tests) and Monte-Carlo channel
+//! averaging ([`EbarMethod::MonteCarlo`]) are cross-checks.
 
 use crate::constants::SystemConstants;
-use comimo_math::quad::gamma_expectation;
 use comimo_math::roots::bisect_monotone_decreasing;
-use comimo_math::special::q_function;
+use comimo_math::special::{q_function, rayleigh_mrc_q_average};
 use serde::{Deserialize, Serialize};
+
+/// The `(A, β)` of `BER_b(γ) = A·Q(√(β·γ))` in equations (5)–(6).
+fn ber_coefficients(b: u32) -> (f64, f64) {
+    assert!(b >= 1, "b must be at least 1");
+    if b == 1 {
+        return (1.0, 2.0);
+    }
+    let bf = b as f64;
+    let m = 2f64.powi(b as i32);
+    (
+        4.0 / bf * (1.0 - 2f64.powf(-bf / 2.0)),
+        3.0 * bf / (m - 1.0),
+    )
+}
 
 /// Instantaneous (conditional-on-channel) BER of the paper's equations
 /// (5)–(6) at per-bit SNR `gamma_b` for constellation size `b`.
 pub fn instantaneous_ber(b: u32, gamma_b: f64) -> f64 {
-    assert!(b >= 1, "b must be at least 1");
     assert!(gamma_b >= 0.0);
-    if b == 1 {
-        return q_function((2.0 * gamma_b).sqrt());
-    }
-    let bf = b as f64;
-    let m = 2f64.powi(b as i32);
-    4.0 / bf * (1.0 - 2f64.powf(-bf / 2.0)) * q_function((3.0 * bf / (m - 1.0) * gamma_b).sqrt())
+    let (a, beta) = ber_coefficients(b);
+    a * q_function((beta * gamma_b).sqrt())
 }
 
 /// Deterministic forward map: average BER over the Rayleigh channel for an
 /// `mt × mr` STBC link at received symbol energy `ebar` (J) and noise PSD
-/// `n0` (J).
-pub fn average_ber(ebar: f64, b: u32, mt: usize, mr: usize, n0: f64, tol: f64) -> f64 {
+/// `n0` (J), in closed form.
+pub fn average_ber(ebar: f64, b: u32, mt: usize, mr: usize, n0: f64) -> f64 {
     assert!(ebar >= 0.0 && n0 > 0.0);
     assert!(mt >= 1 && mr >= 1);
-    if ebar == 0.0 {
-        // zero energy: BER saturates at its coin-flip style ceiling
-        return instantaneous_ber(b, 0.0);
-    }
-    let k = (mt * mr) as f64;
-    let scale = ebar / (n0 * mt as f64);
-    gamma_expectation(k, |g| instantaneous_ber(b, g * scale), tol)
-}
-
-/// Closed-form check for the `b = 1` (or `b = 2`, same kernel), SISO case:
-/// `E{Q(√(2cγ))}` over `γ ∼ Exp(1)` is `½(1 − √(cγ̄/(1+cγ̄)))`.
-pub fn siso_rayleigh_ber_closed_form(gamma_bar: f64) -> f64 {
-    0.5 * (1.0 - (gamma_bar / (1.0 + gamma_bar)).sqrt())
+    let (a, beta) = ber_coefficients(b);
+    a * rayleigh_mrc_q_average((mt * mr) as u32, beta * ebar / (2.0 * n0 * mt as f64))
 }
 
 /// How `ē_b` is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EbarMethod {
-    /// Deterministic Gamma quadrature (default; reproducible).
-    Quadrature,
+    /// Exact MRC–Rayleigh sum (default; deterministic).
+    ClosedForm,
     /// Monte-Carlo channel averaging (cross-validation / ablation).
     MonteCarlo {
         /// Number of channel draws per forward evaluation.
@@ -73,8 +73,6 @@ pub enum EbarMethod {
 pub struct EbarSolver {
     /// Noise PSD `N0` in joules (paper: −171 dBm/Hz).
     pub n0: f64,
-    /// Quadrature tolerance for the channel average.
-    pub quad_tol: f64,
     /// Relative log-space tolerance on `ē_b`.
     pub root_tol: f64,
     /// Evaluation method.
@@ -85,15 +83,14 @@ impl Default for EbarSolver {
     fn default() -> Self {
         Self {
             n0: SystemConstants::paper().n0,
-            quad_tol: 1e-12,
             root_tol: 1e-10,
-            method: EbarMethod::Quadrature,
+            method: EbarMethod::ClosedForm,
         }
     }
 }
 
 impl EbarSolver {
-    /// A solver with the paper's `N0` and deterministic quadrature.
+    /// A solver with the paper's `N0` and the closed-form forward map.
     pub fn paper() -> Self {
         Self::default()
     }
@@ -109,7 +106,7 @@ impl EbarSolver {
     /// Forward map `p(ē)` under the configured method.
     pub fn forward(&self, ebar: f64, b: u32, mt: usize, mr: usize) -> f64 {
         match self.method {
-            EbarMethod::Quadrature => average_ber(ebar, b, mt, mr, self.n0, self.quad_tol),
+            EbarMethod::ClosedForm => average_ber(ebar, b, mt, mr, self.n0),
             EbarMethod::MonteCarlo { samples, seed } => {
                 let mut rng = comimo_math::rng::derive(seed, pack(b, mt, mr));
                 let k = (mt * mr) as f64;
@@ -173,6 +170,120 @@ fn pack(b: u32, mt: usize, mr: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comimo_math::quad::gamma_expectation;
+    use comimo_math::roots::bisect;
+
+    /// The oracle: the channel average by adaptive Gamma quadrature of
+    /// the instantaneous BER.
+    fn quadrature_ber(ebar: f64, b: u32, mt: usize, mr: usize, n0: f64) -> f64 {
+        let scale = ebar / (n0 * mt as f64);
+        gamma_expectation((mt * mr) as f64, |g| instantaneous_ber(b, g * scale), 1e-12)
+    }
+
+    #[test]
+    fn closed_form_matches_quadrature() {
+        let n0 = EbarSolver::paper().n0;
+        let mut checked = 0;
+        for b in 1..=16 {
+            for mt in 1..=4 {
+                for mr in 1..=4 {
+                    // ē/N0 from 10^-1 up in quarter decades; the sweep of a
+                    // configuration ends once the oracle's BER falls below
+                    // 1e-6, where the quadrature loses the mass near g = 0
+                    for k in -4..=40 {
+                        let ebar = n0 * 10f64.powf(k as f64 / 4.0);
+                        let quad = quadrature_ber(ebar, b, mt, mr, n0);
+                        if quad < 1e-6 {
+                            break;
+                        }
+                        let exact = average_ber(ebar, b, mt, mr, n0);
+                        let rel = (exact - quad).abs() / quad;
+                        assert!(
+                            rel <= 1e-5,
+                            "b={b} {mt}x{mr} ē/N0=10^{}: closed form {exact:e} vs quadrature {quad:e}",
+                            k as f64 / 4.0
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} points checked");
+    }
+
+    #[test]
+    fn closed_form_meets_the_high_snr_asymptote() {
+        // P_L(x) → C(2L−1, L)·(4x)^(−L) as x → ∞
+        let x: f64 = 1e8;
+        for l in 1..=16u32 {
+            let binom: f64 = (0..l)
+                .map(|i| (2 * l - 1 - i) as f64 / (i + 1) as f64)
+                .product();
+            let asymptote = binom * (4.0 * x).powi(-(l as i32));
+            let got = rayleigh_mrc_q_average(l, x);
+            assert!(
+                (got - asymptote).abs() / asymptote < 1e-6,
+                "L={l}: {got:e} vs asymptote {asymptote:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn siso_solve_matches_the_exact_inverse() {
+        // L = 1: p = A·(1−μ)/2, so μ = 1 − 2p/A and x = μ²/(1−μ²)
+        let s = EbarSolver::paper();
+        for b in [1u32, 2, 4, 8, 16] {
+            let (a, beta) = ber_coefficients(b);
+            for e in 2..=7 {
+                let p = 10f64.powi(-e);
+                let one_minus_mu = 2.0 * p / a;
+                let mu = 1.0 - one_minus_mu;
+                let x = mu * mu / (one_minus_mu * (1.0 + mu));
+                let exact = 2.0 * s.n0 * x / beta;
+                let got = s.solve(p, b, 1, 1);
+                assert!(
+                    (got - exact).abs() / exact < 1e-8,
+                    "b={b} p={p:e}: solve {got:e} vs exact {exact:e}"
+                );
+            }
+        }
+    }
+
+    /// At p = 1e-6 the quadrature under-counts the 2×1 BPSK BER near the
+    /// root, so its root is far too low; the closed form's is exact.
+    #[test]
+    fn low_ber_solve_is_not_under_provisioned() {
+        let s = EbarSolver::paper();
+        let (p, b, mt, mr) = (1e-6, 1, 2, 1);
+        let got = s.solve(p, b, mt, mr);
+        // an independent bracket and plain bisection in log-energy
+        let reference = bisect(
+            |l| average_ber(l.exp(), b, mt, mr, s.n0) - p,
+            (s.n0 * 1e-3).ln(),
+            (s.n0 * 1e12).ln(),
+            1e-12,
+        )
+        .expect("bracket straddles the target")
+        .x
+        .exp();
+        assert!(
+            (got - reference).abs() / reference < 1e-8,
+            "solve {got:e} vs bisection {reference:e}"
+        );
+        let quad_root = bisect_monotone_decreasing(
+            |e| quadrature_ber(e, b, mt, mr, s.n0),
+            p,
+            awgn_seed(p, b, s.n0, mt),
+            s.root_tol,
+            80,
+        )
+        .expect("quadrature bracket")
+        .x;
+        assert!(
+            got > 2.0 * quad_root,
+            "closed form {got:e} vs quadrature {quad_root:e}"
+        );
+    }
 
     #[test]
     fn forward_monotone_decreasing_in_energy() {
@@ -191,12 +302,13 @@ mod tests {
 
     #[test]
     fn siso_matches_closed_form() {
-        // for b=2 the kernel is Q(sqrt(2γ_b)): SISO average has closed form
+        // for b=2 the kernel is Q(sqrt(2γ_b)): the SISO average is the
+        // L = 1 sum at x = γ̄ = ē/N0
         let s = EbarSolver::paper();
         for &gamma_bar in &[1.0, 10.0, 100.0, 249.0] {
             let ebar = gamma_bar * s.n0;
             let got = s.forward(ebar, 2, 1, 1);
-            let expect = siso_rayleigh_ber_closed_form(gamma_bar);
+            let expect = rayleigh_mrc_q_average(1, gamma_bar);
             assert!(
                 (got - expect).abs() / expect < 1e-6,
                 "γ̄={gamma_bar}: {got} vs {expect}"
@@ -269,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_agrees_with_quadrature() {
+    fn monte_carlo_agrees_with_closed_form() {
         let q = EbarSolver::paper();
         let mc = EbarSolver::monte_carlo(200_000, 99);
         let e = q.solve(1e-2, 2, 2, 2);

@@ -12,14 +12,14 @@
 //! * equations (5)–(6): the implicit definition of `ē_b(p, b, mt, mr)` —
 //!   the received symbol energy required to hit target BER `p` with
 //!   constellation size `b` over an `mt × mr` Rayleigh STBC link — which
-//!   [`ebar`] inverts numerically (deterministic Gamma quadrature +
-//!   log-bisection, cross-validated by Monte-Carlo).
+//!   [`ebar`] inverts (closed-form MRC–Rayleigh average + log-bisection;
+//!   Gamma quadrature and Monte-Carlo are cross-checks).
 //!
 //! The "Preprocessing" step of the paper's Algorithms 1 and 2 ("Calculate
 //! the value of ē_b ... Load the table ... in each SU node") is
-//! [`table::EbTable`], a precomputed, serde-serialisable table fanned out
-//! over `comimo_sim::map_shards`; the per-link "determine constellation
-//! size b which minimizes ē_b" step is [`optimize`].
+//! [`table::EbTable`], a precomputed, serde-serialisable table; the
+//! per-link "determine constellation size b which minimizes ē_b" step is
+//! [`optimize`].
 //!
 //! ### Unit anchor
 //!

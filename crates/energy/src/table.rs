@@ -4,10 +4,9 @@
 //! > of p, b, mt, and mr. Load the table of ē_b(p, b, mt, mr) in each SU
 //! > node."  — Algorithms 1 and 2
 //!
-//! The table is built with [`comimo_sim::map_shards`] (the sweep is
-//! embarrassingly parallel: one independent root-solve per cell, fanned
-//! out on the rayon pool whenever the build enables `comimo-sim/parallel`)
-//! and serialises with serde so nodes can "load" it, exactly as the paper
+//! The table is built cell by cell (one closed-form root-solve of a few
+//! microseconds per cell, so the whole sweep needs no fan-out) and
+//! serialises with serde so nodes can "load" it, exactly as the paper
 //! prescribes.
 
 use crate::ebar::EbarSolver;
@@ -30,25 +29,22 @@ pub struct EbTable {
 impl EbTable {
     /// Builds the table for the given BER grid with the supplied solver,
     /// sweeping `b ∈ 1..=16`, `mt, mr ∈ 1..=4` (1344 cells for a 6-point
-    /// BER grid), cell by cell through [`comimo_sim::map_shards`].
+    /// BER grid), cell by cell.
     pub fn build(solver: &EbarSolver, bers: &[f64]) -> Self {
         assert!(!bers.is_empty(), "BER grid cannot be empty");
         for &p in bers {
             assert!(p > 0.0 && p < 0.5, "BER {p} out of range");
         }
-        let cells: Vec<(usize, u32, usize, usize)> = bers
+        let values = bers
             .iter()
-            .enumerate()
-            .flat_map(|(pi, _)| {
+            .flat_map(|&p| {
                 (1..=MAX_BITS).flat_map(move |b| {
-                    (1..=MAX_ANTENNAS)
-                        .flat_map(move |mt| (1..=MAX_ANTENNAS).map(move |mr| (pi, b, mt, mr)))
+                    (1..=MAX_ANTENNAS).flat_map(move |mt| {
+                        (1..=MAX_ANTENNAS).map(move |mr| solver.solve(p, b, mt, mr))
+                    })
                 })
             })
             .collect();
-        let values = comimo_sim::map_shards(&cells, |_, &(pi, b, mt, mr)| {
-            solver.solve(bers[pi], b, mt, mr)
-        });
         Self {
             bers: bers.to_vec(),
             values,

@@ -11,9 +11,11 @@
 //!   for space-time channel matrices `H` and their Frobenius norms;
 //! * special functions ([`special`]): `erfc`, the Gaussian tail
 //!   [`special::q_function`] used by the M-QAM BER expressions (5)–(6),
-//!   and the Gamma family needed to average over `‖H‖_F² ∼ Gamma(mt·mr, 1)`;
-//! * deterministic quadrature ([`quad`]) and root finding ([`roots`]) to
-//!   invert the BER relation for `ē_b(p, b, mt, mr)`;
+//!   its exact average over `‖H‖_F² ∼ Gamma(mt·mr, 1)`
+//!   ([`special::rayleigh_mrc_q_average`]) and the Gamma family;
+//! * root finding ([`roots`]) to invert the BER relation for
+//!   `ē_b(p, b, mt, mr)`, and deterministic quadrature ([`quad`]) as its
+//!   cross-check;
 //! * decibel conversions ([`db`]) for the paper's constants
 //!   (`Ml = 40 dB`, `σ² = −174 dBm/Hz`, …);
 //! * seeded random sampling ([`rng`]) for Monte-Carlo cross-validation and

@@ -1,9 +1,10 @@
 //! Deterministic one-dimensional quadrature.
 //!
-//! Used by `comimo-energy` to evaluate the channel average
+//! `comimo-energy`'s tests use [`gamma_expectation`] as the oracle for the
+//! closed-form channel average
 //! `ε_H{BER(γ_b)} = ∫ f_Gamma(g; mt·mr)·BER(g·ē_b/(N0·mt)) dg`
-//! in the paper's equations (5)–(6) without Monte-Carlo noise, so the
-//! `ē_b` tables are bit-for-bit reproducible.
+//! of the paper's equations (5)–(6)
+//! ([`crate::special::rayleigh_mrc_q_average`]).
 
 /// Composite Simpson rule with `2n` panels over `[a, b]`.
 pub fn simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {

@@ -87,6 +87,31 @@ pub fn q_function(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 
+/// Exact Rayleigh average `E[Q(√(2x·G))]` for `G ∼ Gamma(L, 1)`, the
+/// `L`-branch MRC (or `mt·mr` OSTBC) error rate at per-branch SNR `x`
+/// (Proakis, eq. 14.4-15):
+///
+/// ```text
+/// P_L(x) = ((1−μ)/2)^L · Σ_{l<L} C(L−1+l, l)·((1+μ)/2)^l,   μ = √(x/(1+x))
+/// ```
+///
+/// `1 − μ` is evaluated as `1/((1+x)(1+μ))`, so no precision is lost to
+/// cancellation at high SNR.
+pub fn rayleigh_mrc_q_average(l: u32, x: f64) -> f64 {
+    assert!(l >= 1 && x >= 0.0);
+    let mu = (x / (1.0 + x)).sqrt();
+    let lower = 0.5 / ((1.0 + x) * (1.0 + mu));
+    let upper = 0.5 * (1.0 + mu);
+    // term_l = C(L−1+l, l)·upper^l, built from term_{l−1}
+    let mut term = 1.0;
+    let mut sum = 1.0;
+    for i in 1..l {
+        term *= (l - 1 + i) as f64 / i as f64 * upper;
+        sum += term;
+    }
+    lower.powi(l as i32) * sum
+}
+
 /// Inverse of [`q_function`]: returns `x` such that `Q(x) = p`, `p ∈ (0,1)`.
 ///
 /// Implemented via the Acklam/Wichura-style rational approximation to the
@@ -301,6 +326,19 @@ mod tests {
         assert!((q_function(1.0) - 0.158_655_253_931_457).abs() < 1e-10);
         assert!((q_function(3.0) - 1.349_898_031_630_09e-3).abs() < 1e-12);
         assert!((q_function(6.0) - 9.865_9e-10).abs() / 9.8659e-10 < 1e-3);
+    }
+
+    #[test]
+    fn rayleigh_mrc_average_anchors() {
+        // zero SNR is a coin flip for every diversity order
+        for l in 1..=16 {
+            assert!((rayleigh_mrc_q_average(l, 0.0) - 0.5).abs() < 1e-15);
+        }
+        // L = 1: ½(1 − √(x/(1+x)))
+        for x in [0.1f64, 1.0, 10.0, 249.0] {
+            let siso = 0.5 * (1.0 - (x / (1.0 + x)).sqrt());
+            assert!((rayleigh_mrc_q_average(1, x) - siso).abs() / siso < 1e-12);
+        }
     }
 
     #[test]

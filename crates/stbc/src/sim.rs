@@ -10,7 +10,7 @@ use crate::design::Ostbc;
 use comimo_math::cmatrix::CMatrix;
 use comimo_math::complex::Complex;
 use comimo_math::rng::complex_gaussian;
-use comimo_math::special::q_function;
+use comimo_math::special::{q_function, rayleigh_mrc_q_average};
 use rand::Rng;
 
 /// A Gray-coded square/rectangular PSK-for-small-b constellation used by the
@@ -279,30 +279,14 @@ pub fn simulate_ber_par(
 }
 
 /// Closed-form BER of BPSK with `L`-branch maximum-ratio combining over
-/// i.i.d. Rayleigh branches at *per-branch* average SNR `gamma_c`:
-/// `P = [½(1−μ)]^L · Σ_{i<L} C(L−1+i, i)·[½(1+μ)]^i`, `μ = √(γc/(1+γc))`.
+/// i.i.d. Rayleigh branches at *per-branch* average SNR `gamma_c`
+/// ([`rayleigh_mrc_q_average`]).
 ///
 /// An OSTBC with `mt` transmit and `mr` receive antennas at total per-bit
 /// SNR `γ̄` behaves as `L = mt·mr` MRC branches at `γc = γ̄/mt` — the anchor
-/// used to validate both this simulator and the `ē_b` solver.
+/// used to validate this simulator.
 pub fn bpsk_mrc_rayleigh_ber(l: u32, gamma_c: f64) -> f64 {
-    assert!(l >= 1 && gamma_c >= 0.0);
-    let mu = (gamma_c / (1.0 + gamma_c)).sqrt();
-    let p = 0.5 * (1.0 - mu);
-    let q = 0.5 * (1.0 + mu);
-    let mut sum = 0.0;
-    for i in 0..l {
-        sum += binomial((l - 1 + i) as u64, i as u64) * q.powi(i as i32);
-    }
-    p.powi(l as i32) * sum
-}
-
-fn binomial(n: u64, k: u64) -> f64 {
-    let mut r = 1.0;
-    for i in 0..k {
-        r *= (n - i) as f64 / (i + 1) as f64;
-    }
-    r
+    rayleigh_mrc_q_average(l, gamma_c)
 }
 
 /// Closed-form BER of BPSK over AWGN: `Q(√(2γ))` (sanity anchor).

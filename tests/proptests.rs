@@ -107,17 +107,16 @@ proptest! {
 }
 
 proptest! {
-    // the ē_b forward map is expensive; fewer cases
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The `ē_b` solver round-trips through its forward map for arbitrary
     /// targets and antenna configurations.
     #[test]
     fn prop_ebar_roundtrip(
-        p_exp in 1.5f64..3.5,           // BER 10^-1.5 .. 10^-3.5
-        b in 1u32..8,
-        mt in 1usize..4,
-        mr in 1usize..4,
+        p_exp in 1.5f64..7.0,           // BER 10^-1.5 .. 10^-7
+        b in 1u32..17,
+        mt in 1usize..5,
+        mr in 1usize..5,
     ) {
         let p = 10f64.powf(-p_exp);
         let solver = EbarSolver::paper();
