@@ -21,7 +21,9 @@
 //!    with hardened decision fusion, all three paradigm degradation
 //!    policies, cluster recruitment and a supervised mini-campaign,
 //!    checking every invariant at every step. A pure function of
-//!    `(config, events)`.
+//!    `(config, events)`. The same world walks each paradigm alone into
+//!    a degradation report (delivery, BER, energy, and the registry's
+//!    verdict on its slots) — the tables `faultbench` prints.
 //! 3. **[`explore`]** — randomized-but-deterministic fault campaigns:
 //!    run `r` of master seed `s` derives `(run_seed, λ)` with the
 //!    workspace's split-stream RNG, scales the nominal fault taxonomy,
@@ -53,4 +55,4 @@ pub use invariant::{
     INV_REPUTATION_SANE, N_INVARIANTS,
 };
 pub use shrink::{ddmin, ShrinkResult};
-pub use world::{run_events, ChaosConfig, ChaosOutcome, ChaosWorld};
+pub use world::{run_events, ChaosConfig, ChaosOutcome, ChaosWorld, DegradationReport, Paradigm};

@@ -26,25 +26,33 @@
 //! Everything is a pure function of `(config, events)`: same inputs,
 //! same observations, same violations — at any thread count. That is
 //! what makes shrinking sound and replay bit-identical.
+//!
+//! The same world tallies `faultbench`'s degradation tables
+//! ([`ChaosWorld::degradation`]): each paradigm walks the ladders `run`
+//! checks over its own schedule, picking the interweave channel from
+//! the ground truth instead of the sensing round, and the registry
+//! decides which slots broke the primary-interference invariant.
 
 use crate::invariant::{InvariantRegistry, Observation, Violation, INV_CKPT_COUNTS};
 use comimo_campaign::{fingerprint64, run_campaign, CampaignConfig, CampaignStatus};
 use comimo_channel::geometry::Point;
 use comimo_channel::pathloss::SquareLawLongHaul;
+use comimo_core::analyze_interweave_link;
 use comimo_core::cluster_beam::ClusterBeamformer;
-use comimo_core::overlay::{Overlay, OverlayConfig};
-use comimo_core::underlay::{Underlay, UnderlayConfig};
+use comimo_core::overlay::{Overlay, OverlayConfig, OverlayDegradation};
+use comimo_core::underlay::{FallbackStep, Underlay, UnderlayConfig};
 use comimo_energy::model::EnergyModel;
 use comimo_faults::{
-    beam_positions, build_report_channel_schedule, build_reporter_schedule, ByzantineConfig,
-    ByzantineSuite, CampaignFaultPlan, FaultEvent, FaultKind, ReportChannelFaultConfig,
-    ReportChannelState, ReportChannelTimeline, ReporterFaultConfig, ReporterState,
-    ReporterTimeline, Timeline, Topology,
+    build_report_channel_schedule, build_reporter_schedule, build_schedule, inject_all,
+    ByzantineConfig, ByzantineSuite, CampaignFaultPlan, FaultConfig, FaultEvent, FaultKind,
+    FaultTrace, ReportChannelFaultConfig, ReportChannelState, ReportChannelTimeline,
+    ReporterFaultConfig, ReporterState, ReporterTimeline, Timeline, Topology,
 };
 use comimo_math::rng::derive;
 use comimo_net::graph::SuGraph;
 use comimo_net::node::SuNode;
-use comimo_net::recruit::{run_recruitment_excluding, RecruitConfig};
+use comimo_net::recruit::{run_recruitment_excluding, RecruitConfig, RecruitOutcome};
+use comimo_net::ClusterError;
 use comimo_sensing::{
     run_round_byz, ReportSummary, ReputationConfig, ReputationTracker, ReputationView,
     RoundOutcome, RuleUsed, SensingRound,
@@ -159,10 +167,89 @@ impl ChaosConfig {
         }
     }
 
+    /// The fault-schedule topology of `p`'s degradation walk: the
+    /// overlay's `m` relays, the underlay's `mt` transmitters in one
+    /// cluster, and the interweave's `mt` transmitters hopping between
+    /// `n_channels` licensed channels.
+    pub fn paradigm_topology(&self, p: Paradigm) -> Topology {
+        let (n_nodes, n_channels, n_clusters) = match p {
+            Paradigm::Overlay => (self.m_overlay, 0, 0),
+            Paradigm::Underlay => (self.mt, 0, 1),
+            Paradigm::Interweave => (self.mt, self.n_channels, 1),
+        };
+        Topology {
+            n_nodes,
+            n_channels,
+            n_clusters,
+        }
+    }
+
     /// Slots in the scenario.
     pub fn n_slots(&self) -> usize {
         (self.horizon_s / self.slot_s).floor() as usize
     }
+}
+
+/// One of the paper's three paradigms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Paradigm {
+    /// Relays forward the primary's traffic (Algorithm 1).
+    Overlay,
+    /// Transmission under the `E_PA` interference ceiling (Algorithm 2).
+    Underlay,
+    /// Null steering on a free licensed channel (Algorithm 3).
+    Interweave,
+}
+
+impl Paradigm {
+    /// The three paradigms in the paper's order.
+    pub const ALL: [Paradigm; 3] = [Self::Overlay, Self::Underlay, Self::Interweave];
+
+    /// `"overlay"`, `"underlay"` or `"interweave"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Overlay => "overlay",
+            Self::Underlay => "underlay",
+            Self::Interweave => "interweave",
+        }
+    }
+}
+
+/// How one paradigm's slotted transmission degraded under faults.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DegradationReport {
+    /// The paradigm walked.
+    pub paradigm: Paradigm,
+    /// Faults injected over the horizon.
+    pub faults: usize,
+    /// Slots walked.
+    pub slots: usize,
+    /// Slots at the full configuration.
+    pub slots_full: usize,
+    /// Slots on a reduced configuration (fewer relays / lower rung /
+    /// fewer virtual antennas / fallback to the direct link / evacuated).
+    pub slots_degraded: usize,
+    /// Slots spent silent (every channel busy or no admissible
+    /// configuration).
+    pub slots_muted: usize,
+    /// Fraction of slots whose payload was delivered.
+    pub delivered_fraction: f64,
+    /// Mean end-to-end BER over delivering slots.
+    pub mean_ber: f64,
+    /// Mean energy per bit over delivering slots (J/bit).
+    pub mean_energy_per_bit_j: f64,
+    /// Worst noise-floor margin while transmitting (dB; `+∞` if the
+    /// walk never transmitted, or the paradigm has no ceiling).
+    pub min_margin_db: f64,
+    /// Worst steered-null residual amplitude while transmitting
+    /// (interweave; 0 elsewhere).
+    pub max_null_residual: f64,
+    /// Slots the registry flagged: underlay slots under the `E_PA`
+    /// floor, interweave slots on a busy channel or with a shallow null.
+    /// **Must be 0** at the paper bounds.
+    pub interference_violations: usize,
+    /// The deterministic fault/action record.
+    pub trace: FaultTrace,
 }
 
 /// What one chaos run produced.
@@ -195,9 +282,13 @@ pub struct ChaosOutcome {
 pub struct ChaosWorld {
     cfg: ChaosConfig,
     /// Overlay degradation decision per dead-relay count `k ∈ 0..=m`.
-    ov_deg: Vec<Option<comimo_core::overlay::OverlayDegradation>>,
+    ov_deg: Vec<Option<OverlayDegradation>>,
+    /// The overlay's direct primary link, which every relay-less slot
+    /// falls back to: its per-bit energy `E1` (J/bit) and its BER.
+    ov_direct_e1: f64,
+    ov_direct_ber: f64,
     /// Underlay fallback rung per alive-transmitter count `0..=mt`.
-    un_deg: Vec<Option<comimo_core::underlay::FallbackStep>>,
+    un_deg: Vec<Option<FallbackStep>>,
     /// Transmit-cluster element positions.
     positions: Vec<Point>,
     /// The full-strength paired beamformer.
@@ -220,10 +311,8 @@ impl ChaosWorld {
     /// amortise it across runs).
     pub fn new(cfg: &ChaosConfig) -> Self {
         let model = EnergyModel::paper();
-        let ov = Overlay::new(
-            &model,
-            OverlayConfig::paper(cfg.m_overlay, cfg.bandwidth_hz),
-        );
+        let ov_cfg = OverlayConfig::paper(cfg.m_overlay, cfg.bandwidth_hz);
+        let ov = Overlay::new(&model, ov_cfg);
         // the OSTBC underlay caps at 4 transmit elements; clusters past
         // that (large-cluster interweave configs) still degrade through
         // the 4-rung ladder while every element beamforms
@@ -239,6 +328,8 @@ impl ChaosWorld {
             ov_deg: (0..=cfg.m_overlay)
                 .map(|k| ov.degrade(cfg.d1_m, k))
                 .collect(),
+            ov_direct_e1: ov.analyze(cfg.d1_m).e1,
+            ov_direct_ber: ov_cfg.ber_direct,
             un_deg: (0..=cfg.mt)
                 .map(|alive| un.degrade(cfg.d_long_m, &pl, cfg.pu_distance_m, alive))
                 .collect(),
@@ -271,6 +362,331 @@ impl ChaosWorld {
     /// item of an explore sweep that fills the pool.
     pub fn run(&self, events: &[FaultEvent], reg: &InvariantRegistry) -> ChaosOutcome {
         run_in_world(self, events, reg)
+    }
+
+    /// Walks paradigm `p` slot by slot through the schedule `faults`
+    /// draws on [`ChaosConfig::paradigm_topology`], down the ladders
+    /// [`run`](Self::run) checks, and tallies delivery, BER and energy.
+    /// Overlay and underlay decide at the slot midpoint; the interweave
+    /// cluster picks the lowest channel idle at the slot start (ground
+    /// truth, not a sensing round) and loses the packet when a primary
+    /// returns to it mid-slot. Every underlay slot and every transmitting
+    /// interweave slot is an observation for `reg`, and the violations
+    /// column counts what it flags.
+    pub fn degradation(
+        &self,
+        p: Paradigm,
+        faults: &FaultConfig,
+        reg: &InvariantRegistry,
+    ) -> DegradationReport {
+        let cfg = &self.cfg;
+        let topo = cfg.paradigm_topology(p);
+        let schedule = build_schedule(faults, &topo, cfg.seed);
+        let tl = Timeline::from_schedule(&schedule);
+        let trace = inject_all(&schedule, |now, kind| {
+            self.fault_action(p, &tl, now.as_secs_f64(), kind)
+        });
+        let model = EnergyModel::paper();
+        // the interweave long-haul shares the underlay's target BER and
+        // block length
+        let link = UnderlayConfig::paper(cfg.mt.min(4), cfg.mr, cfg.bandwidth_hz);
+        let full_virtual = self.full_beam.n_virtual_antennas();
+        let slots = (faults.horizon_s / cfg.slot_s).floor() as usize;
+        let (mut full, mut degraded, mut muted, mut delivered) = (0, 0, 0, 0usize);
+        let (mut ber_sum, mut energy_sum) = (0.0, 0.0);
+        let mut min_margin_db = f64::INFINITY;
+        let mut max_null_residual = 0.0f64;
+        let mut violations = Vec::new();
+        for slot in 0..slots {
+            let slot_start = slot as f64 * cfg.slot_s;
+            let t_mid = slot_start + 0.5 * cfg.slot_s;
+            match p {
+                Paradigm::Overlay => {
+                    let k_out = tl.nodes_out(t_mid, topo.n_nodes).len();
+                    let (is_full, ber, energy) = match &self.ov_deg[k_out] {
+                        // while feasible the survivors fund the hop; once
+                        // the budget breaks, accounting reverts to the
+                        // direct link
+                        Some(d) => (
+                            k_out == 0,
+                            d.ber_e2e,
+                            if d.feasible() {
+                                d.e_su_required
+                            } else {
+                                self.ov_direct_e1
+                            },
+                        ),
+                        // every relay out: the primary pair falls back to
+                        // its own direct link at the 10x worse BER
+                        None => (false, self.ov_direct_ber, self.ov_direct_e1),
+                    };
+                    if is_full {
+                        full += 1;
+                    } else {
+                        degraded += 1;
+                    }
+                    ber_sum += ber;
+                    energy_sum += energy;
+                    delivered += 1; // worst case is the direct link
+                }
+                Paradigm::Underlay => {
+                    let alive = cfg.mt - tl.nodes_out(t_mid, topo.n_nodes).len();
+                    let step = self.un_deg[alive].as_ref();
+                    let at_ns = SimTime::from_secs_f64(t_mid).as_nanos();
+                    reg.check(&underlay_obs(step, at_ns), &mut violations);
+                    let Some(step) = step else {
+                        muted += 1; // muting radiates nothing
+                        continue;
+                    };
+                    min_margin_db = min_margin_db.min(step.margin_db);
+                    if step.mt == cfg.mt.min(4) && step.mr == cfg.mr {
+                        full += 1;
+                    } else {
+                        degraded += 1;
+                    }
+                    let p_loss = tl.bcast_loss(t_mid);
+                    if p_loss >= 1.0 {
+                        continue; // nothing crosses the broadcast step
+                    }
+                    // expected retransmissions inflate the local steps
+                    let retx = 1.0 / (1.0 - p_loss);
+                    let a = &step.analysis;
+                    energy_sum +=
+                        a.pa_long_haul + (a.pa_local_broadcast + a.pa_local_collect) * retx;
+                    delivered += 1;
+                }
+                Paradigm::Interweave => {
+                    let Some(channel) = (0..cfg.n_channels).find(|&c| !tl.pu_active(slot_start, c))
+                    else {
+                        muted += 1; // every channel busy
+                        continue;
+                    };
+                    let dead_tx = tl.nodes_out(slot_start, topo.n_nodes);
+                    let Some((n_virtual, residual)) = self.repaired_null(&dead_tx) else {
+                        muted += 1; // fewer than two survivors
+                        continue;
+                    };
+                    let obs = Observation::InterweaveSlot {
+                        at_ns: SimTime::from_secs_f64(slot_start).as_nanos(),
+                        transmitting: true,
+                        channel,
+                        pu_active: tl.pu_active(slot_start, channel),
+                        null_residual: residual,
+                    };
+                    reg.check(&obs, &mut violations);
+                    max_null_residual = max_null_residual.max(residual);
+                    // a primary returning to our channel inside the slot
+                    // forces a mid-packet evacuation: sent safely, lost
+                    let evacuated =
+                        tl.pu_returns_within(channel, slot_start, slot_start + cfg.slot_s);
+                    if n_virtual == full_virtual && !evacuated {
+                        full += 1;
+                    } else {
+                        degraded += 1;
+                    }
+                    if evacuated {
+                        continue;
+                    }
+                    let alive = cfg.mt - dead_tx.len();
+                    if alive >= 2 {
+                        energy_sum += analyze_interweave_link(
+                            &model,
+                            alive,
+                            cfg.mr,
+                            link.ber,
+                            cfg.bandwidth_hz,
+                            link.block_bits,
+                            cfg.d_long_m,
+                        )
+                        .long_haul_total_j;
+                    }
+                    delivered += 1;
+                }
+            }
+        }
+        DegradationReport {
+            paradigm: p,
+            faults: schedule.len(),
+            slots,
+            slots_full: full,
+            slots_degraded: degraded,
+            slots_muted: muted,
+            delivered_fraction: delivered as f64 / slots.max(1) as f64,
+            mean_ber: match p {
+                Paradigm::Overlay => ber_sum / delivered.max(1) as f64,
+                _ => link.ber,
+            },
+            mean_energy_per_bit_j: energy_sum / delivered.max(1) as f64,
+            min_margin_db,
+            max_null_residual,
+            interference_violations: violations.len(),
+            trace,
+        }
+    }
+
+    /// Cluster recruitment under `faults`' stress: its broadcast-loss
+    /// probability on every invite and ack while lossy broadcast is on,
+    /// and a head death at a third of the horizon while relay deaths
+    /// are. An all-dead election is a typed error, not a panic.
+    pub fn recruitment(&self, faults: &FaultConfig) -> Result<RecruitOutcome, ClusterError> {
+        let loss = if faults.broadcast_loss_rate_hz > 0.0 {
+            faults.broadcast_loss_prob
+        } else {
+            0.0
+        };
+        let head_death_at = (faults.relay_death_rate_hz > 0.0)
+            .then(|| SimTime::from_secs_f64(faults.horizon_s / 3.0));
+        self.recruit(loss, head_death_at, &[])
+    }
+
+    /// Recruitment of the `mt + mr` nodes, 3 m apart on a line: every
+    /// invite and ack is lost with probability `loss`, the head dies at
+    /// `head_death_at`, and no node in `excluded` is elected head.
+    fn recruit(
+        &self,
+        loss: f64,
+        head_death_at: Option<SimTime>,
+        excluded: &[usize],
+    ) -> Result<RecruitOutcome, ClusterError> {
+        let n = self.cfg.mt + self.cfg.mr;
+        let nodes: Vec<SuNode> = (0..n)
+            .map(|i| SuNode::new(i, Point::new(i as f64 * 3.0, 0.0), 1.0 + i as f64))
+            .collect();
+        let graph = SuGraph::build(nodes, 100.0);
+        let members: Vec<usize> = (0..n).collect();
+        let rc = RecruitConfig {
+            loss_prob: loss.clamp(0.0, 1.0),
+            head_death_at,
+            ..RecruitConfig::default()
+        };
+        run_recruitment_excluding(&graph, &members, excluded, &rc, self.cfg.seed)
+    }
+
+    /// The null-steering cluster re-paired around the dead transmitters
+    /// `dead_tx` (node indices below `mt`): its virtual-antenna count and
+    /// the steered-null residual at the protected primary, or `None` when
+    /// fewer than two survivors are left and the cluster falls silent.
+    fn repaired_null(&self, dead_tx: &[usize]) -> Option<(usize, f64)> {
+        let dead: Vec<Point> = dead_tx.iter().map(|&n| self.positions[n]).collect();
+        self.full_beam.repair(&dead).beam.map(|beam| {
+            let asg = beam.steer(self.pr);
+            (beam.n_virtual_antennas(), beam.null_residual(self.pr, &asg))
+        })
+    }
+
+    /// What `p`'s degradation policy does about one fault at `t`: the
+    /// action line of the degradation walk's fault trace.
+    fn fault_action(&self, p: Paradigm, tl: &Timeline, t: f64, kind: &FaultKind) -> String {
+        let cfg = &self.cfg;
+        match (p, *kind) {
+            (Paradigm::Overlay, FaultKind::RelayDeath { .. }) => {
+                match &self.ov_deg[tl.dead_before(t).min(cfg.m_overlay)] {
+                    Some(d) if d.feasible() => format!(
+                        "re-weighted MISO to {} survivors (overdraw {:.3})",
+                        d.m_survivors, d.energy_overdraw
+                    ),
+                    Some(d) => format!(
+                        "budget broken at {} survivors (overdraw {:.3}); direct-link fallback",
+                        d.m_survivors, d.energy_overdraw
+                    ),
+                    None => "all relays dead; direct-link fallback".into(),
+                }
+            }
+            (Paradigm::Overlay, FaultKind::ShadowBurst { duration_s, .. }) => {
+                format!("relay shadowed for {duration_s:.2} s; burst re-weighted")
+            }
+            (Paradigm::Overlay, _) => "no overlay action".into(),
+            (Paradigm::Underlay, FaultKind::RelayDeath { .. } | FaultKind::ShadowBurst { .. }) => {
+                let alive = cfg.mt - tl.nodes_out(t, cfg.mt).len();
+                match &self.un_deg[alive] {
+                    Some(step) => format!(
+                        "degraded to {}x{} rung (margin {:+.1} dB)",
+                        step.mt, step.mr, step.margin_db
+                    ),
+                    None => "muted: no admissible rung under the ceiling".into(),
+                }
+            }
+            (
+                Paradigm::Underlay,
+                FaultKind::BroadcastLoss {
+                    loss_prob,
+                    duration_s,
+                    ..
+                },
+            ) => format!(
+                "step-1 broadcast lossy (p={loss_prob:.2}) for {duration_s:.2} s; retransmitting"
+            ),
+            (Paradigm::Underlay, _) => "ceiling already respected; no action".into(),
+            (
+                Paradigm::Interweave,
+                FaultKind::PuReturn {
+                    channel,
+                    duration_s,
+                },
+            ) => match (0..cfg.n_channels).find(|&c| !tl.pu_active(t, c)) {
+                Some(c) => format!(
+                    "PU back on ch{channel} for {duration_s:.2} s; evacuated mid-packet to ch{c}"
+                ),
+                None => format!(
+                    "PU back on ch{channel} for {duration_s:.2} s; all channels busy — muted"
+                ),
+            },
+            (
+                Paradigm::Interweave,
+                FaultKind::RelayDeath { .. } | FaultKind::ShadowBurst { .. },
+            ) => {
+                let dead: Vec<Point> = tl
+                    .nodes_out(t, cfg.mt)
+                    .into_iter()
+                    .map(|n| self.positions[n])
+                    .collect();
+                let rep = self.full_beam.repair(&dead);
+                match rep.beam {
+                    Some(b) => format!(
+                        "re-paired to {} virtual antennas ({} muted, {} lost)",
+                        b.n_virtual_antennas(),
+                        rep.muted,
+                        rep.lost_virtual_antennas
+                    ),
+                    None => format!(
+                        "fewer than two survivors ({} muted); cluster silent",
+                        rep.muted
+                    ),
+                }
+            }
+            (Paradigm::Interweave, FaultKind::BroadcastLoss { duration_s, .. }) => {
+                format!("local broadcast lossy for {duration_s:.2} s; retransmitting")
+            }
+        }
+    }
+}
+
+/// Positions an `mt`-element beamforming cluster: tight λ/2 pairs spaced
+/// a few metres apart (the geometry the delay formula is exact for).
+fn beam_positions(mt: usize, wavelength: f64) -> Vec<Point> {
+    (0..mt)
+        .map(|i| Point::new((i / 2) as f64 * 4.0, (i % 2) as f64 * wavelength / 2.0))
+        .collect()
+}
+
+/// The underlay slot on `step`; `None` is a muted slot (no admissible
+/// rung), which the ceiling check still sees.
+fn underlay_obs(step: Option<&FallbackStep>, at_ns: u64) -> Observation {
+    match step {
+        Some(step) => Observation::UnderlaySlot {
+            at_ns,
+            transmitting: true,
+            mt: step.mt,
+            mr: step.mr,
+            margin_db: step.margin_db,
+        },
+        None => Observation::UnderlaySlot {
+            at_ns,
+            transmitting: false,
+            mt: 0,
+            mr: 0,
+            margin_db: f64::INFINITY,
+        },
     }
 }
 
@@ -314,13 +730,10 @@ fn run_in_world(
     // ---- stage B: slotted paradigm campaigns -------------------------
     let tl = Timeline::from_schedule(events);
     let topo = cfg.topology();
-    let positions = &world.positions;
-    let full_beam = &world.full_beam;
-    let pr = world.pr;
     let ov_deg = &world.ov_deg;
     let un_deg = &world.un_deg;
     // null repairs depend on the out-*set*, so this cache is per-run
-    let mut beam_cache: HashMap<Vec<usize>, Option<f64>> = HashMap::new();
+    let mut beam_cache: HashMap<Vec<usize>, Option<(usize, f64)>> = HashMap::new();
     let rtl = &world.reporter_tl;
     // consecutive slots radiated into a mid-slot primary return, and the
     // one-slot back-off a miss imposes before the cluster radiates again
@@ -354,8 +767,8 @@ fn run_in_world(
                 survivors: d.m_survivors,
                 overdraw: d.energy_overdraw,
                 claims_feasible: d.feasible(),
-                // the world's accounting mirrors the scenarios: an
-                // infeasible burst reverts to the direct link
+                // an infeasible burst reverts to the direct link, as
+                // in the degradation walk
                 fallback_direct: !d.feasible(),
             },
             None => Observation::OverlaySlot {
@@ -370,23 +783,10 @@ fn run_in_world(
 
         // underlay: transmitters are the nodes below mt
         let alive = cfg.mt - out_mid.iter().filter(|&&n| n < cfg.mt).count();
-        let obs = match &un_deg[alive.min(cfg.mt)] {
-            Some(step) => Observation::UnderlaySlot {
-                at_ns: mid_ns,
-                transmitting: true,
-                mt: step.mt,
-                mr: step.mr,
-                margin_db: step.margin_db,
-            },
-            None => Observation::UnderlaySlot {
-                at_ns: mid_ns,
-                transmitting: false,
-                mt: 0,
-                mr: 0,
-                margin_db: f64::INFINITY,
-            },
-        };
-        checks += reg.check(&obs, &mut violations);
+        checks += reg.check(
+            &underlay_obs(un_deg[alive.min(cfg.mt)].as_ref(), mid_ns),
+            &mut violations,
+        );
 
         // cooperative sensing at the slot boundary picks the interweave
         // channel: every node runs its detector and its report word rides
@@ -579,15 +979,11 @@ fn run_in_world(
             Some(channel) => {
                 let dead_tx: Vec<usize> =
                     out_start.iter().copied().filter(|&n| n < cfg.mt).collect();
-                let residual = *beam_cache.entry(dead_tx.clone()).or_insert_with(|| {
-                    let dead: Vec<Point> = dead_tx.iter().map(|&n| positions[n]).collect();
-                    full_beam.repair(&dead).beam.map(|beam| {
-                        let asg = beam.steer(pr);
-                        beam.null_residual(pr, &asg)
-                    })
-                });
-                match residual {
-                    Some(r) => {
+                let repaired = *beam_cache
+                    .entry(dead_tx)
+                    .or_insert_with_key(|dead_tx| world.repaired_null(dead_tx));
+                match repaired {
+                    Some((_, r)) => {
                         radiating_on = Some(channel);
                         Observation::InterweaveSlot {
                             at_ns: start_ns,
@@ -613,13 +1009,8 @@ fn run_in_world(
         // radiating slot cannot be caught before the next boundary —
         // that is the one-slot budget. The streak stays ≤ 1 structurally
         // because the back-off slot above never radiates.
-        let missed = radiating_on.is_some_and(|c| {
-            events.iter().any(|e| {
-                matches!(e.kind, FaultKind::PuReturn { channel, .. } if channel == c)
-                    && e.at.as_secs_f64() >= slot_start
-                    && e.at.as_secs_f64() < slot_start + cfg.slot_s
-            })
-        });
+        let missed = radiating_on
+            .is_some_and(|c| tl.pu_returns_within(c, slot_start, slot_start + cfg.slot_s));
         if missed {
             missed_streak += 1;
             backoff_mute = true;
@@ -663,17 +1054,6 @@ fn run_in_world(
         .filter(|e| matches!(e.kind, FaultKind::RelayDeath { .. }))
         .map(|e| e.at)
         .min();
-    let n = cfg.mt + cfg.mr;
-    let nodes: Vec<SuNode> = (0..n)
-        .map(|i| SuNode::new(i, Point::new(i as f64 * 3.0, 0.0), 1.0 + i as f64))
-        .collect();
-    let graph = SuGraph::build(nodes, 100.0);
-    let members: Vec<usize> = (0..n).collect();
-    let rc = RecruitConfig {
-        loss_prob: loss.clamp(0.0, 1.0),
-        head_death_at,
-        ..RecruitConfig::default()
-    };
     // reporters the reputation tracker quarantined are passed over for
     // head election (they still join as plain members)
     let excluded: Vec<usize> = {
@@ -683,7 +1063,7 @@ fn run_in_world(
             .collect()
     };
     let (recruit_completed, recruit_joined, recruit_abandoned) =
-        match run_recruitment_excluding(&graph, &members, &excluded, &rc, cfg.seed) {
+        match world.recruit(loss, head_death_at, &excluded) {
             Ok(out) => (true, out.joined.len(), out.abandoned.len()),
             Err(_) => (false, 0, 0),
         };

@@ -54,8 +54,8 @@ impl FaultTrace {
 
 /// Loads `schedule` into a one-shard [`ShardedEventQueue`] and pops it in
 /// `(time, schedule order)`, calling `handler` for each fault. The
-/// handler returns the action string recorded in the trace — scenarios
-/// put their degradation decision there ("re-weighted MISO to 2
+/// handler returns the action string recorded in the trace — the chaos
+/// world's degradation walk puts its decision there ("re-weighted MISO to 2
 /// survivors", "muted: no admissible rung", ...).
 pub fn inject_all(
     schedule: &[FaultEvent],

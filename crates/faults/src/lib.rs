@@ -1,11 +1,11 @@
 //! # comimo-faults
 //!
-//! Deterministic fault injection and graceful degradation for the
-//! paper's three cognitive-radio paradigms. The paper analyses the
-//! failure-free steady state; this crate asks what each paradigm does
-//! when the network misbehaves mid-operation — and proves the one thing
-//! a cognitive radio must never do (disturb a primary receiver) holds
-//! through every failure mode.
+//! Deterministic fault injection for the paper's three cognitive-radio
+//! paradigms. The paper analyses the failure-free steady state; this
+//! crate describes how the network misbehaves mid-operation — the fault
+//! taxonomy, seeded schedules and their timelines. The chaos world
+//! (`comimo-chaos`) drives the paradigms' degradation policies through
+//! them and checks that no failure mode disturbs a primary receiver.
 //!
 //! * [`campaign`] — deterministic fault plans for the Monte-Carlo
 //!   campaign supervisor (`comimo-campaign`): shard-execution panics and
@@ -19,11 +19,10 @@
 //! * [`injector`] — replay through the `comimo-sim` event queue,
 //!   recording a [`injector::FaultTrace`] that CI diffs across feature
 //!   configs and thread counts;
-//! * [`scenarios`] — slotted campaigns wiring the degradation policies
-//!   of `comimo-core` (overlay re-weighting, the underlay fallback
-//!   ladder, interweave re-pairing and evacuation) and the recruitment
-//!   protocol of `comimo-net` into degradation reports, each carrying
-//!   the primary-interference invariant verdict;
+//! * [`timeline`] — a schedule unrolled onto the time axis: nodes out,
+//!   primaries back on their channels and lossy broadcast, queryable per
+//!   slot. The chaos world (`comimo-chaos`) walks the three paradigms'
+//!   degradation ladders over it;
 //! * [`sensing`] — reporter faults for the cooperative sensing path:
 //!   stuck-at-H0/H1 detectors, silent reporter death and delayed
 //!   reports, on the same split-stream schedule discipline;
@@ -40,9 +39,9 @@ pub mod campaign;
 pub mod injector;
 pub mod model;
 pub mod report_channel;
-pub mod scenarios;
 pub mod schedule;
 pub mod sensing;
+pub mod timeline;
 
 pub use byzantine::{assign_roles, ByzantineConfig, ByzantineRole, ByzantineSuite, ReportOverride};
 pub use campaign::CampaignFaultPlan;
@@ -52,12 +51,9 @@ pub use report_channel::{
     build_report_channel_schedule, ReportChannelFault, ReportChannelFaultConfig,
     ReportChannelFaultKind, ReportChannelState, ReportChannelTimeline,
 };
-pub use scenarios::{
-    beam_positions, run_interweave_scenario, run_overlay_scenario, run_recruitment_scenario,
-    run_underlay_scenario, DegradationReport, RecruitReport, ScenarioConfig, Timeline,
-};
 pub use schedule::build_schedule;
 pub use sensing::{
     build_reporter_schedule, ReporterFaultConfig, ReporterFaultEvent, ReporterFaultKind,
     ReporterState, ReporterTimeline,
 };
+pub use timeline::Timeline;

@@ -118,8 +118,8 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// No faults at all over `horizon_s` — scenarios must reduce to their
-    /// fault-free baselines under this config.
+    /// No faults at all over `horizon_s` — degradation walks must reduce
+    /// to their fault-free baselines under this config.
     pub fn disabled(horizon_s: f64) -> Self {
         Self {
             horizon_s,

@@ -39,7 +39,6 @@ pub mod graph;
 pub mod grid;
 pub mod lifetime;
 pub mod mac;
-pub mod mobility;
 pub mod node;
 pub mod recruit;
 pub mod report;
@@ -52,7 +51,6 @@ pub use comimonet::CoMimoNet;
 pub use graph::SuGraph;
 pub use grid::{GridEntry, SpatialGrid};
 pub use lifetime::{run_lifetime, try_run_lifetime, LifetimeConfig, LifetimeError, LifetimeResult};
-pub use mobility::{MobileNetwork, MobilityError, RandomWaypoint, WaypointConfig};
 pub use node::SuNode;
 pub use recruit::{
     backoff_delay, run_recruitment, run_recruitment_excluding, RecruitConfig, RecruitOutcome,

@@ -156,17 +156,6 @@ impl NodeStore {
         self.check(id).map(|i| (self.xs[i], self.ys[i]))
     }
 
-    /// Moves `id` to a new position.
-    pub fn set_pos(&mut self, id: u32, x: f64, y: f64) {
-        let i = self.check(id).unwrap_or_else(|e| panic!("{e}"));
-        assert!(
-            x.is_finite() && y.is_finite(),
-            "invalid position ({x}, {y})"
-        );
-        self.xs[i] = x;
-        self.ys[i] = y;
-    }
-
     /// Remaining battery of `id` in joules.
     pub fn battery_j(&self, id: u32) -> f64 {
         let i = self.check(id).unwrap_or_else(|e| panic!("{e}"));
