@@ -181,35 +181,6 @@ fn bench_fec(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sync(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sync");
-    g.sample_size(20);
-    let mut rng = seeded(5);
-    let tx = comimo_testbed::sync_rx::BurstTx::new();
-    let burst = tx.transmit(&[0x5A; 100]);
-    let air = comimo_testbed::sync_rx::impair(&mut rng, &burst, 300, 25.0, 0.005);
-    let rx = comimo_testbed::sync_rx::BurstRx::new();
-    g.bench_function("acquire_and_decode_100B", |bench| {
-        bench.iter(|| black_box(rx.receive(black_box(&air))));
-    });
-    g.finish();
-}
-
-fn bench_equalizer(c: &mut Criterion) {
-    let mut g = c.benchmark_group("equalizer");
-    let h = vec![Complex::new(1.0, 0.0), Complex::new(0.5, 0.2)];
-    g.bench_function("zf_design_31_taps", |bench| {
-        bench.iter(|| {
-            black_box(comimo_dsp::equalizer::zero_forcing_taps(
-                black_box(&h),
-                31,
-                15,
-            ))
-        });
-    });
-    g.finish();
-}
-
 criterion_group!(
     kernels,
     bench_ebar,
@@ -219,8 +190,6 @@ criterion_group!(
     bench_gmsk,
     bench_fft,
     bench_mac,
-    bench_fec,
-    bench_sync,
-    bench_equalizer
+    bench_fec
 );
 criterion_main!(kernels);

@@ -12,20 +12,18 @@
 //!   the cooperative MIMO links; and
 //! * (Section 6.4) an **indoor environment** with obstacles and multipath
 //!   for the USRP testbed, which we substitute with wall-attenuation
-//!   segments and a tapped-delay-line model.
+//!   segments (the Figure-8 rig draws its own per-snapshot scatter).
 //!
 //! Modules:
 //! * [`geometry`] — 2-D points, angles (`∠PrSt1St2` of Section 5), segments;
 //! * [`pathloss`] — the two path-loss laws plus Friis free space;
 //! * [`fading`] — block Rayleigh / Rician fading and channel matrices;
-//! * [`multipath`] — tapped-delay-line indoor channels;
 //! * [`obstacle`] — wall segments with penetration loss;
 //! * [`link`] — link budget: received power, SNR, noise floor, margins.
 
 pub mod fading;
 pub mod geometry;
 pub mod link;
-pub mod multipath;
 pub mod obstacle;
 pub mod pathloss;
 

@@ -1,4 +1,4 @@
-//! Bit/byte plumbing: packing, error counting, and PN scrambling.
+//! Bit/byte plumbing: packing, error counting and PN sequences.
 
 /// Unpacks bytes into bits, MSB first.
 pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
@@ -39,44 +39,6 @@ pub fn count_bit_errors(sent: &[bool], received: &[bool]) -> u64 {
         .count() as u64;
     errs += (sent.len().max(received.len()) - common) as u64;
     errs
-}
-
-/// A maximal-length LFSR scrambler (x⁷ + x⁴ + 1, as in many packet radios):
-/// self-synchronising whitening so long runs of identical payload bits do
-/// not starve symbol timing. Applying it twice restores the input.
-#[derive(Debug, Clone)]
-pub struct Scrambler {
-    state: u8,
-}
-
-impl Scrambler {
-    /// Creates a scrambler with the standard all-ones seed.
-    pub fn new() -> Self {
-        Self { state: 0x7F }
-    }
-
-    /// Scrambles (or descrambles — the operation is an involution when the
-    /// states match) a bit stream.
-    pub fn process(&mut self, bits: &[bool]) -> Vec<bool> {
-        bits.iter()
-            .map(|&b| {
-                let fb = ((self.state >> 6) ^ (self.state >> 3)) & 1;
-                self.state = ((self.state << 1) | fb) & 0x7F;
-                b ^ (fb == 1)
-            })
-            .collect()
-    }
-
-    /// Resets to the seed state.
-    pub fn reset(&mut self) {
-        self.state = 0x7F;
-    }
-}
-
-impl Default for Scrambler {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Generates a deterministic pseudo-noise bit sequence of length `n` from a
@@ -126,26 +88,6 @@ mod tests {
         // length mismatch counts missing bits as errors
         assert_eq!(count_bit_errors(&a, &a[..2]), 2);
         assert_eq!(count_bit_errors(&a, &a), 0);
-    }
-
-    #[test]
-    fn scrambler_involution() {
-        let data = pn_sequence(7, 500);
-        let mut s1 = Scrambler::new();
-        let scrambled = s1.process(&data);
-        assert_ne!(scrambled, data);
-        let mut s2 = Scrambler::new();
-        assert_eq!(s2.process(&scrambled), data);
-    }
-
-    #[test]
-    fn scrambler_whitens_constant_input() {
-        let zeros = vec![false; 1000];
-        let mut s = Scrambler::new();
-        let out = s.process(&zeros);
-        let ones = out.iter().filter(|&&b| b).count();
-        // roughly balanced
-        assert!(ones > 350 && ones < 650, "{ones} ones out of 1000");
     }
 
     #[test]

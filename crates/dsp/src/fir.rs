@@ -1,10 +1,7 @@
 //! FIR filter design and application.
 //!
 //! Provides the Gaussian pulse-shaping filter that defines GMSK (the
-//! paper's underlay modulation) and a windowed-sinc low-pass used by the
-//! testbed receivers.
-
-use comimo_math::complex::Complex;
+//! paper's underlay modulation).
 
 /// A real-coefficient FIR filter.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,17 +42,6 @@ impl Fir {
         out
     }
 
-    /// Full convolution with a complex signal.
-    pub fn filter_complex(&self, x: &[Complex]) -> Vec<Complex> {
-        let mut out = vec![Complex::zero(); x.len() + self.taps.len() - 1];
-        for (i, &xi) in x.iter().enumerate() {
-            for (j, &t) in self.taps.iter().enumerate() {
-                out[i + j] += xi * t;
-            }
-        }
-        out
-    }
-
     /// Group delay in samples (linear-phase symmetric filters).
     pub fn group_delay(&self) -> usize {
         (self.taps.len() - 1) / 2
@@ -79,37 +65,6 @@ impl Fir {
             })
             .collect();
         Self::new(taps).normalized_dc()
-    }
-
-    /// Windowed-sinc (Hamming) low-pass with normalised cutoff
-    /// `fc ∈ (0, 0.5)` cycles/sample and `n` taps (odd recommended).
-    pub fn lowpass(fc: f64, n: usize) -> Self {
-        assert!(fc > 0.0 && fc < 0.5, "cutoff must be in (0, 0.5)");
-        assert!(n >= 3);
-        let mid = (n - 1) as f64 / 2.0;
-        let taps: Vec<f64> = (0..n)
-            .map(|i| {
-                let x = i as f64 - mid;
-                let sinc = if x.abs() < 1e-12 {
-                    2.0 * fc
-                } else {
-                    (2.0 * std::f64::consts::PI * fc * x).sin() / (std::f64::consts::PI * x)
-                };
-                let w = 0.54 - 0.46 * (std::f64::consts::TAU * i as f64 / (n - 1) as f64).cos();
-                sinc * w
-            })
-            .collect();
-        Self::new(taps).normalized_dc()
-    }
-
-    /// Magnitude response at normalised frequency `f` (cycles/sample).
-    pub fn magnitude_at(&self, f: f64) -> f64 {
-        self.taps
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| Complex::cis(-std::f64::consts::TAU * f * i as f64) * t)
-            .sum::<Complex>()
-            .abs()
     }
 }
 
@@ -163,29 +118,6 @@ mod tests {
                 .sum::<f64>()
         };
         assert!(spread(&wide) > spread(&tight));
-    }
-
-    #[test]
-    fn lowpass_passes_dc_rejects_high() {
-        let lp = Fir::lowpass(0.1, 63);
-        assert!((lp.magnitude_at(0.0) - 1.0).abs() < 1e-9);
-        assert!(lp.magnitude_at(0.05) > 0.9);
-        assert!(
-            lp.magnitude_at(0.3) < 0.01,
-            "stopband {}",
-            lp.magnitude_at(0.3)
-        );
-    }
-
-    #[test]
-    fn complex_filtering_matches_real_on_real_input() {
-        let f = Fir::lowpass(0.2, 21);
-        let x: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
-        let xr = f.filter_real(&x);
-        let xc = f.filter_complex(&x.iter().map(|&v| Complex::real(v)).collect::<Vec<_>>());
-        for (a, b) in xr.iter().zip(&xc) {
-            assert!((a - b.re).abs() < 1e-12 && b.im.abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -59,9 +59,8 @@ impl FrameCodec {
     }
 
     /// Decodes a received bit stream that is aligned to the frame start
-    /// (the testbed keeps alignment; see [`Self::find_preamble`] for
-    /// unaligned streams). Returns `None` on CRC failure or truncation —
-    /// i.e. a *packet error*.
+    /// (the testbed keeps alignment). Returns `None` on CRC failure or
+    /// truncation — i.e. a *packet error*.
     pub fn decode(&self, bits: &[bool]) -> Option<Frame> {
         if bits.len() < PREAMBLE_BITS + 48 {
             return None;
@@ -78,25 +77,6 @@ impl FrameCodec {
         let payload_with_len = check_and_strip_crc(&body)?;
         Some(Frame {
             payload: payload_with_len[2..].to_vec(),
-        })
-    }
-
-    /// Locates the preamble in an unaligned bit stream by exhaustive
-    /// correlation; returns the offset of the first position where at
-    /// least `min_match` of the preamble bits agree.
-    pub fn find_preamble(&self, bits: &[bool], min_match: usize) -> Option<usize> {
-        assert!(min_match <= PREAMBLE_BITS);
-        if bits.len() < PREAMBLE_BITS {
-            return None;
-        }
-        (0..=bits.len() - PREAMBLE_BITS).find(|&off| {
-            let matches = self
-                .preamble
-                .iter()
-                .zip(&bits[off..off + PREAMBLE_BITS])
-                .filter(|(a, b)| a == b)
-                .count();
-            matches >= min_match
         })
     }
 }
@@ -152,25 +132,6 @@ mod tests {
         let codec = FrameCodec::new();
         let bits = codec.encode(&[7; 64]);
         assert!(codec.decode(&bits[..bits.len() - 8]).is_none());
-    }
-
-    #[test]
-    fn preamble_search_exact_and_noisy() {
-        let codec = FrameCodec::new();
-        let frame = codec.encode(&[42; 10]);
-        // prepend junk
-        let mut stream = pn_sequence(0x1234, 37);
-        stream.extend(&frame);
-        let off = codec.find_preamble(&stream, PREAMBLE_BITS).expect("found");
-        assert_eq!(off, 37);
-        // with a few bit errors, a relaxed threshold still finds it
-        let mut noisy = stream.clone();
-        noisy[40] = !noisy[40];
-        noisy[50] = !noisy[50];
-        let off2 = codec
-            .find_preamble(&noisy, PREAMBLE_BITS - 4)
-            .expect("found noisy");
-        assert_eq!(off2, 37);
     }
 
     #[test]

@@ -14,27 +14,23 @@
 //!   image "with 474 packets"; packet error detection needs a real CRC).
 //!
 //! Supporting machinery: bit/byte utilities ([`bits`]), CRC-32 ([`crc`]),
-//! FIR design/filtering ([`fir`]), a radix-2 FFT with a periodogram PSD
-//! estimator ([`fft`]) used by the underlay noise-floor checks, linear
-//! modems ([`modem`]), the GMSK waveform modem ([`gmsk`]), packet framing
-//! ([`frame`]), diversity combining ([`combining`]), receiver
-//! synchronisation — preamble timing + CFO estimation ([`sync`]) — and
-//! channel equalisation (zero-forcing and LMS, [`equalizer`]).
+//! the Gaussian pulse-shaping FIR ([`fir`]), a radix-2 FFT with a
+//! periodogram PSD estimator ([`fft`]) used by GMSK's spectral checks, the
+//! BPSK modem ([`modem`]), the GMSK waveform modem ([`gmsk`]), packet
+//! framing ([`frame`]), the rate-1/2 convolutional code ([`fec`]) and
+//! diversity combining ([`combining`]).
 
 pub mod bits;
 pub mod combining;
 pub mod crc;
-pub mod equalizer;
 pub mod fec;
 pub mod fft;
 pub mod fir;
 pub mod frame;
 pub mod gmsk;
 pub mod modem;
-pub mod pulse;
-pub mod sync;
 
 pub use combining::{egc_combine, mrc_combine, selection_combine};
 pub use frame::{Frame, FrameCodec};
 pub use gmsk::GmskModem;
-pub use modem::{Bpsk, Modem, Psk8, Qam16, Qpsk};
+pub use modem::Bpsk;

@@ -1,166 +1,23 @@
-//! Linear memoryless modems: BPSK, QPSK, 8-PSK, 16-QAM.
-//!
-//! The paper's overlay/interweave experiments use BPSK at 250 kbps
-//! (Section 6.4); the energy model sweeps constellation sizes. All
-//! constellations are normalised to unit average symbol energy and use
-//! Gray labelling so adjacent symbols differ by one bit.
+//! The BPSK modem of the paper's overlay/interweave experiments
+//! (Section 6.4, 250 kbps). Symbols have unit energy.
 
 use comimo_math::complex::Complex;
-
-/// A memoryless symbol modem.
-pub trait Modem {
-    /// Bits consumed per symbol.
-    fn bits_per_symbol(&self) -> usize;
-
-    /// Maps a bit group (length `bits_per_symbol`) to a symbol.
-    fn map(&self, bits: &[bool]) -> Complex;
-
-    /// Hard-decides a received symbol back into bits (appended to `out`).
-    fn demap(&self, symbol: Complex, out: &mut Vec<bool>);
-
-    /// Modulates a bit stream (padded with zeros to a whole symbol count).
-    fn modulate(&self, bits: &[bool]) -> Vec<Complex> {
-        let b = self.bits_per_symbol();
-        let mut out = Vec::with_capacity(bits.len().div_ceil(b));
-        let mut buf = vec![false; b];
-        for chunk in bits.chunks(b) {
-            buf[..chunk.len()].copy_from_slice(chunk);
-            buf[chunk.len()..].fill(false);
-            out.push(self.map(&buf));
-        }
-        out
-    }
-
-    /// Demodulates a symbol stream into bits.
-    fn demodulate(&self, symbols: &[Complex]) -> Vec<bool> {
-        let mut out = Vec::with_capacity(symbols.len() * self.bits_per_symbol());
-        for &s in symbols {
-            self.demap(s, &mut out);
-        }
-        out
-    }
-}
 
 /// Binary phase-shift keying: `0 → −1`, `1 → +1`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Bpsk;
 
-impl Modem for Bpsk {
-    fn bits_per_symbol(&self) -> usize {
-        1
+impl Bpsk {
+    /// Modulates a bit stream, one symbol per bit.
+    pub fn modulate(&self, bits: &[bool]) -> Vec<Complex> {
+        bits.iter()
+            .map(|&b| Complex::real(if b { 1.0 } else { -1.0 }))
+            .collect()
     }
 
-    fn map(&self, bits: &[bool]) -> Complex {
-        Complex::real(if bits[0] { 1.0 } else { -1.0 })
-    }
-
-    fn demap(&self, symbol: Complex, out: &mut Vec<bool>) {
-        out.push(symbol.re > 0.0);
-    }
-}
-
-/// Gray-coded QPSK with unit average energy (±1±i)/√2.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Qpsk;
-
-impl Modem for Qpsk {
-    fn bits_per_symbol(&self) -> usize {
-        2
-    }
-
-    fn map(&self, bits: &[bool]) -> Complex {
-        let a = 1.0 / 2f64.sqrt();
-        Complex::new(if bits[0] { a } else { -a }, if bits[1] { a } else { -a })
-    }
-
-    fn demap(&self, symbol: Complex, out: &mut Vec<bool>) {
-        out.push(symbol.re > 0.0);
-        out.push(symbol.im > 0.0);
-    }
-}
-
-/// Gray-coded 8-PSK on the unit circle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Psk8;
-
-const PSK8_GRAY: [u8; 8] = [0b000, 0b001, 0b011, 0b010, 0b110, 0b111, 0b101, 0b100];
-
-impl Modem for Psk8 {
-    fn bits_per_symbol(&self) -> usize {
-        3
-    }
-
-    fn map(&self, bits: &[bool]) -> Complex {
-        let code = (u8::from(bits[0]) << 2) | (u8::from(bits[1]) << 1) | u8::from(bits[2]);
-        let pos = PSK8_GRAY
-            .iter()
-            .position(|&g| g == code)
-            .expect("gray code") as f64;
-        Complex::cis(std::f64::consts::TAU * pos / 8.0)
-    }
-
-    fn demap(&self, symbol: Complex, out: &mut Vec<bool>) {
-        let mut angle = symbol.arg();
-        if angle < 0.0 {
-            angle += std::f64::consts::TAU;
-        }
-        let pos = (angle / (std::f64::consts::TAU / 8.0)).round() as usize % 8;
-        let code = PSK8_GRAY[pos];
-        out.push(code & 0b100 != 0);
-        out.push(code & 0b010 != 0);
-        out.push(code & 0b001 != 0);
-    }
-}
-
-/// Gray-coded square 16-QAM with unit average energy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Qam16;
-
-// per-axis Gray map of 2 bits -> level index {0,1,2,3} -> amplitude {-3,-1,1,3}
-const QAM16_SCALE: f64 = 0.316_227_766_016_837_94; // 1/sqrt(10)
-
-fn gray2_to_level(b0: bool, b1: bool) -> f64 {
-    // Gray: 00→-3, 01→-1, 11→+1, 10→+3
-    match (b0, b1) {
-        (false, false) => -3.0,
-        (false, true) => -1.0,
-        (true, true) => 1.0,
-        (true, false) => 3.0,
-    }
-}
-
-fn level_to_gray2(x: f64, out: &mut Vec<bool>) {
-    // slice to nearest of {-3,-1,1,3} and emit its Gray label
-    if x < -2.0 {
-        out.push(false);
-        out.push(false);
-    } else if x < 0.0 {
-        out.push(false);
-        out.push(true);
-    } else if x < 2.0 {
-        out.push(true);
-        out.push(true);
-    } else {
-        out.push(true);
-        out.push(false);
-    }
-}
-
-impl Modem for Qam16 {
-    fn bits_per_symbol(&self) -> usize {
-        4
-    }
-
-    fn map(&self, bits: &[bool]) -> Complex {
-        Complex::new(
-            gray2_to_level(bits[0], bits[1]) * QAM16_SCALE,
-            gray2_to_level(bits[2], bits[3]) * QAM16_SCALE,
-        )
-    }
-
-    fn demap(&self, symbol: Complex, out: &mut Vec<bool>) {
-        level_to_gray2(symbol.re / QAM16_SCALE, out);
-        level_to_gray2(symbol.im / QAM16_SCALE, out);
+    /// Hard-decides a symbol stream back into bits.
+    pub fn demodulate(&self, symbols: &[Complex]) -> Vec<bool> {
+        symbols.iter().map(|s| s.re > 0.0).collect()
     }
 }
 
@@ -175,52 +32,17 @@ mod tests {
         (0..n).map(|_| rng.gen_bool(0.5)).collect()
     }
 
-    fn roundtrip(modem: &impl Modem, n_bits: usize) {
-        let bits = random_bits(n_bits, 1234);
-        let syms = modem.modulate(&bits);
-        let back = modem.demodulate(&syms);
-        assert_eq!(&back[..bits.len()], &bits[..]);
+    #[test]
+    fn bpsk_roundtrips_noiseless() {
+        let bits = random_bits(1000, 1234);
+        assert_eq!(Bpsk.demodulate(&Bpsk.modulate(&bits)), bits);
     }
 
     #[test]
-    fn all_modems_roundtrip_noiseless() {
-        roundtrip(&Bpsk, 1000);
-        roundtrip(&Qpsk, 1000);
-        roundtrip(&Psk8, 999);
-        roundtrip(&Qam16, 1000);
-    }
-
-    #[test]
-    fn unit_average_energy() {
-        for (name, syms) in [
-            ("bpsk", Bpsk.modulate(&random_bits(4000, 5))),
-            ("qpsk", Qpsk.modulate(&random_bits(4000, 6))),
-            ("psk8", Psk8.modulate(&random_bits(3999, 7))),
-            ("qam16", Qam16.modulate(&random_bits(4000, 8))),
-        ] {
-            let e: f64 = syms.iter().map(|s| s.norm_sqr()).sum::<f64>() / syms.len() as f64;
-            assert!((e - 1.0).abs() < 0.05, "{name}: E = {e}");
-        }
-    }
-
-    #[test]
-    fn psk8_gray_neighbours() {
-        // adjacent constellation points differ in exactly one bit
-        for pos in 0..8usize {
-            let a = PSK8_GRAY[pos];
-            let b = PSK8_GRAY[(pos + 1) % 8];
-            assert_eq!((a ^ b).count_ones(), 1, "{a:03b} vs {b:03b}");
-        }
-    }
-
-    #[test]
-    fn qam16_gray_axis_neighbours() {
-        // adjacent levels differ in exactly one bit of the 2-bit label
-        let labels = [(false, false), (false, true), (true, true), (true, false)];
-        for w in labels.windows(2) {
-            let d = (u8::from(w[0].0) ^ u8::from(w[1].0)) + (u8::from(w[0].1) ^ u8::from(w[1].1));
-            assert_eq!(d, 1);
-        }
+    fn unit_symbol_energy() {
+        let syms = Bpsk.modulate(&random_bits(4000, 5));
+        assert_eq!(syms.len(), 4000);
+        assert!(syms.iter().all(|s| (s.norm_sqr() - 1.0).abs() < 1e-12));
     }
 
     #[test]
@@ -237,15 +59,5 @@ mod tests {
         let errs = crate::bits::count_bit_errors(&bits, &back);
         // Eb/N0 = 1/0.2 = 7 dB → BER ≈ 8e-4
         assert!(errs < 60, "errors {errs}");
-    }
-
-    #[test]
-    fn padding_behaviour() {
-        // 3 bits into QPSK = 2 symbols, last padded with 0
-        let syms = Qpsk.modulate(&[true, true, true]);
-        assert_eq!(syms.len(), 2);
-        let back = Qpsk.demodulate(&syms);
-        assert_eq!(&back[..3], &[true, true, true]);
-        assert!(!back[3]); // the pad bit
     }
 }

@@ -32,14 +32,12 @@
 
 pub mod constants;
 pub mod ebar;
-pub mod extended;
 pub mod model;
 pub mod optimize;
 pub mod table;
 
 pub use constants::SystemConstants;
 pub use ebar::EbarSolver;
-pub use extended::{ExtendedEnergyModel, ProcessingBlocks};
 pub use model::EnergyModel;
 pub use optimize::{optimal_constellation, OptimalChoice};
 pub use table::EbTable;

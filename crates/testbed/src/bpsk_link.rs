@@ -13,14 +13,10 @@
 
 use comimo_channel::fading::{FadingChannel, Rician};
 use comimo_dsp::combining::egc_combine;
-use comimo_dsp::modem::{Bpsk, Modem};
+use comimo_dsp::modem::Bpsk;
 use comimo_math::batch::complex_gaussian_fill;
 use comimo_math::complex::Complex;
 use rand::Rng;
-
-/// Indoor K-factor used by the overlay experiments (strong LOS over 2 m,
-/// moderated by clutter).
-pub const INDOOR_K_FACTOR: f64 = 3.0;
 
 /// One received branch: soft symbols plus the channel gain the receiver
 /// estimated (from the preamble, modelled as perfect).
@@ -122,6 +118,9 @@ mod tests {
     use super::*;
     use comimo_dsp::bits::pn_sequence;
     use comimo_math::rng::seeded;
+
+    /// Indoor K-factor: strong LOS over 2 m, moderated by clutter.
+    const INDOOR_K_FACTOR: f64 = 3.0;
 
     fn run_link(snr_db: f64, n_bits: usize, seed: u64) -> f64 {
         let mut rng = seeded(seed);

@@ -6,12 +6,8 @@
 //! | [`overlay_multi`] | Table 3 | Tx/Rx >30 ft apart through concrete walls, relays in the corridor |
 //! | [`underlay_image`] | Table 4 | two SU transmitters, one receiver, GMSK image transfer at amplitudes 800/600/400 |
 //! | [`beam_scan`] | Figure 8 | two-element beamformer, null at 120°, semicircle scan 0°–180° |
-//! | [`full_stack`] | extension | CSMA/CA contention coupled to the fading PHY (MAC retries driven by measured per-link PER) |
-//! | [`overlay_protocol`] | extension | Algorithm 1 as a live protocol: independent relay decodes feeding a *distributed* Alamouti hop, error propagation measured |
 
 pub mod beam_scan;
-pub mod full_stack;
 pub mod overlay_multi;
-pub mod overlay_protocol;
 pub mod overlay_single;
 pub mod underlay_image;

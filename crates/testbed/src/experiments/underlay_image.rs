@@ -18,7 +18,6 @@
 //! as in the GNU Radio packet decoder.
 
 use crate::calib::TestbedCalibration;
-use crate::flowgraph::sum_streams;
 use crate::image::{TestImage, PACKET_BYTES, PACKET_COUNT};
 use crate::usrp::UsrpFrontEnd;
 use comimo_dsp::frame::FrameCodec;
@@ -104,6 +103,20 @@ impl UnderlayImageResult {
             self.rows.iter().map(|r| r.per_solo).sum::<f64>() / n,
         )
     }
+}
+
+/// Sums several pre-rendered streams sample-by-sample (the air interface
+/// for multiple simultaneous transmitters). Shorter streams are
+/// zero-padded.
+fn sum_streams(streams: &[Vec<Complex>]) -> Vec<Complex> {
+    let n = streams.iter().map(Vec::len).max().unwrap_or(0);
+    let mut out = vec![Complex::zero(); n];
+    for s in streams {
+        for (o, &x) in out.iter_mut().zip(s) {
+            *o += x;
+        }
+    }
+    out
 }
 
 /// Sends one framed GMSK packet over `n_tx` transmitters and reports
@@ -303,5 +316,15 @@ mod tests {
             plain.rows[0].per_solo
         );
         assert!(coded.rows[0].per_coop <= plain.rows[0].per_coop);
+    }
+
+    #[test]
+    fn sum_streams_pads_and_adds() {
+        let a = vec![Complex::one(); 3];
+        let b = vec![Complex::one(); 5];
+        let s = sum_streams(&[a, b]);
+        assert_eq!(s.len(), 5);
+        assert!(s[0].approx_eq(Complex::new(2.0, 0.0), 1e-12));
+        assert!(s[4].approx_eq(Complex::one(), 1e-12));
     }
 }
