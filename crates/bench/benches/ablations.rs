@@ -9,50 +9,13 @@ use std::hint::black_box;
 
 use comimo_core::overlay::{Overlay, OverlayConfig, SimoModel};
 use comimo_dsp::combining::{egc_combine, mrc_combine, selection_combine};
-use comimo_energy::ebar::EbarSolver;
 use comimo_energy::model::EnergyModel;
-use comimo_energy::optimize::{minimize_over_b, minimize_over_b_golden};
 use comimo_math::complex::Complex;
 use comimo_math::rng::{complex_gaussian, seeded};
 use comimo_net::cluster::{d_clustering, SeedOrder};
 use comimo_net::comimonet::ForwardPolicy;
 use comimo_net::graph::SuGraph;
 use comimo_net::node::random_deployment;
-
-/// ē_b inversion: closed-form forward map vs Monte-Carlo channel
-/// averaging (DESIGN.md §5, "ablate_ebar").
-fn ablate_ebar(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablate_ebar");
-    g.sample_size(10);
-    let closed_form = EbarSolver::paper();
-    let mc = EbarSolver::monte_carlo(20_000, 7);
-    g.bench_function("closed_form", |b| {
-        b.iter(|| black_box(closed_form.solve(black_box(1e-3), 2, 2, 3)));
-    });
-    g.bench_function("monte_carlo_20k", |b| {
-        b.iter(|| black_box(mc.solve(black_box(1e-3), 2, 2, 3)));
-    });
-    g.finish();
-}
-
-/// Constellation optimiser: exhaustive argmin vs golden-section
-/// ("ablate_bopt").
-fn ablate_bopt(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablate_bopt");
-    g.sample_size(10);
-    let model = EnergyModel::paper();
-    let obj = |b: u32| {
-        let p = comimo_energy::model::LinkParams::new(1e-3, b, 40_000.0, 1e4);
-        model.e_mimot(&p, 2, 1, 250.0)
-    };
-    g.bench_function("exhaustive_1_to_16", |bch| {
-        bch.iter(|| black_box(minimize_over_b(1, 16, obj)));
-    });
-    g.bench_function("golden_section", |bch| {
-        bch.iter(|| black_box(minimize_over_b_golden(1, 16, obj)));
-    });
-    g.finish();
-}
 
 /// Receive-side local-forward accounting: `mr` vs `mr − 1`
 /// ("ablate_accounting").
@@ -187,8 +150,6 @@ fn ablate_routing(c: &mut Criterion) {
 
 criterion_group!(
     ablations,
-    ablate_ebar,
-    ablate_bopt,
     ablate_accounting,
     ablate_combining,
     ablate_clustering,

@@ -76,12 +76,6 @@ impl Point {
         Self::new(self.x + (to.x - self.x) * t, self.y + (to.y - self.y) * t)
     }
 
-    /// Rotates the vector by `theta` radians about the origin.
-    pub fn rotated(self, theta: f64) -> Self {
-        let (s, c) = theta.sin_cos();
-        Self::new(c * self.x - s * self.y, s * self.x + c * self.y)
-    }
-
     /// Midpoint of `self` and `other`.
     pub fn midpoint(self, other: Self) -> Self {
         Self::new(0.5 * (self.x + other.x), 0.5 * (self.y + other.y))
@@ -323,16 +317,6 @@ mod tests {
         }
         // consecutive spacing 20 degrees
         assert!((pts[1].0 - pts[0].0 - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rotation_preserves_norm() {
-        let p = Point::new(3.0, -4.0);
-        let q = p.rotated(1.234);
-        assert!((p.norm() - q.norm()).abs() < 1e-12);
-        // rotating back recovers the original
-        let r = q.rotated(-1.234);
-        assert!((r.x - p.x).abs() < 1e-12 && (r.y - p.y).abs() < 1e-12);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl FrameCodec {
         }
     }
 
-    /// The preamble bit pattern.
-    pub fn preamble(&self) -> &[bool] {
-        &self.preamble
-    }
-
     /// Encodes a payload into a bit stream:
     /// `preamble ‖ len(2B) ‖ payload ‖ crc32(len ‖ payload)`.
     pub fn encode(&self, payload: &[u8]) -> Vec<bool> {

@@ -14,13 +14,12 @@
 //! is the exact `L = mt·mr` MRC–Rayleigh sum
 //! [`rayleigh_mrc_q_average`] at `x = β·ē/(2·N0·mt)`. `ē` is then found by
 //! bisection in log-space (the forward map is strictly decreasing in `ē`).
-//! Gamma quadrature (in this module's tests) and Monte-Carlo channel
-//! averaging ([`EbarMethod::MonteCarlo`]) are cross-checks.
+//! Gamma quadrature and Monte-Carlo channel averaging, both in this
+//! module's tests, are cross-checks.
 
 use crate::constants::SystemConstants;
 use comimo_math::roots::bisect_monotone_decreasing;
 use comimo_math::special::{q_function, rayleigh_mrc_q_average};
-use serde::{Deserialize, Serialize};
 
 /// The `(A, β)` of `BER_b(γ) = A·Q(√(β·γ))` in equations (5)–(6).
 fn ber_coefficients(b: u32) -> (f64, f64) {
@@ -54,71 +53,33 @@ pub fn average_ber(ebar: f64, b: u32, mt: usize, mr: usize, n0: f64) -> f64 {
     a * rayleigh_mrc_q_average((mt * mr) as u32, beta * ebar / (2.0 * n0 * mt as f64))
 }
 
-/// How `ē_b` is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EbarMethod {
-    /// Exact MRC–Rayleigh sum (default; deterministic).
-    ClosedForm,
-    /// Monte-Carlo channel averaging (cross-validation / ablation).
-    MonteCarlo {
-        /// Number of channel draws per forward evaluation.
-        samples: u32,
-        /// RNG seed.
-        seed: u64,
-    },
-}
+/// Relative log-space tolerance on `ē_b`.
+const ROOT_TOL: f64 = 1e-10;
 
-/// Solver configuration for `ē_b(p, b, mt, mr)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Solver for `ē_b(p, b, mt, mr)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EbarSolver {
     /// Noise PSD `N0` in joules (paper: −171 dBm/Hz).
     pub n0: f64,
-    /// Relative log-space tolerance on `ē_b`.
-    pub root_tol: f64,
-    /// Evaluation method.
-    pub method: EbarMethod,
 }
 
 impl Default for EbarSolver {
     fn default() -> Self {
         Self {
             n0: SystemConstants::paper().n0,
-            root_tol: 1e-10,
-            method: EbarMethod::ClosedForm,
         }
     }
 }
 
 impl EbarSolver {
-    /// A solver with the paper's `N0` and the closed-form forward map.
+    /// A solver with the paper's `N0`.
     pub fn paper() -> Self {
         Self::default()
     }
 
-    /// A Monte-Carlo solver (ablation; see DESIGN.md §5).
-    pub fn monte_carlo(samples: u32, seed: u64) -> Self {
-        Self {
-            method: EbarMethod::MonteCarlo { samples, seed },
-            ..Self::default()
-        }
-    }
-
-    /// Forward map `p(ē)` under the configured method.
+    /// Forward map `p(ē)`: [`average_ber`] at this solver's `N0`.
     pub fn forward(&self, ebar: f64, b: u32, mt: usize, mr: usize) -> f64 {
-        match self.method {
-            EbarMethod::ClosedForm => average_ber(ebar, b, mt, mr, self.n0),
-            EbarMethod::MonteCarlo { samples, seed } => {
-                let mut rng = comimo_math::rng::derive(seed, pack(b, mt, mr));
-                let k = (mt * mr) as f64;
-                let scale = ebar / (self.n0 * mt as f64);
-                let mut acc = 0.0;
-                for _ in 0..samples {
-                    let g = comimo_math::rng::gamma(&mut rng, k);
-                    acc += instantaneous_ber(b, g * scale);
-                }
-                acc / samples as f64
-            }
-        }
+        average_ber(ebar, b, mt, mr, self.n0)
     }
 
     /// Solves `ē_b(p, b, mt, mr)`: the received symbol energy (J) at which
@@ -136,9 +97,9 @@ impl EbarSolver {
         );
         // seed the search at the AWGN (no-fading) requirement, which is
         // always below the fading requirement
-        let seed = awgn_seed(p, b, self.n0, mt);
+        let seed = awgn_seed(p, b, self.n0);
         let root =
-            bisect_monotone_decreasing(|e| self.forward(e, b, mt, mr), p, seed, self.root_tol, 80)
+            bisect_monotone_decreasing(|e| self.forward(e, b, mt, mr), p, seed, ROOT_TOL, 80)
                 .expect("ebar bracket not found: forward map not monotone?");
         root.x
     }
@@ -147,7 +108,7 @@ impl EbarSolver {
 /// AWGN-only energy requirement used as the bisection seed: invert
 /// `BER_b(γ) = p` for the deterministic channel with `‖H‖² = mt·1`
 /// (so `γ = ē/(N0)`).
-fn awgn_seed(p: f64, b: u32, n0: f64, _mt: usize) -> f64 {
+fn awgn_seed(p: f64, b: u32, n0: f64) -> f64 {
     use comimo_math::special::q_function_inv;
     let gamma = if b == 1 {
         let x = q_function_inv(p.min(0.49));
@@ -163,21 +124,126 @@ fn awgn_seed(p: f64, b: u32, n0: f64, _mt: usize) -> f64 {
     (gamma * n0).max(1e-24)
 }
 
-fn pack(b: u32, mt: usize, mr: usize) -> u64 {
-    (b as u64) << 32 | (mt as u64) << 16 | mr as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comimo_math::quad::gamma_expectation;
     use comimo_math::roots::bisect;
+    use comimo_math::special::gamma_pdf;
+
+    /// Adaptive Simpson quadrature over `[a, b]` with absolute tolerance
+    /// `tol`: the Lyness scheme with the 1/15 Richardson error estimate,
+    /// recursion depth bounded at 50.
+    fn adaptive_simpson(f: impl Fn(f64) -> f64 + Copy, a: f64, b: f64, tol: f64) -> f64 {
+        let fa = f(a);
+        let fb = f(b);
+        let fm = f(0.5 * (a + b));
+        let whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb);
+        adaptive_rec(f, a, b, fa, fb, fm, whole, tol, 50)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn adaptive_rec(
+        f: impl Fn(f64) -> f64 + Copy,
+        a: f64,
+        b: f64,
+        fa: f64,
+        fb: f64,
+        fm: f64,
+        whole: f64,
+        tol: f64,
+        depth: u32,
+    ) -> f64 {
+        let m = 0.5 * (a + b);
+        let flm = f(0.5 * (a + m));
+        let frm = f(0.5 * (m + b));
+        let left = (m - a) / 6.0 * (fa + 4.0 * flm + fm);
+        let right = (b - m) / 6.0 * (fm + 4.0 * frm + fb);
+        let delta = left + right - whole;
+        if depth == 0 || delta.abs() <= 15.0 * tol {
+            left + right + delta / 15.0
+        } else {
+            adaptive_rec(f, a, m, fa, fm, flm, left, tol / 2.0, depth - 1)
+                + adaptive_rec(f, m, b, fm, fb, frm, right, tol / 2.0, depth - 1)
+        }
+    }
+
+    /// `E[f(X)]` for `X ∼ Gamma(k, 1)` and bounded `f`, by adaptive
+    /// Simpson over `[0, k + 40√k + 40]`. The support is cut at fixed
+    /// points around the bulk of the mass: one adaptive pass over the
+    /// whole, mostly flat, interval can pass its error test before it
+    /// ever samples the narrow region where the density lives.
+    fn gamma_expectation(k: f64, f: impl Fn(f64) -> f64 + Copy, tol: f64) -> f64 {
+        let integrand = move |g: f64| gamma_pdf(k, g) * f(g);
+        let cuts = [
+            0.0,
+            0.25 * k,
+            0.5 * k,
+            k,
+            k + 2.0 * k.sqrt(),
+            k + 5.0 * k.sqrt(),
+            k + 10.0 * k.sqrt() + 5.0,
+            k + 40.0 * k.sqrt() + 40.0,
+        ];
+        let seg_tol = tol / (cuts.len() - 1) as f64;
+        cuts.windows(2)
+            .map(|w| adaptive_simpson(integrand, w[0], w[1], seg_tol))
+            .sum()
+    }
 
     /// The oracle: the channel average by adaptive Gamma quadrature of
     /// the instantaneous BER.
     fn quadrature_ber(ebar: f64, b: u32, mt: usize, mr: usize, n0: f64) -> f64 {
         let scale = ebar / (n0 * mt as f64);
         gamma_expectation((mt * mr) as f64, |g| instantaneous_ber(b, g * scale), 1e-12)
+    }
+
+    /// The Monte-Carlo cross-check: the channel average over `samples`
+    /// draws of `‖H‖_F² ∼ Gamma(mt·mr, 1)`.
+    fn monte_carlo_ber(ebar: f64, b: u32, mt: usize, mr: usize, samples: u32, seed: u64) -> f64 {
+        let label = (b as u64) << 32 | (mt as u64) << 16 | mr as u64;
+        let mut rng = comimo_math::rng::derive(seed, label);
+        let k = (mt * mr) as f64;
+        let scale = ebar / (EbarSolver::paper().n0 * mt as f64);
+        let acc: f64 = (0..samples)
+            .map(|_| instantaneous_ber(b, comimo_math::rng::gamma(&mut rng, k) * scale))
+            .sum();
+        acc / samples as f64
+    }
+
+    #[test]
+    fn adaptive_simpson_sin() {
+        let got = adaptive_simpson(|x| x.sin(), 0.0, std::f64::consts::PI, 1e-12);
+        assert!((got - 2.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn adaptive_handles_peaked_integrand() {
+        // a narrow Gaussian: ∫ e^{-((x-5)/0.01)²} dx = 0.01·√π
+        let got = adaptive_simpson(|x: f64| (-(x - 5.0).powi(2) / 1e-4).exp(), 0.0, 10.0, 1e-14);
+        let expect = 0.01 * std::f64::consts::PI.sqrt();
+        assert!(
+            (got - expect).abs() / expect < 1e-6,
+            "got {got}, expect {expect}"
+        );
+    }
+
+    #[test]
+    fn gamma_expectation_of_identity_is_shape() {
+        // E[X] = k for Gamma(k, 1)
+        for &k in &[1.0, 2.0, 4.0, 9.0, 16.0] {
+            let got = gamma_expectation(k, |g| g, 1e-10);
+            assert!((got - k).abs() < 1e-6, "E[X]={got} for k={k}");
+        }
+    }
+
+    #[test]
+    fn gamma_expectation_of_exponential_matches_mgf() {
+        // E[e^{-sX}] = (1+s)^{-k}
+        let k = 6.0;
+        let s = 0.7;
+        let got = gamma_expectation(k, |g| (-s * g).exp(), 1e-12);
+        let expect = (1.0 + s).powf(-k);
+        assert!((got - expect).abs() < 1e-8);
     }
 
     #[test]
@@ -273,8 +339,8 @@ mod tests {
         let quad_root = bisect_monotone_decreasing(
             |e| quadrature_ber(e, b, mt, mr, s.n0),
             p,
-            awgn_seed(p, b, s.n0, mt),
-            s.root_tol,
+            awgn_seed(p, b, s.n0),
+            ROOT_TOL,
             80,
         )
         .expect("quadrature bracket")
@@ -382,14 +448,25 @@ mod tests {
 
     #[test]
     fn monte_carlo_agrees_with_closed_form() {
-        let q = EbarSolver::paper();
-        let mc = EbarSolver::monte_carlo(200_000, 99);
-        let e = q.solve(1e-2, 2, 2, 2);
-        let p_mc = mc.forward(e, 2, 2, 2);
+        let e = EbarSolver::paper().solve(1e-2, 2, 2, 2);
+        let p_mc = monte_carlo_ber(e, 2, 2, 2, 200_000, 99);
         assert!(
             (p_mc - 1e-2).abs() / 1e-2 < 0.05,
             "MC {p_mc} vs target 1e-2"
         );
+    }
+
+    #[test]
+    fn ebar_decreases_with_diversity_across_table() {
+        let s = EbarSolver::paper();
+        for p in [0.01, 0.001] {
+            for b in 1..=16 {
+                let e11 = s.solve(p, b, 1, 1);
+                let e22 = s.solve(p, b, 2, 2);
+                let e44 = s.solve(p, b, 4, 4);
+                assert!(e11 > e22 && e22 > e44, "p={p} b={b}");
+            }
+        }
     }
 
     #[test]

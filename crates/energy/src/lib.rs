@@ -13,13 +13,12 @@
 //!   the received symbol energy required to hit target BER `p` with
 //!   constellation size `b` over an `mt × mr` Rayleigh STBC link — which
 //!   [`ebar`] inverts (closed-form MRC–Rayleigh average + log-bisection;
-//!   Gamma quadrature and Monte-Carlo are cross-checks).
+//!   Gamma quadrature and Monte-Carlo are cross-checks in its tests).
 //!
 //! The "Preprocessing" step of the paper's Algorithms 1 and 2 ("Calculate
 //! the value of ē_b ... Load the table ... in each SU node") is
-//! [`table::EbTable`], a precomputed, serde-serialisable table; the
-//! per-link "determine constellation size b which minimizes ē_b" step is
-//! [`optimize`].
+//! [`EnergyModel::ebar`]'s memo, filled cell by cell on first use; the
+//! per-link "determine constellation size b" step is [`optimize`].
 //!
 //! ### Unit anchor
 //!
@@ -34,10 +33,8 @@ pub mod constants;
 pub mod ebar;
 pub mod model;
 pub mod optimize;
-pub mod table;
 
 pub use constants::SystemConstants;
 pub use ebar::EbarSolver;
 pub use model::EnergyModel;
 pub use optimize::{optimal_constellation, OptimalChoice};
-pub use table::EbTable;

@@ -16,10 +16,9 @@
 
 use crate::constants::SystemConstants;
 use crate::ebar::EbarSolver;
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Parameters common to every link evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,14 +57,15 @@ impl LinkParams {
     }
 }
 
-/// The complete energy model: constants + `ē_b` solver.
-///
-/// `ē_b` inversions are memoised internally (the network layer calls the
-/// same `(p, b, mt, mr)` cells thousands of times during routing and
-/// lifetime simulation); clones share the cache.
 /// Cache key: `(p.to_bits(), b, mt, mr)` ↦ solved `ē_b`.
 type EbarCache = Arc<RwLock<HashMap<(u64, u32, usize, usize), f64>>>;
 
+/// The complete energy model: the paper's constants and `ē_b` solver.
+///
+/// `ē_b` inversions are memoised, and clones share the memo. The memo is
+/// the paper's "Preprocessing" table of `ē_b(p, b, mt, mr)`, filled cell
+/// by cell on first use: the network layer asks for the same few hundred
+/// cells thousands of times during routing and lifetime simulation.
 #[derive(Debug, Clone)]
 pub struct EnergyModel {
     consts: SystemConstants,
@@ -74,39 +74,34 @@ pub struct EnergyModel {
 }
 
 impl EnergyModel {
-    /// Model with the paper's constants and the deterministic solver.
+    /// Model with the paper's constants and solver.
     pub fn paper() -> Self {
-        Self::new(SystemConstants::paper(), EbarSolver::paper())
-    }
-
-    /// Model with custom constants/solver.
-    pub fn new(consts: SystemConstants, solver: EbarSolver) -> Self {
         Self {
-            consts,
-            solver,
-            ebar_cache: Arc::new(RwLock::new(HashMap::new())),
+            consts: SystemConstants::paper(),
+            solver: EbarSolver::paper(),
+            ebar_cache: EbarCache::default(),
         }
-    }
-
-    /// The constants in use.
-    pub fn constants(&self) -> &SystemConstants {
-        &self.consts
-    }
-
-    /// The `ē_b` solver in use.
-    pub fn solver(&self) -> &EbarSolver {
-        &self.solver
     }
 
     /// `ē_b(p, b, mt, mr)` in joules (equations (5)–(6) inverted),
-    /// memoised.
+    /// memoised. A lock poisoned by a panicking thread still holds only
+    /// solved cells, so it is recovered, not propagated.
     pub fn ebar(&self, p: &LinkParams, mt: usize, mr: usize) -> f64 {
         let key = (p.ber.to_bits(), p.b, mt, mr);
-        if let Some(&v) = self.ebar_cache.read().get(&key) {
+        let cached = self
+            .ebar_cache
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .copied();
+        if let Some(v) = cached {
             return v;
         }
         let v = self.solver.solve(p.ber, p.b, mt, mr);
-        self.ebar_cache.write().insert(key, v);
+        self.ebar_cache
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, v);
         v
     }
 
@@ -146,16 +141,9 @@ impl EnergyModel {
     /// Equation (3), PA part: per-bit per-node PA energy of a long-haul
     /// `mt × mr` cooperative transmission over distance `d_m` metres.
     pub fn e_mimot_pa(&self, p: &LinkParams, mt: usize, mr: usize, d_m: f64) -> f64 {
+        assert!(mt >= 1);
         let alpha = SystemConstants::alpha(p.b);
         let ebar = self.ebar(p, mt, mr);
-        self.e_mimot_pa_with_ebar(p.b, mt, ebar, d_m, alpha)
-    }
-
-    /// Equation (3) PA part with a caller-supplied `ē_b` (e.g. from a
-    /// precomputed [`crate::table::EbTable`]).
-    pub fn e_mimot_pa_with_ebar(&self, b: u32, mt: usize, ebar: f64, d_m: f64, alpha: f64) -> f64 {
-        let _ = b;
-        assert!(mt >= 1);
         (1.0 / mt as f64) * (1.0 + alpha) * ebar * self.consts.long_haul_loss(d_m)
     }
 
@@ -201,6 +189,50 @@ mod tests {
 
     fn params(ber: f64, b: u32) -> LinkParams {
         LinkParams::new(ber, b, 40_000.0, 10_000.0)
+    }
+
+    #[test]
+    fn memo_returns_the_solver_value_bit_for_bit() {
+        let solver = EbarSolver::paper();
+        let mut cells = Vec::new();
+        for ber in [1e-3, 5e-3] {
+            for b in 1..=16 {
+                for mt in 1..=4 {
+                    for mr in 1..=4 {
+                        let want = solver.solve(ber, b, mt, mr).to_bits();
+                        cells.push((params(ber, b), mt, mr, want));
+                    }
+                }
+            }
+        }
+        let memo_len = |m: &EnergyModel| m.ebar_cache.read().unwrap().len();
+        let check = |m: &EnergyModel, case: &str| {
+            for (p, mt, mr, want) in &cells {
+                let got = m.ebar(p, *mt, *mr).to_bits();
+                assert_eq!(got, *want, "{case}: p={} b={} {mt}x{mr}", p.ber, p.b);
+            }
+        };
+        let m = EnergyModel::paper();
+        let clone = m.clone();
+        check(&m, "miss");
+        assert_eq!(memo_len(&m), cells.len());
+        check(&m, "hit");
+        // cloned while empty, the clone sees every cell the original solved
+        assert_eq!(memo_len(&clone), cells.len());
+        check(&clone, "clone");
+        // threads sharing one empty model race misses against hits; the
+        // barrier starts them together
+        let shared = EnergyModel::paper();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    check(&shared, "shared");
+                });
+            }
+        });
+        assert_eq!(memo_len(&shared), cells.len());
     }
 
     #[test]

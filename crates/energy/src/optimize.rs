@@ -4,8 +4,8 @@
 //! "according to p, mt and mr, SU nodes use the table of ē_b to determine
 //! constellation size b which minimizes ē_b", and Section 6.1 sweeps
 //! "constellation size b from 1 to 16" to minimise the *total* link energy.
-//! This module provides both: the exhaustive argmin (reference) and a
-//! golden-section variant over the convex envelope (ablation, DESIGN.md §5).
+//! This module does the latter by exhaustive argmin: minimising `ē_b`
+//! alone would always pick `b = 1`, since `ē_b` is per symbol.
 
 use crate::model::{EnergyModel, LinkParams};
 
@@ -35,36 +35,6 @@ pub fn minimize_over_b(lo: u32, hi: u32, mut objective: impl FnMut(u32) -> f64) 
         }
     }
     best.expect("no feasible constellation size in range")
-}
-
-/// Golden-section variant (ablation): treats `b` as continuous on
-/// `[lo, hi]`, minimises, then evaluates the two bracketing integers.
-/// Valid when the objective is unimodal in `b` — true for the paper's
-/// energy curves (circuit energy falls with `b`, PA energy rises).
-pub fn minimize_over_b_golden(
-    lo: u32,
-    hi: u32,
-    mut objective: impl FnMut(u32) -> f64,
-) -> OptimalChoice {
-    assert!(lo >= 1 && hi > lo);
-    let (x, _) = comimo_math::roots::golden_section_min(
-        |b| {
-            let bi = b.round().clamp(lo as f64, hi as f64) as u32;
-            objective(bi)
-        },
-        lo as f64,
-        hi as f64,
-        0.49,
-    );
-    let c1 = x.floor().clamp(lo as f64, hi as f64) as u32;
-    let c2 = x.ceil().clamp(lo as f64, hi as f64) as u32;
-    let e1 = objective(c1);
-    let e2 = objective(c2);
-    if e1 <= e2 {
-        OptimalChoice { b: c1, energy: e1 }
-    } else {
-        OptimalChoice { b: c2, energy: e2 }
-    }
 }
 
 /// Minimises the per-node long-haul transmit energy `e^MIMOt` over
@@ -107,14 +77,6 @@ mod tests {
     #[should_panic]
     fn all_infeasible_panics() {
         let _ = minimize_over_b(1, 4, |_| f64::INFINITY);
-    }
-
-    #[test]
-    fn golden_matches_exhaustive_on_unimodal() {
-        let obj = |b: u32| ((b as f64) - 5.3).powi(2) + 2.0;
-        let ex = minimize_over_b(1, 16, obj);
-        let go = minimize_over_b_golden(1, 16, obj);
-        assert_eq!(ex.b, go.b);
     }
 
     #[test]

@@ -36,12 +36,66 @@
 //! seed; see `crates/stbc/src/batch.rs` for how the Monte-Carlo engine
 //! versions this.
 
+use crate::special::horner;
 use rand::RngCore;
 use std::f64::consts::{LN_2, SQRT_2, TAU};
 
 /// Samples converted per internal chunk; sized so the byte scratch stays
 /// comfortably inside one page / L1.
 const CHUNK: usize = 128;
+
+/// The atanh series `Σ s²ᵏ/(2k+1)` of [`fast_ln`] through `s¹⁴/15`, as a
+/// [`series`] table: the divisor `15` of the innermost term, then the
+/// coefficients innermost first.
+pub(crate) const LN_ATANH: [f64; 8] = [
+    15.0,
+    1.0 / 13.0,
+    1.0 / 11.0,
+    1.0 / 9.0,
+    1.0 / 7.0,
+    1.0 / 5.0,
+    1.0 / 3.0,
+    1.0,
+];
+
+/// `sin x / x` of [`fast_sincos_tau`] as a Taylor series in `x²` through
+/// `x¹⁸/19!`, as a [`series`] table (the divisor is `−19!`).
+pub(crate) const SIN_TAYLOR: [f64; 10] = [
+    -121_645_100_408_832_000.0,
+    1.0 / 355_687_428_096_000.0,
+    -1.0 / 1_307_674_368_000.0,
+    1.0 / 6_227_020_800.0,
+    -1.0 / 39_916_800.0,
+    1.0 / 362_880.0,
+    -1.0 / 5040.0,
+    1.0 / 120.0,
+    -1.0 / 6.0,
+    1.0,
+];
+
+/// `cos x` of [`fast_sincos_tau`] as a Taylor series in `x²` through
+/// `x¹⁸/18!`, as a [`series`] table (the divisor is `−18!`).
+pub(crate) const COS_TAYLOR: [f64; 10] = [
+    -6_402_373_705_728_000.0,
+    1.0 / 20_922_789_888_000.0,
+    -1.0 / 87_178_291_200.0,
+    1.0 / 479_001_600.0,
+    -1.0 / 3_628_800.0,
+    1.0 / 40_320.0,
+    -1.0 / 720.0,
+    1.0 / 24.0,
+    -0.5,
+    1.0,
+];
+
+/// A series in `x2` whose innermost term is a division, not a product
+/// with a reciprocal: `c[n−1] + x2·(… + x2·(c[1] + x2 / c[0]))`, with
+/// `table = [c[0], c[1], …]`. A negative divisor subtracts, exactly as
+/// `c[1] − x2 / |c[0]|` would.
+#[inline(always)]
+fn series(x2: f64, table: &[f64]) -> f64 {
+    horner(x2, table[1] + x2 / table[0], &table[2..])
+}
 
 /// Branch-free `ln(x)` for positive, finite, **normal** `x` (the Box–Muller
 /// argument `1 − u ∈ [2⁻⁵³, 1]` always is), accurate to ~3 ulp.
@@ -69,13 +123,7 @@ pub fn fast_ln(x: f64) -> f64 {
     m *= 1.0 - 0.5 * shift;
     e += shift;
     let s = (m - 1.0) / (m + 1.0);
-    let s2 = s * s;
-    let p = 1.0
-        + s2 * (1.0 / 3.0
-            + s2 * (1.0 / 5.0
-                + s2 * (1.0 / 7.0
-                    + s2 * (1.0 / 9.0 + s2 * (1.0 / 11.0 + s2 * (1.0 / 13.0 + s2 / 15.0))))));
-    e * LN_2 + 2.0 * s * p
+    e * LN_2 + 2.0 * s * series(s * s, &LN_ATANH)
 }
 
 /// Branch-free `(sin, cos)` of `2π·t` for `t ∈ [0, 1)`, ~3 ulp.
@@ -99,27 +147,8 @@ pub fn fast_sincos_tau(t: f64) -> (f64, f64) {
     let sign = f64::from(1 - ((k & 1) << 1));
     let x2 = x * x;
     // Taylor through x¹⁹ / x¹⁸: truncation ≲ 4e-14 at |x| = π/2
-    let ps = x
-        * (1.0
-            + x2 * (-1.0 / 6.0
-                + x2 * (1.0 / 120.0
-                    + x2 * (-1.0 / 5040.0
-                        + x2 * (1.0 / 362_880.0
-                            + x2 * (-1.0 / 39_916_800.0
-                                + x2 * (1.0 / 6_227_020_800.0
-                                    + x2 * (-1.0 / 1_307_674_368_000.0
-                                        + x2 * (1.0 / 355_687_428_096_000.0
-                                            - x2 / 121_645_100_408_832_000.0)))))))));
-    let pc = 1.0
-        + x2 * (-0.5
-            + x2 * (1.0 / 24.0
-                + x2 * (-1.0 / 720.0
-                    + x2 * (1.0 / 40_320.0
-                        + x2 * (-1.0 / 3_628_800.0
-                            + x2 * (1.0 / 479_001_600.0
-                                + x2 * (-1.0 / 87_178_291_200.0
-                                    + x2 * (1.0 / 20_922_789_888_000.0
-                                        - x2 / 6_402_373_705_728_000.0))))))));
+    let ps = x * series(x2, &SIN_TAYLOR);
+    let pc = series(x2, &COS_TAYLOR);
     (sign * ps, sign * pc)
 }
 

@@ -142,11 +142,6 @@ impl CMatrix {
         self.data.iter().map(|z| z.norm_sqr()).sum()
     }
 
-    /// Frobenius norm `‖A‖_F`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.frobenius_norm_sqr().sqrt()
-    }
-
     /// Scales every element by a real factor.
     pub fn scale(&self, k: f64) -> Self {
         Self {
@@ -276,7 +271,6 @@ mod tests {
         // [[3, 4i]] has ‖A‖_F² = 9 + 16 = 25
         let a = CMatrix::from_vec(1, 2, vec![c(3.0, 0.0), c(0.0, 4.0)]);
         assert!((a.frobenius_norm_sqr() - 25.0).abs() < 1e-12);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

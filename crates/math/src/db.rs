@@ -25,22 +25,10 @@ pub fn db_to_lin_amplitude(db: f64) -> f64 {
     10f64.powf(db / 20.0)
 }
 
-/// Converts a linear amplitude ratio to decibels: `20·log10(x)`.
-#[inline]
-pub fn lin_to_db_amplitude(lin: f64) -> f64 {
-    20.0 * lin.log10()
-}
-
 /// Converts absolute power in dBm to watts: `10^((dBm-30)/10)`.
 #[inline]
 pub fn dbm_to_watts(dbm: f64) -> f64 {
     10f64.powf((dbm - 30.0) / 10.0)
-}
-
-/// Converts absolute power in watts to dBm.
-#[inline]
-pub fn watts_to_dbm(w: f64) -> f64 {
-    10.0 * w.log10() + 30.0
 }
 
 /// Converts a power spectral density in dBm/Hz to W/Hz.
@@ -91,13 +79,6 @@ mod tests {
         // thermal noise floor at 290K: -174 dBm/Hz ≈ 3.98e-21 W/Hz ≈ kT
         let n = dbm_per_hz_to_watts_per_hz(-174.0);
         assert!((n - 3.981e-21).abs() / 3.981e-21 < 1e-3);
-    }
-
-    #[test]
-    fn watts_dbm_roundtrip() {
-        for &w in &[1e-21, 1e-9, 1e-3, 1.0, 100.0] {
-            assert!((dbm_to_watts(watts_to_dbm(w)) - w).abs() / w < 1e-12);
-        }
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   its exact average over `‖H‖_F² ∼ Gamma(mt·mr, 1)`
 //!   ([`special::rayleigh_mrc_q_average`]) and the Gamma family;
 //! * root finding ([`roots`]) to invert the BER relation for
-//!   `ē_b(p, b, mt, mr)`, and deterministic quadrature ([`quad`]) as its
-//!   cross-check;
+//!   `ē_b(p, b, mt, mr)`;
 //! * decibel conversions ([`db`]) for the paper's constants
 //!   (`Ml = 40 dB`, `σ² = −174 dBm/Hz`, …);
 //! * seeded random sampling ([`rng`]) for Monte-Carlo cross-validation and
@@ -30,7 +29,6 @@ pub mod batch;
 pub mod cmatrix;
 pub mod complex;
 pub mod db;
-pub mod quad;
 pub mod rng;
 pub mod roots;
 pub mod simd;

@@ -71,12 +71,6 @@ pub fn complex_gaussian<R: Rng + ?Sized>(rng: &mut R, variance: f64) -> Complex 
     Complex::new(s * standard_normal(rng), s * standard_normal(rng))
 }
 
-/// Samples a Rayleigh-distributed magnitude with mean-square `mean_sq`
-/// (`E[X²] = mean_sq`).
-pub fn rayleigh<R: Rng + ?Sized>(rng: &mut R, mean_sq: f64) -> f64 {
-    complex_gaussian(rng, mean_sq).abs()
-}
-
 /// Samples `Gamma(shape k, scale 1)` via Marsaglia–Tsang (with Johnk-style
 /// boost for `k < 1`).
 pub fn gamma<R: Rng + ?Sized>(rng: &mut R, k: f64) -> f64 {
@@ -227,17 +221,6 @@ mod tests {
             st.push(complex_gaussian(&mut rng, 2.5).norm_sqr());
         }
         assert!((st.mean() - 2.5).abs() < 0.05, "mean power {}", st.mean());
-    }
-
-    #[test]
-    fn rayleigh_mean_square() {
-        let mut rng = seeded(9);
-        let mut st = RunningStats::new();
-        for _ in 0..100_000 {
-            let x = rayleigh(&mut rng, 4.0);
-            st.push(x * x);
-        }
-        assert!((st.mean() - 4.0).abs() < 0.1);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Scalar root finding and 1-D minimisation.
+//! Scalar root finding.
 //!
 //! `comimo-energy` inverts the strictly monotone map `ē_b ↦ BER(ē_b)` with
-//! [`bisect_monotone_decreasing`] / [`brent`], and the constellation optimiser uses
-//! [`golden_section_min`] as the ablation alternative to exhaustive search
-//! over `b ∈ 1..=16` (DESIGN.md §5).
+//! [`bisect_monotone_decreasing`], and `comimo-sensing` inverts the energy
+//! detector's false-alarm curve with plain [`bisect`].
 
 /// Outcome of a root search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,128 +153,6 @@ pub fn bisect_monotone_decreasing(
     })
 }
 
-/// Brent's method on `[a, b]` requiring a sign change. Faster than bisection
-/// for smooth `f`; falls back to bisection steps internally when the
-/// inverse-quadratic step misbehaves.
-pub fn brent(
-    f: impl Fn(f64) -> f64,
-    a0: f64,
-    b0: f64,
-    xtol: f64,
-    max_iter: usize,
-) -> Result<Root, NoBracket> {
-    let mut a = a0;
-    let mut b = b0;
-    let mut fa = f(a);
-    let mut fb = f(b);
-    let mut evals = 2;
-    if fa == 0.0 {
-        return Ok(Root {
-            x: a,
-            residual: 0.0,
-            evals,
-        });
-    }
-    if fb == 0.0 {
-        return Ok(Root {
-            x: b,
-            residual: 0.0,
-            evals,
-        });
-    }
-    if fa.signum() == fb.signum() {
-        return Err(NoBracket);
-    }
-    if fa.abs() < fb.abs() {
-        std::mem::swap(&mut a, &mut b);
-        std::mem::swap(&mut fa, &mut fb);
-    }
-    let mut c = a;
-    let mut fc = fa;
-    let mut mflag = true;
-    let mut d = c;
-    for _ in 0..max_iter {
-        if fb == 0.0 || (b - a).abs() < xtol {
-            break;
-        }
-        let mut s = if fa != fc && fb != fc {
-            // inverse quadratic interpolation
-            a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
-        } else {
-            // secant
-            b - fb * (b - a) / (fb - fa)
-        };
-        let lo = (3.0 * a + b) / 4.0;
-        #[allow(clippy::nonminimal_bool)] // textbook form of Brent's conditions
-        let cond = !((lo.min(b) < s && s < lo.max(b))
-            && !(mflag && (s - b).abs() >= (b - c).abs() / 2.0)
-            && !(!mflag && (s - b).abs() >= (c - d).abs() / 2.0)
-            && !(mflag && (b - c).abs() < xtol)
-            && !(!mflag && (c - d).abs() < xtol));
-        if cond {
-            s = 0.5 * (a + b);
-            mflag = true;
-        } else {
-            mflag = false;
-        }
-        let fs = f(s);
-        evals += 1;
-        d = c;
-        c = b;
-        fc = fb;
-        if fa.signum() != fs.signum() {
-            b = s;
-            fb = fs;
-        } else {
-            a = s;
-            fa = fs;
-        }
-        if fa.abs() < fb.abs() {
-            std::mem::swap(&mut a, &mut b);
-            std::mem::swap(&mut fa, &mut fb);
-        }
-    }
-    Ok(Root {
-        x: b,
-        residual: fb,
-        evals,
-    })
-}
-
-/// Golden-section minimisation of a unimodal `f` on `[a, b]`.
-pub fn golden_section_min(
-    mut f: impl FnMut(f64) -> f64,
-    mut a: f64,
-    mut b: f64,
-    xtol: f64,
-) -> (f64, f64) {
-    assert!(b > a && xtol > 0.0);
-    let inv_phi = (5f64.sqrt() - 1.0) / 2.0;
-    let mut c = b - inv_phi * (b - a);
-    let mut d = a + inv_phi * (b - a);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    while (b - a).abs() > xtol {
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - inv_phi * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + inv_phi * (b - a);
-            fd = f(d);
-        }
-    }
-    let x = 0.5 * (a + b);
-    (x, f(x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,21 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn brent_matches_bisect() {
-        let f = |x: f64| x.exp() - 5.0;
-        let rb = bisect(f, 0.0, 10.0, 1e-13).unwrap();
-        let rn = brent(f, 0.0, 10.0, 1e-13, 200).unwrap();
-        assert!((rb.x - 5f64.ln()).abs() < 1e-10);
-        assert!((rn.x - 5f64.ln()).abs() < 1e-10);
-        assert!(
-            rn.evals <= rb.evals,
-            "brent used {} evals, bisect {}",
-            rn.evals,
-            rb.evals
-        );
-    }
-
-    #[test]
     fn monotone_solver_spans_magnitudes() {
         // f(x) = 1/x is strictly decreasing; solve 1/x = 1e-18 from seed 1.0
         let r = bisect_monotone_decreasing(|x| 1.0 / x, 1e-18, 1.0, 1e-12, 60).unwrap();
@@ -317,12 +179,5 @@ mod tests {
     fn monotone_solver_fails_gracefully() {
         // constant function can never bracket
         assert!(bisect_monotone_decreasing(|_| 0.5, 0.25, 1.0, 1e-9, 4).is_none());
-    }
-
-    #[test]
-    fn golden_section_parabola() {
-        let (x, fx) = golden_section_min(|x| (x - 3.25).powi(2) + 1.0, -10.0, 10.0, 1e-10);
-        assert!((x - 3.25).abs() < 1e-7);
-        assert!((fx - 1.0).abs() < 1e-12);
     }
 }

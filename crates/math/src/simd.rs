@@ -234,8 +234,26 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::INV_2P53;
+    use crate::batch::{COS_TAYLOR, LN_ATANH, SIN_TAYLOR};
     use core::arch::x86_64::*;
     use std::f64::consts::{LN_2, SQRT_2, TAU};
+
+    /// [`crate::batch::series`] on 4 lanes: the same table, the same
+    /// operations in the same order.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn series4(x2: __m256d, table: &[f64]) -> __m256d {
+        let inner = _mm256_add_pd(
+            _mm256_set1_pd(table[1]),
+            _mm256_div_pd(x2, _mm256_set1_pd(table[0])),
+        );
+        table[2..].iter().fold(inner, |acc, &c| {
+            _mm256_add_pd(_mm256_set1_pd(c), _mm256_mul_pd(x2, acc))
+        })
+    }
 
     /// `words[i] >> 11`, exactly converted to f64 — bitwise equal to
     /// `(w >> 11) as f64` — then scaled by the exact power of two 2⁻⁵³.
@@ -288,20 +306,7 @@ mod avx2 {
         e = _mm256_add_pd(e, _mm256_and_pd(big, _mm256_set1_pd(1.0)));
         let one = _mm256_set1_pd(1.0);
         let s = _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
-        let s2 = _mm256_mul_pd(s, s);
-        let horner = |acc: __m256d, c: f64| -> __m256d {
-            _mm256_add_pd(_mm256_set1_pd(c), _mm256_mul_pd(s2, acc))
-        };
-        let mut p = _mm256_add_pd(
-            _mm256_set1_pd(1.0 / 13.0),
-            _mm256_div_pd(s2, _mm256_set1_pd(15.0)),
-        );
-        p = horner(p, 1.0 / 11.0);
-        p = horner(p, 1.0 / 9.0);
-        p = horner(p, 1.0 / 7.0);
-        p = horner(p, 1.0 / 5.0);
-        p = horner(p, 1.0 / 3.0);
-        p = horner(p, 1.0);
+        let p = series4(_mm256_mul_pd(s, s), &LN_ATANH);
         _mm256_add_pd(
             _mm256_mul_pd(e, _mm256_set1_pd(LN_2)),
             _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), s), p),
@@ -325,34 +330,8 @@ mod avx2 {
         let odd = _mm256_cmp_pd::<_CMP_EQ_OQ>(kf, _mm256_set1_pd(1.0));
         let sign = _mm256_blendv_pd(_mm256_set1_pd(1.0), _mm256_set1_pd(-1.0), odd);
         let x2 = _mm256_mul_pd(x, x);
-        let horner = |acc: __m256d, c: f64| -> __m256d {
-            _mm256_add_pd(_mm256_set1_pd(c), _mm256_mul_pd(x2, acc))
-        };
-        let mut ps = _mm256_sub_pd(
-            _mm256_set1_pd(1.0 / 355_687_428_096_000.0),
-            _mm256_div_pd(x2, _mm256_set1_pd(121_645_100_408_832_000.0)),
-        );
-        ps = horner(ps, -1.0 / 1_307_674_368_000.0);
-        ps = horner(ps, 1.0 / 6_227_020_800.0);
-        ps = horner(ps, -1.0 / 39_916_800.0);
-        ps = horner(ps, 1.0 / 362_880.0);
-        ps = horner(ps, -1.0 / 5040.0);
-        ps = horner(ps, 1.0 / 120.0);
-        ps = horner(ps, -1.0 / 6.0);
-        ps = horner(ps, 1.0);
-        ps = _mm256_mul_pd(x, ps);
-        let mut pc = _mm256_sub_pd(
-            _mm256_set1_pd(1.0 / 20_922_789_888_000.0),
-            _mm256_div_pd(x2, _mm256_set1_pd(6_402_373_705_728_000.0)),
-        );
-        pc = horner(pc, -1.0 / 87_178_291_200.0);
-        pc = horner(pc, 1.0 / 479_001_600.0);
-        pc = horner(pc, -1.0 / 3_628_800.0);
-        pc = horner(pc, 1.0 / 40_320.0);
-        pc = horner(pc, -1.0 / 720.0);
-        pc = horner(pc, 1.0 / 24.0);
-        pc = horner(pc, -0.5);
-        pc = horner(pc, 1.0);
+        let ps = _mm256_mul_pd(x, series4(x2, &SIN_TAYLOR));
+        let pc = series4(x2, &COS_TAYLOR);
         (_mm256_mul_pd(sign, ps), _mm256_mul_pd(sign, pc))
     }
 

@@ -250,12 +250,6 @@ impl Histogram {
             self.counts[i] as f64 / self.total as f64
         }
     }
-
-    /// Centre abscissa of bucket `i`.
-    pub fn bucket_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
 }
 
 #[cfg(test)]
@@ -308,7 +302,6 @@ mod tests {
         assert_eq!(h.total(), 12);
         assert_eq!(h.counts()[0], 2);
         assert_eq!(h.counts()[9], 2);
-        assert!((h.bucket_center(0) - 0.5).abs() < 1e-12);
         assert!((h.fraction(5) - 1.0 / 12.0).abs() < 1e-12);
     }
 

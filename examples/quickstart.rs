@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Walks through the paper's three ideas on minimal scenarios:
-//! 1. the energy model and its `ē_b(p, b, mt, mr)` table;
+//! 1. the energy model: `ē_b(p, b, mt, mr)` and the per-link constellation;
 //! 2. overlay — how far cooperative relays can sit from the primary pair;
 //! 3. underlay — the power-amplifier energy a cooperative hop radiates;
 //! 4. interweave — steering a transmit null onto a primary receiver.
@@ -16,7 +16,7 @@ use comimo::core::overlay::{Overlay, OverlayConfig};
 use comimo::core::underlay::{Underlay, UnderlayConfig};
 use comimo::energy::ebar::EbarSolver;
 use comimo::energy::model::EnergyModel;
-use comimo::energy::table::EbTable;
+use comimo::energy::optimize::optimal_constellation;
 
 fn main() {
     // ------------------------------------------------------------------
@@ -30,17 +30,19 @@ fn main() {
     println!("e_b(p=1e-3, b=2, MIMO 2x3)  = {mimo:.3e} J  (paper: 3.20e-20)");
     println!("cooperative advantage       = {:.0}x\n", siso / mimo);
 
-    // the "Preprocessing" step of Algorithms 1-2: build and query the table
-    let table = EbTable::build(&solver, &[0.005, 0.001, 0.0005]);
-    let (best_b, best_e) = table.best_b(0.001, 2, 3);
+    // the per-link step of Algorithms 1-2: the model memoises every e_b it
+    // solves (the paper's "Preprocessing" table) and picks the b in 1..=16
+    // that minimises the per-node transmit energy
+    let model = EnergyModel::paper();
+    let best = optimal_constellation(&model, 1e-3, 40_000.0, 1e4, 2, 3, 200.0);
     println!(
-        "table: optimal constellation at p=1e-3 for a 2x3 link: b = {best_b} ({best_e:.2e} J)\n"
+        "optimal constellation at p=1e-3, B=40 kHz, 2x3 link over 200 m: b = {} ({:.2e} J/bit)\n",
+        best.b, best.energy
     );
 
     // ------------------------------------------------------------------
     // 2. Overlay: relay the primary transmission (Algorithm 1 / Figure 6)
     // ------------------------------------------------------------------
-    let model = EnergyModel::paper();
     let overlay = Overlay::new(&model, OverlayConfig::paper(3, 40_000.0));
     let a = overlay.analyze(250.0);
     println!("== overlay (m = 3 relays, B = 40 kHz) ==");
