@@ -4,8 +4,9 @@
 //! function call into the generator, the branchy polar rejection loop of
 //! [`standard_normal`](crate::rng::standard_normal), and (for complex
 //! values) interleaved writes. The fillers here amortise all three:
-//! uniforms come straight out of the ChaCha keystream via
-//! [`rand::RngCore::fill_bytes`], normals use the *branch-free* cartesian
+//! uniforms come straight out of the ChaCha8 keystream via
+//! [`rand::RngCore::fill_bytes`] — whole runs of 8 blocks at a time
+//! through the keystream tier of [`crate::simd`] — normals use the *branch-free* cartesian
 //! Box–Muller transform (a fixed two-uniforms-per-pair budget, so consumers
 //! of derived streams can account draws exactly), and complex Gaussians are
 //! written into planar (split re/im) buffers that downstream SoA kernels
@@ -152,7 +153,7 @@ pub fn fast_sincos_tau(t: f64) -> (f64, f64) {
     (sign * ps, sign * pc)
 }
 
-/// Fills `out` with raw keystream words, pulling whole blocks of ChaCha
+/// Fills `out` with raw keystream words, pulling whole blocks of ChaCha8
 /// output through [`RngCore::fill_bytes`] (8·len bytes — always a
 /// whole-word multiple, so the generator lands at exactly the same stream
 /// position as `len` calls to `rng.gen::<u64>()`, with the same values).

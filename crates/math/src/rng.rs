@@ -1,19 +1,189 @@
 //! Seeded random sampling for channels and Monte-Carlo validation.
 //!
 //! All experiment code in this workspace draws randomness through
-//! [`SeededRng`] (ChaCha8), so every table and figure in EXPERIMENTS.md is
+//! [`SeededRng`], so every table and figure in EXPERIMENTS.md is
 //! reproducible bit-for-bit from its recorded seed.
+//!
+//! # The keystream
+//!
+//! [`SeededRng`] is the ChaCha stream cipher (Bernstein, "ChaCha, a
+//! variant of Salsa20", 2008) at 8 rounds, in counter mode with a 64-bit
+//! block counter in state words 12–13 and a zero nonce. The scalar block
+//! function is the pinned oracle: `next_u32`/`next_u64` read one buffered
+//! 64-byte block at a time, and the `rng` tests hold known-answer vectors
+//! of its stream. Bulk [`RngCore::fill_bytes`] calls add one tier: once
+//! the buffered block is drained, every whole run of 8 blocks (512 bytes)
+//! the destination still needs is computed straight into it by the
+//! keystream kernel of [`crate::simd`] — eight counters per `__m256i` on
+//! the AVX2 tier — bit-identical to the scalar blocks it replaces. Short
+//! reads never take that path, so they compute no block that nobody
+//! reads.
 
 use crate::complex::Complex;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::{Rng, RngCore, SeedableRng};
 
-/// The workspace-standard deterministic RNG.
-pub type SeededRng = ChaCha8Rng;
+/// 32-bit words in one ChaCha block.
+const BLOCK_WORDS: usize = 16;
+
+/// Blocks in one wide keystream run of `simd::chacha8_run`.
+pub(crate) const WIDE_BLOCKS: usize = 8;
+
+/// Bytes in one wide keystream run.
+pub(crate) const WIDE_BYTES: usize = 64 * WIDE_BLOCKS;
+
+/// "expand 32-byte k" in little-endian words.
+pub(crate) const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+#[inline(always)]
+fn quarter_round(s: &mut [u32; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
+    s[a] = s[a].wrapping_add(s[b]);
+    s[d] = (s[d] ^ s[a]).rotate_left(16);
+    s[c] = s[c].wrapping_add(s[d]);
+    s[b] = (s[b] ^ s[c]).rotate_left(12);
+    s[a] = s[a].wrapping_add(s[b]);
+    s[d] = (s[d] ^ s[a]).rotate_left(8);
+    s[c] = s[c].wrapping_add(s[d]);
+    s[b] = (s[b] ^ s[c]).rotate_left(7);
+}
+
+/// One ChaCha8 block of `key` at block `counter`: the scalar oracle every
+/// other keystream path must match word for word.
+#[inline(always)]
+pub(crate) fn chacha8_block(key: &[u32; 8], counter: u64) -> [u32; BLOCK_WORDS] {
+    let mut s: [u32; BLOCK_WORDS] = [
+        SIGMA[0],
+        SIGMA[1],
+        SIGMA[2],
+        SIGMA[3],
+        key[0],
+        key[1],
+        key[2],
+        key[3],
+        key[4],
+        key[5],
+        key[6],
+        key[7],
+        counter as u32,
+        (counter >> 32) as u32,
+        0,
+        0,
+    ];
+    let input = s;
+    for _ in 0..4 {
+        // double round = column round + diagonal round
+        quarter_round(&mut s, 0, 4, 8, 12);
+        quarter_round(&mut s, 1, 5, 9, 13);
+        quarter_round(&mut s, 2, 6, 10, 14);
+        quarter_round(&mut s, 3, 7, 11, 15);
+        quarter_round(&mut s, 0, 5, 10, 15);
+        quarter_round(&mut s, 1, 6, 11, 12);
+        quarter_round(&mut s, 2, 7, 8, 13);
+        quarter_round(&mut s, 3, 4, 9, 14);
+    }
+    for (out, inp) in s.iter_mut().zip(input.iter()) {
+        *out = out.wrapping_add(*inp);
+    }
+    s
+}
+
+/// The workspace-standard deterministic RNG: ChaCha8 in counter mode (see
+/// the module docs).
+#[derive(Debug, Clone)]
+pub struct SeededRng {
+    /// Cipher key as 8 little-endian words.
+    key: [u32; 8],
+    /// Block counter of the next block to compute.
+    counter: u64,
+    /// The last scalar block; only `buf[idx..]` is unread.
+    buf: [u32; BLOCK_WORDS],
+    /// Next unread word index in `buf`; `BLOCK_WORDS` when drained.
+    idx: usize,
+}
+
+impl SeededRng {
+    fn refill(&mut self) {
+        self.buf = chacha8_block(&self.key, self.counter);
+        self.idx = 0;
+        self.counter = self.counter.wrapping_add(1);
+    }
+}
+
+impl SeedableRng for SeededRng {
+    type Seed = [u8; 32];
+
+    /// Keys the cipher with the seed's 8 little-endian words and computes
+    /// block 0 eagerly.
+    fn from_seed(seed: Self::Seed) -> Self {
+        let mut key = [0u32; 8];
+        for (k, w) in key.iter_mut().zip(seed.chunks_exact(4)) {
+            *k = u32::from_le_bytes(w.try_into().expect("4-byte word"));
+        }
+        Self {
+            key,
+            counter: 1,
+            buf: chacha8_block(&key, 0),
+            idx: 0,
+        }
+    }
+}
+
+impl RngCore for SeededRng {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        if self.idx >= BLOCK_WORDS {
+            self.refill();
+        }
+        let w = self.buf[self.idx];
+        self.idx += 1;
+        w
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let lo = self.next_u32() as u64;
+        let hi = self.next_u32() as u64;
+        lo | (hi << 32)
+    }
+
+    /// Bulk keystream copy, **byte-identical** to the default trait
+    /// implementation (composed `next_u64` calls): `dest` receives the
+    /// word stream in little-endian order, and a trailing partial 8-byte
+    /// chunk still burns a whole `u64`, so batched and scalar consumers
+    /// see the same stream and end at the same position; the bulk
+    /// samplers in [`crate::batch`] rely on this. Words come out of the
+    /// buffered block first; then each whole 512-byte run of `dest` is
+    /// one 8-block call of the [`crate::simd`] keystream kernel; the rest
+    /// is scalar blocks.
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        let mut words_left = 2 * dest.len().div_ceil(8);
+        let mut at = 0;
+        while words_left > 0 {
+            if self.idx == BLOCK_WORDS {
+                if let Some(run) = dest.get_mut(at..at + WIDE_BYTES) {
+                    let run: &mut [u8; WIDE_BYTES] = run.try_into().expect("one run");
+                    crate::simd::chacha8_run(&self.key, self.counter, run);
+                    self.counter = self.counter.wrapping_add(WIDE_BLOCKS as u64);
+                    at += WIDE_BYTES;
+                    words_left -= WIDE_BYTES / 4;
+                    continue;
+                }
+                self.refill();
+            }
+            let n = (BLOCK_WORDS - self.idx).min(words_left);
+            let words = &self.buf[self.idx..self.idx + n];
+            for (out, w) in dest[at..].chunks_mut(4).zip(words) {
+                out.copy_from_slice(&w.to_le_bytes()[..out.len()]);
+            }
+            self.idx += n;
+            words_left -= n;
+            at = (at + 4 * n).min(dest.len());
+        }
+    }
+}
 
 /// Builds the workspace-standard RNG from a 64-bit seed.
 pub fn seeded(seed: u64) -> SeededRng {
-    ChaCha8Rng::seed_from_u64(seed)
+    SeededRng::seed_from_u64(seed)
 }
 
 /// Derives an independent child stream from a parent seed and a label —
@@ -103,7 +273,7 @@ const ERLANG_CHUNK: usize = 16;
 /// Samples `Gamma(k, 1)` for integer `k ≥ 1` (the Erlang law) as
 /// `−ln ∏(1 − uᵢ)` over exactly `k` uniforms, one `u64` each — a fixed
 /// draw budget, unlike the rejection loop of [`gamma`]. The product is
-/// logged every [`ERLANG_CHUNK`] factors so it never underflows.
+/// logged every `ERLANG_CHUNK` (16) factors so it never underflows.
 pub fn erlang<R: Rng + ?Sized>(rng: &mut R, k: usize) -> f64 {
     assert!(k >= 1, "erlang shape must be at least 1");
     let mut sum = 0.0;
@@ -140,6 +310,201 @@ mod tests {
     use super::*;
     use crate::stats::RunningStats;
 
+    /// Known-answer vectors of the keystream, recorded from the ChaCha8
+    /// generator this module replaced: for each stream, the `u64`s at
+    /// offsets [`KAT_OFFSETS`], then the first `u64` after a lone
+    /// `next_u32` on a fresh stream.
+    const KAT_OFFSETS: [usize; 6] = [0, 7, 8, 127, 128, 1000];
+    #[allow(clippy::type_complexity)]
+    const KAT: [(&str, fn() -> SeededRng, [u64; 6], u64); 6] = [
+        (
+            "seeded(0)",
+            || seeded(0),
+            [
+                0xbf94d1332d8ee5e8,
+                0x95d53efa28e5a01f,
+                0x1131e62b94efaf48,
+                0x99bcac935833102c,
+                0xf85c710ebf3111ab,
+                0xa1c09406e0cef6e0,
+            ],
+            0xa6da5a01bf94d133,
+        ),
+        (
+            "seeded(2013)",
+            || seeded(2013),
+            [
+                0x271fb85245f591b5,
+                0xbfca7e1292b1b1a6,
+                0x6ea2eed0e6556a7a,
+                0x6d5b0af2ec07f39e,
+                0x82b22e437b06f500,
+                0xd60a6f465763aa89,
+            ],
+            0xdaed8eb8271fb852,
+        ),
+        (
+            "seeded(u64::MAX)",
+            || seeded(u64::MAX),
+            [
+                0x167fca9c60ef8644,
+                0x62a4544fe79afbc9,
+                0x3691a39c3c8465a9,
+                0x698bc18d882d1925,
+                0xa1fb7c6b64591251,
+                0x96c86b11e9d4d45d,
+            ],
+            0xf2f83696167fca9c,
+        ),
+        (
+            "derive(2013, 0)",
+            || derive(2013, 0),
+            [
+                0x59fbb0e50b6a13ee,
+                0x22d2ccf2dc9fadd9,
+                0x22352460ac7a73b6,
+                0x4aae3312b52596f4,
+                0x60696b4abb44c2df,
+                0x17c399c185294c07,
+            ],
+            0x2fba075259fbb0e5,
+        ),
+        (
+            "derive(2013, 7)",
+            || derive(2013, 7),
+            [
+                0xfe8f0351d746055a,
+                0x21f154194d9fffa7,
+                0x53244b04e234f561,
+                0x22ccee661931b566,
+                0x3fe9d679b84add88,
+                0x209d3d0a8783ef19,
+            ],
+            0xd1d1ebfdfe8f0351,
+        ),
+        (
+            "derive(2013, u64::MAX)",
+            || derive(2013, u64::MAX),
+            [
+                0x8283a02da21bda17,
+                0xe9cb141d34eb53fa,
+                0x24a5d303ce71d71a,
+                0xa3169e4e3821ffe2,
+                0xc27249857c73acf6,
+                0x16590a09acee997b,
+            ],
+            0x44497cfb8283a02d,
+        ),
+    ];
+
+    #[test]
+    fn keystream_matches_the_known_answers() {
+        for (name, make, words, after_u32) in KAT {
+            // word by word through next_u64
+            let mut rng = make();
+            let mut at = 0;
+            for (&off, &want) in KAT_OFFSETS.iter().zip(&words) {
+                while at < off {
+                    rng.next_u64();
+                    at += 1;
+                }
+                assert_eq!(rng.next_u64(), want, "{name} at u64 {off}");
+                at += 1;
+            }
+            // the same words out of one bulk fill (it crosses wide runs)
+            let mut bulk = vec![0u64; 1001];
+            crate::batch::fill_u64(&mut make(), &mut bulk);
+            for (&off, &want) in KAT_OFFSETS.iter().zip(&words) {
+                assert_eq!(bulk[off], want, "{name} bulk at u64 {off}");
+            }
+            let mut rng = make();
+            rng.next_u32();
+            assert_eq!(rng.next_u64(), after_u32, "{name} after one u32");
+        }
+    }
+
+    /// `fill_bytes` through the default trait body: composed `next_u64`
+    /// calls, a trailing partial chunk burning a whole `u64`.
+    fn fill_by_words(rng: &mut SeededRng, dest: &mut [u8]) {
+        let mut chunks = dest.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        let rem = chunks.into_remainder();
+        if !rem.is_empty() {
+            let last = rng.next_u64().to_le_bytes();
+            rem.copy_from_slice(&last[..rem.len()]);
+        }
+    }
+
+    #[test]
+    fn fill_bytes_matches_word_stream() {
+        // the bulk path (buffer drain, wide runs, scalar tail) must be
+        // byte-identical to composing next_u64 calls, from any stream
+        // offset, and leave the generator at the same position
+        let lens = [
+            0usize, 1, 7, 8, 9, 64, 67, 504, 511, 512, 513, 520, 1024, 4096, 8216,
+        ];
+        for start in [0usize, 1, 2, 15, 16, 17, 31] {
+            for len in lens {
+                let mut fast = seeded(77);
+                for _ in 0..start {
+                    fast.next_u32();
+                }
+                let mut reference = fast.clone();
+                let mut got = vec![0u8; len];
+                fast.fill_bytes(&mut got);
+                let mut expect = vec![0u8; len];
+                fill_by_words(&mut reference, &mut expect);
+                assert_eq!(got, expect, "start={start} len={len}");
+                assert_eq!(
+                    fast.next_u64(),
+                    reference.next_u64(),
+                    "start={start} len={len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deterministic_per_seed() {
+        let mut a = seeded(42);
+        let mut b = seeded(42);
+        let mut c = seeded(43);
+        let mut all_same = true;
+        for _ in 0..256 {
+            let x = a.next_u64();
+            assert_eq!(x, b.next_u64());
+            all_same &= x == c.next_u64();
+        }
+        assert!(!all_same, "different seeds must give different streams");
+    }
+
+    #[test]
+    fn clone_continues_identically() {
+        let mut a = seeded(9);
+        for _ in 0..37 {
+            a.next_u32();
+        }
+        let mut b = a.clone();
+        for _ in 0..64 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn output_is_roughly_balanced() {
+        // crude sanity: bit balance of 64k words within 1%
+        let mut rng = seeded(1234);
+        let mut ones = 0u64;
+        let n = 65_536u64;
+        for _ in 0..n {
+            ones += rng.next_u32().count_ones() as u64;
+        }
+        let frac = ones as f64 / (n as f64 * 32.0);
+        assert!((frac - 0.5).abs() < 0.01, "bit balance {frac}");
+    }
+
     #[test]
     fn determinism_same_seed_same_stream() {
         let mut a = seeded(42);
@@ -163,7 +528,7 @@ mod tests {
         u64s: u64,
     }
 
-    impl rand::RngCore for CountingRng {
+    impl RngCore for CountingRng {
         fn next_u32(&mut self) -> u32 {
             self.inner.next_u32()
         }
@@ -308,7 +673,7 @@ mod tests {
         // every uniform at its maximum 1 − 2⁻⁵³ makes each factor 2⁻⁵³;
         // chunked logs keep the sum exact where one product would hit 0
         struct MaxRng;
-        impl rand::RngCore for MaxRng {
+        impl RngCore for MaxRng {
             fn next_u32(&mut self) -> u32 {
                 u32::MAX
             }

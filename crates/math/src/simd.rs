@@ -1,14 +1,16 @@
-//! Explicit-SIMD kernel tier under [`crate::batch`], chosen by the CPU.
+//! Explicit-SIMD kernel tier under [`crate::batch`] and the bulk
+//! keystream of [`crate::rng`], chosen by the CPU.
 //!
-//! The batched samplers spend essentially all of their time in two tight
-//! transforms: raw ChaCha words → uniforms, and the Box–Muller
-//! combination of `fast_ln` and `fast_sincos_tau`. This module provides
-//! both as **slice kernels** in two interchangeable tiers:
+//! The batched samplers spend essentially all of their time in three
+//! tight transforms: the ChaCha8 keystream itself, raw keystream words →
+//! uniforms, and the Box–Muller combination of `fast_ln` and
+//! `fast_sincos_tau`. This module provides all three as **slice kernels**
+//! in two interchangeable tiers:
 //!
 //! | [`Dispatch`] | implementation | where |
 //! |--------------|----------------|-------|
-//! | `Scalar`     | one call per element into the pinned polynomial oracle ([`crate::batch::fast_ln`] / [`crate::batch::fast_sincos_tau`]) | every CPU without AVX2 |
-//! | `Avx2`       | hand-written `core::arch::x86_64` intrinsics, 4 lanes per op | x86_64 with AVX2, detected at runtime |
+//! | `Scalar`     | one call per element (per block, for the keystream) into the pinned oracle ([`crate::batch::fast_ln`] / [`crate::batch::fast_sincos_tau`] / the scalar ChaCha8 block of [`crate::rng`]) | every CPU without AVX2 |
+//! | `Avx2`       | hand-written `core::arch::x86_64` intrinsics, 4 `f64` lanes per op; the keystream runs 8 ChaCha8 blocks at once, one `__m256i` per state word | x86_64 with AVX2, detected at runtime |
 //!
 //! # Bit-identical by construction
 //!
@@ -18,11 +20,13 @@
 //! `add/sub/mul/div/sqrt` are exactly rounded, so the tiers produce
 //! *bitwise identical* outputs, not merely close ones. (The one
 //! non-obvious case, the AVX2 `u64 → f64` conversion, is done with the
-//! exact split-and-recombine magic-constant trick; see [`avx2`].) The
-//! tests pin this: scalar vs AVX2 agree bit-for-bit on uniforms and
-//! normals, including the corner inputs of the `ln` and `sincos`
-//! polynomials. The tier therefore changes throughput only — never a
-//! single sample of any experiment.
+//! exact split-and-recombine magic-constant trick described on the
+//! private `avx2` module.) The keystream is integer arithmetic mod 2³²,
+//! exact on any tier. The tests pin this: scalar vs AVX2 agree
+//! bit-for-bit on keystream runs (across the 2³² counter carry and the
+//! 2⁶⁴ wrap), uniforms and normals, including the corner inputs of the
+//! `ln` and `sincos` polynomials. The tier therefore changes throughput
+//! only — never a single sample of any experiment.
 //!
 //! # Choosing a tier
 //!
@@ -33,6 +37,7 @@
 //! only come from [`Dispatch::avx2`], which checks the CPU first, so the
 //! `*_with` variants are safe with any tier a caller can hold.
 
+use crate::rng::WIDE_BYTES;
 use std::sync::OnceLock;
 
 /// Which kernel tier executes the slice transforms. See the module docs
@@ -84,6 +89,30 @@ pub fn active() -> Dispatch {
 // ---------------------------------------------------------------------------
 // dispatching slice kernels
 // ---------------------------------------------------------------------------
+
+/// Eight consecutive ChaCha8 blocks of `key` at block counters
+/// `counter, counter + 1, …, counter + 7` (wrapping mod 2⁶⁴), written as
+/// little-endian words in stream order — exactly the bytes the scalar
+/// block of [`crate::rng`] produces for those counters.
+pub(crate) fn chacha8_run(key: &[u32; 8], counter: u64, out: &mut [u8; WIDE_BYTES]) {
+    chacha8_run_with(active(), key, counter, out);
+}
+
+/// [`chacha8_run`] through an explicit tier.
+pub(crate) fn chacha8_run_with(
+    d: Dispatch,
+    key: &[u32; 8],
+    counter: u64,
+    out: &mut [u8; WIDE_BYTES],
+) {
+    match d {
+        Dispatch::Scalar => scalar::chacha8_run(key, counter, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an Avx2 value carries a token only Dispatch::avx2()
+        // makes, after detecting AVX2.
+        Dispatch::Avx2(_) => unsafe { avx2::chacha8_run(key, counter, out) },
+    }
+}
 
 /// `out[i] = (words[i] >> 11) as f64 / 2⁵³` — the exact mapping
 /// [`crate::batch::fill_uniform_f64`] applies to raw ChaCha words.
@@ -197,8 +226,18 @@ f64x4_op!(Mul, mul, *);
 const INV_2P53: f64 = 1.0 / (1u64 << 53) as f64;
 
 mod scalar {
-    use super::INV_2P53;
+    use super::{INV_2P53, WIDE_BYTES};
     use crate::batch;
+    use crate::rng::chacha8_block;
+
+    pub fn chacha8_run(key: &[u32; 8], counter: u64, out: &mut [u8; WIDE_BYTES]) {
+        for (j, block) in out.chunks_exact_mut(64).enumerate() {
+            let words = chacha8_block(key, counter.wrapping_add(j as u64));
+            for (b, w) in block.chunks_exact_mut(4).zip(words) {
+                b.copy_from_slice(&w.to_le_bytes());
+            }
+        }
+    }
 
     pub fn uniform_from_words(words: &[u64], out: &mut [f64]) {
         for (x, &w) in out.iter_mut().zip(words) {
@@ -219,7 +258,8 @@ mod scalar {
 // AVX2 tier: hand-written intrinsics
 // ---------------------------------------------------------------------------
 
-/// Hand-written AVX2 kernels, 4 `f64` lanes per vector op.
+/// Hand-written AVX2 kernels, 4 `f64` lanes per vector op (8 `u32` lanes
+/// for the keystream).
 ///
 /// Every function mirrors the scalar oracle operation-for-operation —
 /// compare+blend replaces the arithmetic selects (same selected values),
@@ -233,10 +273,128 @@ mod scalar {
 /// the slice accesses are bounds-checked).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::INV_2P53;
+    use super::{INV_2P53, WIDE_BYTES};
     use crate::batch::{COS_TAYLOR, LN_ATANH, SIN_TAYLOR};
+    use crate::rng::SIGMA;
     use core::arch::x86_64::*;
     use std::f64::consts::{LN_2, SQRT_2, TAU};
+
+    /// Rotates every 32-bit lane left by 16 or 8, a byte permutation.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn rotl_bytes(x: __m256i, by16: bool) -> __m256i {
+        let mask = if by16 {
+            _mm256_setr_epi8(
+                2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, //
+                2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+            )
+        } else {
+            _mm256_setr_epi8(
+                3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14, //
+                3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+            )
+        };
+        _mm256_shuffle_epi8(x, mask)
+    }
+
+    /// The ChaCha quarter round on 8 blocks at once.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn quarter_round(s: &mut [__m256i; 16], a: usize, b: usize, c: usize, d: usize) {
+        s[a] = _mm256_add_epi32(s[a], s[b]);
+        s[d] = rotl_bytes(_mm256_xor_si256(s[d], s[a]), true);
+        s[c] = _mm256_add_epi32(s[c], s[d]);
+        let x = _mm256_xor_si256(s[b], s[c]);
+        s[b] = _mm256_or_si256(_mm256_slli_epi32(x, 12), _mm256_srli_epi32(x, 20));
+        s[a] = _mm256_add_epi32(s[a], s[b]);
+        s[d] = rotl_bytes(_mm256_xor_si256(s[d], s[a]), false);
+        s[c] = _mm256_add_epi32(s[c], s[d]);
+        let x = _mm256_xor_si256(s[b], s[c]);
+        s[b] = _mm256_or_si256(_mm256_slli_epi32(x, 7), _mm256_srli_epi32(x, 25));
+    }
+
+    /// Transposes 8 vectors of 8 words: output `j` holds word `j` of
+    /// every input, in input order.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn transpose8(x: &[__m256i]) -> [__m256i; 8] {
+        let t0 = _mm256_unpacklo_epi32(x[0], x[1]);
+        let t1 = _mm256_unpackhi_epi32(x[0], x[1]);
+        let t2 = _mm256_unpacklo_epi32(x[2], x[3]);
+        let t3 = _mm256_unpackhi_epi32(x[2], x[3]);
+        let t4 = _mm256_unpacklo_epi32(x[4], x[5]);
+        let t5 = _mm256_unpackhi_epi32(x[4], x[5]);
+        let t6 = _mm256_unpacklo_epi32(x[6], x[7]);
+        let t7 = _mm256_unpackhi_epi32(x[6], x[7]);
+        let u0 = _mm256_unpacklo_epi64(t0, t2);
+        let u1 = _mm256_unpackhi_epi64(t0, t2);
+        let u2 = _mm256_unpacklo_epi64(t1, t3);
+        let u3 = _mm256_unpackhi_epi64(t1, t3);
+        let u4 = _mm256_unpacklo_epi64(t4, t6);
+        let u5 = _mm256_unpackhi_epi64(t4, t6);
+        let u6 = _mm256_unpacklo_epi64(t5, t7);
+        let u7 = _mm256_unpackhi_epi64(t5, t7);
+        [
+            _mm256_permute2x128_si256::<0x20>(u0, u4),
+            _mm256_permute2x128_si256::<0x20>(u1, u5),
+            _mm256_permute2x128_si256::<0x20>(u2, u6),
+            _mm256_permute2x128_si256::<0x20>(u3, u7),
+            _mm256_permute2x128_si256::<0x31>(u0, u4),
+            _mm256_permute2x128_si256::<0x31>(u1, u5),
+            _mm256_permute2x128_si256::<0x31>(u2, u6),
+            _mm256_permute2x128_si256::<0x31>(u3, u7),
+        ]
+    }
+
+    /// Eight ChaCha8 blocks, lane `j` of state vector `w` holding word
+    /// `w` of block `counter + j`. Each lane's counter is a full `u64`, so
+    /// a carry out of word 12 reaches word 13 inside the run.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn chacha8_run(key: &[u32; 8], counter: u64, out: &mut [u8; WIDE_BYTES]) {
+        let c: [u64; 8] = std::array::from_fn(|j| counter.wrapping_add(j as u64));
+        let lo: [u32; 8] = std::array::from_fn(|j| c[j] as u32);
+        let hi: [u32; 8] = std::array::from_fn(|j| (c[j] >> 32) as u32);
+        let mut input = [_mm256_setzero_si256(); 16];
+        for (x, &w) in input.iter_mut().zip(SIGMA.iter().chain(key)) {
+            *x = _mm256_set1_epi32(w as i32);
+        }
+        input[12] = _mm256_loadu_si256(lo.as_ptr().cast());
+        input[13] = _mm256_loadu_si256(hi.as_ptr().cast());
+        let mut s = input;
+        for _ in 0..4 {
+            quarter_round(&mut s, 0, 4, 8, 12);
+            quarter_round(&mut s, 1, 5, 9, 13);
+            quarter_round(&mut s, 2, 6, 10, 14);
+            quarter_round(&mut s, 3, 7, 11, 15);
+            quarter_round(&mut s, 0, 5, 10, 15);
+            quarter_round(&mut s, 1, 6, 11, 12);
+            quarter_round(&mut s, 2, 7, 8, 13);
+            quarter_round(&mut s, 3, 4, 9, 14);
+        }
+        for (x, i) in s.iter_mut().zip(input) {
+            *x = _mm256_add_epi32(*x, i);
+        }
+        // block j is words 0–7 of lane j, then words 8–15 of lane j; each
+        // store writes 32 bytes inside its 64-byte block
+        let first = transpose8(&s[..8]);
+        let second = transpose8(&s[8..]);
+        for (j, block) in out.chunks_exact_mut(64).enumerate() {
+            _mm256_storeu_si256(block.as_mut_ptr().cast(), first[j]);
+            _mm256_storeu_si256(block[32..].as_mut_ptr().cast(), second[j]);
+        }
+    }
 
     /// [`crate::batch::series`] on 4 lanes: the same table, the same
     /// operations in the same order.
@@ -409,6 +567,33 @@ mod tests {
         assert_eq!(Dispatch::avx2().is_some(), has_avx2);
         let expected = if has_avx2 { "avx2" } else { "scalar" };
         assert_eq!(active().name(), expected);
+    }
+
+    /// A keystream run must equal 8 scalar blocks on every tier, at the
+    /// first counters, across the carry out of the low counter word in
+    /// mid-run, and across the 2⁶⁴ wrap — counters no seeded stream
+    /// reaches.
+    #[test]
+    fn chacha8_run_is_bitwise_identical_across_tiers() {
+        let keys = [
+            [0u32; 8],
+            std::array::from_fn(|i| 0x9E37_79B9u32.wrapping_mul(i as u32 + 1)),
+        ];
+        for key in keys {
+            for counter in [0u64, 1, (1 << 32) - 5, u64::MAX - 3] {
+                let mut reference = [0u8; WIDE_BYTES];
+                chacha8_run_with(Dispatch::Scalar, &key, counter, &mut reference);
+                for d in tiers() {
+                    let mut got = [0u8; WIDE_BYTES];
+                    chacha8_run_with(d, &key, counter, &mut got);
+                    assert!(
+                        got == reference,
+                        "{} diverged at counter {counter:#x}",
+                        d.name()
+                    );
+                }
+            }
+        }
     }
 
     /// Raw words from awkward lengths and edge patterns must convert to

@@ -67,27 +67,9 @@ impl RunningStats {
         }
     }
 
-    /// Sample variance (`n-1` denominator; 0 if fewer than 2 items).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn stderr(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.sample_variance() / self.n as f64).sqrt()
-        }
     }
 
     /// Smallest observation (`+inf` when empty).
@@ -349,14 +331,5 @@ mod tests {
         assert_eq!(ks_two_sample(&[0.0, 0.5], &[2.0, 3.0, 4.0]), 1.0);
         // unequal sizes: {1} vs {1, 2} differ by ½ at x = 1
         assert_eq!(ks_two_sample(&[1.0], &[1.0, 2.0]), 0.5);
-    }
-
-    #[test]
-    fn stderr_shrinks_with_n() {
-        let mut small = RunningStats::new();
-        let mut large = RunningStats::new();
-        small.extend((0..10).map(|i| i as f64));
-        large.extend((0..1000).map(|i| (i % 10) as f64));
-        assert!(large.stderr() < small.stderr());
     }
 }
