@@ -1,6 +1,7 @@
 //! Criterion benches for the computational kernels underneath the
-//! experiments: the `ē_b` inversion, OSTBC encode/decode, the GMSK modem,
-//! the FFT and the CSMA/CA engine.
+//! experiments: the `ē_b` inversion, OSTBC encode/decode, the slicer, the
+//! Monte-Carlo BER engine, the GMSK modem, the FFT and the convolutional
+//! code.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -135,33 +136,6 @@ fn bench_fft(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_mac(c: &mut Criterion) {
-    let mut g = c.benchmark_group("csma_mac");
-    g.sample_size(20);
-    g.bench_function("three_node_contention_60_frames", |bench| {
-        bench.iter(|| {
-            let adj = vec![vec![1, 2], vec![0, 2], vec![0, 1]];
-            let mut sim = comimo_net::mac::CsmaSim::new(
-                adj,
-                comimo_net::mac::MacConfig::default_250kbps(),
-                7,
-            );
-            for i in 0..30 {
-                sim.offer(
-                    comimo_net::mac::MacFrame { src: 0, dst: 1 },
-                    comimo_sim::SimTime::from_millis(i),
-                );
-                sim.offer(
-                    comimo_net::mac::MacFrame { src: 2, dst: 1 },
-                    comimo_sim::SimTime::from_millis(i),
-                );
-            }
-            black_box(sim.run(1_000_000))
-        });
-    });
-    g.finish();
-}
-
 fn bench_fec(c: &mut Criterion) {
     let mut g = c.benchmark_group("fec");
     let bits = comimo_dsp::bits::pn_sequence(4, 4_000);
@@ -189,7 +163,6 @@ criterion_group!(
     bench_monte_carlo,
     bench_gmsk,
     bench_fft,
-    bench_mac,
     bench_fec
 );
 criterion_main!(kernels);

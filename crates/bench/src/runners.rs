@@ -20,8 +20,8 @@ use comimo_faults::report_channel::{
 use comimo_faults::sensing::{build_reporter_schedule, ReporterFaultConfig, ReporterTimeline};
 use comimo_math::rng::derive;
 use comimo_sensing::{
-    run_byz_campaign, run_roc_campaign, run_round_byz, ByzCell, ByzSweepSpec, MarkovOnOff,
-    RocGridSpec, RocPoint, RuleUsed, SensingRound,
+    run_roc_campaign, run_round_byz, ByzCell, ByzSweepSpec, MarkovOnOff, RocGridSpec, RocPoint,
+    RuleUsed, SensingRound,
 };
 use comimo_stbc::design::{Ostbc, StbcKind};
 use comimo_stbc::grid::{simulate_ber_grid_par, GridPoint};
@@ -501,21 +501,6 @@ pub fn sensing_roc() -> Vec<RocPoint> {
 /// below: the containment acceptance line of the byzantine sweep.
 pub const BYZ_PD_FLOOR: f64 = 0.9;
 
-/// The byzantine-fraction sweep behind the report's containment table:
-/// the paper axis ([`ByzSweepSpec::paper`] — `f ∈ {0, 1, 2}` always-no
-/// vandals of 7) on the campaign supervisor, no checkpoint. Cells are
-/// pure functions of [`EXPERIMENT_SEED`].
-pub fn byz_sweep() -> Vec<ByzCell> {
-    let spec = ByzSweepSpec::paper();
-    let (report, cells) = run_byz_campaign(
-        &spec,
-        &CampaignConfig::new(EXPERIMENT_SEED, spec.fingerprint()),
-    )
-    .expect("the paper byzantine sweep completes");
-    assert_eq!(report.status, CampaignStatus::Complete);
-    cells
-}
-
 /// The containment acceptance verdict at one adversary count.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ByzVerdict {
@@ -563,6 +548,7 @@ pub fn byz_containment_verdict(spec: &ByzSweepSpec, cells: &[ByzCell]) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comimo_sensing::run_byz_campaign;
 
     #[test]
     fn fig6_grid_shape() {
@@ -708,7 +694,12 @@ mod tests {
     #[test]
     fn byz_sweep_meets_the_containment_acceptance() {
         let spec = ByzSweepSpec::paper();
-        let cells = byz_sweep();
+        let (report, cells) = run_byz_campaign(
+            &spec,
+            &CampaignConfig::new(EXPERIMENT_SEED, spec.fingerprint()),
+        )
+        .expect("the paper byzantine sweep completes");
+        assert_eq!(report.status, CampaignStatus::Complete);
         assert_eq!(cells.len(), 2 * spec.byz_counts.len());
         let v = byz_containment_verdict(&spec, &cells).expect("the paper axis samples f_max");
         assert_eq!(v.byz_count, 2, "7 reporters tolerate f = 2");

@@ -16,8 +16,9 @@
 //!
 //! The payload is fixed-order little-endian: campaign seed, config
 //! fingerprint, total shard count, stream count, merged `bits`/`errors`
-//! counts **per stream** (a stream is one grid configuration of a CRN
-//! grid campaign; a classic single-point campaign has one stream), the
+//! counts **per stream** (a stream is one counter of a multi-point
+//! campaign such as the sensing ROC grid; a classic single-point
+//! campaign has one stream), the
 //! done bitmap (one bit per shard), and the quarantine list. Every load
 //! re-derives the CRC, so truncation and bit flips are *detected* — the
 //! supervisor then recovers by restarting the campaign from scratch
@@ -110,11 +111,11 @@ pub struct Quarantined {
 
 /// The resumable state of a campaign: merged counts per stream plus
 /// per-shard completion. A *stream* is one independently counted result
-/// lane — one grid configuration of a CRN grid campaign; a classic
-/// single-point campaign has exactly one. Counts merge by addition
-/// (commutative and associative over `u64`), which is what makes the
-/// merged result independent of completion order — and therefore of
-/// thread count and of where a previous run was killed.
+/// lane — one counter of a multi-point campaign such as the sensing ROC
+/// grid; a classic single-point campaign has exactly one. Counts merge
+/// by addition (commutative and associative over `u64`), which is what
+/// makes the merged result independent of completion order — and
+/// therefore of thread count and of where a previous run was killed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Simulation seed the campaign derives its shard streams from.

@@ -39,8 +39,7 @@ pub use supervisor::{
 
 use comimo_stbc::batch::BatchWorkspace;
 use comimo_stbc::design::{Ostbc, StbcKind};
-use comimo_stbc::grid::{GridPoint, GridWorkspace};
-use comimo_stbc::sim::{shard_plan, BerResult, SimConstellation};
+use comimo_stbc::sim::{shard_plan, SimConstellation};
 
 /// Mixes a parameter list into a 64-bit campaign fingerprint
 /// (SplitMix64-style fold). Used to refuse resuming a checkpoint under
@@ -133,66 +132,6 @@ pub fn run_ber_campaign(
     })
 }
 
-/// Parameters of a common-random-number BER *grid* campaign: one code
-/// and receive array, many `(constellation, es, n0)` operating points
-/// sharing every channel/noise realisation
-/// (`comimo_stbc::grid::simulate_ber_grid`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BerGridCampaignSpec {
-    /// Space-time code.
-    pub kind: StbcKind,
-    /// Receive antennas.
-    pub mr: usize,
-    /// The grid: one stream of counts per point, in this order.
-    pub points: Vec<GridPoint>,
-    /// Monte-Carlo blocks (shared — every point sees the same blocks).
-    pub n_blocks: usize,
-}
-
-impl BerGridCampaignSpec {
-    /// Fingerprint of every parameter that shapes the shard results,
-    /// folding each grid point in order (the grid is order-sensitive:
-    /// stream `i` of the checkpoint is `points[i]`).
-    pub fn fingerprint(&self) -> u64 {
-        let mut words = vec![
-            self.kind as u64,
-            self.mr as u64,
-            self.n_blocks as u64,
-            self.points.len() as u64,
-        ];
-        for p in &self.points {
-            words.push(u64::from(p.bits_per_symbol));
-            words.push(p.es.to_bits());
-            words.push(p.n0.to_bits());
-        }
-        fingerprint64(&words)
-    }
-}
-
-/// Runs `spec` as a supervised multi-stream campaign: the shard plan of
-/// `simulate_ber_grid_par`, one checkpoint stream per grid point. With
-/// no quarantined shards [`CampaignReport::stream_counts`] is
-/// bit-identical to `simulate_ber_grid_par(cfg.seed, ...)` — at any
-/// thread count, resumed or not. The config's fingerprint is overridden
-/// with [`BerGridCampaignSpec::fingerprint`].
-pub fn run_ber_grid_campaign(
-    cfg: &CampaignConfig,
-    spec: &BerGridCampaignSpec,
-) -> Result<CampaignReport, CampaignError> {
-    let mut cfg = cfg.clone();
-    cfg.fingerprint = spec.fingerprint();
-    let code = Ostbc::new(spec.kind);
-    let shards: Vec<(u64, usize)> = shard_plan(spec.n_blocks).collect();
-    let seed = cfg.seed;
-    run_campaign_multi(&cfg, &shards, spec.points.len(), |label, blocks| {
-        let mut rng = comimo_math::rng::derive(seed, label);
-        let mut ws = GridWorkspace::new(&code, &spec.points, spec.mr);
-        let mut out = vec![BerResult { bits: 0, errors: 0 }; spec.points.len()];
-        ws.simulate_into(&mut rng, blocks, &mut out);
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,79 +210,5 @@ mod tests {
         assert_eq!(report.counts, reference);
         let (lo, hi) = report.wilson_95;
         assert!(lo <= report.ber() && report.ber() <= hi);
-    }
-
-    #[test]
-    fn grid_campaign_matches_grid_engine_bit_for_bit() {
-        use comimo_stbc::grid::simulate_ber_grid_par;
-        use comimo_stbc::sim::DEFAULT_SHARD_BLOCKS;
-        let spec = BerGridCampaignSpec {
-            kind: StbcKind::Alamouti,
-            mr: 2,
-            points: vec![
-                GridPoint {
-                    bits_per_symbol: 2,
-                    es: 1.0,
-                    n0: 1.0,
-                },
-                GridPoint {
-                    bits_per_symbol: 2,
-                    es: 1.0,
-                    n0: 0.5,
-                },
-                GridPoint {
-                    bits_per_symbol: 4,
-                    es: 2.0,
-                    n0: 1.0,
-                },
-            ],
-            n_blocks: 2 * DEFAULT_SHARD_BLOCKS + 50,
-        };
-        let cfg = CampaignConfig::new(2013, 0);
-        let report = run_ber_grid_campaign(&cfg, &spec).unwrap();
-        assert_eq!(report.status, CampaignStatus::Complete);
-        assert!(report.quarantined.is_empty());
-        let reference = simulate_ber_grid_par(
-            2013,
-            &Ostbc::new(spec.kind),
-            &spec.points,
-            spec.mr,
-            spec.n_blocks,
-        );
-        assert_eq!(report.stream_counts, reference);
-        // summed counts cover every stream
-        let sum_bits: u64 = reference.iter().map(|r| r.bits).sum();
-        assert_eq!(report.counts.bits, sum_bits);
-    }
-
-    #[test]
-    fn grid_fingerprint_separates_grid_shapes() {
-        let spec = BerGridCampaignSpec {
-            kind: StbcKind::Alamouti,
-            mr: 2,
-            points: vec![
-                GridPoint {
-                    bits_per_symbol: 2,
-                    es: 1.0,
-                    n0: 1.0,
-                },
-                GridPoint {
-                    bits_per_symbol: 2,
-                    es: 1.0,
-                    n0: 0.5,
-                },
-            ],
-            n_blocks: 1000,
-        };
-        let f = spec.fingerprint();
-        assert_eq!(f, spec.fingerprint());
-        // reordering the grid must change the fingerprint: stream i of a
-        // resumed checkpoint is points[i]
-        let mut swapped = spec.clone();
-        swapped.points.swap(0, 1);
-        assert_ne!(f, swapped.fingerprint());
-        let mut shrunk = spec.clone();
-        shrunk.points.pop();
-        assert_ne!(f, shrunk.fingerprint());
     }
 }

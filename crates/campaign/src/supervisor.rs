@@ -116,12 +116,12 @@ pub struct CampaignReport {
     pub status: CampaignStatus,
     /// Merged counts over every completed shard (partial when stopped,
     /// excludes quarantined shards), summed across streams. For a
-    /// single-stream campaign this is *the* result; for a grid campaign
-    /// prefer [`CampaignReport::stream_counts`].
+    /// single-stream campaign this is *the* result; for a multi-stream
+    /// campaign prefer [`CampaignReport::stream_counts`].
     pub counts: BerResult,
-    /// Merged counts per stream (one entry per grid configuration for a
-    /// grid campaign; a single entry equal to
-    /// [`CampaignReport::counts`] otherwise).
+    /// Merged counts per stream (one entry per stream of a multi-stream
+    /// campaign; a single entry equal to [`CampaignReport::counts`]
+    /// otherwise).
     pub stream_counts: Vec<BerResult>,
     /// Shards in the plan.
     pub total_shards: u64,
@@ -265,8 +265,8 @@ where
 }
 
 /// [`run_campaign`] for multi-stream shard functions: `run_shard` returns
-/// one [`BerResult`] per stream (one grid configuration each for a CRN
-/// grid campaign), and the checkpoint, resume validation and report all
+/// one [`BerResult`] per stream (one per counter of the sensing ROC and
+/// byzantine sweeps), and the checkpoint, resume validation and report all
 /// carry the per-stream counts. Everything else — panic isolation,
 /// retries, quarantine, atomic checkpoints, graceful stop, bit-identical
 /// resume — is the single-stream supervisor unchanged.
@@ -680,6 +680,35 @@ mod tests {
                 }
                 x
             },
+        );
+    }
+
+    #[test]
+    fn multi_stream_counts_merge_per_stream_and_sum_across_streams() {
+        let shards: Vec<(u64, usize)> = (0..5).map(|l| (l, 10)).collect();
+        let report = run_campaign_multi(&CampaignConfig::new(1, 0), &shards, 3, |label, blocks| {
+            (0..3u64)
+                .map(|s| BerResult {
+                    bits: blocks as u64 * (s + 1),
+                    errors: label + s,
+                })
+                .collect()
+        })
+        .unwrap();
+        assert_eq!(report.status, CampaignStatus::Complete);
+        let per_stream: Vec<BerResult> = (0..3u64)
+            .map(|s| BerResult {
+                bits: 50 * (s + 1),
+                errors: 10 + 5 * s,
+            })
+            .collect();
+        assert_eq!(report.stream_counts, per_stream);
+        assert_eq!(
+            report.counts,
+            BerResult {
+                bits: 300,
+                errors: 45
+            }
         );
     }
 

@@ -98,12 +98,6 @@ impl BlockRayleigh {
     pub fn unit() -> Self {
         Self { mean_power: 1.0 }
     }
-
-    /// Rayleigh fading with mean power `E[|h|²] = mean_power`.
-    pub fn with_mean_power(mean_power: f64) -> Self {
-        assert!(mean_power > 0.0);
-        Self { mean_power }
-    }
 }
 
 impl FadingChannel for BlockRayleigh {
@@ -201,7 +195,7 @@ mod tests {
     #[test]
     fn rayleigh_matrix_dims_and_power() {
         let mut rng = seeded(22);
-        let ch = BlockRayleigh::with_mean_power(2.0);
+        let ch = BlockRayleigh { mean_power: 2.0 };
         let h = ch.sample_matrix(&mut rng, 3, 4);
         assert_eq!((h.rows(), h.cols()), (3, 4));
         let mut st = RunningStats::new();
@@ -230,7 +224,7 @@ mod tests {
         let crit = 1.63 * (2.0 / n_obs as f64).sqrt();
         for taps in [1usize, 2, 4, 17] {
             for power in [1.0, 2.0] {
-                let ch = BlockRayleigh::with_mean_power(power);
+                let ch = BlockRayleigh { mean_power: power };
                 let mut rng = seeded(31 + taps as u64 + 100 * power as u64);
                 let direct: Vec<f64> = (0..n_obs)
                     .map(|_| ch.sample_block_gain(&mut rng, taps))
@@ -283,7 +277,7 @@ mod tests {
     #[test]
     fn batched_rayleigh_matches_scalar_distribution() {
         // same mean power and the same amplitude CDF as the scalar sampler
-        let ch = BlockRayleigh::with_mean_power(2.0);
+        let ch = BlockRayleigh { mean_power: 2.0 };
         let n = 100_000;
         let mut batched = vec![Complex::zero(); n];
         ch.fill_coeffs(&mut seeded(28), &mut batched);

@@ -54,26 +54,11 @@ impl Point {
         self.x * other.y - self.y * other.x
     }
 
-    /// Unit vector in this direction.
-    ///
-    /// # Panics
-    /// On the zero vector.
-    pub fn normalized(self) -> Self {
-        let n = self.norm();
-        assert!(n > 0.0, "cannot normalise the zero vector");
-        Self::new(self.x / n, self.y / n)
-    }
-
     /// Bearing of the vector `self → to`, in radians in `(-π, π]`,
     /// measured from the +x axis.
     pub fn bearing_to(self, to: Self) -> f64 {
         let d = to - self;
         d.y.atan2(d.x)
-    }
-
-    /// Point at parameter `t ∈ [0,1]` along the segment `self → to`.
-    pub fn lerp(self, to: Self, t: f64) -> Self {
-        Self::new(self.x + (to.x - self.x) * t, self.y + (to.y - self.y) * t)
     }
 
     /// Midpoint of `self` and `other`.
@@ -178,18 +163,6 @@ impl Segment {
             || (d3 == 0.0 && on_segment(self.a, self.b, other.a))
             || (d4 == 0.0 && on_segment(self.a, self.b, other.b))
     }
-
-    /// Shortest distance from a point to this segment.
-    pub fn distance_to_point(&self, p: Point) -> f64 {
-        let v = self.b - self.a;
-        let w = p - self.a;
-        let len2 = v.norm_sqr();
-        if len2 == 0.0 {
-            return p.distance(self.a);
-        }
-        let t = (w.dot(v) / len2).clamp(0.0, 1.0);
-        p.distance(self.a.lerp(self.b, t))
-    }
 }
 
 fn direction(a: Point, b: Point, c: Point) -> f64 {
@@ -283,14 +256,6 @@ mod tests {
         let s1 = Segment::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
         let s2 = Segment::new(Point::new(1.0, 1.0), Point::new(2.0, 0.0));
         assert!(s1.intersects(&s2));
-    }
-
-    #[test]
-    fn point_segment_distance() {
-        let s = Segment::new(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
-        assert!((s.distance_to_point(Point::new(5.0, 3.0)) - 3.0).abs() < 1e-12);
-        // beyond the end: distance to endpoint
-        assert!((s.distance_to_point(Point::new(13.0, 4.0)) - 5.0).abs() < 1e-12);
     }
 
     #[test]

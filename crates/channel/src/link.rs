@@ -6,8 +6,6 @@
 //! SU signal's power spectral density as seen by a primary receiver and
 //! compare it against the thermal floor `σ²·Nf`.
 
-use crate::obstacle::Environment;
-use crate::pathloss::PathLoss;
 use comimo_math::db::{db_to_lin, dbm_per_hz_to_watts_per_hz};
 use serde::{Deserialize, Serialize};
 
@@ -42,27 +40,6 @@ pub struct LinkBudget {
 }
 
 impl LinkBudget {
-    /// Builds a budget from a path-loss law, distance and environment.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_model(
-        tx_power_w: f64,
-        model: &impl PathLoss,
-        distance_m: f64,
-        env: &Environment,
-        tx: crate::geometry::Point,
-        rx: crate::geometry::Point,
-        bandwidth_hz: f64,
-        nf_db: f64,
-    ) -> Self {
-        Self {
-            tx_power_w,
-            path_loss_factor: model.loss_factor(distance_m),
-            excess_loss_factor: env.excess_loss_factor(tx, rx),
-            bandwidth_hz,
-            nf_db,
-        }
-    }
-
     /// Mean received power in watts.
     pub fn rx_power_w(&self) -> f64 {
         self.tx_power_w / (self.path_loss_factor * self.excess_loss_factor)
@@ -92,18 +69,11 @@ impl LinkBudget {
     pub fn underlay_margin_db(&self) -> f64 {
         10.0 * (noise_floor_psd(self.nf_db) / self.rx_psd()).log10()
     }
-
-    /// Whether the underlay constraint holds (PSD strictly below floor).
-    pub fn meets_underlay_constraint(&self) -> bool {
-        self.underlay_margin_db() > 0.0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::Point;
-    use crate::pathloss::SquareLawLongHaul;
 
     #[test]
     fn noise_floor_anchor() {
@@ -138,30 +108,13 @@ mod tests {
             bandwidth_hz: 1e4,
             nf_db: 10.0,
         };
-        assert!(weak.meets_underlay_constraint());
+        assert!(weak.underlay_margin_db() > 0.0);
         let strong = LinkBudget {
             tx_power_w: 1.0,
             ..weak
         };
-        assert!(!strong.meets_underlay_constraint());
+        assert!(strong.underlay_margin_db() < 0.0);
         // margin difference equals the 120 dB power difference
         assert!((weak.underlay_margin_db() - strong.underlay_margin_db() - 120.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_model_combines_losses() {
-        let pl = SquareLawLongHaul::paper_defaults();
-        let mut env = Environment::open();
-        env.add(crate::obstacle::Obstacle::new(
-            Point::new(50.0, -1.0),
-            Point::new(50.0, 1.0),
-            20.0,
-        ));
-        let tx = Point::origin();
-        let rx = Point::new(100.0, 0.0);
-        let b = LinkBudget::from_model(0.1, &pl, tx.distance(rx), &env, tx, rx, 1e4, 10.0);
-        assert!((b.excess_loss_factor - 100.0).abs() < 1e-9);
-        let open = LinkBudget::from_model(0.1, &pl, 100.0, &Environment::open(), tx, rx, 1e4, 10.0);
-        assert!((open.snr_db() - b.snr_db() - 20.0).abs() < 1e-9);
     }
 }

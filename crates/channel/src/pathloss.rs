@@ -117,16 +117,6 @@ impl SquareLawLongHaul {
         }
     }
 
-    /// Inverts the law: the distance at which the loss factor equals `l`.
-    ///
-    /// Used by the overlay paradigm's distance analysis (paper Section 3)
-    /// to turn an energy budget into the largest relay distance `D2`/`D3`.
-    pub fn distance_for_loss(&self, l: f64) -> f64 {
-        assert!(l > 0.0);
-        let coef = self.coefficient();
-        (l / coef).sqrt()
-    }
-
     /// Coefficient `c` such that `loss_factor(D) = c·D²`.
     pub fn coefficient(&self) -> f64 {
         let four_pi = 4.0 * std::f64::consts::PI;
@@ -157,11 +147,6 @@ impl FriisFreeSpace {
     pub fn new(lambda_m: f64) -> Self {
         assert!(lambda_m > 0.0);
         Self { lambda_m }
-    }
-
-    /// Free-space law at carrier frequency `f_hz` (c = 299 792 458 m/s).
-    pub fn at_frequency(f_hz: f64) -> Self {
-        Self::new(299_792_458.0 / f_hz)
     }
 }
 
@@ -200,18 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn square_law_inversion_roundtrip() {
-        let pl = SquareLawLongHaul::paper_defaults();
-        for &d in &[10.0, 150.0, 250.0, 406.0] {
-            let l = pl.loss_factor(d);
-            assert!((pl.distance_for_loss(l) - d).abs() / d < 1e-12);
-        }
-    }
-
-    #[test]
     fn friis_anchor_2_45ghz() {
         // loss at 1 m, 2.45 GHz is ~40.2 dB
-        let pl = FriisFreeSpace::at_frequency(2.45e9);
+        let pl = FriisFreeSpace::new(299_792_458.0 / 2.45e9);
         assert!(
             (pl.loss_db(1.0) - 40.23).abs() < 0.1,
             "got {}",

@@ -376,7 +376,7 @@ impl InvariantRegistry {
             row(
                 INV_EVENTQ_TIME,
                 "event pops never move the clock backwards".into(),
-                "discrete-event engine contract (deterministic CSMA/CA substrate, Sec. 2.1)",
+                "discrete-event engine contract that recruitment, fault injection and chaos replay rely on",
                 "comimo-sim ShardedEventQueue::pop ordering",
             ),
             row(

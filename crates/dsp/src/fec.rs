@@ -2,12 +2,9 @@
 //! decoding.
 //!
 //! The classic `K = 7`, `(171, 133)₈` convolutional code used by 802.11a
-//! and countless satellite links, decoded by hard- or soft-decision
-//! Viterbi. Table 4's rig can send its GMSK packets through it
-//! (`UnderlayImageConfig::use_fec`); the coding gain over uncoded BPSK is
-//! measured in the tests below.
-
-use comimo_math::complex::Complex;
+//! and countless satellite links, decoded by hard-decision Viterbi.
+//! Table 4's rig can send its GMSK packets through it
+//! (`UnderlayImageConfig::use_fec`).
 
 /// The code's constraint length `K = 7` (64 trellis states).
 pub const CONSTRAINT: usize = 7;
@@ -45,44 +42,12 @@ pub fn conv_encode(bits: &[bool]) -> Vec<bool> {
     out
 }
 
-/// Branch metrics for one trellis step: the cost of the two coded bits
-/// given the received evidence.
-trait Metric {
-    /// Cost of hypothesising coded bits `(c0, c1)` at step `t`.
-    fn cost(&self, t: usize, c0: bool, c1: bool) -> f64;
-    /// Number of steps available.
-    fn len(&self) -> usize;
-}
-
-struct HardMetric<'a>(&'a [bool]);
-impl Metric for HardMetric<'_> {
-    fn cost(&self, t: usize, c0: bool, c1: bool) -> f64 {
-        let r0 = self.0[2 * t];
-        let r1 = self.0[2 * t + 1];
-        (r0 != c0) as u8 as f64 + (r1 != c1) as u8 as f64
-    }
-    fn len(&self) -> usize {
-        self.0.len() / 2
-    }
-}
-
-/// Soft metric over BPSK symbols (`+1` ⇔ bit 1): negative correlation.
-struct SoftMetric<'a>(&'a [Complex]);
-impl Metric for SoftMetric<'_> {
-    fn cost(&self, t: usize, c0: bool, c1: bool) -> f64 {
-        let s0 = if c0 { 1.0 } else { -1.0 };
-        let s1 = if c1 { 1.0 } else { -1.0 };
-        -(self.0[2 * t].re * s0 + self.0[2 * t + 1].re * s1)
-    }
-    fn len(&self) -> usize {
-        self.0.len() / 2
-    }
-}
-
-/// Viterbi decode over a metric; returns the information bits (tail
-/// stripped).
-fn viterbi(metric: &impl Metric, n_info: usize) -> Vec<bool> {
-    let steps = metric.len();
+/// Hard-decision Viterbi decode of `coded` (as produced by
+/// [`conv_encode`], possibly with bit errors) back to `n_info` bits: the
+/// branch cost is the Hamming distance of the two coded bits.
+pub fn conv_decode_hard(coded: &[bool], n_info: usize) -> Vec<bool> {
+    assert_eq!(coded.len() % 2, 0, "coded stream must be even-length");
+    let steps = coded.len() / 2;
     assert!(
         steps >= n_info + CONSTRAINT - 1,
         "received sequence too short: {steps} steps for {n_info} info bits"
@@ -111,7 +76,8 @@ fn viterbi(metric: &impl Metric, n_info: usize) -> Vec<bool> {
                 continue;
             }
             for (input, &(c0, c1, ns)) in trans[state].iter().enumerate() {
-                let m = pm[state] + metric.cost(t, c0, c1);
+                let cost = (coded[2 * t] != c0) as u8 + (coded[2 * t + 1] != c1) as u8;
+                let m = pm[state] + cost as f64;
                 if m < next[ns] {
                     next[ns] = m;
                     // store predecessor state and input in one byte
@@ -134,26 +100,10 @@ fn viterbi(metric: &impl Metric, n_info: usize) -> Vec<bool> {
     decoded
 }
 
-/// Hard-decision Viterbi decode of `coded` (as produced by
-/// [`conv_encode`], possibly with bit errors) back to `n_info` bits.
-pub fn conv_decode_hard(coded: &[bool], n_info: usize) -> Vec<bool> {
-    assert_eq!(coded.len() % 2, 0, "coded stream must be even-length");
-    viterbi(&HardMetric(coded), n_info)
-}
-
-/// Soft-decision Viterbi decode from BPSK soft symbols (one per coded
-/// bit; only the real part is used).
-pub fn conv_decode_soft(soft: &[Complex], n_info: usize) -> Vec<bool> {
-    assert_eq!(soft.len() % 2, 0, "soft stream must be even-length");
-    viterbi(&SoftMetric(soft), n_info)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::{count_bit_errors, pn_sequence};
-    use comimo_math::db::db_to_lin;
-    use comimo_math::rng::{complex_gaussian, seeded};
+    use crate::bits::pn_sequence;
 
     #[test]
     fn encode_rate_and_termination() {
@@ -191,95 +141,5 @@ mod tests {
         let dec = conv_decode_hard(&coded, bits.len());
         // it may or may not recover; it must return the right length
         assert_eq!(dec.len(), bits.len());
-    }
-
-    /// The headline: measured coding gain over uncoded BPSK at equal
-    /// Eb/N0. Rate 1/2 halves the energy per coded bit, and Viterbi more
-    /// than wins it back — several dB of net gain at BER ~1e-3.
-    #[test]
-    fn soft_viterbi_beats_uncoded_at_equal_eb_n0() {
-        let mut rng = seeded(5);
-        let eb_n0_db = 5.0;
-        let eb_n0 = db_to_lin(eb_n0_db);
-        let n_info = 30_000;
-        let bits = pn_sequence(6, n_info);
-
-        // uncoded BPSK: Es = Eb
-        let mut uncoded_errs = 0u64;
-        for &b in &bits {
-            let s = if b { 1.0 } else { -1.0 };
-            // real-dimension noise variance 1/(2·Eb/N0)
-            let r = s + comimo_math::rng::standard_normal(&mut rng) / (2.0 * eb_n0).sqrt();
-            if (r > 0.0) != b {
-                uncoded_errs += 1;
-            }
-        }
-        let uncoded_ber = uncoded_errs as f64 / n_info as f64;
-
-        // coded: each coded bit carries Eb/2 → per-symbol SNR halves
-        let coded = conv_encode(&bits);
-        let es_n0 = eb_n0 / 2.0;
-        let soft: Vec<Complex> = coded
-            .iter()
-            .map(|&b| {
-                let s = if b { 1.0 } else { -1.0 };
-                Complex::real(s) + complex_gaussian(&mut rng, 1.0 / es_n0)
-            })
-            .collect();
-        let dec = conv_decode_soft(&soft, n_info);
-        let coded_errs = count_bit_errors(&bits, &dec);
-        let coded_ber = (coded_errs.max(1)) as f64 / n_info as f64;
-
-        assert!(
-            coded_ber < uncoded_ber / 5.0,
-            "coded BER {coded_ber} vs uncoded {uncoded_ber} at {eb_n0_db} dB"
-        );
-    }
-
-    #[test]
-    fn soft_beats_hard_decisions() {
-        let mut rng = seeded(7);
-        let n_info = 30_000;
-        let bits = pn_sequence(8, n_info);
-        let coded = conv_encode(&bits);
-        let es_n0 = db_to_lin(2.0); // noisy channel
-        let soft: Vec<Complex> = coded
-            .iter()
-            .map(|&b| {
-                let s = if b { 1.0 } else { -1.0 };
-                Complex::real(s) + complex_gaussian(&mut rng, 1.0 / es_n0)
-            })
-            .collect();
-        let hard_bits: Vec<bool> = soft.iter().map(|s| s.re > 0.0).collect();
-        let soft_dec = conv_decode_soft(&soft, n_info);
-        let hard_dec = conv_decode_hard(&hard_bits, n_info);
-        let soft_errs = count_bit_errors(&bits, &soft_dec);
-        let hard_errs = count_bit_errors(&bits, &hard_dec);
-        assert!(
-            soft_errs * 2 < hard_errs.max(2),
-            "soft {soft_errs} vs hard {hard_errs}"
-        );
-    }
-
-    #[test]
-    fn rate_half_code_is_clean_at_3_db() {
-        // uncoded BPSK needs ~6.8 dB Eb/N0 for BER 1e-3; the soft-decision
-        // coded chain must reach it at 3 dB, a coding gain of >= 3.8 dB
-        let mut rng = seeded(9);
-        let n_info = 40_000;
-        let bits = pn_sequence(10, n_info);
-        let coded = conv_encode(&bits);
-        let eb_n0 = db_to_lin(3.0);
-        let es_n0 = eb_n0 / 2.0;
-        let soft: Vec<Complex> = coded
-            .iter()
-            .map(|&b| {
-                let s = if b { 1.0 } else { -1.0 };
-                Complex::real(s) + complex_gaussian(&mut rng, 1.0 / es_n0)
-            })
-            .collect();
-        let dec = conv_decode_soft(&soft, n_info);
-        let ber = count_bit_errors(&bits, &dec) as f64 / n_info as f64;
-        assert!(ber < 1e-3, "coded BER at 3 dB: {ber}");
     }
 }

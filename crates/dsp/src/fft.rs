@@ -11,19 +11,6 @@ use comimo_math::complex::Complex;
 /// # Panics
 /// If the length is not a power of two.
 pub fn fft_in_place(x: &mut [Complex]) {
-    transform(x, false);
-}
-
-/// In-place inverse FFT (including the 1/N normalisation).
-pub fn ifft_in_place(x: &mut [Complex]) {
-    transform(x, true);
-    let n = x.len() as f64;
-    for v in x.iter_mut() {
-        *v = *v / n;
-    }
-}
-
-fn transform(x: &mut [Complex], inverse: bool) {
     let n = x.len();
     assert!(
         n.is_power_of_two(),
@@ -40,10 +27,9 @@ fn transform(x: &mut [Complex], inverse: bool) {
             x.swap(i, j);
         }
     }
-    let sign = if inverse { 1.0 } else { -1.0 };
     let mut len = 2;
     while len <= n {
-        let ang = sign * std::f64::consts::TAU / len as f64;
+        let ang = -std::f64::consts::TAU / len as f64;
         let wlen = Complex::cis(ang);
         for start in (0..n).step_by(len) {
             let mut w = Complex::one();
@@ -63,13 +49,6 @@ fn transform(x: &mut [Complex], inverse: bool) {
 pub fn fft(x: &[Complex]) -> Vec<Complex> {
     let mut y = x.to_vec();
     fft_in_place(&mut y);
-    y
-}
-
-/// Out-of-place inverse FFT convenience.
-pub fn ifft(x: &[Complex]) -> Vec<Complex> {
-    let mut y = x.to_vec();
-    ifft_in_place(&mut y);
     y
 }
 
@@ -139,16 +118,6 @@ mod tests {
             } else {
                 assert!(v.abs() < 1e-9, "leakage at bin {i}: {}", v.abs());
             }
-        }
-    }
-
-    #[test]
-    fn ifft_inverts_fft() {
-        let mut rng = seeded(81);
-        let x: Vec<Complex> = (0..128).map(|_| complex_gaussian(&mut rng, 1.0)).collect();
-        let y = ifft(&fft(&x));
-        for (a, b) in x.iter().zip(&y) {
-            assert!(a.approx_eq(*b, 1e-10));
         }
     }
 

@@ -48,11 +48,6 @@ impl FrameCodec {
         bits
     }
 
-    /// Total encoded bit count for a payload of `n` bytes.
-    pub fn encoded_bits(&self, n: usize) -> usize {
-        PREAMBLE_BITS + (n + 6) * 8
-    }
-
     /// Decodes a received bit stream that is aligned to the frame start
     /// (the testbed keeps alignment). Returns `None` on CRC failure or
     /// truncation — i.e. a *packet error*.
@@ -91,7 +86,7 @@ mod tests {
         let codec = FrameCodec::new();
         let payload: Vec<u8> = (0..=255).collect();
         let bits = codec.encode(&payload);
-        assert_eq!(bits.len(), codec.encoded_bits(payload.len()));
+        assert_eq!(bits.len(), PREAMBLE_BITS + (payload.len() + 6) * 8);
         let frame = codec.decode(&bits).expect("frame decodes");
         assert_eq!(frame.payload, payload);
     }

@@ -46,11 +46,6 @@ impl GmskModem {
         self.sps
     }
 
-    /// Number of output samples produced for `n_bits` input bits.
-    pub fn samples_for_bits(&self, n_bits: usize) -> usize {
-        n_bits * self.sps + self.pulse.taps().len() - 1
-    }
-
     /// Modulates a bit stream into unit-envelope complex baseband.
     pub fn modulate(&self, bits: &[bool]) -> Vec<Complex> {
         // NRZ impulse train at symbol instants

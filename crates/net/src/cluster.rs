@@ -119,6 +119,15 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// The head-election order over `graph`'s nodes: `Greater` when `a` is
+/// the better head. Higher battery first, lower id on ties; `total_cmp`
+/// lets a NaN battery (corrupt telemetry) order instead of panicking, so
+/// the election stays survivable.
+pub(crate) fn head_order(graph: &SuGraph, a: usize, b: usize) -> std::cmp::Ordering {
+    let (na, nb) = (&graph.nodes()[a], &graph.nodes()[b]);
+    na.battery_j.total_cmp(&nb.battery_j).then(b.cmp(&a))
+}
+
 /// Elects the head: the alive member with the largest battery, ties broken
 /// by the lowest id (battery-aware, per the paper's head-node description).
 /// Recoverable form — all-dead membership returns
@@ -128,13 +137,7 @@ pub fn try_elect_head(graph: &SuGraph, members: &[usize]) -> Result<usize, Clust
     members
         .iter()
         .filter(|&&m| graph.nodes()[m].alive)
-        .max_by(|&&a, &&b| {
-            let na = &graph.nodes()[a];
-            let nb = &graph.nodes()[b];
-            // total_cmp: a NaN battery (corrupt telemetry) orders instead
-            // of panicking — the election stays survivable
-            na.battery_j.total_cmp(&nb.battery_j).then(b.cmp(&a)) // lower id wins ties
-        })
+        .max_by(|&&a, &&b| head_order(graph, a, b))
         .copied()
         .ok_or_else(|| ClusterError::NoAliveMember {
             members: members.to_vec(),

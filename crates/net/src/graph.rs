@@ -76,19 +76,9 @@ impl SuGraph {
         self.adjacency[i].len()
     }
 
-    /// Whether an edge exists.
-    pub fn has_edge(&self, i: usize, j: usize) -> bool {
-        self.adjacency[i].contains(&j)
-    }
-
     /// Total edge count.
     pub fn n_edges(&self) -> usize {
         self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
-    /// The adjacency lists, cloneable into a `comimo_sim::Medium`.
-    pub fn adjacency(&self) -> &[Vec<usize>] {
-        &self.adjacency
     }
 
     /// Connected components (alive nodes only), each sorted by id.
@@ -117,38 +107,6 @@ impl SuGraph {
         }
         comps
     }
-
-    /// Breadth-first shortest hop path between two nodes, if connected.
-    pub fn shortest_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        use std::collections::VecDeque;
-        if from == to {
-            return Some(vec![from]);
-        }
-        let n = self.nodes.len();
-        let mut prev = vec![usize::MAX; n];
-        let mut q = VecDeque::new();
-        q.push_back(from);
-        prev[from] = from;
-        while let Some(u) = q.pop_front() {
-            for &v in &self.adjacency[u] {
-                if prev[v] == usize::MAX {
-                    prev[v] = u;
-                    if v == to {
-                        let mut path = vec![to];
-                        let mut cur = to;
-                        while cur != from {
-                            cur = prev[cur];
-                            path.push(cur);
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    q.push_back(v);
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -165,8 +123,8 @@ mod tests {
     #[test]
     fn edges_respect_range() {
         let g = SuGraph::build(line_nodes(10.0, 4), 10.0);
-        assert!(g.has_edge(0, 1));
-        assert!(!g.has_edge(0, 2));
+        assert!(g.neighbours(0).contains(&1));
+        assert!(!g.neighbours(0).contains(&2));
         assert_eq!(g.n_edges(), 3);
         assert_eq!(g.degree(1), 2);
     }
@@ -177,7 +135,7 @@ mod tests {
         nodes[1].alive = false;
         let g = SuGraph::build(nodes, 10.0);
         assert_eq!(g.degree(1), 0);
-        assert!(!g.has_edge(0, 1));
+        assert!(!g.neighbours(0).contains(&1));
         // 0 and 2 are now disconnected
         assert_eq!(g.components().len(), 2);
     }
@@ -194,30 +152,5 @@ mod tests {
         let g = SuGraph::build(nodes, 10.0);
         let comps = g.components();
         assert_eq!(comps, vec![vec![0, 1], vec![2, 3]]);
-    }
-
-    #[test]
-    fn bfs_path_on_a_line() {
-        let g = SuGraph::build(line_nodes(10.0, 5), 10.0);
-        assert_eq!(g.shortest_path(0, 4), Some(vec![0, 1, 2, 3, 4]));
-        assert_eq!(g.shortest_path(2, 2), Some(vec![2]));
-    }
-
-    #[test]
-    fn bfs_none_when_disconnected() {
-        let g = SuGraph::build(line_nodes(100.0, 3), 10.0);
-        assert!(g.shortest_path(0, 2).is_none());
-    }
-
-    #[test]
-    fn bfs_prefers_fewest_hops() {
-        // triangle plus a long way around: direct edge wins
-        let nodes = vec![
-            SuNode::new(0, Point::new(0.0, 0.0), 1.0),
-            SuNode::new(1, Point::new(8.0, 0.0), 1.0),
-            SuNode::new(2, Point::new(4.0, 6.0), 1.0),
-        ];
-        let g = SuGraph::build(nodes, 9.0);
-        assert_eq!(g.shortest_path(0, 1).unwrap().len(), 2);
     }
 }

@@ -16,8 +16,6 @@
 //! * a **spanning-tree routing backbone** over the head nodes, used for
 //!   multi-hop data relay, with reconfiguration on node failure —
 //!   [`comimonet`];
-//! * **CSMA/CA** at the link layer, simulated on the `comimo-sim`
-//!   discrete-event engine — [`mac`];
 //! * route-level energy accounting with the `comimo-energy` model —
 //!   [`comimonet::CoMimoNet::route_energy_per_bit`];
 //! * minimum-energy routing over the full cluster graph (Dijkstra), for
@@ -38,7 +36,6 @@ pub mod comimonet;
 pub mod graph;
 pub mod grid;
 pub mod lifetime;
-pub mod mac;
 pub mod node;
 pub mod recruit;
 pub mod report;

@@ -20,7 +20,7 @@
 //! outcome is bit-identical regardless of event interleaving or thread
 //! count — the same split-stream discipline the Monte-Carlo engine uses.
 
-use crate::cluster::ClusterError;
+use crate::cluster::{head_order, ClusterError};
 use crate::graph::SuGraph;
 use comimo_math::rng::{derive, SeededRng};
 use comimo_sim::{ShardedEventQueue, SimTime};
@@ -109,12 +109,7 @@ fn elect_local(
                     && !locally_dead.contains(&m)
                     && !(honor_exclusion && excluded.contains(&m))
             })
-            .max_by(|&&a, &&b| {
-                let (na, nb) = (&graph.nodes()[a], &graph.nodes()[b]);
-                // total_cmp: a NaN battery (corrupt telemetry) sorts instead
-                // of panicking mid-protocol
-                na.battery_j.total_cmp(&nb.battery_j).then(b.cmp(&a))
-            })
+            .max_by(|&&a, &&b| head_order(graph, a, b))
             .copied()
     };
     // a cluster whose every live member is quarantined still needs a

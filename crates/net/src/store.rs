@@ -174,15 +174,6 @@ impl NodeStore {
         self.cluster[i]
     }
 
-    /// Checked cluster accessor: `Ok(None)` for an alive unclustered node.
-    pub fn try_cluster_of(&self, id: u32) -> Result<Option<u32>, StoreError> {
-        let i = self.check(id)?;
-        Ok(match self.cluster[i] {
-            NO_CLUSTER => None,
-            c => Some(c),
-        })
-    }
-
     /// Assigns `id` to cluster `c` (or [`NO_CLUSTER`]).
     pub fn set_cluster(&mut self, id: u32, c: u32) {
         let i = self.check(id).unwrap_or_else(|e| panic!("{e}"));
@@ -195,11 +186,6 @@ impl NodeStore {
         let i = self.check(id).unwrap_or_else(|e| panic!("{e}"));
         self.battery_j[i] = (self.battery_j[i] - j).max(0.0);
         self.battery_j[i]
-    }
-
-    /// Ids of all alive nodes, ascending.
-    pub fn iter_alive(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.xs.len() as u32).filter(move |&id| self.is_alive(id))
     }
 }
 
@@ -230,9 +216,9 @@ mod tests {
     fn cluster_assignment_and_checked_accessors() {
         let mut s = NodeStore::new();
         let a = s.insert(0.0, 0.0, 10.0);
-        assert_eq!(s.try_cluster_of(a), Ok(None));
+        assert_eq!(s.cluster_of(a), NO_CLUSTER);
         s.set_cluster(a, 7);
-        assert_eq!(s.try_cluster_of(a), Ok(Some(7)));
+        assert_eq!(s.cluster_of(a), 7);
         assert_eq!(s.try_pos(99), Err(StoreError::UnknownNode(99)));
         assert!(s.kill(a));
         s.release(a);
@@ -250,13 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn iter_alive_skips_dead_and_released() {
+    fn kill_and_release_leave_the_rest_alive() {
         let mut s = NodeStore::new();
         let ids: Vec<u32> = (0..5).map(|i| s.insert(i as f64, 0.0, 1.0)).collect();
         s.kill(ids[1]);
         s.kill(ids[3]);
         s.release(ids[3]);
-        assert_eq!(s.iter_alive().collect::<Vec<_>>(), vec![0, 2, 4]);
+        let alive: Vec<bool> = ids.iter().map(|&id| s.is_alive(id)).collect();
+        assert_eq!(alive, [true, false, true, false, true]);
         assert_eq!(s.alive_count(), 3);
     }
 

@@ -745,6 +745,38 @@ mod tests {
         e.validate().unwrap();
     }
 
+    /// A head re-election picks the node `cluster::try_elect_head` picks
+    /// over the same surviving roster, exact battery ties included.
+    #[test]
+    fn head_reelection_agrees_with_try_elect_head() {
+        use crate::cluster::try_elect_head;
+        use crate::graph::SuGraph;
+        use crate::node::SuNode;
+        use comimo_channel::geometry::Point;
+        let batteries = [100.0, 80.0, 40.0, 80.0, 80.0, 100.0];
+        let mut e = TopologyEngine::new(cfg());
+        let mut nodes = Vec::new();
+        for (i, &b) in batteries.iter().enumerate() {
+            let (x, y) = (10.0 + 2.0 * i as f64, 10.0);
+            assert_eq!(e.join(x, y, b).unwrap().node, i as u32);
+            nodes.push(SuNode::new(i, Point::new(x, y), b));
+        }
+        let c = e.store().cluster_of(0);
+        let roster: Vec<usize> = (0..nodes.len()).collect();
+        // heads in turn: 0 (ties 5), 5, 1 (ties 3, 4), 3 (ties 4), 4
+        for _ in 0..4 {
+            let head = e.head(c).unwrap();
+            let g = SuGraph::build(nodes.clone(), 30.0);
+            assert_eq!(head as usize, try_elect_head(&g, &roster).unwrap());
+            e.death(head).unwrap();
+            nodes[head as usize].alive = false;
+        }
+        let g = SuGraph::build(nodes, 30.0);
+        assert_eq!(e.head(c).unwrap(), 4);
+        assert_eq!(try_elect_head(&g, &roster).unwrap(), 4);
+        e.validate().unwrap();
+    }
+
     #[test]
     fn death_reelects_head_and_retires_empty_clusters() {
         let mut e = TopologyEngine::new(cfg());

@@ -14,12 +14,11 @@
 //!
 //! (This is the chi-square test in its gamma form: `2T ~ χ²(2N)` under
 //! `H0`.) The constant-false-alarm-rate threshold inverts the `Pfa`
-//! expression by bisection; the classic CLT/Q-function approximations
-//! are provided for cross-checks against the literature's formulas.
+//! expression by bisection.
 
 use comimo_math::rng::gamma;
 use comimo_math::roots::bisect;
-use comimo_math::special::{gamma_cdf, q_function};
+use comimo_math::special::gamma_cdf;
 use rand::Rng;
 use serde::Serialize;
 
@@ -79,20 +78,6 @@ impl EnergyDetector {
     pub fn pd(&self, snr: f64) -> f64 {
         assert!(snr >= 0.0);
         1.0 - gamma_cdf(self.n_samples as f64, self.threshold / (1.0 + snr))
-    }
-
-    /// CLT approximation of [`Self::pfa`]: `Q((λ − N) / √N)`.
-    pub fn pfa_clt(&self) -> f64 {
-        let n = self.n_samples as f64;
-        q_function((self.threshold - n) / n.sqrt())
-    }
-
-    /// CLT approximation of [`Self::pd`]:
-    /// `Q((λ − N(1+γ)) / (√N · (1+γ)))`.
-    pub fn pd_clt(&self, snr: f64) -> f64 {
-        let n = self.n_samples as f64;
-        let m = 1.0 + snr;
-        q_function((self.threshold - n * m) / (n.sqrt() * m))
     }
 
     /// Draws one energy statistic at linear SNR `snr` (`0.0` for `H0`):
@@ -184,20 +169,6 @@ mod tests {
         assert!((det.pfa() - (-lam).exp() * (1.0 + lam)).abs() < 1e-12);
         let s = lam / 4.0; // γ = 3
         assert!((det.pd(3.0) - (-s).exp() * (1.0 + s)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clt_approximation_converges_to_the_exact_law_at_large_n() {
-        let det = EnergyDetector::from_target_pfa(500, 0.05);
-        assert!((det.pfa_clt() - det.pfa()).abs() < 0.01);
-        for snr in [0.05, 0.1, 0.2] {
-            assert!(
-                (det.pd_clt(snr) - det.pd(snr)).abs() < 0.01,
-                "snr {snr}: clt {} vs exact {}",
-                det.pd_clt(snr),
-                det.pd(snr)
-            );
-        }
     }
 
     #[test]

@@ -58,12 +58,6 @@ impl MarkovOnOff {
         }
     }
 
-    /// Mean ON-burst length in slots (`1 / p10`; infinite if the ON
-    /// state is absorbing).
-    pub fn mean_on_slots(&self) -> f64 {
-        1.0 / self.p_on_to_off
-    }
-
     /// Samples `n_slots` of occupancy for `channel`, starting from the
     /// stationary distribution — a pure function of
     /// `(self, seed, channel, n_slots)`.
@@ -134,10 +128,10 @@ mod tests {
             }
         }
         let mean = comimo_math::stats::mean(&bursts);
+        let expected = 1.0 / chain.p_on_to_off;
         assert!(
-            (mean - chain.mean_on_slots()).abs() < 0.3,
-            "mean burst {mean} vs {}",
-            chain.mean_on_slots()
+            (mean - expected).abs() < 0.3,
+            "mean burst {mean} vs {expected}"
         );
     }
 }

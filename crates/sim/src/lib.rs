@@ -1,35 +1,27 @@
 //! # comimo-sim
 //!
-//! A small deterministic discrete-event simulation engine, built for the
-//! CoMIMONet link layer: the paper's Section 2.1 fixes "Carrier Sense
-//! Multiple Access with Collision Avoidance (CSMA/CA) is used to avoid the
-//! communication collisions at the link layer", and `comimo-net` implements
-//! that MAC on top of this engine.
+//! A small deterministic discrete-event simulation engine: the clock,
+//! the one scheduler and the one fan-out that cluster recruitment, fault
+//! injection, the chaos replay and the million-SU topology engine run on.
 //!
 //! * [`time::SimTime`] — integer nanoseconds, total ordering, no float
 //!   drift;
 //! * [`sharded::ShardedEventQueue`] — the one scheduler: a queue sharded
 //!   by spatial region with a canonical `(time, shard, unit, seq)` pop
 //!   order. With one shard and unit 0 it pops in `(time, schedule
-//!   order)`, which is how the MAC, recruitment, fault injection and the
-//!   chaos replay run; the million-SU topology engine spreads it over
-//!   regions and drains slots serially or on the rayon pool;
+//!   order)`, which is how recruitment, fault injection and the chaos
+//!   replay run; the million-SU topology engine spreads it over regions
+//!   and drains slots serially or on the rayon pool;
 //! * [`sharded::map_shards`] — the one order-stable fan-out and the
 //!   workspace's only parallelism decision: it runs on the rayon pool
 //!   when it has more than one item, the pool more than one thread and
 //!   the caller is not a worker of a map that fills the pool (at least as
 //!   many items as threads), and inline otherwise, so a map below one
 //!   that keeps every thread busy spawns no second level of workers. `RAYON_NUM_THREADS=1` forces one thread at run time;
-//!   without the `parallel` feature no rayon is linked;
-//! * [`medium::Medium`] — a shared broadcast medium over an arbitrary
-//!   adjacency relation with carrier sensing and collision detection
-//!   (two overlapping transmissions audible at the same receiver destroy
-//!   each other there).
+//!   without the `parallel` feature no rayon is linked.
 
-pub mod medium;
 pub mod sharded;
 pub mod time;
 
-pub use medium::{Medium, TxId, TxOutcome, UnknownTxId};
 pub use sharded::{map_shards, ShardKey, ShardedEventQueue};
 pub use time::SimTime;

@@ -20,9 +20,9 @@
 //!
 //! With one shard and a constant unit the order collapses to `(time,
 //! seq)`: same-instant events pop in schedule (FIFO) order, including
-//! events scheduled at `now()` while the drain is running. The CSMA/CA
-//! MAC, cluster recruitment, fault injection and the chaos replay all
-//! run on that one-shard form.
+//! events scheduled at `now()` while the drain is running. Cluster
+//! recruitment, fault injection and the chaos replay all run on that
+//! one-shard form.
 //!
 //! Parallelism happens at slot granularity: [`ShardedEventQueue::drain_up_to`]
 //! pops everything due in the slot grouped per shard (each group already

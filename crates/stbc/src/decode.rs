@@ -260,16 +260,6 @@ pub fn decode_block(code: &Ostbc, h: &CMatrix, y: &CMatrix) -> Vec<Complex> {
     out
 }
 
-/// Post-combining SNR per symbol of an OSTBC over channel `h`, for symbol
-/// energy `es` per antenna-normalised block and complex noise variance
-/// `n0`: `γ = ‖H‖_F²·es / (mt·n0)`.
-///
-/// This is exactly the paper's `γ_b` in equations (5)–(6) with `es = ē_b`.
-pub fn post_combining_snr(h: &CMatrix, es: f64, n0: f64) -> f64 {
-    assert!(es >= 0.0 && n0 > 0.0);
-    h.frobenius_norm_sqr() * es / (h.cols() as f64 * n0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,14 +364,6 @@ mod tests {
         let x = solve_real(&a, &[2.0, 3.0]);
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn post_combining_snr_formula() {
-        let h = CMatrix::from_vec(1, 2, vec![Complex::new(1.0, 0.0), Complex::new(0.0, 2.0)]);
-        // ||H||² = 5, mt = 2: γ = 5·es/(2·n0)
-        let g = post_combining_snr(&h, 4.0, 0.5);
-        assert!((g - 5.0 * 4.0 / (2.0 * 0.5)).abs() < 1e-12);
     }
 
     #[test]

@@ -152,26 +152,6 @@ impl Ostbc {
         });
     }
 
-    /// Average transmit energy per slot per antenna, for unit-energy
-    /// symbols (used to normalise power across designs).
-    pub fn energy_per_antenna_slot(&self) -> f64 {
-        // For each (slot, ant): E|X|² with iid unit symbols = Σ_k (|a|²+|b|²)
-        // under circular symmetry *except* when both a and b hit the same k
-        // (real/imag extraction); handle that exactly:
-        // X = a s + b s*, E|X|² = |a|² + |b|² + 2 Re(a b* E[s²]) and
-        // E[s²] = 0 for proper constellations, so |a|²+|b|² is exact.
-        let mut total = 0.0;
-        for slot in 0..self.n_slots {
-            for ant in 0..self.n_tx {
-                for k in 0..self.n_symbols {
-                    total +=
-                        self.a_coef(slot, ant, k).norm_sqr() + self.b_coef(slot, ant, k).norm_sqr();
-                }
-            }
-        }
-        total / (self.n_slots * self.n_tx) as f64
-    }
-
     fn blank(kind: StbcKind, n_tx: usize, n_symbols: usize, n_slots: usize) -> Self {
         Self {
             kind,
@@ -426,15 +406,6 @@ mod tests {
             for ant in 0..3 {
                 assert!(x3[(slot, ant)].approx_eq(x4[(slot, ant)], 1e-12));
             }
-        }
-    }
-
-    #[test]
-    fn energy_per_antenna_slot_positive_and_sane() {
-        for kind in all_kinds() {
-            let c = Ostbc::new(kind);
-            let e = c.energy_per_antenna_slot();
-            assert!(e > 0.0 && e <= 1.5, "{kind:?}: energy/slot/antenna {e}");
         }
     }
 

@@ -131,11 +131,6 @@ impl SimConstellation {
         let ki = ((x.im * inv + max) * 0.5 + 0.5).min(max) as u32;
         ((kr ^ (kr >> 1)) << (self.bits_per_symbol / 2)) | (ki ^ (ki >> 1))
     }
-
-    /// Average symbol energy (≈ 1 by construction).
-    pub fn avg_energy(&self) -> f64 {
-        self.points.iter().map(|p| p.norm_sqr()).sum::<f64>() / self.points.len() as f64
-    }
 }
 
 fn gray_decode(mut g: u32) -> u32 {
@@ -305,11 +300,11 @@ mod tests {
         for b in [1u32, 2, 4, 6] {
             let c = SimConstellation::new(b);
             assert_eq!(c.size(), 1 << b);
-            assert!(
-                (c.avg_energy() - 1.0).abs() < 1e-12,
-                "b={b}: E={}",
-                c.avg_energy()
-            );
+            let energy = (0..c.size() as u32)
+                .map(|i| c.map(i).norm_sqr())
+                .sum::<f64>()
+                / c.size() as f64;
+            assert!((energy - 1.0).abs() < 1e-12, "b={b}: E={energy}");
         }
     }
 

@@ -11,7 +11,7 @@
 //! at the cooperative receiver. The simulator mirrors each piece:
 //!
 //! * [`usrp`] — front-end model: the GNU-Radio-style integer amplitude
-//!   setting (0..32767) mapping to transmit scale, carrier at 2.45 GHz;
+//!   setting (0..32767) mapping to transmit scale;
 //! * [`calib`] — link calibration: mean SNR at a reference distance, Friis
 //!   roll-off, obstacle excess loss (from `comimo-channel`);
 //! * [`bpsk_link`] — packet-level BPSK links with per-packet block fading

@@ -12,9 +12,6 @@ use serde::{Deserialize, Serialize};
 /// DAC full scale of the USRP1 (signed 16-bit).
 pub const DAC_FULL_SCALE: f64 = 32767.0;
 
-/// Carrier frequency of the RFX2400 daughterboard configuration (Hz).
-pub const RFX2400_CARRIER_HZ: f64 = 2.45e9;
-
 /// Bit rate used in every experiment (paper: "the bit rates in the
 /// transmissions are all set to 250 kbps").
 pub const BIT_RATE_BPS: f64 = 250_000.0;
@@ -24,21 +21,16 @@ pub const BIT_RATE_BPS: f64 = 250_000.0;
 pub struct UsrpFrontEnd {
     /// GNU-Radio integer amplitude setting (0..=32767).
     pub amplitude: u32,
-    /// Carrier frequency (Hz).
-    pub carrier_hz: f64,
 }
 
 impl UsrpFrontEnd {
-    /// Builds a front end at the RFX2400 carrier with the given amplitude.
+    /// Builds a front end with the given amplitude.
     pub fn new(amplitude: u32) -> Self {
         assert!(
             amplitude as f64 <= DAC_FULL_SCALE,
             "amplitude beyond DAC range"
         );
-        Self {
-            amplitude,
-            carrier_hz: RFX2400_CARRIER_HZ,
-        }
+        Self { amplitude }
     }
 
     /// Baseband amplitude scale in `[0, 1]`.
@@ -50,16 +42,6 @@ impl UsrpFrontEnd {
     pub fn power_scale(&self) -> f64 {
         let a = self.amplitude_scale();
         a * a
-    }
-
-    /// Transmit power change in dB relative to another amplitude setting.
-    pub fn power_delta_db(&self, other: &UsrpFrontEnd) -> f64 {
-        10.0 * (self.power_scale() / other.power_scale()).log10()
-    }
-
-    /// Carrier wavelength (m).
-    pub fn wavelength_m(&self) -> f64 {
-        299_792_458.0 / self.carrier_hz
     }
 }
 
@@ -80,16 +62,10 @@ mod tests {
         let a800 = UsrpFrontEnd::new(800);
         let a600 = UsrpFrontEnd::new(600);
         let a400 = UsrpFrontEnd::new(400);
-        assert!((a800.power_delta_db(&a400) - 6.0206).abs() < 1e-3);
-        assert!((a800.power_delta_db(&a600) - 2.4988).abs() < 1e-3);
-    }
-
-    #[test]
-    fn rfx2400_wavelength() {
-        let fe = UsrpFrontEnd::new(1000);
-        // 2.45 GHz → 12.24 cm (the paper's λ = 0.1199 m corresponds to
-        // 2.5 GHz, the top of the RFX2400 band)
-        assert!((fe.wavelength_m() - 0.12236).abs() < 1e-4);
+        let delta_db =
+            |a: UsrpFrontEnd, b: UsrpFrontEnd| 10.0 * (a.power_scale() / b.power_scale()).log10();
+        assert!((delta_db(a800, a400) - 6.0206).abs() < 1e-3);
+        assert!((delta_db(a800, a600) - 2.4988).abs() < 1e-3);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! Deploys a random field of secondary users, forms the d-clustering and
 //! the spanning-tree backbone (paper Section 2.1), routes a flow across
 //! the backbone with cooperative MIMO hops (Algorithm 2), accounts the
-//! per-hop energy with the Cui–Goldsmith model, checks the noise-floor
-//! margin at a primary receiver, and exercises the CSMA/CA link layer.
+//! per-hop energy with the Cui–Goldsmith model, and checks the
+//! noise-floor margin at a primary receiver.
 
 use comimo::channel::pathloss::SquareLawLongHaul;
 use comimo::core::underlay::{Underlay, UnderlayConfig};
@@ -16,9 +16,7 @@ use comimo::energy::model::EnergyModel;
 use comimo::net::cluster::SeedOrder;
 use comimo::net::comimonet::{CoMimoNet, ForwardPolicy};
 use comimo::net::graph::SuGraph;
-use comimo::net::mac::{CsmaSim, MacConfig, MacFrame};
 use comimo::net::node::random_deployment;
-use comimo::sim::SimTime;
 
 fn main() {
     let mut rng = comimo::math::rng::seeded(42);
@@ -92,21 +90,4 @@ fn main() {
             u.noise_floor_margin_db(&a, &pl, d)
         );
     }
-
-    // ---------------- the CSMA/CA link layer ----------------
-    println!("\nCSMA/CA inside one collision domain (3 contending SUs):");
-    let adj = vec![vec![1, 2], vec![0, 2], vec![0, 1]];
-    let mut mac = CsmaSim::new(adj, MacConfig::default_250kbps(), 7);
-    for i in 0..40 {
-        mac.offer(MacFrame { src: 0, dst: 1 }, SimTime::from_millis(i * 5));
-        mac.offer(MacFrame { src: 2, dst: 1 }, SimTime::from_millis(i * 5));
-    }
-    let stats = mac.run(1_000_000);
-    println!(
-        "  delivered {}/{} frames, {} collisions, mean latency {:.1} ms",
-        stats.delivered,
-        stats.delivered + stats.dropped,
-        stats.collisions,
-        stats.mean_latency_s() * 1e3
-    );
 }

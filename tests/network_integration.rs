@@ -1,14 +1,12 @@
 //! Network-level integration: deployment → clustering → backbone →
-//! CSMA/CA → route energy → reconfiguration, all through the public API.
+//! route energy → reconfiguration, all through the public API.
 
 use comimo::energy::model::EnergyModel;
 use comimo::math::rng::seeded;
 use comimo::net::cluster::{validate_clustering, SeedOrder};
 use comimo::net::comimonet::{CoMimoNet, ForwardPolicy};
 use comimo::net::graph::SuGraph;
-use comimo::net::mac::{CsmaSim, MacConfig, MacFrame};
 use comimo::net::node::random_deployment;
-use comimo::sim::SimTime;
 
 fn build_net(seed: u64, n: usize) -> CoMimoNet {
     let mut rng = seeded(seed);
@@ -74,34 +72,6 @@ fn route_energy_scales_with_hop_count() {
     assert!(
         full > half,
         "longer routes must cost more: {full:e} vs {half:e}"
-    );
-}
-
-#[test]
-fn mac_runs_over_the_formed_topology() {
-    let net = build_net(11, 40);
-    let adjacency: Vec<Vec<usize>> = net.graph().adjacency().to_vec();
-    // pick a connected pair of SU nodes
-    let (src, dst) = {
-        let mut found = None;
-        for i in 0..net.graph().len() {
-            if let Some(&j) = net.graph().neighbours(i).first() {
-                found = Some((i, j));
-                break;
-            }
-        }
-        found.expect("some edge exists")
-    };
-    let mut sim = CsmaSim::new(adjacency, MacConfig::default_250kbps(), 3);
-    for i in 0..20 {
-        sim.offer(MacFrame { src, dst }, SimTime::from_millis(i * 60));
-    }
-    let stats = sim.run(1_000_000);
-    assert_eq!(stats.delivered + stats.dropped, 20);
-    assert!(
-        stats.delivery_ratio() > 0.9,
-        "ratio {}",
-        stats.delivery_ratio()
     );
 }
 
