@@ -5,8 +5,7 @@
 
 use comimo_bench::tables::render_table;
 use comimo_energy::model::EnergyModel;
-use comimo_net::cluster::SeedOrder;
-use comimo_net::comimonet::{CoMimoNet, ForwardPolicy};
+use comimo_net::comimonet::CoMimoNet;
 use comimo_net::graph::SuGraph;
 use comimo_net::lifetime::{run_lifetime, LifetimeConfig};
 use comimo_net::node::random_deployment;
@@ -16,7 +15,7 @@ fn build(seed: u64, n: usize, battery: f64, max_cluster: usize) -> CoMimoNet {
     let mut rng = comimo_math::rng::seeded(seed);
     let nodes = random_deployment(&mut rng, n, 450.0, 450.0, battery);
     let graph = SuGraph::build(nodes, 80.0);
-    CoMimoNet::build(graph, 40.0, max_cluster, SeedOrder::DegreeGreedy, 650.0)
+    CoMimoNet::build(graph, 40.0, max_cluster, 650.0)
 }
 
 fn main() {
@@ -73,16 +72,7 @@ fn main() {
         if a >= b {
             break;
         }
-        if let Some((bb, opt)) = backbone_vs_optimal(
-            &net,
-            &model,
-            1e-3,
-            40e3,
-            1e4,
-            a,
-            b,
-            ForwardPolicy::AllMembers,
-        ) {
+        if let Some((bb, opt)) = backbone_vs_optimal(&net, &model, 1e-3, 40e3, 1e4, a, b) {
             route_rows.push(vec![
                 format!("{a} -> {b}"),
                 format!("{bb:.3e}"),

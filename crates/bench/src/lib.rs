@@ -1,19 +1,15 @@
 //! # comimo-bench
 //!
 //! The benchmark harness that regenerates **every table and figure** of
-//! the paper's evaluation (Section 6). Each artefact has:
-//!
-//! * a binary (`cargo run --release -p comimo-bench --bin <name>`) that
-//!   prints the same rows/series the paper reports:
-//!   `fig6`, `fig7`, `table1`, `table2`, `table3`, `table4`, `fig8`;
-//! * a Criterion bench (`cargo bench -p comimo-bench`) timing the
-//!   regeneration, plus ablation benches for the design choices called
-//!   out in DESIGN.md §5.
+//! the paper's evaluation (Section 6). Each artefact has a binary
+//! (`cargo run --release -p comimo-bench --bin <name>`) that prints the
+//! same rows/series the paper reports: `fig6`, `fig7`, `table1`,
+//! `table2`, `table3`, `table4`, `fig8`.
 //!
 //! The runner functions in this library return structured data so the
-//! binaries, the Criterion benches and the integration tests all share
-//! one code path. The perf bins (`mcperf`, `netperf`) share their timing
-//! and trajectory plumbing through [`perf`].
+//! binaries and the integration tests share one code path. The perf bins
+//! (`mcperf`, `netperf`) share their timing and trajectory plumbing
+//! through [`perf`].
 
 pub mod perf;
 pub mod runners;

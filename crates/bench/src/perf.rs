@@ -35,7 +35,7 @@ pub fn bench<R: PartialEq + std::fmt::Debug>(mut f: impl FnMut() -> R) -> (Vec<f
     (times, result.unwrap())
 }
 
-/// Median of the ascending times [`bench`] returns.
+/// Median of the ascending times [`bench()`] returns.
 pub fn median(times: &[f64]) -> f64 {
     times[times.len() / 2]
 }

@@ -518,7 +518,7 @@ pub struct ByzVerdict {
 }
 
 impl ByzVerdict {
-    /// The acceptance criterion: weighting restores what its absence
+    /// The acceptance bar: weighting restores what its absence
     /// measurably loses.
     pub fn holds(&self) -> bool {
         self.restored && self.violated
@@ -686,7 +686,7 @@ mod tests {
         assert_eq!(hot, sense_sweep_noisy(4.0), "pure function of (λ, seed)");
     }
 
-    /// The paper byzantine axis meets the acceptance criterion sensebench
+    /// The paper byzantine axis meets the acceptance bar sensebench
     /// asserts: at `f = ⌊(n−1)/3⌋` always-no adversaries the unweighted
     /// head's fused Pd collapses below the floor while the
     /// reputation-weighted head, fusing the same falsified draws,

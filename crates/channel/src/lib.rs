@@ -16,10 +16,10 @@
 //!
 //! Modules:
 //! * [`geometry`] — 2-D points, angles (`∠PrSt1St2` of Section 5), segments;
-//! * [`pathloss`] — the two path-loss laws plus Friis free space;
+//! * [`pathloss`] — the two path-loss laws;
 //! * [`fading`] — block Rayleigh / Rician fading and channel matrices;
 //! * [`obstacle`] — wall segments with penetration loss;
-//! * [`link`] — link budget: received power, SNR, noise floor, margins.
+//! * [`link`] — the thermal noise floor.
 
 pub mod fading;
 pub mod geometry;
@@ -29,5 +29,4 @@ pub mod pathloss;
 
 pub use fading::{BlockRayleigh, FadingChannel, Rician};
 pub use geometry::Point;
-pub use link::{noise_floor_watts, LinkBudget};
-pub use pathloss::{FriisFreeSpace, KappaLaw, PathLoss, SquareLawLongHaul};
+pub use pathloss::{KappaLaw, PathLoss, SquareLawLongHaul};

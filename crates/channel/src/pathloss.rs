@@ -134,31 +134,6 @@ impl PathLoss for SquareLawLongHaul {
     }
 }
 
-/// Classic Friis free-space loss `(4πd/λ)²` (no margins) — used by the
-/// testbed simulator for short indoor line-of-sight segments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FriisFreeSpace {
-    /// Carrier wavelength in metres.
-    pub lambda_m: f64,
-}
-
-impl FriisFreeSpace {
-    /// Free-space law at wavelength `lambda_m`.
-    pub fn new(lambda_m: f64) -> Self {
-        assert!(lambda_m > 0.0);
-        Self { lambda_m }
-    }
-}
-
-impl PathLoss for FriisFreeSpace {
-    fn loss_factor(&self, d: f64) -> f64 {
-        assert!(d >= 0.0);
-        let d = d.max(self.lambda_m); // far-field guard
-        let x = 4.0 * std::f64::consts::PI * d / self.lambda_m;
-        x * x
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,17 +157,6 @@ mod tests {
         let pl = SquareLawLongHaul::paper_defaults();
         let d = pl.loss_db(1000.0) - pl.loss_db(100.0);
         assert!((d - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn friis_anchor_2_45ghz() {
-        // loss at 1 m, 2.45 GHz is ~40.2 dB
-        let pl = FriisFreeSpace::new(299_792_458.0 / 2.45e9);
-        assert!(
-            (pl.loss_db(1.0) - 40.23).abs() < 0.1,
-            "got {}",
-            pl.loss_db(1.0)
-        );
     }
 
     #[test]

@@ -143,7 +143,8 @@ pub enum Observation {
         soft_path: bool,
         /// Whether a reputation view weighted the soft rung.
         weighted: bool,
-        /// The rung that decided ([`RuleUsed::rung_index`] encoding:
+        /// The rung that decided
+        /// ([`comimo_sensing::fusion::RuleUsed::rung_index`] encoding:
         /// 0 = weighted LLR, 1 = hard decode, 2 = OR fallback,
         /// 3 = head local).
         rung: u8,

@@ -24,7 +24,7 @@
 //!    `(config, events)`. The same world walks each paradigm alone into
 //!    a degradation report (delivery, BER, energy, and the registry's
 //!    verdict on its slots) — the tables `faultbench` prints.
-//! 3. **[`explore`]** — randomized-but-deterministic fault campaigns:
+//! 3. **[`explore`](mod@explore)** — randomized-but-deterministic fault campaigns:
 //!    run `r` of master seed `s` derives `(run_seed, λ)` with the
 //!    workspace's split-stream RNG, scales the nominal fault taxonomy,
 //!    and checks the whole horizon. Soak mode batches sweeps under a

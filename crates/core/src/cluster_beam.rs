@@ -92,7 +92,7 @@ fn channel_rank(nodes: &[Point]) -> Vec<u32> {
 
 impl ClusterBeamformer {
     /// Pairs up the cluster's nodes: anchors are taken in RC-C2 channel
-    /// rank order ([`channel_rank`]) and each anchor is matched with its
+    /// rank order (`channel_rank`) and each anchor is matched with its
     /// exact nearest unpaired neighbour (short pairs keep the far-field
     /// approximation of the delay formula accurate — the formula "is
     /// accurate when the distance between St1 and Pr is much larger than

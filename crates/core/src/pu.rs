@@ -26,20 +26,4 @@ impl PrimaryPair {
     pub fn new(tx: Point, rx: Point, channel: usize) -> Self {
         Self { tx, rx, channel }
     }
-
-    /// Link length `Pt → Pr`.
-    pub fn link_length(&self) -> f64 {
-        self.tx.distance(self.rx)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn link_length() {
-        let p = PrimaryPair::new(Point::new(0.0, 0.0), Point::new(250.0, 0.0), 3);
-        assert!((p.link_length() - 250.0).abs() < 1e-12);
-    }
 }

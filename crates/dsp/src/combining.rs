@@ -2,9 +2,8 @@
 //!
 //! "The equal gain combination is used for overlay systems" (paper,
 //! Section 6.4): the receiver hears the same packet over several branches
-//! (direct + relayed copies) and combines them before slicing. EGC is the
-//! paper's choice; selection combining and MRC are provided for the
-//! ablation bench (DESIGN.md §5).
+//! (direct + relayed copies) and combines them before slicing with EGC,
+//! the paper's choice (DESIGN.md §5).
 
 use comimo_math::complex::Complex;
 
@@ -30,40 +29,6 @@ pub fn egc_combine(branches: &[Vec<Complex>], gains: &[Complex]) -> Vec<Complex>
         }
     }
     out
-}
-
-/// Maximum-ratio combining: weights each branch by the conjugate of its
-/// gain (optimal for equal noise powers).
-pub fn mrc_combine(branches: &[Vec<Complex>], gains: &[Complex]) -> Vec<Complex> {
-    validate(branches, gains);
-    let n = branches[0].len();
-    let mut out = vec![Complex::zero(); n];
-    for (branch, &g) in branches.iter().zip(gains) {
-        let w = g.conj();
-        for (o, &s) in out.iter_mut().zip(branch) {
-            *o += s * w;
-        }
-    }
-    out
-}
-
-/// Selection combining: picks the branch with the largest |gain| and
-/// co-phases it.
-pub fn selection_combine(branches: &[Vec<Complex>], gains: &[Complex]) -> Vec<Complex> {
-    validate(branches, gains);
-    let best = gains
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).expect("NaN gain"))
-        .map(|(i, _)| i)
-        .expect("at least one branch");
-    let g = gains[best];
-    let un_rotate = if g.abs() > 0.0 {
-        (g / g.abs()).conj()
-    } else {
-        Complex::one()
-    };
-    branches[best].iter().map(|&s| s * un_rotate).collect()
 }
 
 fn validate(branches: &[Vec<Complex>], gains: &[Complex]) {
@@ -117,33 +82,8 @@ mod tests {
     }
 
     #[test]
-    fn mrc_weights_by_gain_magnitude() {
-        let sym = [Complex::real(1.0)];
-        let gains = [Complex::real(2.0), Complex::real(0.5)];
-        let branches: Vec<Vec<Complex>> = gains
-            .iter()
-            .map(|&g| sym.iter().map(|&s| s * g).collect())
-            .collect();
-        let out = mrc_combine(&branches, &gains);
-        // 2·2 + 0.5·0.5 = 4.25
-        assert!((out[0].re - 4.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn selection_picks_strongest() {
-        let sym = [Complex::real(1.0)];
-        let gains = [Complex::real(0.3), Complex::from_polar(1.5, 0.7)];
-        let branches: Vec<Vec<Complex>> = gains
-            .iter()
-            .map(|&g| sym.iter().map(|&s| s * g).collect())
-            .collect();
-        let out = selection_combine(&branches, &gains);
-        assert!((out[0].re - 1.5).abs() < 1e-12, "{:?}", out[0]);
-    }
-
-    #[test]
     fn combining_reduces_ber_over_single_branch() {
-        // BPSK over 2 Rayleigh branches: every combiner beats branch 0 alone
+        // BPSK over 2 Rayleigh branches: EGC beats branch 0 alone
         let mut rng = seeded(101);
         let n = 30_000;
         let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
@@ -151,7 +91,7 @@ mod tests {
             .iter()
             .map(|&b| Complex::real(if b { 1.0 } else { -1.0 }))
             .collect();
-        let mut errs = [0usize; 4]; // single, sc, egc, mrc
+        let mut errs = [0usize; 2]; // single, egc
         let block = 100;
         for blk in 0..n / block {
             let gains = [
@@ -164,12 +104,7 @@ mod tests {
                 .iter()
                 .map(|&s| s * (gains[0] / gains[0].abs()).conj())
                 .collect();
-            let outs = [
-                single,
-                selection_combine(&branches, &gains),
-                egc_combine(&branches, &gains),
-                mrc_combine(&branches, &gains),
-            ];
+            let outs = [single, egc_combine(&branches, &gains)];
             for (e, out) in errs.iter_mut().zip(&outs) {
                 for (v, &b) in out.iter().zip(&bits[blk * block..(blk + 1) * block]) {
                     if (v.re > 0.0) != b {
@@ -178,11 +113,7 @@ mod tests {
                 }
             }
         }
-        assert!(errs[1] < errs[0], "SC {} vs single {}", errs[1], errs[0]);
-        assert!(errs[2] < errs[0], "EGC {} vs single {}", errs[2], errs[0]);
-        assert!(errs[3] < errs[0], "MRC {} vs single {}", errs[3], errs[0]);
-        // MRC is optimal
-        assert!(errs[3] <= errs[2], "MRC {} vs EGC {}", errs[3], errs[2]);
+        assert!(errs[1] < errs[0], "EGC {} vs single {}", errs[1], errs[0]);
     }
 
     #[test]

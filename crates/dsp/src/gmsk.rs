@@ -190,19 +190,42 @@ mod tests {
         // GMSK's claim to fame: Gaussian shaping confines the spectrum.
         // Compare occupied bandwidth (99% power) against unfiltered MSK-ish
         // modulation (BT -> large approximates MSK).
-        use crate::fft::periodogram_psd;
         let bits = pn_sequence(71, 4096);
         let narrow = GmskModem::new(0.3, 4).modulate(&bits);
         let wide = GmskModem::new(3.0, 4).modulate(&bits);
+        // averaged power spectrum of Hann-windowed 256-sample segments by
+        // direct DFT; bin k sits at k/256 cycles/sample = k/64 cycles/bit
+        const N: usize = 256;
+        let twiddle: Vec<Complex> = (0..N)
+            .map(|m| Complex::cis(-std::f64::consts::TAU * m as f64 / N as f64))
+            .collect();
+        let hann: Vec<f64> = (0..N)
+            .map(|i| 0.5 - 0.5 * (std::f64::consts::TAU * i as f64 / (N - 1) as f64).cos())
+            .collect();
         let obw = |sig: &[Complex]| {
-            let (freqs, psd) = periodogram_psd(sig, 4.0, 1024);
-            let total: f64 = psd.iter().sum();
+            let mut power = [0.0f64; N];
+            for seg in sig.chunks_exact(N) {
+                for (k, p) in power.iter_mut().enumerate() {
+                    let x = seg
+                        .iter()
+                        .zip(&hann)
+                        .enumerate()
+                        .fold(Complex::zero(), |acc, (i, (&s, &w))| {
+                            acc + s * w * twiddle[(i * k) % N]
+                        });
+                    *p += x.norm_sqr();
+                }
+            }
+            let total: f64 = power.iter().sum();
             // fraction of power within |f| <= 0.35 cycles/bit
-            let inband: f64 = psd
+            let inband: f64 = power
                 .iter()
-                .zip(&freqs)
-                .filter(|(_, &f)| f.abs() <= 0.35)
-                .map(|(p, _)| p)
+                .enumerate()
+                .filter(|&(k, _)| {
+                    let f = (k as f64 - if k < N / 2 { 0.0 } else { N as f64 }) * 4.0 / N as f64;
+                    f.abs() <= 0.35
+                })
+                .map(|(_, p)| p)
                 .sum();
             inband / total
         };

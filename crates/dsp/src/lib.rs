@@ -8,15 +8,12 @@
 //! * **GMSK** modulation/demodulation "for underlay systems"
 //!   (waveform-level: Gaussian pulse shaping + phase integration,
 //!   discriminator + integrate-and-dump receive);
-//! * **equal gain combination** "for overlay systems" (plus SC and MRC for
-//!   the ablation benches);
+//! * **equal gain combination** "for overlay systems";
 //! * 1500-byte packets with CRC framing (underlay experiment transfers an
 //!   image "with 474 packets"; packet error detection needs a real CRC).
 //!
 //! Supporting machinery: bit/byte utilities ([`bits`]), CRC-32 ([`crc`]),
-//! the Gaussian pulse-shaping FIR ([`fir`]), a radix-2 FFT with a
-//! periodogram PSD estimator ([`fft`]) used by GMSK's spectral checks, the
-//! BPSK modem ([`modem`]), the GMSK waveform modem ([`gmsk`]), packet
+//! the Gaussian pulse-shaping FIR ([`fir`]), the BPSK modem ([`modem`]), the GMSK waveform modem ([`gmsk`]), packet
 //! framing ([`frame`]), the rate-1/2 convolutional code ([`fec`]) and
 //! diversity combining ([`combining`]).
 
@@ -24,13 +21,12 @@ pub mod bits;
 pub mod combining;
 pub mod crc;
 pub mod fec;
-pub mod fft;
 pub mod fir;
 pub mod frame;
 pub mod gmsk;
 pub mod modem;
 
-pub use combining::{egc_combine, mrc_combine, selection_combine};
+pub use combining::egc_combine;
 pub use frame::{Frame, FrameCodec};
 pub use gmsk::GmskModem;
 pub use modem::Bpsk;

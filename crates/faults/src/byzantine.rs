@@ -108,14 +108,6 @@ impl ByzantineConfig {
         }
     }
 
-    /// `f` always-yes starvers.
-    pub fn always_yes(f: usize) -> Self {
-        Self {
-            n_always_yes: f,
-            ..Self::none()
-        }
-    }
-
     /// `f` lockstep coalition members.
     pub fn coalition(f: usize) -> Self {
         Self {

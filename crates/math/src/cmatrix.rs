@@ -36,20 +36,6 @@ impl CMatrix {
         m
     }
 
-    /// Builds from a row-major element vector.
-    ///
-    /// # Panics
-    /// If `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<Complex>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "element count {} does not match {rows}x{cols}",
-            data.len()
-        );
-        Self { rows, cols, data }
-    }
-
     /// Builds by evaluating `f(row, col)` for every element.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> Complex) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -269,22 +255,16 @@ mod tests {
     #[test]
     fn frobenius_norm_known() {
         // [[3, 4i]] has ‖A‖_F² = 9 + 16 = 25
-        let a = CMatrix::from_vec(1, 2, vec![c(3.0, 0.0), c(0.0, 4.0)]);
+        let a = CMatrix::from_fn(1, 2, |_, cc| [c(3.0, 0.0), c(0.0, 4.0)][cc]);
         assert!((a.frobenius_norm_sqr() - 25.0).abs() < 1e-12);
     }
 
     #[test]
     fn matmul_known_product() {
-        let a = CMatrix::from_vec(
-            2,
-            2,
-            vec![c(1.0, 0.0), c(2.0, 0.0), c(3.0, 0.0), c(4.0, 0.0)],
-        );
-        let b = CMatrix::from_vec(
-            2,
-            2,
-            vec![c(0.0, 1.0), c(1.0, 0.0), c(1.0, 0.0), c(0.0, -1.0)],
-        );
+        let a_rows = [[c(1.0, 0.0), c(2.0, 0.0)], [c(3.0, 0.0), c(4.0, 0.0)]];
+        let b_rows = [[c(0.0, 1.0), c(1.0, 0.0)], [c(1.0, 0.0), c(0.0, -1.0)]];
+        let a = CMatrix::from_fn(2, 2, |r, cc| a_rows[r][cc]);
+        let b = CMatrix::from_fn(2, 2, |r, cc| b_rows[r][cc]);
         let p = &a * &b;
         assert!(p[(0, 0)].approx_eq(c(2.0, 1.0), 1e-12));
         assert!(p[(0, 1)].approx_eq(c(1.0, -2.0), 1e-12));

@@ -3,21 +3,11 @@
 //! "A d-clustering of V is a node disjoint division of V, where the
 //! distance between two SU nodes in a cluster is up to d (d ≤ r)."
 //! (paper, Section 2.1). Clusters therefore must have *pairwise* diameter
-//! at most `d`. We grow clusters greedily from seeds; the seed order is a
-//! policy (degree-greedy by default, id order as the ablation alternative,
-//! DESIGN.md §5).
+//! at most `d`. We grow clusters greedily from seeds taken highest
+//! degree first, ties by lower id (DESIGN.md §5).
 
 use crate::graph::SuGraph;
 use serde::{Deserialize, Serialize};
-
-/// How cluster seeds are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SeedOrder {
-    /// Highest-degree unassigned node first (denser clusters).
-    DegreeGreedy,
-    /// Ascending node id (deterministic baseline).
-    IdOrder,
-}
 
 /// A cluster: a set of member ids plus its elected head.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -151,7 +141,8 @@ pub fn elect_head(graph: &SuGraph, members: &[usize]) -> usize {
     try_elect_head(graph, members).expect("cluster has no alive member")
 }
 
-/// Greedy d-clustering: repeatedly seed a new cluster and absorb
+/// Greedy d-clustering: repeatedly seed a new cluster at the
+/// highest-degree unassigned node (lower id on ties) and absorb
 /// unassigned nodes that are within `d` of **every** current member
 /// (pairwise-diameter invariant) and within `max_size` (the paper's
 /// cooperative groups have ≤ 4 nodes, matching the OSTBC designs).
@@ -159,7 +150,7 @@ pub fn elect_head(graph: &SuGraph, members: &[usize]) -> usize {
 /// # Panics
 /// If `d` exceeds the graph's communication range (`d ≤ r` required) or
 /// `max_size == 0`.
-pub fn d_clustering(graph: &SuGraph, d: f64, max_size: usize, order: SeedOrder) -> Vec<Cluster> {
+pub fn d_clustering(graph: &SuGraph, d: f64, max_size: usize) -> Vec<Cluster> {
     assert!(d > 0.0 && d <= graph.range(), "d must satisfy 0 < d <= r");
     assert!(max_size >= 1);
     let n = graph.len();
@@ -171,12 +162,7 @@ pub fn d_clustering(graph: &SuGraph, d: f64, max_size: usize, order: SeedOrder) 
         }
     }
     let mut seeds: Vec<usize> = (0..n).filter(|&i| !assigned[i]).collect();
-    match order {
-        SeedOrder::DegreeGreedy => {
-            seeds.sort_by_key(|&i| (std::cmp::Reverse(graph.degree(i)), i));
-        }
-        SeedOrder::IdOrder => {}
-    }
+    seeds.sort_by_key(|&i| (std::cmp::Reverse(graph.degree(i)), i));
     let mut clusters = Vec::new();
     for &seed in &seeds {
         if assigned[seed] {
@@ -290,16 +276,14 @@ mod tests {
     #[test]
     fn clustering_invariants_hold_on_grid() {
         let g = grid_graph();
-        for order in [SeedOrder::DegreeGreedy, SeedOrder::IdOrder] {
-            let clusters = d_clustering(&g, 8.0, 4, order);
-            validate_clustering(&g, &clusters, 8.0).expect("valid clustering");
-        }
+        let clusters = d_clustering(&g, 8.0, 4);
+        validate_clustering(&g, &clusters, 8.0).expect("valid clustering");
     }
 
     #[test]
     fn max_size_respected() {
         let g = grid_graph();
-        let clusters = d_clustering(&g, 20.0, 2, SeedOrder::IdOrder);
+        let clusters = d_clustering(&g, 20.0, 2);
         assert!(clusters.iter().all(|c| c.size() <= 2));
         validate_clustering(&g, &clusters, 20.0).unwrap();
     }
@@ -307,7 +291,7 @@ mod tests {
     #[test]
     fn head_has_max_battery() {
         let g = grid_graph();
-        let clusters = d_clustering(&g, 8.0, 4, SeedOrder::DegreeGreedy);
+        let clusters = d_clustering(&g, 8.0, 4);
         for c in &clusters {
             let head_batt = g.nodes()[c.head].battery_j;
             for &m in &c.members {
@@ -323,7 +307,7 @@ mod tests {
             SuNode::new(1, Point::new(1000.0, 0.0), 1.0),
         ];
         let g = SuGraph::build(nodes, 50.0);
-        let clusters = d_clustering(&g, 10.0, 4, SeedOrder::IdOrder);
+        let clusters = d_clustering(&g, 10.0, 4);
         assert_eq!(clusters.len(), 2);
         assert!(clusters.iter().all(|c| c.size() == 1));
     }
@@ -336,7 +320,7 @@ mod tests {
         ];
         nodes[1].alive = false;
         let g = SuGraph::build(nodes, 50.0);
-        let clusters = d_clustering(&g, 10.0, 4, SeedOrder::IdOrder);
+        let clusters = d_clustering(&g, 10.0, 4);
         assert_eq!(clusters.len(), 1);
         assert_eq!(clusters[0].members, vec![0]);
     }
@@ -347,7 +331,7 @@ mod tests {
         for trial in 0..10 {
             let nodes = random_deployment(&mut rng, 80, 200.0, 200.0, 10.0);
             let g = SuGraph::build(nodes, 30.0);
-            let clusters = d_clustering(&g, 15.0, 4, SeedOrder::DegreeGreedy);
+            let clusters = d_clustering(&g, 15.0, 4);
             // recoverable validation: a violation is reported as a typed
             // error and asserted, not unwound from deep inside the
             // reconfiguration path
@@ -359,7 +343,7 @@ mod tests {
     #[test]
     fn validation_errors_are_typed_and_matchable() {
         let g = grid_graph();
-        let mut clusters = d_clustering(&g, 8.0, 4, SeedOrder::IdOrder);
+        let mut clusters = d_clustering(&g, 8.0, 4);
         // break the head invariant
         let real_head = clusters[0].head;
         clusters[0].head = 999;
@@ -381,14 +365,14 @@ mod tests {
             Err(ClusterError::DuplicateMember { node: stolen })
         );
         // break the cover: drop a whole cluster
-        let clusters = d_clustering(&g, 8.0, 4, SeedOrder::IdOrder);
+        let clusters = d_clustering(&g, 8.0, 4);
         let dropped = clusters[..clusters.len() - 1].to_vec();
         assert!(matches!(
             validate_clustering(&g, &dropped, 8.0),
             Err(ClusterError::AliveNodeUnclustered { .. })
         ));
         // diameter violations carry the offending pair and distance
-        let mut wide = d_clustering(&g, 8.0, 4, SeedOrder::IdOrder);
+        let mut wide = d_clustering(&g, 8.0, 4);
         let merged: Vec<usize> = wide.iter().flat_map(|c| c.members.clone()).collect();
         wide.truncate(1);
         wide[0].members = merged;
@@ -423,21 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn degree_greedy_no_worse_cluster_count_than_id_order_on_dense() {
-        let mut rng = seeded(99);
-        let nodes = random_deployment(&mut rng, 60, 50.0, 50.0, 10.0);
-        let g = SuGraph::build(nodes, 30.0);
-        let greedy = d_clustering(&g, 20.0, 4, SeedOrder::DegreeGreedy).len();
-        let id = d_clustering(&g, 20.0, 4, SeedOrder::IdOrder).len();
-        // not a theorem, but on dense deployments greedy should not be
-        // dramatically worse; this guards against pathological regressions
-        assert!(greedy <= id + 3, "greedy {greedy} vs id {id}");
-    }
-
-    #[test]
     #[should_panic]
     fn d_larger_than_range_rejected() {
         let g = grid_graph();
-        let _ = d_clustering(&g, 25.0, 4, SeedOrder::IdOrder);
+        let _ = d_clustering(&g, 25.0, 4);
     }
 }

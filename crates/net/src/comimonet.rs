@@ -10,25 +10,10 @@
 //! backbone ... The clusters and the routing backbone are reconfigurable."
 //! (paper, Section 2.1)
 
-use crate::cluster::{
-    d_clustering, elect_head, validate_clustering, Cluster, ClusterError, SeedOrder,
-};
+use crate::cluster::{d_clustering, elect_head, validate_clustering, Cluster, ClusterError};
 use crate::graph::SuGraph;
 use comimo_energy::model::{EnergyModel, LinkParams};
 use comimo_energy::optimize::minimize_over_b;
-use serde::{Deserialize, Serialize};
-
-/// Accounting policy for Step 3 of the MIMO scheme (who forwards on the
-/// receive side) — the paper is ambiguous, see DESIGN.md.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ForwardPolicy {
-    /// Every receiving node forwards to the head (`mr` local transmissions;
-    /// the head "forwarding to itself" models its decode slot).
-    AllMembers,
-    /// The head is one of the receivers and does not forward to itself
-    /// (`mr − 1` local transmissions).
-    ExcludeHead,
-}
 
 /// Per-hop energy breakdown (joules per information bit, summed over all
 /// participating nodes).
@@ -40,7 +25,9 @@ pub struct HopEnergy {
     pub long_haul_tx_j: f64,
     /// Step 2: long-haul reception (all `mr` receivers).
     pub long_haul_rx_j: f64,
-    /// Step 3: intra-cluster collection at the receive side.
+    /// Step 3: intra-cluster collection at the receive side. Every one of
+    /// the `mr` receivers forwards to the head (the head "forwarding to
+    /// itself" models its decode slot; DESIGN.md §5).
     pub local_collect_j: f64,
     /// Constellation size chosen for the long-haul link.
     pub b: u32,
@@ -60,7 +47,6 @@ pub struct CoMimoNet {
     clusters: Vec<Cluster>,
     d: f64,
     max_cluster: usize,
-    seed_order: SeedOrder,
     long_range: f64,
     cluster_adj: Vec<Vec<usize>>,
     backbone_adj: Vec<Vec<usize>>,
@@ -70,22 +56,15 @@ impl CoMimoNet {
     /// Builds the network: d-clustering, the cluster graph for long-haul
     /// range `long_range` (the paper's `D`), and a Prim spanning-tree
     /// backbone over head distances (one tree per connected component).
-    pub fn build(
-        graph: SuGraph,
-        d: f64,
-        max_cluster: usize,
-        seed_order: SeedOrder,
-        long_range: f64,
-    ) -> Self {
+    pub fn build(graph: SuGraph, d: f64, max_cluster: usize, long_range: f64) -> Self {
         assert!(long_range > 0.0);
-        let clusters = d_clustering(&graph, d, max_cluster, seed_order);
+        let clusters = d_clustering(&graph, d, max_cluster);
         let (cluster_adj, backbone_adj) = Self::wire(&graph, &clusters, long_range);
         Self {
             graph,
             clusters,
             d,
             max_cluster,
-            seed_order,
             long_range,
             cluster_adj,
             backbone_adj,
@@ -228,9 +207,7 @@ impl CoMimoNet {
 
     /// Energy per bit of one cooperative hop from cluster `a` to cluster
     /// `b`, with the constellation chosen to minimise the hop total
-    /// (Algorithm 2's per-link optimisation), under the given receive-side
-    /// forwarding policy.
-    #[allow(clippy::too_many_arguments)]
+    /// (Algorithm 2's per-link optimisation).
     pub fn hop_energy(
         &self,
         model: &EnergyModel,
@@ -239,53 +216,34 @@ impl CoMimoNet {
         block_bits: f64,
         a: usize,
         b: usize,
-        policy: ForwardPolicy,
     ) -> HopEnergy {
         let mt = self.clusters[a].size();
         let mr = self.clusters[b].size();
         let dist = self.graph.nodes()[self.clusters[a].head]
             .distance_to(&self.graph.nodes()[self.clusters[b].head]);
-        let forwarders = match policy {
-            ForwardPolicy::AllMembers => mr,
-            ForwardPolicy::ExcludeHead => mr.saturating_sub(1),
-        };
-        let choice = minimize_over_b(1, 16, |bits| {
+        let breakdown = |bits: u32| {
             let p = LinkParams::new(ber, bits, bandwidth_hz, block_bits);
-            let local_bcast = if mt > 1 {
+            let local_broadcast_j = if mt > 1 {
                 model.e_lt(&p, self.d) + (mt - 1) as f64 * model.e_lr(&p)
             } else {
                 0.0
             };
-            let lh_tx = mt as f64 * model.e_mimot(&p, mt.min(4), mr.min(4), dist);
-            let lh_rx = mr as f64 * model.e_mimor(&p);
-            let collect = if mr > 1 {
-                forwarders as f64 * (model.e_lt(&p, self.d) + model.e_lr(&p))
+            let local_collect_j = if mr > 1 {
+                mr as f64 * (model.e_lt(&p, self.d) + model.e_lr(&p))
             } else {
                 0.0
             };
-            local_bcast + lh_tx + lh_rx + collect
-        });
-        // recompute the breakdown at the chosen b
-        let p = LinkParams::new(ber, choice.b, bandwidth_hz, block_bits);
-        let local_broadcast_j = if mt > 1 {
-            model.e_lt(&p, self.d) + (mt - 1) as f64 * model.e_lr(&p)
-        } else {
-            0.0
+            HopEnergy {
+                local_broadcast_j,
+                long_haul_tx_j: mt as f64 * model.e_mimot(&p, mt.min(4), mr.min(4), dist),
+                long_haul_rx_j: mr as f64 * model.e_mimor(&p),
+                local_collect_j,
+                b: bits,
+            }
         };
-        let long_haul_tx_j = mt as f64 * model.e_mimot(&p, mt.min(4), mr.min(4), dist);
-        let long_haul_rx_j = mr as f64 * model.e_mimor(&p);
-        let local_collect_j = if mr > 1 {
-            forwarders as f64 * (model.e_lt(&p, self.d) + model.e_lr(&p))
-        } else {
-            0.0
-        };
-        HopEnergy {
-            local_broadcast_j,
-            long_haul_tx_j,
-            long_haul_rx_j,
-            local_collect_j,
-            b: choice.b,
-        }
+        let hops: [HopEnergy; 16] = std::array::from_fn(|i| breakdown(i as u32 + 1));
+        let choice = minimize_over_b(1, 16, |bits| hops[bits as usize - 1].total());
+        hops[choice.b as usize - 1]
     }
 
     /// Total route energy per bit along a backbone path.
@@ -296,11 +254,10 @@ impl CoMimoNet {
         bandwidth_hz: f64,
         block_bits: f64,
         path: &[usize],
-        policy: ForwardPolicy,
     ) -> f64 {
         path.windows(2)
             .map(|w| {
-                self.hop_energy(model, ber, bandwidth_hz, block_bits, w[0], w[1], policy)
+                self.hop_energy(model, ber, bandwidth_hz, block_bits, w[0], w[1])
                     .total()
             })
             .sum()
@@ -322,7 +279,7 @@ impl CoMimoNet {
         nodes[node].battery_j = 0.0;
         let range = self.graph.range();
         self.graph = SuGraph::build(nodes, range);
-        self.clusters = d_clustering(&self.graph, self.d, self.max_cluster, self.seed_order);
+        self.clusters = d_clustering(&self.graph, self.d, self.max_cluster);
         let (ca, ba) = Self::wire(&self.graph, &self.clusters, self.long_range);
         self.cluster_adj = ca;
         self.backbone_adj = ba;
@@ -357,7 +314,7 @@ mod tests {
             ));
         }
         let g = SuGraph::build(nodes, 10.0);
-        CoMimoNet::build(g, 5.0, 4, SeedOrder::DegreeGreedy, 200.0)
+        CoMimoNet::build(g, 5.0, 4, 200.0)
     }
 
     #[test]
@@ -380,9 +337,9 @@ mod tests {
         nodes.push(SuNode::new(3, Point::new(104.0, 0.0), 10.0));
         let g = SuGraph::build(nodes, 10.0);
         // farthest pair: node0 to node3 = 104 m
-        let linked = CoMimoNet::build(g.clone(), 5.0, 4, SeedOrder::IdOrder, 104.0);
+        let linked = CoMimoNet::build(g.clone(), 5.0, 4, 104.0);
         assert_eq!(linked.cluster_neighbours(0), &[1]);
-        let unlinked = CoMimoNet::build(g, 5.0, 4, SeedOrder::IdOrder, 103.0);
+        let unlinked = CoMimoNet::build(g, 5.0, 4, 103.0);
         assert!(unlinked.cluster_neighbours(0).is_empty());
     }
 
@@ -391,7 +348,7 @@ mod tests {
         let mut rng = seeded(41);
         let nodes = random_deployment(&mut rng, 60, 300.0, 300.0, 10.0);
         let g = SuGraph::build(nodes, 40.0);
-        let net = CoMimoNet::build(g, 20.0, 4, SeedOrder::DegreeGreedy, 400.0);
+        let net = CoMimoNet::build(g, 20.0, 4, 400.0);
         let k = net.clusters().len();
         // forest: edges = vertices - components; and acyclic (BFS tree check)
         let edges: usize = (0..k)
@@ -445,7 +402,7 @@ mod tests {
     fn hop_energy_components_positive() {
         let net = two_cluster_net();
         let model = EnergyModel::paper();
-        let hop = net.hop_energy(&model, 1e-3, 40_000.0, 1e4, 0, 1, ForwardPolicy::AllMembers);
+        let hop = net.hop_energy(&model, 1e-3, 40_000.0, 1e4, 0, 1);
         assert!(hop.local_broadcast_j > 0.0);
         assert!(hop.long_haul_tx_j > 0.0);
         assert!(hop.long_haul_rx_j > 0.0);
@@ -455,37 +412,11 @@ mod tests {
     }
 
     #[test]
-    fn exclude_head_policy_is_cheaper() {
-        let net = two_cluster_net();
-        let model = EnergyModel::paper();
-        let all = net.hop_energy(&model, 1e-3, 40_000.0, 1e4, 0, 1, ForwardPolicy::AllMembers);
-        let excl = net.hop_energy(
-            &model,
-            1e-3,
-            40_000.0,
-            1e4,
-            0,
-            1,
-            ForwardPolicy::ExcludeHead,
-        );
-        assert!(excl.total() < all.total());
-    }
-
-    #[test]
     fn route_energy_sums_hops() {
         let net = two_cluster_net();
         let model = EnergyModel::paper();
-        let hop = net
-            .hop_energy(&model, 1e-3, 40_000.0, 1e4, 0, 1, ForwardPolicy::AllMembers)
-            .total();
-        let route = net.route_energy_per_bit(
-            &model,
-            1e-3,
-            40_000.0,
-            1e4,
-            &[0, 1],
-            ForwardPolicy::AllMembers,
-        );
+        let hop = net.hop_energy(&model, 1e-3, 40_000.0, 1e4, 0, 1).total();
+        let route = net.route_energy_per_bit(&model, 1e-3, 40_000.0, 1e4, &[0, 1]);
         assert!((route - hop).abs() / hop < 1e-12);
     }
 

@@ -9,7 +9,7 @@
 //! cooperative MIMO routing be compared against SISO-style routing on the
 //! same deployment.
 
-use crate::comimonet::{CoMimoNet, ForwardPolicy};
+use crate::comimonet::CoMimoNet;
 use crate::routing::min_energy_route;
 use comimo_energy::model::EnergyModel;
 use serde::{Deserialize, Serialize};
@@ -25,8 +25,6 @@ pub struct LifetimeConfig {
     pub bandwidth_hz: f64,
     /// Block bits.
     pub block_bits: f64,
-    /// Receive-side forwarding policy.
-    pub policy: ForwardPolicy,
     /// Safety cap on rounds.
     pub max_rounds: usize,
 }
@@ -41,7 +39,6 @@ impl LifetimeConfig {
             ber: 1e-3,
             bandwidth_hz: 40_000.0,
             block_bits: 1e4,
-            policy: ForwardPolicy::AllMembers,
             max_rounds: 100_000,
         }
     }
@@ -97,15 +94,7 @@ fn drain_hop(
     b: usize,
     bits: f64,
 ) -> f64 {
-    let hop = net.hop_energy(
-        model,
-        cfg.ber,
-        cfg.bandwidth_hz,
-        cfg.block_bits,
-        a,
-        b,
-        cfg.policy,
-    );
+    let hop = net.hop_energy(model, cfg.ber, cfg.bandwidth_hz, cfg.block_bits, a, b);
     let tx_members = net.clusters()[a].members.clone();
     let rx_members = net.clusters()[b].members.clone();
     let tx_share = (hop.local_broadcast_j + hop.long_haul_tx_j) / tx_members.len() as f64;
@@ -180,7 +169,6 @@ pub fn try_run_lifetime(
             cfg.block_bits,
             from,
             to,
-            cfg.policy,
         ) else {
             break;
         };
@@ -218,7 +206,6 @@ pub fn try_run_lifetime(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::SeedOrder;
     use crate::graph::SuGraph;
     use crate::node::random_deployment;
     use comimo_math::rng::seeded;
@@ -227,7 +214,7 @@ mod tests {
         let mut rng = seeded(seed);
         let nodes = random_deployment(&mut rng, 50, 400.0, 400.0, battery_j);
         let graph = SuGraph::build(nodes, 80.0);
-        CoMimoNet::build(graph, 40.0, max_cluster, SeedOrder::DegreeGreedy, 600.0)
+        CoMimoNet::build(graph, 40.0, max_cluster, 600.0)
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   re-elect (battery-aware, [`crate::cluster::try_elect_head`]
 //!   semantics) and the new head restarts the outstanding invites.
 //!
-//! Loss draws come from one [`derive`]d stream per target node, so the
+//! Loss draws come from one [`derive`](fn@derive)d stream per target node, so the
 //! outcome is bit-identical regardless of event interleaving or thread
 //! count — the same split-stream discipline the Monte-Carlo engine uses.
 

@@ -17,7 +17,7 @@
 //!
 //! The module is payload-generic: it moves any `Copy` payload and knows
 //! nothing about detectors or fusion rules, so `comimo-net` does not
-//! depend on `comimo-sensing`. Loss draws come from one [`derive`]d
+//! depend on `comimo-sensing`. Loss draws come from one [`derive`](fn@derive)d
 //! stream per `(round, reporter)`, so a round's outcome is bit-identical
 //! regardless of thread count or which other rounds ran before it.
 //!

@@ -5,9 +5,9 @@
 //! to maintain but its unique paths can be energy-suboptimal. This module
 //! adds Dijkstra over the *full* cluster graph with per-hop cooperative
 //! energy weights, so the backbone policy can be compared against the
-//! energy-optimal one (bench `ablate_routing`).
+//! energy-optimal one ([`backbone_vs_optimal`]).
 
-use crate::comimonet::{CoMimoNet, ForwardPolicy};
+use crate::comimonet::CoMimoNet;
 use comimo_energy::model::EnergyModel;
 
 /// A priced route between two clusters.
@@ -21,7 +21,6 @@ pub struct EnergyRoute {
 
 /// Dijkstra over the cluster graph with hop energies as weights.
 /// Returns `None` when the clusters are disconnected.
-#[allow(clippy::too_many_arguments)]
 pub fn min_energy_route(
     net: &CoMimoNet,
     model: &EnergyModel,
@@ -30,7 +29,6 @@ pub fn min_energy_route(
     block_bits: f64,
     from: usize,
     to: usize,
-    policy: ForwardPolicy,
 ) -> Option<EnergyRoute> {
     let k = net.clusters().len();
     assert!(from < k && to < k, "cluster index out of range");
@@ -73,7 +71,7 @@ pub fn min_energy_route(
         }
         for &v in net.cluster_neighbours(u) {
             let w = net
-                .hop_energy(model, ber, bandwidth_hz, block_bits, u, v, policy)
+                .hop_energy(model, ber, bandwidth_hz, block_bits, u, v)
                 .total();
             let nd = d + w;
             if nd < dist[v] {
@@ -102,7 +100,6 @@ pub fn min_energy_route(
 /// Compares the backbone route against the energy-optimal route for the
 /// same endpoints; returns `(backbone_energy, optimal_energy)` per bit,
 /// or `None` if disconnected.
-#[allow(clippy::too_many_arguments)]
 pub fn backbone_vs_optimal(
     net: &CoMimoNet,
     model: &EnergyModel,
@@ -111,19 +108,16 @@ pub fn backbone_vs_optimal(
     block_bits: f64,
     from: usize,
     to: usize,
-    policy: ForwardPolicy,
 ) -> Option<(f64, f64)> {
     let backbone = net.backbone_path(from, to)?;
-    let bb_energy =
-        net.route_energy_per_bit(model, ber, bandwidth_hz, block_bits, &backbone, policy);
-    let opt = min_energy_route(net, model, ber, bandwidth_hz, block_bits, from, to, policy)?;
+    let bb_energy = net.route_energy_per_bit(model, ber, bandwidth_hz, block_bits, &backbone);
+    let opt = min_energy_route(net, model, ber, bandwidth_hz, block_bits, from, to)?;
     Some((bb_energy, opt.energy_per_bit))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::SeedOrder;
     use crate::graph::SuGraph;
     use crate::node::random_deployment;
     use comimo_math::rng::seeded;
@@ -132,15 +126,14 @@ mod tests {
         let mut rng = seeded(seed);
         let nodes = random_deployment(&mut rng, 70, 500.0, 500.0, 25.0);
         let graph = SuGraph::build(nodes, 80.0);
-        CoMimoNet::build(graph, 40.0, 4, SeedOrder::DegreeGreedy, 700.0)
+        CoMimoNet::build(graph, 40.0, 4, 700.0)
     }
 
     #[test]
     fn trivial_route_is_free() {
         let n = net(1);
         let model = EnergyModel::paper();
-        let r =
-            min_energy_route(&n, &model, 1e-3, 40e3, 1e4, 0, 0, ForwardPolicy::AllMembers).unwrap();
+        let r = min_energy_route(&n, &model, 1e-3, 40e3, 1e4, 0, 0).unwrap();
         assert_eq!(r.path, vec![0]);
         assert_eq!(r.energy_per_bit, 0.0);
     }
@@ -153,16 +146,8 @@ mod tests {
         let mut compared = 0;
         for from in 0..k.min(6) {
             for to in 0..k.min(6) {
-                if let Some((bb, opt)) = backbone_vs_optimal(
-                    &n,
-                    &model,
-                    1e-3,
-                    40e3,
-                    1e4,
-                    from,
-                    to,
-                    ForwardPolicy::AllMembers,
-                ) {
+                if let Some((bb, opt)) = backbone_vs_optimal(&n, &model, 1e-3, 40e3, 1e4, from, to)
+                {
                     assert!(
                         opt <= bb * (1.0 + 1e-9),
                         "{from}->{to}: optimal {opt:e} worse than backbone {bb:e}"
@@ -180,16 +165,7 @@ mod tests {
         let model = EnergyModel::paper();
         let k = n.clusters().len();
         for to in 1..k.min(8) {
-            if let Some(r) = min_energy_route(
-                &n,
-                &model,
-                1e-3,
-                40e3,
-                1e4,
-                0,
-                to,
-                ForwardPolicy::AllMembers,
-            ) {
+            if let Some(r) = min_energy_route(&n, &model, 1e-3, 40e3, 1e4, 0, to) {
                 // path endpoints
                 assert_eq!(*r.path.first().unwrap(), 0);
                 assert_eq!(*r.path.last().unwrap(), to);
@@ -197,17 +173,7 @@ mod tests {
                 let mut sum = 0.0;
                 for w in r.path.windows(2) {
                     assert!(n.cluster_neighbours(w[0]).contains(&w[1]));
-                    sum += n
-                        .hop_energy(
-                            &model,
-                            1e-3,
-                            40e3,
-                            1e4,
-                            w[0],
-                            w[1],
-                            ForwardPolicy::AllMembers,
-                        )
-                        .total();
+                    sum += n.hop_energy(&model, 1e-3, 40e3, 1e4, w[0], w[1]).total();
                 }
                 assert!((sum - r.energy_per_bit).abs() / sum.max(1e-300) < 1e-9);
             }
@@ -227,21 +193,11 @@ mod tests {
             nodes.push(n);
         }
         let graph = SuGraph::build(nodes, 60.0);
-        let net = CoMimoNet::build(graph, 30.0, 4, SeedOrder::IdOrder, 500.0);
+        let net = CoMimoNet::build(graph, 30.0, 4, 500.0);
         let model = EnergyModel::paper();
         // find clusters on each island
         let left = net.cluster_of(0).unwrap();
         let right = net.cluster_of(base).unwrap();
-        assert!(min_energy_route(
-            &net,
-            &model,
-            1e-3,
-            40e3,
-            1e4,
-            left,
-            right,
-            ForwardPolicy::AllMembers
-        )
-        .is_none());
+        assert!(min_energy_route(&net, &model, 1e-3, 40e3, 1e4, left, right).is_none());
     }
 }

@@ -274,7 +274,7 @@ pub struct ReputationView {
 }
 
 impl ReputationView {
-    /// The acceptance-criterion reference view: `n` reporters, all at
+    /// The acceptance-test reference view: `n` reporters, all at
     /// the same weight, none quarantined, converged (no cold-start
     /// guard). Reputation-weighted fusion under this view must
     /// reproduce unweighted LLR fusion count for count.

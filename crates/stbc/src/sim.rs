@@ -10,7 +10,7 @@ use crate::design::Ostbc;
 use comimo_math::cmatrix::CMatrix;
 use comimo_math::complex::Complex;
 use comimo_math::rng::complex_gaussian;
-use comimo_math::special::{q_function, rayleigh_mrc_q_average};
+use comimo_math::special::rayleigh_mrc_q_average;
 use rand::Rng;
 
 /// A Gray-coded square/rectangular PSK-for-small-b constellation used by the
@@ -284,11 +284,6 @@ pub fn bpsk_mrc_rayleigh_ber(l: u32, gamma_c: f64) -> f64 {
     rayleigh_mrc_q_average(l, gamma_c)
 }
 
-/// Closed-form BER of BPSK over AWGN: `Q(√(2γ))` (sanity anchor).
-pub fn bpsk_awgn_ber(gamma: f64) -> f64 {
-    q_function((2.0 * gamma).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,6 +415,8 @@ mod tests {
         // the textbook value at 10 dB average SNR, and fading always
         // costs against AWGN at the same average SNR
         assert!((single - 0.02327).abs() < 1e-4, "{single}");
+        // BPSK over AWGN: Q(√(2γ))
+        let bpsk_awgn_ber = |gamma: f64| comimo_math::special::q_function((2.0 * gamma).sqrt());
         for db in [0.0, 5.0, 10.0, 20.0] {
             let gl = comimo_math::db::db_to_lin(db);
             assert!(bpsk_mrc_rayleigh_ber(1, gl) > bpsk_awgn_ber(gl));

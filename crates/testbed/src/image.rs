@@ -5,8 +5,7 @@
 //! image could still be recovered and displayed with some distortions".
 //! Only the packet count and size enter the PER; the content is
 //! irrelevant — so the simulator ships a deterministic synthetic raster
-//! (a smooth gradient with texture, so "distortion" is measurable as a
-//! per-pixel error) of exactly 474 × 1500 bytes.
+//! (a smooth gradient with texture) of exactly 474 × 1500 bytes.
 
 use serde::{Deserialize, Serialize};
 
@@ -55,40 +54,6 @@ impl TestImage {
     pub fn packets(&self) -> Vec<&[u8]> {
         self.pixels.chunks(PACKET_BYTES).collect()
     }
-
-    /// Reassembles from received packets; `None` entries (lost packets)
-    /// become zeroed spans — the "distortions" of the paper's recovered
-    /// image.
-    pub fn reassemble(&self, received: &[Option<Vec<u8>>]) -> TestImage {
-        assert_eq!(received.len(), self.packets().len());
-        let mut pixels = Vec::with_capacity(self.pixels.len());
-        for (i, pkt) in received.iter().enumerate() {
-            match pkt {
-                Some(data) => {
-                    assert_eq!(data.len(), self.packets()[i].len(), "packet {i} length");
-                    pixels.extend_from_slice(data);
-                }
-                None => pixels.extend(std::iter::repeat_n(0u8, self.packets()[i].len())),
-            }
-        }
-        TestImage {
-            width: self.width,
-            height: self.height,
-            pixels,
-        }
-    }
-
-    /// Mean absolute per-pixel error against another image of the same
-    /// shape (0 = identical, 255 = maximal) — quantifies "distortion".
-    pub fn mean_abs_error(&self, other: &TestImage) -> f64 {
-        assert_eq!(self.pixels.len(), other.pixels.len());
-        self.pixels
-            .iter()
-            .zip(&other.pixels)
-            .map(|(&a, &b)| (a as i16 - b as i16).unsigned_abs() as u64)
-            .sum::<u64>() as f64
-            / self.pixels.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -117,31 +82,5 @@ mod tests {
             "only {} distinct levels",
             distinct.len()
         );
-    }
-
-    #[test]
-    fn lossless_reassembly_is_exact() {
-        let img = TestImage::standard();
-        let received: Vec<Option<Vec<u8>>> =
-            img.packets().iter().map(|p| Some(p.to_vec())).collect();
-        let back = img.reassemble(&received);
-        assert_eq!(back, img);
-        assert_eq!(img.mean_abs_error(&back), 0.0);
-    }
-
-    #[test]
-    fn lost_packets_cause_measurable_distortion() {
-        let img = TestImage::standard();
-        let mut received: Vec<Option<Vec<u8>>> =
-            img.packets().iter().map(|p| Some(p.to_vec())).collect();
-        // drop 10% of packets
-        for i in (0..received.len()).step_by(10) {
-            received[i] = None;
-        }
-        let back = img.reassemble(&received);
-        let err = img.mean_abs_error(&back);
-        assert!(err > 1.0, "distortion {err}");
-        // ~10% of pixels zeroed, mean pixel ~127 → error ~ 12
-        assert!(err < 30.0, "distortion {err}");
     }
 }

@@ -12,10 +12,6 @@ use serde::{Deserialize, Serialize};
 /// DAC full scale of the USRP1 (signed 16-bit).
 pub const DAC_FULL_SCALE: f64 = 32767.0;
 
-/// Bit rate used in every experiment (paper: "the bit rates in the
-/// transmissions are all set to 250 kbps").
-pub const BIT_RATE_BPS: f64 = 250_000.0;
-
 /// A USRP-style front end.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UsrpFrontEnd {

@@ -12,7 +12,6 @@
 //! re-elected and the topology reconfigures as nodes die.
 
 use comimo::energy::model::EnergyModel;
-use comimo::net::cluster::SeedOrder;
 use comimo::net::comimonet::CoMimoNet;
 use comimo::net::graph::SuGraph;
 use comimo::net::lifetime::{run_lifetime, LifetimeConfig};
@@ -23,7 +22,7 @@ fn deployment(battery_j: f64, max_cluster: usize) -> CoMimoNet {
     let mut rng = comimo::math::rng::seeded(2014);
     let nodes = random_deployment(&mut rng, 60, 450.0, 450.0, battery_j);
     let graph = SuGraph::build(nodes, 80.0);
-    CoMimoNet::build(graph, 40.0, max_cluster, SeedOrder::DegreeGreedy, 650.0)
+    CoMimoNet::build(graph, 40.0, max_cluster, 650.0)
 }
 
 fn main() {
@@ -38,16 +37,7 @@ fn main() {
     // ---------------- routing-policy comparison first ----------------
     let net = deployment(0.5, 4);
     let (from, to) = (net.cluster_of(0).unwrap(), net.cluster_of(59).unwrap());
-    if let Some((bb, opt)) = backbone_vs_optimal(
-        &net,
-        &model,
-        1e-3,
-        40e3,
-        1e4,
-        from,
-        to,
-        comimo::net::comimonet::ForwardPolicy::AllMembers,
-    ) {
+    if let Some((bb, opt)) = backbone_vs_optimal(&net, &model, 1e-3, 40e3, 1e4, from, to) {
         println!("route energy node0->node59:");
         println!("  spanning-tree backbone : {bb:.3e} J/bit");
         println!(

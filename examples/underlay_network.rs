@@ -13,8 +13,7 @@
 use comimo::channel::pathloss::SquareLawLongHaul;
 use comimo::core::underlay::{Underlay, UnderlayConfig};
 use comimo::energy::model::EnergyModel;
-use comimo::net::cluster::SeedOrder;
-use comimo::net::comimonet::{CoMimoNet, ForwardPolicy};
+use comimo::net::comimonet::CoMimoNet;
 use comimo::net::graph::SuGraph;
 use comimo::net::node::random_deployment;
 
@@ -28,7 +27,7 @@ fn main() {
         "deployed 60 SUs over 400 m x 400 m, range 60 m: {} edges",
         graph.n_edges()
     );
-    let net = CoMimoNet::build(graph, 30.0, 4, SeedOrder::DegreeGreedy, 500.0);
+    let net = CoMimoNet::build(graph, 30.0, 4, 500.0);
     println!(
         "d-clustering (d = 30 m, max 4 nodes): {} clusters",
         net.clusters().len()
@@ -43,25 +42,10 @@ fn main() {
     match net.backbone_path(src, dst) {
         Some(path) => {
             println!("backbone route {src} -> {dst}: {path:?}");
-            let e = net.route_energy_per_bit(
-                &model,
-                1e-3,
-                40_000.0,
-                1e4,
-                &path,
-                ForwardPolicy::AllMembers,
-            );
+            let e = net.route_energy_per_bit(&model, 1e-3, 40_000.0, 1e4, &path);
             println!("route energy: {e:.3e} J/bit over {} hops", path.len() - 1);
             for w in path.windows(2) {
-                let hop = net.hop_energy(
-                    &model,
-                    1e-3,
-                    40_000.0,
-                    1e4,
-                    w[0],
-                    w[1],
-                    ForwardPolicy::AllMembers,
-                );
+                let hop = net.hop_energy(&model, 1e-3, 40_000.0, 1e4, w[0], w[1]);
                 println!(
                     "  hop {} -> {}: b = {:<2} total = {:.3e} J/bit (long-haul tx {:.1e})",
                     w[0],

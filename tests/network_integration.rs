@@ -3,8 +3,8 @@
 
 use comimo::energy::model::EnergyModel;
 use comimo::math::rng::seeded;
-use comimo::net::cluster::{validate_clustering, SeedOrder};
-use comimo::net::comimonet::{CoMimoNet, ForwardPolicy};
+use comimo::net::cluster::validate_clustering;
+use comimo::net::comimonet::CoMimoNet;
 use comimo::net::graph::SuGraph;
 use comimo::net::node::random_deployment;
 
@@ -12,7 +12,7 @@ fn build_net(seed: u64, n: usize) -> CoMimoNet {
     let mut rng = seeded(seed);
     let nodes = random_deployment(&mut rng, n, 400.0, 400.0, 25.0);
     let graph = SuGraph::build(nodes, 70.0);
-    CoMimoNet::build(graph, 35.0, 4, SeedOrder::DegreeGreedy, 600.0)
+    CoMimoNet::build(graph, 35.0, 4, 600.0)
 }
 
 #[test]
@@ -53,22 +53,8 @@ fn route_energy_scales_with_hop_count() {
         path.len() >= 3,
         "deployment too sparse for a multi-hop test"
     );
-    let full = net.route_energy_per_bit(
-        &model,
-        1e-3,
-        40_000.0,
-        1e4,
-        &path,
-        ForwardPolicy::AllMembers,
-    );
-    let half = net.route_energy_per_bit(
-        &model,
-        1e-3,
-        40_000.0,
-        1e4,
-        &path[..path.len() / 2 + 1],
-        ForwardPolicy::AllMembers,
-    );
+    let full = net.route_energy_per_bit(&model, 1e-3, 40_000.0, 1e4, &path);
+    let half = net.route_energy_per_bit(&model, 1e-3, 40_000.0, 1e4, &path[..path.len() / 2 + 1]);
     assert!(
         full > half,
         "longer routes must cost more: {full:e} vs {half:e}"
@@ -104,15 +90,7 @@ fn battery_drain_relects_route_usage() {
     let model = EnergyModel::paper();
     // drain a head by the per-bit cost of 1 Mbit through its hop
     if let Some(&next) = net.backbone_neighbours(0).first() {
-        let hop = net.hop_energy(
-            &model,
-            1e-3,
-            40_000.0,
-            1e4,
-            0,
-            next,
-            ForwardPolicy::AllMembers,
-        );
+        let hop = net.hop_energy(&model, 1e-3, 40_000.0, 1e4, 0, next);
         let head = net.clusters()[0].head;
         let mut graph = net.graph().clone();
         let before = graph.nodes()[head].battery_j;
