@@ -1,14 +1,12 @@
 //! Shared experiment runners — one function per paper artefact, with the
 //! paper's exact parameters baked in as defaults.
 //!
-//! Every runner executes under the campaign supervisor
-//! ([`comimo_campaign::supervised_map_strict`]): each grid point / trial
-//! runs panic-isolated with one bounded retry, so a transient failure in
-//! one point is retried in place and a persistent one is reported with
-//! its index and message after the rest of the sweep has finished —
-//! instead of a bare unwind that throws the whole artefact away.
+//! Each runner is a pure function of [`EXPERIMENT_SEED`] and its
+//! arguments. The grid runners fan their points out through
+//! [`comimo_sim::map_shards`] (output in grid order); a panic in any
+//! point propagates with its message and fails the artefact.
 
-use comimo_campaign::{supervised_map_strict, CampaignConfig, CampaignStatus, SuperviseConfig};
+use comimo_campaign::{CampaignConfig, CampaignStatus};
 use comimo_core::interweave::{run_table1, InterweaveConfig, InterweaveTrial};
 use comimo_core::overlay::{Overlay, OverlayAnalysis, OverlayConfig};
 use comimo_core::underlay::{Underlay, UnderlayAnalysis, UnderlayConfig};
@@ -23,6 +21,7 @@ use comimo_sensing::{
     run_roc_campaign, run_round_byz, ByzCell, ByzSweepSpec, MarkovOnOff, RocGridSpec, RocPoint,
     RuleUsed, SensingRound,
 };
+use comimo_sim::map_shards;
 use comimo_stbc::design::{Ostbc, StbcKind};
 use comimo_stbc::grid::{simulate_ber_grid_par, GridPoint};
 use comimo_testbed::experiments::beam_scan::{self, BeamScanConfig, BeamScanPoint};
@@ -33,25 +32,6 @@ use serde::Serialize;
 
 /// The workspace-wide experiment seed (recorded in EXPERIMENTS.md).
 pub const EXPERIMENT_SEED: u64 = 2013;
-
-/// The supervision policy of every artefact runner: two attempts per
-/// point, no backoff (the work is deterministic and in-process — the
-/// retry exists to survive transient environmental failures, e.g. a
-/// worker thread hit by an allocation blip).
-fn supervise() -> SuperviseConfig {
-    SuperviseConfig {
-        max_attempts: 2,
-        ..Default::default()
-    }
-}
-
-/// Runs one artefact closure under the supervisor (retry + escalation
-/// with context).
-fn supervised_run<R: Send>(label: &str, f: impl Fn() -> R + Send + Sync) -> R {
-    supervised_map_strict(label, &supervise(), &[()], |_, ()| f())
-        .pop()
-        .expect("one item in, one out")
-}
 
 /// One Figure-6 series: `(m, bandwidth)` ↦ analyses over `D1`.
 #[derive(Debug, Clone, Serialize)]
@@ -69,12 +49,12 @@ pub struct Fig6Series {
 pub fn fig6(step: f64) -> Vec<Fig6Series> {
     let model = EnergyModel::paper();
     // the analytic sweeps are deterministic, so the (m, B) grid fans out
-    // onto the rayon pool (under supervision) with the output in grid order
+    // onto the rayon pool with the output in grid order
     let grid: Vec<(usize, f64)> = [2usize, 3]
         .iter()
         .flat_map(|&m| [20_000.0, 40_000.0].iter().map(move |&bw| (m, bw)))
         .collect();
-    supervised_map_strict("fig6", &supervise(), &grid, |_, &(m, bw)| {
+    map_shards(&grid, |_, &(m, bw)| {
         let overlay = Overlay::new(&model, OverlayConfig::paper(m, bw));
         Fig6Series {
             m,
@@ -102,7 +82,7 @@ pub const FIG7_CONFIGS: [(usize, usize); 6] = [(1, 1), (2, 1), (1, 2), (1, 3), (
 /// `p = 0.001`, `B = 10 kHz`, for the six cluster configurations.
 pub fn fig7(step: f64) -> Vec<Fig7Series> {
     let model = EnergyModel::paper();
-    supervised_map_strict("fig7", &supervise(), &FIG7_CONFIGS, |_, &(mt, mr)| {
+    map_shards(&FIG7_CONFIGS, |_, &(mt, mr)| {
         let u = Underlay::new(&model, UnderlayConfig::paper(mt, mr, 10_000.0));
         Fig7Series {
             mt,
@@ -114,24 +94,18 @@ pub fn fig7(step: f64) -> Vec<Fig7Series> {
 
 /// Table 1: ten interweave trials with the paper's geometry.
 pub fn table1() -> Vec<InterweaveTrial> {
-    supervised_run("table1", || {
-        run_table1(EXPERIMENT_SEED, &InterweaveConfig::paper())
-    })
+    run_table1(EXPERIMENT_SEED, &InterweaveConfig::paper())
 }
 
 /// Table 2: the single-relay overlay testbed experiment (three runs of
 /// 100 000 bits).
 pub fn table2() -> SingleRelayResult {
-    supervised_run("table2", || {
-        overlay_single::run(&SingleRelayConfig::paper(), EXPERIMENT_SEED)
-    })
+    overlay_single::run(&SingleRelayConfig::paper(), EXPERIMENT_SEED)
 }
 
 /// Table 3: the multi-relay overlay testbed experiment.
 pub fn table3() -> MultiRelayRow {
-    supervised_run("table3", || {
-        overlay_multi::run(&MultiRelayConfig::paper(), EXPERIMENT_SEED)
-    })
+    overlay_multi::run(&MultiRelayConfig::paper(), EXPERIMENT_SEED)
 }
 
 /// Table 4: the underlay image transfer at amplitudes 800/600/400.
@@ -141,16 +115,12 @@ pub fn table4(n_packets: Option<usize>) -> UnderlayImageResult {
     if let Some(n) = n_packets {
         cfg.n_packets = n;
     }
-    supervised_run("table4", || {
-        underlay_image::run(&cfg, &[800, 600, 400], EXPERIMENT_SEED)
-    })
+    underlay_image::run(&cfg, &[800, 600, 400], EXPERIMENT_SEED)
 }
 
 /// Figure 8: the interweave beam scan (null at 120°, 0°–180° in 20° steps).
 pub fn fig8() -> Vec<BeamScanPoint> {
-    supervised_run("fig8", || {
-        beam_scan::run(&BeamScanConfig::paper(), EXPERIMENT_SEED)
-    })
+    beam_scan::run(&BeamScanConfig::paper(), EXPERIMENT_SEED)
 }
 
 /// Symbol-SNR grid (dB, `Es/N0`) of the bergrid Monte-Carlo sweep.
@@ -244,33 +214,28 @@ pub fn bergrid_points() -> Vec<GridPoint> {
 /// function of `(EXPERIMENT_SEED, n_blocks)` at any thread count.
 pub fn bergrid(n_blocks: usize) -> Vec<BerGridSeries> {
     let points = bergrid_points();
-    supervised_map_strict(
-        "bergrid",
-        &supervise(),
-        &BERGRID_CONFIGS,
-        |_, &(kind, mt, mr)| {
-            let code = Ostbc::new(kind);
-            let results = simulate_ber_grid_par(EXPERIMENT_SEED, &code, &points, mr, n_blocks);
-            BerGridSeries {
-                kind: format!("{kind:?}"),
-                mt,
-                mr,
-                n_blocks,
-                points: points
-                    .iter()
-                    .zip(&results)
-                    .enumerate()
-                    .map(|(i, (p, r))| BerGridPoint {
-                        bits_per_symbol: p.bits_per_symbol,
-                        snr_db: BERGRID_SNRS_DB[i % BERGRID_SNRS_DB.len()],
-                        bits: r.bits,
-                        errors: r.errors,
-                        ber: r.errors as f64 / r.bits as f64,
-                    })
-                    .collect(),
-            }
-        },
-    )
+    map_shards(&BERGRID_CONFIGS, |_, &(kind, mt, mr)| {
+        let code = Ostbc::new(kind);
+        let results = simulate_ber_grid_par(EXPERIMENT_SEED, &code, &points, mr, n_blocks);
+        BerGridSeries {
+            kind: format!("{kind:?}"),
+            mt,
+            mr,
+            n_blocks,
+            points: points
+                .iter()
+                .zip(&results)
+                .enumerate()
+                .map(|(i, (p, r))| BerGridPoint {
+                    bits_per_symbol: p.bits_per_symbol,
+                    snr_db: BERGRID_SNRS_DB[i % BERGRID_SNRS_DB.len()],
+                    bits: r.bits,
+                    errors: r.errors,
+                    ber: r.errors as f64 / r.bits as f64,
+                })
+                .collect(),
+        }
+    })
 }
 
 /// The fault-rate multipliers every degradation benchmark sweeps
@@ -460,11 +425,8 @@ fn sense_sweep_with(lambda: f64, mut cfg: SensingRound, noisy: bool) -> SenseSwe
 /// One λ point of the sensing sweep over the clean-boolean transport
 /// (the pinned-oracle path).
 pub fn sense_sweep(lambda: f64) -> SenseSweepRow {
-    let label = format!("sense λ={lambda}");
-    supervised_run(&label, || {
-        let snr = comimo_math::db::db_to_lin(SENSE_SNR_DB);
-        sense_sweep_with(lambda, SensingRound::paper(snr), false)
-    })
+    let snr = comimo_math::db::db_to_lin(SENSE_SNR_DB);
+    sense_sweep_with(lambda, SensingRound::paper(snr), false)
 }
 
 /// One λ point of the sensing sweep with reports on the noisy long-haul
@@ -472,15 +434,12 @@ pub fn sense_sweep(lambda: f64) -> SenseSweepRow {
 /// ladder, and λ also scales the report-channel fault taxonomy (SNR
 /// collapse, phase desync).
 pub fn sense_sweep_noisy(lambda: f64) -> SenseSweepRow {
-    let label = format!("sense-noisy λ={lambda}");
-    supervised_run(&label, || {
-        let snr = comimo_math::db::db_to_lin(SENSE_SNR_DB);
-        sense_sweep_with(
-            lambda,
-            SensingRound::paper_noisy(snr, SENSE_REPORT_SNR_DB),
-            true,
-        )
-    })
+    let snr = comimo_math::db::db_to_lin(SENSE_SNR_DB);
+    sense_sweep_with(
+        lambda,
+        SensingRound::paper_noisy(snr, SENSE_REPORT_SNR_DB),
+        true,
+    )
 }
 
 /// The fault-free fused ROC behind the report's sensing section: the

@@ -3,11 +3,10 @@
 //! Supervised, checkpointable Monte-Carlo campaigns with deterministic
 //! crash-resume.
 //!
-//! The paper's headline artifacts are long Monte-Carlo sweeps — the
-//! BER ≈ 1e-6 operating points of Section 6 need 1e8+ blocks. The
-//! deterministic shard engine (`comimo_stbc::sim::simulate_ber_par`)
-//! already makes such a run a pure function of its seed; this crate
-//! adds the supervision layer that makes it *survivable*:
+//! A long Monte-Carlo sweep — the fused sensing ROC grid and the
+//! byzantine sweep of `comimo-sensing`, the chaos world's mini-campaign —
+//! is a plan of shards whose counts are pure functions of the seed; this
+//! crate adds the supervision layer that makes such a run *survivable*:
 //!
 //! * [`checkpoint`] — a versioned, CRC-32-checked snapshot of completed
 //!   shard counts, written atomically (temp + rename), with truncation
@@ -32,14 +31,9 @@ pub mod supervisor;
 pub use checkpoint::{Checkpoint, CheckpointError, LoadError, Quarantined};
 pub use comimo_faults::CampaignFaultPlan;
 pub use supervisor::{
-    install_sigint_stop, run_campaign, run_campaign_multi, supervised_map, supervised_map_strict,
-    CampaignConfig, CampaignError, CampaignReport, CampaignStatus, SuperviseConfig,
-    SupervisedFailure,
+    install_sigint_stop, run_campaign, run_campaign_multi, CampaignConfig, CampaignError,
+    CampaignReport, CampaignStatus,
 };
-
-use comimo_stbc::batch::BatchWorkspace;
-use comimo_stbc::design::{Ostbc, StbcKind};
-use comimo_stbc::sim::{shard_plan, SimConstellation};
 
 /// Mixes a parameter list into a 64-bit campaign fingerprint
 /// (SplitMix64-style fold). Used to refuse resuming a checkpoint under
@@ -76,62 +70,6 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
     )
 }
 
-/// Parameters of a BER campaign — the link configuration
-/// `simulate_ber_par` takes, as data so it can be fingerprinted.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BerCampaignSpec {
-    /// Space-time code.
-    pub kind: StbcKind,
-    /// Constellation bits per symbol (1, 2, 4, 6, 8).
-    pub bits_per_symbol: u32,
-    /// Receive antennas.
-    pub mr: usize,
-    /// Per-symbol transmit energy.
-    pub es: f64,
-    /// Complex noise variance.
-    pub n0: f64,
-    /// Monte-Carlo blocks.
-    pub n_blocks: usize,
-}
-
-impl BerCampaignSpec {
-    /// Fingerprint of every parameter that shapes the shard results.
-    pub fn fingerprint(&self) -> u64 {
-        fingerprint64(&[
-            self.kind as u64,
-            u64::from(self.bits_per_symbol),
-            self.mr as u64,
-            self.es.to_bits(),
-            self.n0.to_bits(),
-            self.n_blocks as u64,
-        ])
-    }
-}
-
-/// Runs `spec` as a supervised campaign: the exact shard decomposition
-/// and per-shard streams of `simulate_ber_par`, under `cfg`'s
-/// supervision, on the unified lane-parallel engine
-/// (`BatchWorkspace` *is* the CRN grid engine with one configuration).
-/// With no quarantined shards the merged counts are bit-identical to
-/// `simulate_ber_par(cfg.seed, ...)`. The config's fingerprint is
-/// overridden with [`BerCampaignSpec::fingerprint`].
-pub fn run_ber_campaign(
-    cfg: &CampaignConfig,
-    spec: &BerCampaignSpec,
-) -> Result<CampaignReport, CampaignError> {
-    let mut cfg = cfg.clone();
-    cfg.fingerprint = spec.fingerprint();
-    let code = Ostbc::new(spec.kind);
-    let cons = SimConstellation::new(spec.bits_per_symbol);
-    let shards: Vec<(u64, usize)> = shard_plan(spec.n_blocks).collect();
-    let seed = cfg.seed;
-    run_campaign(&cfg, &shards, |label, blocks| {
-        let mut rng = comimo_math::rng::derive(seed, label);
-        let mut ws = BatchWorkspace::new(&code, &cons, spec.mr);
-        ws.simulate(&mut rng, spec.es, spec.n0, blocks)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,58 +95,14 @@ mod tests {
 
     #[test]
     fn fingerprint_separates_parameters() {
-        let spec = BerCampaignSpec {
-            kind: StbcKind::Alamouti,
-            bits_per_symbol: 2,
-            mr: 2,
-            es: 4.0,
-            n0: 1.0,
-            n_blocks: 10_000,
-        };
-        let f = spec.fingerprint();
-        assert_eq!(f, spec.fingerprint(), "fingerprint is stable");
-        for other in [
-            BerCampaignSpec {
-                kind: StbcKind::H3,
-                ..spec
-            },
-            BerCampaignSpec { mr: 3, ..spec },
-            BerCampaignSpec { es: 4.5, ..spec },
-            BerCampaignSpec {
-                n_blocks: 10_001,
-                ..spec
-            },
-        ] {
-            assert_ne!(f, other.fingerprint(), "{other:?}");
+        let words = [1u64, 2, 2, 4.0f64.to_bits(), 1.0f64.to_bits(), 10_000];
+        let f = fingerprint64(&words);
+        assert_eq!(f, fingerprint64(&words), "fingerprint is stable");
+        for i in 0..words.len() {
+            let mut other = words;
+            other[i] ^= 1;
+            assert_ne!(f, fingerprint64(&other), "word {i}");
         }
-    }
-
-    #[test]
-    fn ber_campaign_matches_parallel_engine_bit_for_bit() {
-        use comimo_stbc::sim::{simulate_ber_par, SimConstellation, DEFAULT_SHARD_BLOCKS};
-        let spec = BerCampaignSpec {
-            kind: StbcKind::Alamouti,
-            bits_per_symbol: 2,
-            mr: 2,
-            es: 1.0,
-            n0: 1.0,
-            n_blocks: 3 * DEFAULT_SHARD_BLOCKS + 100,
-        };
-        let cfg = CampaignConfig::new(2013, 0);
-        let report = run_ber_campaign(&cfg, &spec).unwrap();
-        assert_eq!(report.status, CampaignStatus::Complete);
-        assert!(report.quarantined.is_empty());
-        let reference = simulate_ber_par(
-            2013,
-            &Ostbc::new(spec.kind),
-            &SimConstellation::new(spec.bits_per_symbol),
-            spec.mr,
-            spec.es,
-            spec.n0,
-            spec.n_blocks,
-        );
-        assert_eq!(report.counts, reference);
-        let (lo, hi) = report.wilson_95;
-        assert!(lo <= report.ber() && report.ber() <= hi);
+        assert_ne!(f, fingerprint64(&words[..5]), "length matters");
     }
 }

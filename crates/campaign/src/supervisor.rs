@@ -9,7 +9,7 @@
 //! [`CampaignConfig::checkpoint_every_shards`]. Within a chunk, shards
 //! fan out through [`comimo_sim::map_shards`]: on the rayon pool, or
 //! inline when the pool has one thread (`RAYON_NUM_THREADS=1`, or a
-//! build without the `parallel` feature) or the campaign itself runs on
+//! build without `comimo-sim`'s `parallel` feature) or the campaign itself runs on
 //! a worker of a map that fills the pool (a chaos run's mini-campaign
 //! inside an explore sweep of at least as many runs as threads). Each
 //! shard execution is wrapped in `catch_unwind`, retried with bounded
@@ -215,17 +215,6 @@ fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn Any + Send>> {
     let r = panic::catch_unwind(AssertUnwindSafe(f));
     QUIET_PANICS.with(|q| q.set(false));
     r
-}
-
-/// Best-effort human-readable panic payload.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// The backoff before 1-based retry `k`.
@@ -502,186 +491,9 @@ pub fn install_sigint_stop() -> &'static AtomicBool {
     &SIGINT_STOP
 }
 
-// ---------------------------------------------------------------------
-// Supervised map: the campaign treatment (panic isolation, bounded
-// retries, quarantine) for arbitrary deterministic work lists — the
-// table/figure runners ride on this.
-// ---------------------------------------------------------------------
-
-/// Retry policy for [`supervised_map`].
-#[derive(Debug, Clone, Copy)]
-pub struct SuperviseConfig {
-    /// Attempts per item before giving up (≥ 1).
-    pub max_attempts: u32,
-    /// Base backoff before a retry (doubles per retry).
-    pub backoff_base: Duration,
-    /// Cap on a single backoff sleep.
-    pub backoff_cap: Duration,
-}
-
-impl Default for SuperviseConfig {
-    fn default() -> Self {
-        Self {
-            max_attempts: 2,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::from_secs(1),
-        }
-    }
-}
-
-/// An item that panicked on every attempt.
-#[derive(Debug, Clone)]
-pub struct SupervisedFailure {
-    /// Index of the item in the input slice.
-    pub index: usize,
-    /// Attempts spent.
-    pub attempts: u32,
-    /// Payload of the final panic.
-    pub message: String,
-}
-
-impl std::fmt::Display for SupervisedFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "item #{} failed after {} attempt(s): {}",
-            self.index, self.attempts, self.message
-        )
-    }
-}
-
-/// Maps `f` over `items` under the supervisor's panic isolation and
-/// bounded retries, fanned out by [`comimo_sim::map_shards`].
-/// Output order matches input order; an item whose every attempt
-/// panicked yields `Err` instead of unwinding through the whole map.
-pub fn supervised_map<T, R, F>(
-    cfg: &SuperviseConfig,
-    items: &[T],
-    f: F,
-) -> Vec<Result<R, SupervisedFailure>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Send + Sync,
-{
-    assert!(cfg.max_attempts >= 1, "max_attempts must be at least 1");
-    install_quiet_hook();
-    map_shards(items, |i, item| {
-        let i = i as usize;
-        let mut last_message = String::new();
-        for attempt in 0..cfg.max_attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff(cfg.backoff_base, cfg.backoff_cap, attempt));
-            }
-            match quiet_catch(|| f(i, item)) {
-                Ok(r) => return Ok(r),
-                Err(payload) => last_message = panic_message(payload.as_ref()),
-            }
-        }
-        Err(SupervisedFailure {
-            index: i,
-            attempts: cfg.max_attempts,
-            message: last_message,
-        })
-    })
-}
-
-/// [`supervised_map`] for callers that need every item: quarantined
-/// items are escalated as a single panic naming the campaign `label`
-/// and the first failure, after the whole map has run (so one bad item
-/// cannot hide the others' diagnostics).
-pub fn supervised_map_strict<T, R, F>(
-    label: &str,
-    cfg: &SuperviseConfig,
-    items: &[T],
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Send + Sync,
-{
-    let (mut ok, mut failures) = (Vec::with_capacity(items.len()), Vec::new());
-    for r in supervised_map(cfg, items, f) {
-        match r {
-            Ok(v) => ok.push(v),
-            Err(e) => failures.push(e),
-        }
-    }
-    if let Some(first) = failures.first() {
-        panic!(
-            "{label}: {}/{} item(s) failed after retries; first: {first}",
-            failures.len(),
-            items.len()
-        );
-    }
-    ok
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-
-    #[test]
-    fn supervised_map_preserves_order_and_values() {
-        let items: Vec<u32> = (0..100).collect();
-        let out = supervised_map(&SuperviseConfig::default(), &items, |i, &x| {
-            assert_eq!(i as u32, x);
-            x * 2
-        });
-        let values: Vec<u32> = out.into_iter().map(Result::unwrap).collect();
-        assert_eq!(values, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn transient_panic_is_retried_persistent_panic_quarantines() {
-        // item 3 panics on its first attempt only; item 7 always panics
-        let attempts = AtomicU32::new(0);
-        let cfg = SuperviseConfig {
-            max_attempts: 2,
-            ..Default::default()
-        };
-        let items: Vec<usize> = (0..10).collect();
-        let out = supervised_map(&cfg, &items, |_, &x| {
-            if x == 3 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
-            if x == 7 {
-                panic!("persistent failure on {x}");
-            }
-            x
-        });
-        assert_eq!(*out[3].as_ref().unwrap(), 3, "item 3 should recover");
-        let err = out[7].as_ref().unwrap_err();
-        assert_eq!(err.index, 7);
-        assert_eq!(err.attempts, 2);
-        assert!(err.message.contains("persistent failure"));
-        for (i, r) in out.iter().enumerate() {
-            if i != 7 {
-                assert!(r.is_ok(), "item {i}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unit-test-map: 1/3")]
-    fn strict_map_escalates_with_context() {
-        supervised_map_strict(
-            "unit-test-map",
-            &SuperviseConfig {
-                max_attempts: 1,
-                ..Default::default()
-            },
-            &[1, 2, 3],
-            |_, &x| {
-                if x == 2 {
-                    panic!("boom");
-                }
-                x
-            },
-        );
-    }
 
     #[test]
     fn multi_stream_counts_merge_per_stream_and_sum_across_streams() {

@@ -9,7 +9,6 @@
 //! line-of-sight ray crosses.
 
 use crate::geometry::{Point, Segment};
-use comimo_math::db::db_to_lin;
 use serde::{Deserialize, Serialize};
 
 /// A wall/board: a segment with a penetration loss.
@@ -76,11 +75,6 @@ impl Environment {
             .filter(|o| o.segment.intersects(&ray))
             .map(|o| o.loss_db)
             .sum()
-    }
-
-    /// Total excess loss as a linear factor ≥ 1.
-    pub fn excess_loss_factor(&self, tx: Point, rx: Point) -> f64 {
-        db_to_lin(self.excess_loss_db(tx, rx))
     }
 }
 
@@ -149,10 +143,6 @@ mod tests {
         assert_eq!(
             env.excess_loss_db(Point::origin(), Point::new(100.0, 0.0)),
             0.0
-        );
-        assert_eq!(
-            env.excess_loss_factor(Point::origin(), Point::new(5.0, 5.0)),
-            1.0
         );
     }
 

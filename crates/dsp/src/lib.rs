@@ -14,13 +14,11 @@
 //!
 //! Supporting machinery: bit/byte utilities ([`bits`]), CRC-32 ([`crc`]),
 //! the Gaussian pulse-shaping FIR ([`fir`]), the BPSK modem ([`modem`]), the GMSK waveform modem ([`gmsk`]), packet
-//! framing ([`frame`]), the rate-1/2 convolutional code ([`fec`]) and
-//! diversity combining ([`combining`]).
+//! framing ([`frame`]) and diversity combining ([`combining`]).
 
 pub mod bits;
 pub mod combining;
 pub mod crc;
-pub mod fec;
 pub mod fir;
 pub mod frame;
 pub mod gmsk;

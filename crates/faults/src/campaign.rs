@@ -6,8 +6,8 @@
 //! code paths are tested against — every injection decision is a pure
 //! function of `(plan seed, shard, attempt)` or `(plan seed, write
 //! index)`, so a fault-injected campaign is exactly as reproducible as a
-//! clean one and CI can assert the precise set of shards that end up
-//! quarantined.
+//! clean one and the campaign tests can assert the precise set of shards
+//! that end up quarantined.
 
 use comimo_math::rng::derive;
 use rand::Rng;

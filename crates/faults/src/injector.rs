@@ -2,7 +2,7 @@
 //! queue and records what the system under test did about each fault.
 //!
 //! The trace is the determinism witness: `render()` produces a stable
-//! text form that CI diffs across thread counts and feature configs.
+//! text form that CI diffs across thread counts.
 
 use crate::model::{FaultEvent, FaultKind};
 use comimo_sim::{ShardedEventQueue, SimTime};

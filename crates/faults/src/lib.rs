@@ -17,8 +17,8 @@
 //!   stream per `(class, unit)` so any thread count produces the same
 //!   byte-for-byte event list;
 //! * [`injector`] — replay through the `comimo-sim` event queue,
-//!   recording a [`injector::FaultTrace`] that CI diffs across feature
-//!   configs and thread counts;
+//!   recording a [`injector::FaultTrace`] that CI diffs across thread
+//!   counts;
 //! * [`timeline`] — a schedule unrolled onto the time axis: nodes out,
 //!   primaries back on their channels and lossy broadcast, queryable per
 //!   slot. The chaos world (`comimo-chaos`) walks the three paradigms'

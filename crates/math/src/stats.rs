@@ -2,8 +2,7 @@
 //!
 //! The paper reports averages over repeated runs (Tables 1–4 all carry an
 //! "Average" row or a 10-trial mean); [`RunningStats`] provides numerically
-//! stable accumulation and [`Histogram`] supports the testbed's BER/PER
-//! distribution sanity checks.
+//! stable accumulation.
 
 /// Welford-style online mean/variance accumulator.
 #[derive(Debug, Clone, Copy, Default)]
@@ -183,57 +182,6 @@ pub fn ks_two_sample(xs: &[f64], ys: &[f64]) -> f64 {
     d
 }
 
-/// Fixed-width histogram over `[lo, hi)` with saturation buckets at the ends.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Builds a histogram with `bins` equal-width buckets over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo && bins > 0);
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Records one observation (clamped into the edge buckets).
-    pub fn push(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let idx = ((x - self.lo) / (self.hi - self.lo) * bins as f64)
-            .floor()
-            .clamp(0.0, (bins - 1) as f64) as usize;
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Raw bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of mass in bucket `i`.
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.counts[i] as f64 / self.total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,20 +219,6 @@ mod tests {
         assert!((quantile(&xs, 0.0) - 1.0).abs() < 1e-12);
         assert!((quantile(&xs, 1.0) - 4.0).abs() < 1e-12);
         assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-5.0); // clamps to first
-        h.push(50.0); // clamps to last
-        assert_eq!(h.total(), 12);
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[9], 2);
-        assert!((h.fraction(5) - 1.0 / 12.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! backbone ... The clusters and the routing backbone are reconfigurable."
 //! (paper, Section 2.1)
 
-use crate::cluster::{d_clustering, elect_head, validate_clustering, Cluster, ClusterError};
+use crate::cluster::{d_clustering, validate_clustering, Cluster, ClusterError};
 use crate::graph::SuGraph;
 use comimo_energy::model::{EnergyModel, LinkParams};
 use comimo_energy::optimize::minimize_over_b;
@@ -141,9 +141,7 @@ impl CoMimoNet {
 
     /// Mutable access to the SU graph — for battery drain during traffic
     /// simulation. Structural changes (positions, deaths) require a
-    /// follow-up [`Self::try_kill_node_and_reconfigure`] or rebuild; battery
-    /// changes only require [`Self::refresh_head`] where head optimality
-    /// matters.
+    /// follow-up [`Self::try_kill_node_and_reconfigure`] or rebuild.
     pub fn graph_mut(&mut self) -> &mut SuGraph {
         &mut self.graph
     }
@@ -284,12 +282,6 @@ impl CoMimoNet {
         self.cluster_adj = ca;
         self.backbone_adj = ba;
         validate_clustering(&self.graph, &self.clusters, self.d)
-    }
-
-    /// Re-elects the head of a cluster (e.g. after battery drain).
-    pub fn refresh_head(&mut self, cluster: usize) {
-        let members = self.clusters[cluster].members.clone();
-        self.clusters[cluster].head = elect_head(&self.graph, &members);
     }
 }
 
@@ -433,18 +425,5 @@ mod tests {
         let c0 = net.cluster_of(0).or(net.cluster_of(1)).unwrap();
         let c1 = net.cluster_of(3).unwrap();
         assert!(net.backbone_path(c0, c1).is_some());
-    }
-
-    #[test]
-    fn refresh_head_tracks_battery() {
-        let mut net = two_cluster_net();
-        let c0_members = net.clusters()[0].members.clone();
-        // drain the current head below everyone else
-        let head = net.clusters()[0].head;
-        net.graph.nodes_mut()[head].battery_j = 0.1;
-        net.refresh_head(0);
-        let new_head = net.clusters()[0].head;
-        assert_ne!(new_head, head);
-        assert!(c0_members.contains(&new_head));
     }
 }

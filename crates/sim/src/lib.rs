@@ -10,8 +10,8 @@
 //!   by spatial region with a canonical `(time, shard, unit, seq)` pop
 //!   order. With one shard and unit 0 it pops in `(time, schedule
 //!   order)`, which is how recruitment, fault injection and the chaos
-//!   replay run; the million-SU topology engine spreads it over regions
-//!   and drains slots serially or on the rayon pool;
+//!   replay run; `netperf` spreads it over regions, fills the shards on
+//!   the rayon pool and drains them in canonical order;
 //! * [`sharded::map_shards`] — the one order-stable fan-out and the
 //!   workspace's only parallelism decision: it runs on the rayon pool
 //!   when it has more than one item, the pool more than one thread and

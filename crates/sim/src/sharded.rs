@@ -12,8 +12,9 @@
 //! where `unit` is a caller-chosen label inside the shard (node id,
 //! cluster id, …) and `seq` is the shard-local schedule counter. This
 //! order is a pure function of *what was scheduled*, never of which
-//! thread scheduled it — so a serial drain and a rayon-parallel
-//! slot-drain observe byte-identical streams, extending the
+//! thread scheduled it — so per-shard event batches generated on the
+//! rayon pool and scheduled in shard order drain as byte-identical a
+//! stream as a serial run, extending the
 //! `derive(seed, unit)` discipline to `derive(seed, shard)`: each shard
 //! owns an independent RNG stream and a private seq counter, and the
 //! merge is deterministic by construction.
@@ -24,13 +25,12 @@
 //! recruitment, fault injection and the chaos replay all run on that
 //! one-shard form.
 //!
-//! Parallelism happens at slot granularity: [`ShardedEventQueue::drain_up_to`]
-//! pops everything due in the slot grouped per shard (each group already
-//! in canonical order), [`map_shards`] fans the groups out on the rayon
-//! pool (or runs them inline: one thread, one group, or already inside a
-//! map that fills the pool), and the caller folds the per-shard outputs back **in shard
-//! order** — a barrier merge that keeps results bit-identical at any
-//! thread count.
+//! [`map_shards`] is the workspace's order-stable fan-out: it maps a
+//! closure over per-item work (shards, trials, grid points, campaign
+//! chunks) on the rayon pool, or inline (one thread, one item, or
+//! already inside a map that fills the pool), and returns the outputs
+//! **in item order**, so the caller's fold is a barrier merge that keeps
+//! results bit-identical at any thread count.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -164,11 +164,6 @@ impl<E> ShardedEventQueue<E> {
         }
     }
 
-    /// Due time of the globally next event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.merge.peek().map(|Reverse((at, _))| *at)
-    }
-
     /// Pops the globally next event in canonical `(time, shard, unit,
     /// seq)` order, advancing `now`.
     pub fn pop(&mut self) -> Option<(ShardKey, E)> {
@@ -187,25 +182,6 @@ impl<E> ShardedEventQueue<E> {
             },
             entry.payload,
         ))
-    }
-
-    /// Pops every event due at or before `slot_end`, grouped by shard;
-    /// group `s` holds shard `s`'s events in canonical order. Advances
-    /// `now` to the latest popped time (at most `slot_end`).
-    ///
-    /// The groups are independent by construction — this is the parallel
-    /// slot boundary: fan the groups out with [`map_shards`], then fold
-    /// the results back in shard order.
-    pub fn drain_up_to(&mut self, slot_end: SimTime) -> Vec<Vec<(ShardKey, E)>> {
-        let mut out: Vec<Vec<(ShardKey, E)>> = Vec::with_capacity(self.shards.len());
-        for _ in 0..self.shards.len() {
-            out.push(Vec::new());
-        }
-        while self.peek_time().is_some_and(|t| t <= slot_end) {
-            let (key, payload) = self.pop().expect("peeked event pops");
-            out[key.shard as usize].push((key, payload));
-        }
-        out
     }
 }
 
@@ -231,10 +207,13 @@ thread_local! {
 /// fills the pool when it has at least as many items as the pool has
 /// threads: every thread then has work, so the maps nested below it run
 /// inline instead of spawning a second level of workers. A narrower map
-/// (`bergrid`'s two configurations on three or more threads, a one-item
-/// supervised run) leaves threads idle, and the maps below it still fan
+/// (`bergrid`'s two configurations on three or more threads) leaves
+/// threads idle, and the maps below it still fan
 /// out. `RAYON_NUM_THREADS=1` forces one thread at run time; building
 /// without the `parallel` feature links no rayon and always runs inline.
+///
+/// There is no retry and no isolation: a panic in any item unwinds out of
+/// the map with that item's own payload, on either path.
 pub fn map_shards<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -329,33 +308,17 @@ mod tests {
     }
 
     #[test]
-    fn drain_groups_match_global_pop_order() {
-        let mut q = ShardedEventQueue::new(2);
-        q.schedule_at(1, ns(5), 0, 'a');
-        q.schedule_at(0, ns(7), 0, 'b');
-        q.schedule_at(1, ns(12), 0, 'c');
-        q.schedule_at(0, ns(9), 0, 'd');
-        let groups = q.drain_up_to(ns(10));
-        assert_eq!(groups.len(), 2);
-        let flat: Vec<char> = groups.iter().flatten().map(|&(_, e)| e).collect();
-        assert_eq!(flat, vec!['b', 'd', 'a'], "shard 0 group, then shard 1");
-        assert_eq!(q.len(), 1, "the event past the slot boundary remains");
-        assert_eq!(q.now(), ns(9));
-        assert_eq!(q.pop().map(|(_, e)| e), Some('c'));
-    }
-
-    #[test]
-    fn interleaved_slots_keep_shard_streams_fifo() {
+    fn interleaved_batches_keep_shard_streams_fifo() {
         let mut q = ShardedEventQueue::new(2);
         q.schedule_at(0, ns(1), 0, 1);
         q.schedule_at(0, ns(1), 0, 2);
-        let g = q.drain_up_to(ns(1));
-        assert_eq!(g[0].iter().map(|&(_, e)| e).collect::<Vec<_>>(), vec![1, 2]);
-        // next slot reuses the shard's seq counter: still FIFO
+        let first: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(first, vec![1, 2]);
+        // the next batch reuses the shard's seq counter: still FIFO
         q.schedule_at(0, ns(2), 0, 3);
         q.schedule_at(0, ns(2), 0, 4);
-        let g = q.drain_up_to(ns(2));
-        assert_eq!(g[0].iter().map(|&(_, e)| e).collect::<Vec<_>>(), vec![3, 4]);
+        let second: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(second, vec![3, 4]);
     }
 
     #[test]
@@ -385,6 +348,32 @@ mod tests {
         let out = map_shards(&items, |s, &v| (s as u64) * 1000 + v);
         let expect: Vec<u64> = (0..64).map(|i| i * 1000 + i).collect();
         assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn map_shards_reraises_an_items_panic_message() {
+        // on the pool (the parallel feature at two or more threads) the
+        // item panics on a worker, and the caller still sees its message
+        let caller = std::thread::current().id();
+        let items: Vec<u64> = (0..8).collect();
+        let ran_on = std::sync::Mutex::new(None);
+        let payload = std::panic::catch_unwind(|| {
+            map_shards(&items, |_, &v| {
+                if v == 5 {
+                    *ran_on.lock().unwrap() = Some(std::thread::current().id());
+                    panic!("item {v} failed");
+                }
+                v
+            })
+        })
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "item 5 failed");
+        #[cfg(feature = "parallel")]
+        let pooled = rayon::current_num_threads() > 1;
+        #[cfg(not(feature = "parallel"))]
+        let pooled = false;
+        let worker = ran_on.into_inner().unwrap().unwrap();
+        assert_eq!(worker != caller, pooled, "panicked on a pool worker");
     }
 
     #[test]

@@ -48,23 +48,6 @@ impl SimTime {
     pub fn saturating_sub(self, other: Self) -> Self {
         Self(self.0.saturating_sub(other.0))
     }
-
-    /// Checked sum; `None` on overflow. The `Add` operator panics —
-    /// library code on fallible paths (fault schedules, chaos traces)
-    /// should use this form and surface the overflow as a typed error.
-    pub fn checked_add(self, other: Self) -> Option<Self> {
-        self.0.checked_add(other.0).map(Self)
-    }
-
-    /// Checked difference; `None` on underflow.
-    pub fn checked_sub(self, other: Self) -> Option<Self> {
-        self.0.checked_sub(other.0).map(Self)
-    }
-
-    /// Saturating sum.
-    pub fn saturating_add(self, other: Self) -> Self {
-        Self(self.0.saturating_add(other.0))
-    }
 }
 
 impl Add for SimTime {
@@ -122,17 +105,6 @@ mod tests {
         assert_eq!((b - a).as_nanos(), 15_000);
         assert_eq!((a + b).as_nanos(), 35_000);
         assert_eq!(a.saturating_sub(b), SimTime::ZERO);
-    }
-
-    #[test]
-    fn checked_and_saturating_arithmetic() {
-        let max = SimTime::from_nanos(u64::MAX);
-        let one = SimTime::from_nanos(1);
-        assert_eq!(max.checked_add(one), None);
-        assert_eq!(one.checked_add(one), Some(SimTime::from_nanos(2)));
-        assert_eq!(SimTime::ZERO.checked_sub(one), None);
-        assert_eq!(one.checked_sub(one), Some(SimTime::ZERO));
-        assert_eq!(max.saturating_add(one), max);
     }
 
     #[test]

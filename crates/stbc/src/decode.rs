@@ -70,15 +70,7 @@ impl RealMatrix {
         }
     }
 
-    /// `Aᵀy`.
-    pub fn t_mul_vec(&self, y: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.t_mul_vec_into(y, &mut out);
-        out
-    }
-
-    /// In-place [`t_mul_vec`](RealMatrix::t_mul_vec): writes `Aᵀy` into
-    /// `out`.
+    /// Writes `Aᵀy` into `out`, reusing its allocation.
     pub fn t_mul_vec_into(&self, y: &[f64], out: &mut Vec<f64>) {
         assert_eq!(y.len(), self.rows);
         out.clear();

@@ -42,10 +42,6 @@ pub struct UnderlayImageConfig {
     pub n_packets: usize,
     /// Payload bytes per packet (paper: 1500).
     pub packet_bytes: usize,
-    /// Protect each frame with the rate-1/2 convolutional code
-    /// (extension: the paper's omitted "channel coding" block, made real
-    /// by `comimo_dsp::fec`). Halves the air rate, buys ~4 dB.
-    pub use_fec: bool,
 }
 
 impl UnderlayImageConfig {
@@ -62,7 +58,6 @@ impl UnderlayImageConfig {
             cfo_rad_per_sample: 2.0 * std::f64::consts::PI * 5e-6,
             n_packets: PACKET_COUNT,
             packet_bytes: PACKET_BYTES,
-            use_fec: false,
         }
     }
 
@@ -137,12 +132,7 @@ fn send_packet<R: Rng>(
         &comimo_channel::obstacle::Environment::open(),
         fe.power_scale(),
     );
-    let framed = codec.encode(payload);
-    let bits = if cfg.use_fec {
-        comimo_dsp::fec::conv_encode(&framed)
-    } else {
-        framed.clone()
-    };
+    let bits = codec.encode(payload);
     let samples = modem.modulate(&bits);
     // Indoor Rician channel per transmitter: the line-of-sight components
     // arrive phase-aligned (the transmitters sit "next to each other" at
@@ -175,14 +165,8 @@ fn send_packet<R: Rng>(
     for v in &mut rx {
         *v += comimo_math::rng::complex_gaussian(rng, 1.0);
     }
-    let decoded_bits = modem.demodulate(&rx, bits.len());
-    let frame_bits = if cfg.use_fec {
-        comimo_dsp::fec::conv_decode_hard(&decoded_bits, framed.len())
-    } else {
-        decoded_bits
-    };
     codec
-        .decode(&frame_bits)
+        .decode(&modem.demodulate(&rx, bits.len()))
         .map(|f| f.payload == payload)
         .unwrap_or(false)
 }
@@ -284,38 +268,6 @@ mod tests {
             ..UnderlayImageConfig::quick()
         };
         assert_eq!(run(&cfg, &[600], 5), run(&cfg, &[600], 5));
-    }
-
-    #[test]
-    fn fec_rescues_the_weak_amplitude() {
-        // extension experiment: the rate-1/2 Viterbi code trades air time
-        // for ~4 dB — at the marginal amplitude where plain packets die,
-        // coded packets survive (note 400 coded ≈ 566 uncoded in energy
-        // per info bit, yet performs far better than even plain 600)
-        let plain = run(
-            &UnderlayImageConfig {
-                n_packets: 40,
-                ..UnderlayImageConfig::quick()
-            },
-            &[500],
-            2013,
-        );
-        let coded = run(
-            &UnderlayImageConfig {
-                n_packets: 40,
-                use_fec: true,
-                ..UnderlayImageConfig::quick()
-            },
-            &[500],
-            2013,
-        );
-        assert!(
-            coded.rows[0].per_solo < plain.rows[0].per_solo * 0.7,
-            "coded solo PER {} vs plain {}",
-            coded.rows[0].per_solo,
-            plain.rows[0].per_solo
-        );
-        assert!(coded.rows[0].per_coop <= plain.rows[0].per_coop);
     }
 
     #[test]

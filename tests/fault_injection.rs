@@ -29,9 +29,7 @@ fn fault_schedules_are_bit_identical_across_runs() {
         n_clusters: 3,
     };
     let cfg = FaultConfig::nominal(300.0);
-    // same (cfg, topo, seed) → same schedule; this binary runs with the
-    // default features, CI repeats it with --no-default-features and at
-    // RAYON_NUM_THREADS=1, so the comparison spans engine configurations
+    // same (cfg, topo, seed) → same schedule, build after build
     let a = build_schedule(&cfg, &topo, SEED);
     let b = build_schedule(&cfg, &topo, SEED);
     assert_eq!(a, b);

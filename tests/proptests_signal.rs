@@ -1,7 +1,6 @@
-//! Property-based tests over the signal chain: modems, framing, FEC,
-//! pulse shaping, STBC and the discrete-event engine.
+//! Property-based tests over the signal chain: modems, framing, STBC,
+//! the discrete-event engine and the d-clustering.
 
-use comimo::dsp::fec::{conv_decode_hard, conv_encode};
 use comimo::dsp::frame::FrameCodec;
 use comimo::dsp::gmsk::GmskModem;
 use comimo::dsp::modem::Bpsk;
@@ -54,24 +53,6 @@ proptest! {
         bad[idx] = !bad[idx];
         let got = codec.decode(&bad);
         prop_assert!(got.is_none() || got.unwrap().payload != payload);
-    }
-
-    /// The convolutional code corrects any two bit errors that are at
-    /// least a constraint length apart.
-    #[test]
-    fn prop_conv_code_corrects_spread_errors(
-        bits in arb_bits(160),
-        e1 in any::<u16>(),
-        gap in 20u16..500,
-    ) {
-        let mut coded = conv_encode(&bits);
-        let i1 = e1 as usize % coded.len();
-        let i2 = (i1 + gap as usize) % coded.len();
-        coded[i1] = !coded[i1];
-        if i2 != i1 && (i2 as isize - i1 as isize).unsigned_abs() >= 14 {
-            coded[i2] = !coded[i2];
-        }
-        prop_assert_eq!(conv_decode_hard(&coded, bits.len()), bits);
     }
 
     /// Every OSTBC design round-trips arbitrary complex symbols through a
