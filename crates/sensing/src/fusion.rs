@@ -31,6 +31,14 @@
 //! ([`RuleUsed`]) plus the report count and quorum it used — the
 //! observability the `INV-FUSION-QUORUM`, `INV-LLR-DEGRADE-ORDER` and
 //! `INV-REPUTATION-SANE` invariants check.
+//!
+//! Cost: the head runs once per sensing round, so it makes one pass
+//! over the delivered reports and evaluates one posterior per distinct
+//! report; confidence, hard bit and the weighted sums all come from
+//! that pass. It allocates nothing, except under the cold-start
+//! robust-median guard (an unconverged view, at least 3 reports, soft
+//! rung), which takes one buffer for the posteriors and their sorted
+//! copy. The `alloc_budget` test binary pins these counts.
 
 use crate::reputation::ReputationView;
 use comimo_math::special::ln_gamma;
@@ -156,54 +164,28 @@ pub fn quorum_of(k_frac: f64, n_reports: usize) -> usize {
     ((k_frac * n_reports as f64).ceil() as usize).clamp(1, n_reports)
 }
 
-/// Keeps the first report from each distinct reporter, preserving
-/// arrival order. Transport already dedupes in-round retransmissions,
-/// but a duplicate that slips through late (e.g. a stale frame accepted
-/// across a round boundary) must not inflate `n` — and with it the
-/// re-derived `k` — past the number of distinct reporters.
-fn dedupe_by_reporter<T: Copy>(reports: &[(usize, T)]) -> Vec<(usize, T)> {
-    let mut seen: Vec<usize> = Vec::with_capacity(reports.len());
-    let mut out = Vec::with_capacity(reports.len());
-    for &(id, payload) in reports {
-        if !seen.contains(&id) {
-            seen.push(id);
-            out.push((id, payload));
-        }
-    }
-    out
-}
-
-/// Drops reports from quarantined reporters *before* dedup and quorum
-/// re-derivation, returning the survivors plus the count of distinct
-/// quarantined reporters whose reports were discarded. With no view
-/// every report survives.
-fn filter_eligible<T: Copy>(
-    reports: &[(usize, T)],
-    rep: Option<&ReputationView>,
-) -> (Vec<(usize, T)>, usize) {
-    let Some(view) = rep else {
-        return (reports.to_vec(), 0);
-    };
-    let mut dropped: Vec<usize> = Vec::new();
-    let kept: Vec<(usize, T)> = reports
+/// The first report of each distinct reporter, in arrival order.
+/// Transport already dedupes in-round retransmissions, but a duplicate
+/// that slips through late (e.g. a stale frame accepted across a round
+/// boundary) must not inflate `n` — and with it the re-derived `k` —
+/// past the number of distinct reporters. Eligibility depends only on
+/// the id, so dropping quarantined reporters from this sequence is the
+/// same as deduping after the quarantine filter. The prefix scan is
+/// quadratic in the report count, a handful per round, and allocates
+/// nothing.
+fn first_reports(
+    reports: &[(usize, SoftReport)],
+) -> impl Iterator<Item = (usize, SoftReport)> + '_ {
+    reports
         .iter()
-        .filter(|&&(id, _)| {
-            let ok = view.is_eligible(id);
-            if !ok && !dropped.contains(&id) {
-                dropped.push(id);
-            }
-            ok
-        })
-        .copied()
-        .collect();
-    (kept, dropped.len())
+        .enumerate()
+        .filter(|&(j, &(id, _))| reports[..j].iter().all(|&(prev, _)| prev != id))
+        .map(|(_, &report)| report)
 }
 
-/// Median of a non-empty sample (total order over f64 bits; the mean of
-/// the two middles for even sizes).
-fn median(xs: &[f64]) -> f64 {
-    let mut s = xs.to_vec();
-    s.sort_by(f64::total_cmp);
+/// Median of a sorted, non-empty sample (the mean of the two middles
+/// for even sizes).
+fn median_of_sorted(s: &[f64]) -> f64 {
     let n = s.len();
     if n % 2 == 1 {
         s[n / 2]
@@ -219,41 +201,60 @@ fn median(xs: &[f64]) -> f64 {
 const MAD_K: f64 = 3.0;
 const MAD_FLOOR: f64 = 0.05;
 
-/// The soft rung's vote mass over the distinct reports: the summed
-/// posteriors, or under a view the normalized weighted vote
-/// `n·Σwᵢpᵢ/Σwᵢ`. Any *uniform* weight vector cancels exactly, so the
-/// raw sum is returned for it and the reduction to unweighted fusion is
-/// bit-identical, not merely close. While the view is **not yet
-/// converged** (cold start, near-prior weights), robust-median outlier
-/// rejection zeroes the weight of reports whose posterior sits far from
-/// the roster median — the guard that keeps an SSDF coalition from
-/// steering verdicts before reputation has evidence to separate it.
-fn soft_vote(distinct: &[(usize, SoftReport)], rep: Option<&ReputationView>) -> f64 {
-    let soft_votes: f64 = distinct.iter().map(|(_, r)| r.posterior_busy()).sum();
-    let Some(view) = rep else {
-        return soft_votes;
+/// The weighted-vote sums `Σw`, `Σw·p` over the distinct reports, with
+/// whether every weight equals the first.
+struct WeightSums {
+    w: f64,
+    wp: f64,
+    first: Option<f64>,
+    uniform: bool,
+}
+
+impl WeightSums {
+    const EMPTY: Self = Self {
+        w: 0.0,
+        wp: 0.0,
+        first: None,
+        uniform: true,
     };
-    let n = distinct.len();
-    let posteriors: Vec<f64> = distinct.iter().map(|(_, r)| r.posterior_busy()).collect();
-    let mut weights: Vec<f64> = distinct.iter().map(|&(id, _)| view.weight_of(id)).collect();
-    if !view.converged() && n >= 3 {
-        let med = median(&posteriors);
-        let devs: Vec<f64> = posteriors.iter().map(|p| (p - med).abs()).collect();
-        let cut = MAD_K * median(&devs).max(MAD_FLOOR);
-        for (w, d) in weights.iter_mut().zip(&devs) {
-            if *d > cut {
-                *w = 0.0;
-            }
-        }
+
+    fn add(&mut self, w: f64, p: f64) {
+        self.w += w;
+        self.wp += w * p;
+        let first = *self.first.get_or_insert(w);
+        self.uniform &= w == first;
     }
-    let w_sum: f64 = weights.iter().sum();
-    let uniform = weights.iter().all(|&w| w == weights[0]);
-    if uniform || w_sum <= 0.0 {
-        soft_votes
-    } else {
-        let wp: f64 = weights.iter().zip(&posteriors).map(|(w, p)| w * p).sum();
-        n as f64 * wp / w_sum
+}
+
+/// The weight sums with the cold-start robust-median cut applied: a
+/// report whose posterior sits more than the cut from the roster median
+/// weighs zero. The one allocation of the fusion head lives here: the
+/// `n` posteriors in report order plus a sorted copy, reused for the
+/// sorted deviations (their multiset does not depend on the order the
+/// posteriors are taken in).
+fn median_cut_sums(reports: &[(usize, SoftReport)], view: &ReputationView, n: usize) -> WeightSums {
+    let eligible = || first_reports(reports).filter(|&(id, _)| view.is_eligible(id));
+    let mut buf = Vec::with_capacity(2 * n);
+    buf.extend(eligible().map(|(_, r)| r.posterior_busy()));
+    buf.extend_from_within(..n);
+    let (posteriors, sorted) = buf.split_at_mut(n);
+    sorted.sort_unstable_by(f64::total_cmp);
+    let med = median_of_sorted(sorted);
+    for (d, p) in sorted.iter_mut().zip(posteriors.iter()) {
+        *d = (p - med).abs();
     }
+    sorted.sort_unstable_by(f64::total_cmp);
+    let cut = MAD_K * median_of_sorted(sorted).max(MAD_FLOOR);
+    let mut sums = WeightSums::EMPTY;
+    for ((id, _), &p) in eligible().zip(posteriors.iter()) {
+        let w = if (p - med).abs() > cut {
+            0.0
+        } else {
+            view.weight_of(id)
+        };
+        sums.add(w, p);
+    }
+    sums
 }
 
 /// Fuses the arrived `reports` (`(reporter_id, report)` pairs) under
@@ -275,33 +276,66 @@ fn soft_vote(distinct: &[(usize, SoftReport)], rep: Option<&ReputationView>) -> 
 /// reporters (first report wins) before quorum-k re-derivation, so
 /// neither a vandal nor a duplicate can inflate `k`. Total: never
 /// panics, never divides by a zero reporter count.
+///
+/// The soft rung's vote mass is the summed posteriors, or under a view
+/// the normalized weighted vote `n·Σwᵢpᵢ/Σwᵢ`. Any *uniform* weight
+/// vector cancels exactly, so the raw sum is used for it and the
+/// reduction to unweighted fusion is bit-identical, not merely close.
+/// While the view is **not yet converged** (cold start, near-prior
+/// weights), robust-median outlier rejection zeroes the weight of
+/// reports whose posterior sits far from the roster median — the guard
+/// that keeps an SSDF coalition from steering verdicts before
+/// reputation has evidence to separate it.
 pub fn fuse_soft_weighted(
     cfg: &FusionConfig,
     reports: &[(usize, SoftReport)],
     head_local: bool,
     rep: Option<&ReputationView>,
 ) -> (FusionDecision, LadderEvidence) {
-    let (eligible, n_quarantined) = filter_eligible(reports, rep);
-    let distinct = dedupe_by_reporter(&eligible);
-    let n = distinct.len();
+    let mut n = 0usize;
+    let mut n_quarantined = 0usize;
+    let mut hard_positives = 0usize;
+    let mut confidence_sum = 0.0;
+    let mut posterior_sum = 0.0;
+    let mut weights = WeightSums::EMPTY;
+    for (id, r) in first_reports(reports) {
+        if rep.is_some_and(|view| !view.is_eligible(id)) {
+            n_quarantined += 1;
+            continue;
+        }
+        let p = r.posterior_busy();
+        n += 1;
+        hard_positives += usize::from(r.hard_bit());
+        confidence_sum += p.max(1.0 - p);
+        posterior_sum += p;
+        if let Some(view) = rep {
+            weights.add(view.weight_of(id), p);
+        }
+    }
     let min_quorum = cfg.min_quorum.max(1);
     let mean_confidence = if n == 0 {
         0.0
     } else {
-        distinct.iter().map(|(_, r)| r.confidence()).sum::<f64>() / n as f64
+        confidence_sum / n as f64
     };
-    let hard_positives = || distinct.iter().filter(|(_, r)| r.hard_bit()).count();
     let (rule_used, busy, quorum) = if n == 0 {
         (RuleUsed::HeadLocal, head_local, 0)
     } else if n < min_quorum {
-        (RuleUsed::OrFallback, hard_positives() >= 1, 1)
+        (RuleUsed::OrFallback, hard_positives >= 1, 1)
     } else {
         let quorum = quorum_of(cfg.k_frac, n);
         if mean_confidence >= cfg.reliability_floor {
-            let vote = soft_vote(&distinct, rep);
+            if let Some(view) = rep.filter(|view| !view.converged() && n >= 3) {
+                weights = median_cut_sums(reports, view, n);
+            }
+            let vote = if rep.is_none() || weights.uniform || weights.w <= 0.0 {
+                posterior_sum
+            } else {
+                n as f64 * weights.wp / weights.w
+            };
             (RuleUsed::WeightedLlr, vote >= quorum as f64 - 0.5, quorum)
         } else {
-            (RuleUsed::HardDecode, hard_positives() >= quorum, quorum)
+            (RuleUsed::HardDecode, hard_positives >= quorum, quorum)
         }
     };
     (
@@ -702,6 +736,222 @@ mod tests {
         assert!(weighted.busy, "converged weights must restore detection");
         assert_eq!(ev.n_quarantined, 2, "the vandals are quarantined by now");
         assert_eq!(ev.n_distinct, 3);
+    }
+
+    /// The filter → dedupe → soft-vote pipeline the one-pass head
+    /// replaced, kept as its oracle: each stage materializes its own
+    /// `Vec`, and every posterior is re-evaluated per use.
+    mod oracle {
+        use super::*;
+
+        fn dedupe_by_reporter<T: Copy>(reports: &[(usize, T)]) -> Vec<(usize, T)> {
+            let mut seen: Vec<usize> = Vec::with_capacity(reports.len());
+            let mut out = Vec::with_capacity(reports.len());
+            for &(id, payload) in reports {
+                if !seen.contains(&id) {
+                    seen.push(id);
+                    out.push((id, payload));
+                }
+            }
+            out
+        }
+
+        fn filter_eligible<T: Copy>(
+            reports: &[(usize, T)],
+            rep: Option<&ReputationView>,
+        ) -> (Vec<(usize, T)>, usize) {
+            let Some(view) = rep else {
+                return (reports.to_vec(), 0);
+            };
+            let mut dropped: Vec<usize> = Vec::new();
+            let kept: Vec<(usize, T)> = reports
+                .iter()
+                .filter(|&&(id, _)| {
+                    let ok = view.is_eligible(id);
+                    if !ok && !dropped.contains(&id) {
+                        dropped.push(id);
+                    }
+                    ok
+                })
+                .copied()
+                .collect();
+            (kept, dropped.len())
+        }
+
+        fn median(xs: &[f64]) -> f64 {
+            let mut s = xs.to_vec();
+            s.sort_by(f64::total_cmp);
+            let n = s.len();
+            if n % 2 == 1 {
+                s[n / 2]
+            } else {
+                0.5 * (s[n / 2 - 1] + s[n / 2])
+            }
+        }
+
+        fn soft_vote(distinct: &[(usize, SoftReport)], rep: Option<&ReputationView>) -> f64 {
+            let soft_votes: f64 = distinct.iter().map(|(_, r)| r.posterior_busy()).sum();
+            let Some(view) = rep else {
+                return soft_votes;
+            };
+            let n = distinct.len();
+            let posteriors: Vec<f64> = distinct.iter().map(|(_, r)| r.posterior_busy()).collect();
+            let mut weights: Vec<f64> =
+                distinct.iter().map(|&(id, _)| view.weight_of(id)).collect();
+            if !view.converged() && n >= 3 {
+                let med = median(&posteriors);
+                let devs: Vec<f64> = posteriors.iter().map(|p| (p - med).abs()).collect();
+                let cut = MAD_K * median(&devs).max(MAD_FLOOR);
+                for (w, d) in weights.iter_mut().zip(&devs) {
+                    if *d > cut {
+                        *w = 0.0;
+                    }
+                }
+            }
+            let w_sum: f64 = weights.iter().sum();
+            let uniform = weights.iter().all(|&w| w == weights[0]);
+            if uniform || w_sum <= 0.0 {
+                soft_votes
+            } else {
+                let wp: f64 = weights.iter().zip(&posteriors).map(|(w, p)| w * p).sum();
+                n as f64 * wp / w_sum
+            }
+        }
+
+        pub(super) fn fuse(
+            cfg: &FusionConfig,
+            reports: &[(usize, SoftReport)],
+            head_local: bool,
+            rep: Option<&ReputationView>,
+        ) -> (FusionDecision, LadderEvidence) {
+            let (eligible, n_quarantined) = filter_eligible(reports, rep);
+            let distinct = dedupe_by_reporter(&eligible);
+            let n = distinct.len();
+            let min_quorum = cfg.min_quorum.max(1);
+            let mean_confidence = if n == 0 {
+                0.0
+            } else {
+                distinct.iter().map(|(_, r)| r.confidence()).sum::<f64>() / n as f64
+            };
+            let hard_positives = || distinct.iter().filter(|(_, r)| r.hard_bit()).count();
+            let (rule_used, busy, quorum) = if n == 0 {
+                (RuleUsed::HeadLocal, head_local, 0)
+            } else if n < min_quorum {
+                (RuleUsed::OrFallback, hard_positives() >= 1, 1)
+            } else {
+                let quorum = quorum_of(cfg.k_frac, n);
+                if mean_confidence >= cfg.reliability_floor {
+                    let vote = soft_vote(&distinct, rep);
+                    (RuleUsed::WeightedLlr, vote >= quorum as f64 - 0.5, quorum)
+                } else {
+                    (RuleUsed::HardDecode, hard_positives() >= quorum, quorum)
+                }
+            };
+            (
+                FusionDecision {
+                    busy,
+                    rule_used,
+                    reports_used: n,
+                    quorum,
+                },
+                LadderEvidence {
+                    soft_path: cfg.reliability_floor.is_finite(),
+                    weighted: rep.is_some(),
+                    rung: rule_used,
+                    n_distinct: n,
+                    n_raw: reports.len(),
+                    n_quarantined,
+                    min_quorum,
+                    mean_confidence,
+                    reliability_floor: cfg.reliability_floor,
+                },
+            )
+        }
+    }
+
+    /// Real tracker views over seeded report histories: cold and
+    /// converged, with and without quarantined reporters, rosters of 1
+    /// to 8 (report ids run to 9, so some are off roster).
+    fn seeded_views() -> Vec<ReputationView> {
+        use crate::reputation::{ReputationConfig, ReputationTracker};
+        use rand::Rng;
+        let mut rng = comimo_math::rng::derive(0xF05E, 1);
+        let mut views = vec![ReputationView::uniform_converged(6)];
+        for v in 0..24usize {
+            let n = 1 + v % 8;
+            let mut t = ReputationTracker::new(ReputationConfig::paper(), n);
+            for _ in 0..[0, 2, 8, 40][v % 4] {
+                let verdict = rng.gen_bool(0.5);
+                // reporter 0 always votes idle: a vandal the long
+                // histories quarantine
+                let reports: Vec<(usize, bool, f64)> = (0..n)
+                    .map(|i| (i, i != 0 && verdict, rng.gen_range(0.5..=1.0)))
+                    .collect();
+                t.observe_round(verdict, &reports);
+            }
+            views.push(t.view());
+        }
+        views
+    }
+
+    /// One seeded report: LLRs at ±∞, ±0, NaN, small and large finite.
+    fn seeded_llr(rng: &mut impl rand::Rng) -> f64 {
+        match rng.gen_range(0..8u32) {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => [0.0, -0.0, f64::NAN][rng.gen_range(0..3usize)],
+            3 | 4 => rng.gen_range(-1.0..1.0),
+            _ => rng.gen_range(-30.0..30.0),
+        }
+    }
+
+    #[test]
+    fn one_pass_head_matches_the_staged_oracle_bit_for_bit() {
+        use rand::Rng;
+        let views = seeded_views();
+        assert!(views.iter().any(|v| !v.converged() && v.n() >= 3));
+        assert!(views.iter().any(|v| v.converged() && v.n_quarantined() > 0));
+        let mut rng = comimo_math::rng::derive(0xF05E, 2);
+        let mut rungs = [0usize; 4];
+        let mut cold_guard = 0usize;
+        for case in 0..24_000u32 {
+            let reports: Vec<(usize, SoftReport)> = (0..rng.gen_range(0..=10usize))
+                .map(|_| (rng.gen_range(0..10usize), soft(seeded_llr(&mut rng))))
+                .collect();
+            let cfg = FusionConfig {
+                k_frac: [0.01, 0.5, 0.8, 1.0][rng.gen_range(0..4usize)],
+                reliability_floor: [0.0, 0.6, 0.9, f64::INFINITY][rng.gen_range(0..4usize)],
+                min_quorum: rng.gen_range(0..=3usize),
+            };
+            let pick = rng.gen_range(0..=views.len());
+            let rep = views.get(pick);
+            let head_local = rng.gen_bool(0.5);
+            let (d, ev) = fuse_soft_weighted(&cfg, &reports, head_local, rep);
+            let (od, oev) = oracle::fuse(&cfg, &reports, head_local, rep);
+            assert_eq!(d, od, "case {case}");
+            assert_eq!(
+                ev.mean_confidence.to_bits(),
+                oev.mean_confidence.to_bits(),
+                "case {case}"
+            );
+            let blank = |e: LadderEvidence| LadderEvidence {
+                mean_confidence: 0.0,
+                ..e
+            };
+            assert_eq!(blank(ev), blank(oev), "case {case}");
+            rungs[usize::from(d.rule_used.rung_index())] += 1;
+            if d.rule_used == RuleUsed::WeightedLlr
+                && rep.is_some_and(|v| !v.converged())
+                && d.reports_used >= 3
+            {
+                cold_guard += 1;
+            }
+        }
+        assert!(rungs.iter().all(|&c| c >= 500), "rung coverage {rungs:?}");
+        assert!(
+            cold_guard >= 500,
+            "cold-start guard reached {cold_guard} times"
+        );
     }
 
     #[test]

@@ -170,12 +170,10 @@ impl ReputationTracker {
     /// Quarantined reporters are scored exactly like active ones — the
     /// machine controls *fusion eligibility*, never the evidence flow.
     pub fn observe_round(&mut self, fused_busy: bool, reports: &[(usize, bool, f64)]) {
-        let mut seen: Vec<usize> = Vec::with_capacity(reports.len());
-        for &(id, bit, confidence) in reports {
-            if id >= self.trust.len() || seen.contains(&id) {
+        for (j, &(id, bit, confidence)) in reports.iter().enumerate() {
+            if id >= self.trust.len() || reports[..j].iter().any(|&(prev, _, _)| prev == id) {
                 continue;
             }
-            seen.push(id);
             let conf = confidence.clamp(0.0, 1.0);
             let t = &mut self.trust[id];
             if bit == fused_busy {
@@ -241,8 +239,14 @@ impl ReputationTracker {
     /// The immutable snapshot the fusion head consumes.
     pub fn view(&self) -> ReputationView {
         ReputationView {
-            weights: self.trust.iter().map(ReporterTrust::weight).collect(),
-            eligible: self.trust.iter().map(ReporterTrust::eligible).collect(),
+            slots: self
+                .trust
+                .iter()
+                .map(|t| ViewSlot {
+                    weight: t.weight(),
+                    eligible: t.eligible(),
+                })
+                .collect(),
             converged: self.converged(),
         }
     }
@@ -268,9 +272,16 @@ impl ReputationTracker {
 /// and are eligible — the view never invents exclusions.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReputationView {
-    weights: Vec<f64>,
-    eligible: Vec<bool>,
+    slots: Vec<ViewSlot>,
     converged: bool,
+}
+
+/// One roster slot of a [`ReputationView`]: weight and eligibility side
+/// by side, so a snapshot is one allocation and a lookup one load.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+struct ViewSlot {
+    weight: f64,
+    eligible: bool,
 }
 
 impl ReputationView {
@@ -280,25 +291,30 @@ impl ReputationView {
     /// reproduce unweighted LLR fusion count for count.
     pub fn uniform_converged(n: usize) -> Self {
         Self {
-            weights: vec![0.5; n],
-            eligible: vec![true; n],
+            slots: vec![
+                ViewSlot {
+                    weight: 0.5,
+                    eligible: true,
+                };
+                n
+            ],
             converged: true,
         }
     }
 
     /// Roster size the view covers.
     pub fn n(&self) -> usize {
-        self.weights.len()
+        self.slots.len()
     }
 
     /// Reporter `id`'s trust weight (neutral `0.5` off roster).
     pub fn weight_of(&self, id: usize) -> f64 {
-        self.weights.get(id).copied().unwrap_or(0.5)
+        self.slots.get(id).map_or(0.5, |s| s.weight)
     }
 
     /// Whether reporter `id` may be fused (`true` off roster).
     pub fn is_eligible(&self, id: usize) -> bool {
-        self.eligible.get(id).copied().unwrap_or(true)
+        self.slots.get(id).is_none_or(|s| s.eligible)
     }
 
     /// Whether the weights carry enough evidence to stand alone.
@@ -308,17 +324,17 @@ impl ReputationView {
 
     /// Quarantined roster slots.
     pub fn n_quarantined(&self) -> usize {
-        self.eligible.iter().filter(|&&e| !e).count()
+        self.slots.iter().filter(|s| !s.eligible).count()
     }
 
     /// Smallest weight on the roster (1.0 for an empty roster).
     pub fn min_weight(&self) -> f64 {
-        self.weights.iter().copied().fold(1.0, f64::min)
+        self.slots.iter().map(|s| s.weight).fold(1.0, f64::min)
     }
 
     /// Largest weight on the roster (0.0 for an empty roster).
     pub fn max_weight(&self) -> f64 {
-        self.weights.iter().copied().fold(0.0, f64::max)
+        self.slots.iter().map(|s| s.weight).fold(0.0, f64::max)
     }
 }
 
@@ -440,6 +456,86 @@ mod tests {
         // out-of-range confidence is clamped, not trusted
         t.observe_round(true, &[(0, false, 42.0)]);
         assert!(t.trust_of(0).weight() >= 0.0 && t.trust_of(0).weight() <= 1.0);
+    }
+
+    /// The scoring half of `observe_round` as it was before the prefix
+    /// scan: a `seen` list of the ids already scored this round.
+    fn oracle_score(t: &mut ReputationTracker, fused_busy: bool, reports: &[(usize, bool, f64)]) {
+        let mut seen: Vec<usize> = Vec::with_capacity(reports.len());
+        for &(id, bit, confidence) in reports {
+            if id >= t.trust.len() || seen.contains(&id) {
+                continue;
+            }
+            seen.push(id);
+            let conf = confidence.clamp(0.0, 1.0);
+            let tr = &mut t.trust[id];
+            if bit == fused_busy {
+                tr.alpha += conf;
+            } else {
+                tr.beta += conf * t.cfg.disagree_penalty;
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_scan_fold_matches_the_seen_list_oracle_bit_for_bit() {
+        use rand::Rng;
+        let mut rng = comimo_math::rng::derive(0x5EE7, 1);
+        for case in 0..20_000u32 {
+            let n = rng.gen_range(0..8usize);
+            let mut t = ReputationTracker::new(ReputationConfig::paper(), n);
+            // a short history, so the states and counts start spread out
+            for _ in 0..rng.gen_range(0..12u32) {
+                let reports: Vec<(usize, bool, f64)> = (0..n)
+                    .map(|i| (i, rng.gen_bool(0.3), rng.gen_range(0.0..1.0)))
+                    .collect();
+                t.observe_round(rng.gen_bool(0.5), &reports);
+            }
+            let verdict = rng.gen_bool(0.5);
+            let reports: Vec<(usize, bool, f64)> = (0..rng.gen_range(0..12usize))
+                .map(|_| {
+                    let conf = match rng.gen_range(0..6u32) {
+                        0 => [-1.0, 0.0, 1.0, 42.0, f64::NAN][rng.gen_range(0..5usize)],
+                        _ => rng.gen_range(0.0..1.0),
+                    };
+                    (rng.gen_range(0..10usize), rng.gen_bool(0.5), conf)
+                })
+                .collect();
+            let mut expect = t.clone();
+            oracle_score(&mut expect, verdict, &reports);
+            // the state step after scoring is shared: step the oracle
+            // with no reports
+            expect.observe_round(verdict, &[]);
+            t.observe_round(verdict, &reports);
+            assert_eq!(t.rounds_observed(), expect.rounds_observed());
+            for i in 0..n {
+                let (a, b) = (t.trust_of(i), expect.trust_of(i));
+                assert_eq!(a.alpha.to_bits(), b.alpha.to_bits(), "case {case}");
+                assert_eq!(a.beta.to_bits(), b.beta.to_bits(), "case {case}");
+                assert_eq!(a.state, b.state, "case {case}");
+            }
+            let v = t.view();
+            assert_eq!(v.n(), n);
+            assert_eq!(v.converged(), t.converged());
+            assert_eq!(v.n_quarantined(), t.census().1);
+            let weights = (0..n).map(|i| t.trust_of(i).weight());
+            assert_eq!(
+                v.min_weight().to_bits(),
+                weights.clone().fold(1.0, f64::min).to_bits()
+            );
+            assert_eq!(
+                v.max_weight().to_bits(),
+                weights.fold(0.0, f64::max).to_bits()
+            );
+            for i in 0..n + 2 {
+                let (w, e) = match t.trust.get(i) {
+                    Some(tr) => (tr.weight(), tr.eligible()),
+                    None => (0.5, true),
+                };
+                assert_eq!(v.weight_of(i).to_bits(), w.to_bits());
+                assert_eq!(v.is_eligible(i), e);
+            }
+        }
     }
 
     #[test]

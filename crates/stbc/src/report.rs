@@ -244,6 +244,50 @@ mod tests {
     }
 
     #[test]
+    fn hard_bit_flip_rate_is_the_rayleigh_mrc_closed_form() {
+        // the sign of the LLR is the sign of Σ_b m_b = G·s + N(0, G·n0/2)
+        // with G = Σ_b g_b ~ Gamma(L), L = n_blocks·mt·mr: the hard bit
+        // flips with probability E[Q(√(2G·x))] at x = es/(mt·n0), the
+        // L-branch MRC average. Pinned within 4σ of the binomial count
+        use comimo_math::special::rayleigh_mrc_q_average;
+        let ch = BlockRayleigh::unit();
+        let n_obs = 10_000u64;
+        let shapes = [
+            (1, 1, 1),
+            (2, 1, 1),
+            (1, 1, 3),
+            (2, 2, 1),
+            (2, 1, 3),
+            (2, 2, 2),
+            (2, 1, 8),
+            (4, 2, 2),
+        ];
+        let mut point = 0u64;
+        for (mt, mr, n_blocks) in shapes {
+            let l = (n_blocks * mt * mr) as u32;
+            for snr_db in [-25.0, -15.0, -5.0, 0.0, 5.0, 15.0, 25.0] {
+                let cfg = ReportWordConfig::from_report_snr_db(mt, mr, n_blocks, snr_db);
+                let eps = rayleigh_mrc_q_average(l, cfg.es / (mt as f64 * cfg.n0));
+                let flips = (0..n_obs)
+                    .filter(|&trial| {
+                        let bit = trial % 2 == 0;
+                        let mut rng = derive(0x7E_F11F, point << 32 | trial);
+                        transmit_report_word(bit, 1.0, &cfg, &ch, &mut rng).hard_bit() != bit
+                    })
+                    .count() as f64;
+                let expect = n_obs as f64 * eps;
+                let sigma = (expect * (1.0 - eps)).sqrt();
+                assert!(
+                    (flips - expect).abs() <= 4.0 * sigma,
+                    "L = {l} ({mt}x{mr}, {n_blocks} blocks) at {snr_db} dB: \
+                     {flips} flips vs {expect:.2} ± {sigma:.2}"
+                );
+                point += 1;
+            }
+        }
+    }
+
+    #[test]
     fn low_snr_erodes_confidence() {
         let ch = BlockRayleigh::unit();
         let mut conf_hi = 0.0;
