@@ -143,7 +143,7 @@ impl ClusterBeamformer {
             let pa = nodes[a as usize];
             paired[a as usize] = true;
             grid.remove(a, pa.x, pa.y);
-            match grid.nearest_matching(pa.x, pa.y, |_| true) {
+            match grid.nearest_matching(pa.x, pa.y, f64::INFINITY, |_| true) {
                 Some((b, _)) => {
                     let pb = nodes[b as usize];
                     paired[b as usize] = true;

@@ -13,13 +13,22 @@
 //!   boundary). Every member of such a cluster lies within d, head
 //!   included, so the candidates are the heads within d in the head
 //!   index (about six at 1M density). Else found a new singleton cluster
-//!   and resolve its backbone parent from the head index: O(heads within
-//!   d + boundary members).
+//!   and resolve its backbone parent from the head index within `D`:
+//!   O(heads within d + boundary members). Each cluster keeps its
+//!   members' positions index-aligned with its roster, so a member scan
+//!   (about 2.2 per join at 1M density) reads one contiguous array, not
+//!   the store.
 //! * **death** — remove the node from its cluster, re-elect the head if
 //!   it died (battery-max, lower id on ties — the same rule as
 //!   [`crate::cluster::try_elect_head`]), retire emptied clusters, and
-//!   recruit a replacement from an adjacent donor when the cluster falls
-//!   below quorum: O(cluster + neighbours).
+//!   recruit the nearest fitting node within d of the head from an
+//!   adjacent donor when the cluster falls below quorum. The bounding box
+//!   is always its members' exact box, so a leaver strictly inside it
+//!   leaves it as it is and only one on its edge rescans the cached
+//!   positions (about one death in eleven at 1M density): O(1) for an
+//!   interior non-head leaver, else O(cluster + neighbours within d).
+//!   A caller that picks the victim with [`TopologyEngine::nearest_node`]
+//!   reads about 1.2 grid cells (~150 entries) at 1M density.
 //! * **PU arrival** — collect the clusters whose head sits inside the
 //!   primary's footprint from the head index: O(affected).
 //!
@@ -113,6 +122,9 @@ struct TopoCluster {
     alive: bool,
     /// Member node ids, sorted ascending.
     members: Vec<u32>,
+    /// Member positions, index-aligned with `members`: the diameter
+    /// checks and box rescans read this one array instead of the store.
+    pos: Vec<(f64, f64)>,
     head: u32,
     /// Creation stamp; parent chains have strictly decreasing stamps.
     stamp: u64,
@@ -127,6 +139,29 @@ struct TopoCluster {
     max_y: f64,
     /// Times a primary-user arrival has muted this cluster.
     pu_hits: u64,
+}
+
+impl TopoCluster {
+    /// Inserts `node` at `p` into the sorted roster and grows the box.
+    fn admit(&mut self, node: u32, p: (f64, f64)) {
+        let at = self.members.binary_search(&node).unwrap_err();
+        self.members.insert(at, node);
+        self.pos.insert(at, p);
+        self.min_x = self.min_x.min(p.0);
+        self.min_y = self.min_y.min(p.1);
+        self.max_x = self.max_x.max(p.0);
+        self.max_y = self.max_y.max(p.1);
+    }
+
+    /// Removes the member at roster index `at` and returns whether the
+    /// box needs a rescan. The box is always tight, so a leaver strictly
+    /// inside it on both axes attains none of its sides and leaves it as
+    /// it is.
+    fn remove_at(&mut self, at: usize) -> bool {
+        self.members.remove(at);
+        let (x, y) = self.pos.remove(at);
+        !(self.min_x < x && x < self.max_x && self.min_y < y && y < self.max_y)
+    }
 }
 
 /// What a [`TopologyEngine::join`] did.
@@ -174,6 +209,11 @@ pub struct TopoStats {
     pub recruits: u64,
     /// Lazy backbone-parent re-resolutions.
     pub parent_refreshes: u64,
+    /// Diameter checks the bounding box could not settle, each a scan
+    /// of the cluster's member positions.
+    pub member_scans: u64,
+    /// Bounding-box rescans after a member left from the box's edge.
+    pub bbox_rescans: u64,
 }
 
 /// The engine: SoA store + spatial index + incremental cluster slab.
@@ -249,7 +289,7 @@ impl TopologyEngine {
     /// deterministic `(distance², id)` tie-break, O(cells inspected)
     /// through the spatial grid. `None` on an empty deployment.
     pub fn nearest_node(&self, x: f64, y: f64) -> Option<(u32, f64)> {
-        self.grid.nearest_matching(x, y, |_| true)
+        self.grid.nearest_matching(x, y, f64::INFINITY, |_| true)
     }
 
     /// Members of cluster `c`, sorted ascending.
@@ -301,9 +341,9 @@ impl TopologyEngine {
     }
 
     /// Whether `(x, y)` is within `d` of every member of `c` — bounding
-    /// box quick-accept first, member scan only when the box straddles
-    /// the d-ball boundary.
-    fn fits_cluster(&self, c: &TopoCluster, x: f64, y: f64) -> bool {
+    /// box quick-accept first, member scan (counted in `scans`) only when
+    /// the box straddles the d-ball boundary.
+    fn fits_cluster(&self, c: &TopoCluster, x: f64, y: f64, scans: &mut u64) -> bool {
         let d2 = self.cfg.d_m * self.cfg.d_m;
         // farthest bbox corner from (x, y): per-axis max distance
         let fx = (x - c.min_x).abs().max((x - c.max_x).abs());
@@ -311,8 +351,8 @@ impl TopologyEngine {
         if fx * fx + fy * fy <= d2 {
             return true; // whole box inside the ball ⇒ every member is
         }
-        c.members.iter().all(|&m| {
-            let (mx, my) = self.store.pos(m);
+        *scans += 1;
+        c.pos.iter().all(|&(mx, my)| {
             let (dx, dy) = (mx - x, my - y);
             dx * dx + dy * dy <= d2
         })
@@ -322,11 +362,10 @@ impl TopologyEngine {
     /// older than `stamp`, by `(distance², cluster id)`.
     fn resolve_parent(&self, x: f64, y: f64, stamp: u64) -> Option<u32> {
         self.heads
-            .nearest_matching(x, y, |c| {
+            .nearest_matching(x, y, self.cfg.long_range_m, |c| {
                 let cl = &self.clusters[c as usize];
                 cl.alive && cl.stamp < stamp
             })
-            .filter(|&(_, d2)| d2 <= self.cfg.long_range_m * self.cfg.long_range_m)
             .map(|(c, _)| c)
     }
 
@@ -348,26 +387,22 @@ impl TopologyEngine {
         // whose heads lie within d include every fitting one, and the
         // lowest fitting id wins whatever order the index visits them in
         let mut landed: Option<u32> = None;
+        let mut scans = 0;
         self.heads.for_each_within(x, y, self.cfg.d_m, |e| {
             let cl = &self.clusters[e.id as usize];
             if landed.is_none_or(|l| e.id < l)
                 && cl.members.len() < self.cfg.max_cluster
-                && self.fits_cluster(cl, x, y)
+                && self.fits_cluster(cl, x, y, &mut scans)
             {
                 landed = Some(e.id);
             }
         });
+        self.stats.member_scans += scans;
 
         if let Some(c) = landed {
             let old_head = self.clusters[c as usize].head;
             let became_head = self.better_head(node, old_head);
-            let cl = &mut self.clusters[c as usize];
-            let at = cl.members.binary_search(&node).unwrap_err();
-            cl.members.insert(at, node);
-            cl.min_x = cl.min_x.min(x);
-            cl.min_y = cl.min_y.min(y);
-            cl.max_x = cl.max_x.max(x);
-            cl.max_y = cl.max_y.max(y);
+            self.clusters[c as usize].admit(node, (x, y));
             self.store.set_cluster(node, c);
             if became_head {
                 self.clusters[c as usize].head = node;
@@ -388,9 +423,27 @@ impl TopologyEngine {
         let parent = self
             .resolve_parent(x, y, stamp)
             .map(|p| (p, self.clusters[p as usize].stamp));
+        // a retired slot hands its (empty) roster buffers on
+        let (c, mut members, mut pos) = match self.free_clusters.pop() {
+            Some(c) => {
+                let old = &mut self.clusters[c as usize];
+                (
+                    c,
+                    std::mem::take(&mut old.members),
+                    std::mem::take(&mut old.pos),
+                )
+            }
+            None => {
+                let c = u32::try_from(self.clusters.len()).expect("cluster slab full");
+                (c, Vec::new(), Vec::new())
+            }
+        };
+        members.push(node);
+        pos.push((x, y));
         let slot = TopoCluster {
             alive: true,
-            members: vec![node],
+            members,
+            pos,
             head: node,
             stamp,
             parent,
@@ -400,17 +453,10 @@ impl TopologyEngine {
             max_y: y,
             pu_hits: 0,
         };
-        let c = match self.free_clusters.pop() {
-            Some(c) => {
-                self.clusters[c as usize] = slot;
-                c
-            }
-            None => {
-                let c = u32::try_from(self.clusters.len()).expect("cluster slab full");
-                self.clusters.push(slot);
-                c
-            }
-        };
+        match self.clusters.get_mut(c as usize) {
+            Some(old) => *old = slot,
+            None => self.clusters.push(slot),
+        }
         self.store.set_cluster(node, c);
         self.heads.insert(c, x, y);
         self.alive_clusters += 1;
@@ -424,18 +470,16 @@ impl TopologyEngine {
     }
 
     fn recompute_bbox(&mut self, c: u32) {
-        let members = std::mem::take(&mut self.clusters[c as usize].members);
+        let cl = &mut self.clusters[c as usize];
         let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
         let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for &m in &members {
-            let (x, y) = self.store.pos(m);
+        for &(x, y) in &cl.pos {
             min_x = min_x.min(x);
             min_y = min_y.min(y);
             max_x = max_x.max(x);
             max_y = max_y.max(y);
         }
-        let cl = &mut self.clusters[c as usize];
-        cl.members = members;
+        self.stats.bbox_rescans += 1;
         cl.min_x = min_x;
         cl.min_y = min_y;
         cl.max_x = max_x;
@@ -451,7 +495,7 @@ impl TopologyEngine {
             .members
             .binary_search(&node)
             .unwrap_or_else(|_| panic!("node {node} not in cluster {c}"));
-        cl.members.remove(at);
+        let rescan = cl.remove_at(at);
         if cl.members.is_empty() {
             cl.alive = false;
             self.heads.remove(c, node_pos.0, node_pos.1);
@@ -461,7 +505,9 @@ impl TopologyEngine {
             return false;
         }
         let was_head = cl.head == node;
-        self.recompute_bbox(c);
+        if rescan {
+            self.recompute_bbox(c);
+        }
         if was_head {
             let best = self.best_of(&self.clusters[c as usize].members);
             self.clusters[c as usize].head = best;
@@ -512,7 +558,8 @@ impl TopologyEngine {
         if self.clusters[c as usize].members.len() < RECRUIT_QUORUM {
             let head = self.clusters[c as usize].head;
             let (hx, hy) = self.store.pos(head);
-            let cand = self.grid.nearest_matching(hx, hy, |n| {
+            let mut scans = 0;
+            let cand = self.grid.nearest_matching(hx, hy, self.cfg.d_m, |n| {
                 let nc = self.store.cluster_of(n);
                 if nc == c {
                     return false;
@@ -520,44 +567,37 @@ impl TopologyEngine {
                 let donor = &self.clusters[nc as usize];
                 let (px, py) = self.store.pos(n);
                 donor.members.len() > RECRUIT_QUORUM
-                    && self.fits_cluster(&self.clusters[c as usize], px, py)
+                    && self.fits_cluster(&self.clusters[c as usize], px, py, &mut scans)
             });
-            if let Some((n, d2)) = cand {
-                if d2 <= self.cfg.d_m * self.cfg.d_m {
-                    let donor = self.store.cluster_of(n);
-                    let npos = self.store.pos(n);
-                    // leave the donor (same path as a death, minus the kill)
-                    {
-                        let donor_cl = &mut self.clusters[donor as usize];
-                        let at = donor_cl.members.binary_search(&n).expect("donor roster");
-                        donor_cl.members.remove(at);
-                    }
-                    if self.clusters[donor as usize].head == n {
-                        let best = self.best_of(&self.clusters[donor as usize].members);
-                        self.clusters[donor as usize].head = best;
-                        let (bx, by) = self.store.pos(best);
-                        self.heads.relocate(donor, npos.0, npos.1, bx, by);
-                        self.stats.head_reelections += 1;
-                    }
-                    self.recompute_bbox(donor);
-                    // join us
-                    let cl = &mut self.clusters[c as usize];
-                    let at = cl.members.binary_search(&n).unwrap_err();
-                    cl.members.insert(at, n);
-                    cl.min_x = cl.min_x.min(npos.0);
-                    cl.min_y = cl.min_y.min(npos.1);
-                    cl.max_x = cl.max_x.max(npos.0);
-                    cl.max_y = cl.max_y.max(npos.1);
-                    self.store.set_cluster(n, c);
-                    if self.better_head(n, self.clusters[c as usize].head) {
-                        let old = self.clusters[c as usize].head;
-                        let (ox, oy) = self.store.pos(old);
-                        self.clusters[c as usize].head = n;
-                        self.heads.relocate(c, ox, oy, npos.0, npos.1);
-                    }
-                    self.stats.recruits += 1;
-                    recruited = Some(n);
+            self.stats.member_scans += scans;
+            if let Some((n, _)) = cand {
+                let donor = self.store.cluster_of(n);
+                let npos = self.store.pos(n);
+                // leave the donor (same path as a death, minus the kill)
+                let donor_cl = &mut self.clusters[donor as usize];
+                let at = donor_cl.members.binary_search(&n).expect("donor roster");
+                let rescan = donor_cl.remove_at(at);
+                if donor_cl.head == n {
+                    let best = self.best_of(&self.clusters[donor as usize].members);
+                    self.clusters[donor as usize].head = best;
+                    let (bx, by) = self.store.pos(best);
+                    self.heads.relocate(donor, npos.0, npos.1, bx, by);
+                    self.stats.head_reelections += 1;
                 }
+                if rescan {
+                    self.recompute_bbox(donor);
+                }
+                // join us
+                self.clusters[c as usize].admit(n, npos);
+                self.store.set_cluster(n, c);
+                if self.better_head(n, self.clusters[c as usize].head) {
+                    let old = self.clusters[c as usize].head;
+                    let (ox, oy) = self.store.pos(old);
+                    self.clusters[c as usize].head = n;
+                    self.heads.relocate(c, ox, oy, npos.0, npos.1);
+                }
+                self.stats.recruits += 1;
+                recruited = Some(n);
             }
         }
 
@@ -621,9 +661,10 @@ impl TopologyEngine {
 
     /// Full O(N·K) structural audit, for tests: every alive node in
     /// exactly one live cluster, rosters sorted/alive/within the diameter
-    /// bound, heads battery-maximal members, the head index holding one
-    /// entry per live cluster at its head's exact position, and parent
-    /// stamps strictly decreasing.
+    /// bound, cached member positions equal to the store's bit for bit,
+    /// each bounding box exactly its members' box, heads battery-maximal
+    /// members, the head index holding one entry per live cluster at its
+    /// head's exact position, and parent stamps strictly decreasing.
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = 0usize;
         for c in 0..self.clusters.len() as u32 {
@@ -638,8 +679,16 @@ impl TopologyEngine {
                 return Err(format!("cluster {c} roster not sorted"));
             }
             seen += cl.members.len();
-            let d2 = self.cfg.d_m * self.cfg.d_m;
-            for (i, &a) in cl.members.iter().enumerate() {
+            if cl.pos.len() != cl.members.len() {
+                return Err(format!(
+                    "cluster {c} caches {} positions for {} members",
+                    cl.pos.len(),
+                    cl.members.len()
+                ));
+            }
+            let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
+            let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+            for (&a, &(px, py)) in cl.members.iter().zip(&cl.pos) {
                 if !self.store.is_alive(a) {
                     return Err(format!("cluster {c} holds dead node {a}"));
                 }
@@ -647,11 +696,24 @@ impl TopologyEngine {
                     return Err(format!("node {a} cluster index disagrees with roster {c}"));
                 }
                 let (ax, ay) = self.store.pos(a);
-                if ax < cl.min_x || ax > cl.max_x || ay < cl.min_y || ay > cl.max_y {
-                    return Err(format!("cluster {c} bbox misses member {a}"));
+                if (px.to_bits(), py.to_bits()) != (ax.to_bits(), ay.to_bits()) {
+                    return Err(format!(
+                        "cluster {c} caches a stale position for member {a}"
+                    ));
                 }
-                for &b in &cl.members[i + 1..] {
-                    let (bx, by) = self.store.pos(b);
+                min_x = min_x.min(ax);
+                min_y = min_y.min(ay);
+                max_x = max_x.max(ax);
+                max_y = max_y.max(ay);
+            }
+            // interior leavers skip the rescan, which is exact only while
+            // every side of the box is attained by a member
+            if (min_x, min_y, max_x, max_y) != (cl.min_x, cl.min_y, cl.max_x, cl.max_y) {
+                return Err(format!("cluster {c} bbox is not its members' box"));
+            }
+            let d2 = self.cfg.d_m * self.cfg.d_m;
+            for (i, (&a, &(ax, ay))) in cl.members.iter().zip(&cl.pos).enumerate() {
+                for (&b, &(bx, by)) in cl.members.iter().zip(&cl.pos).skip(i + 1) {
                     let (dx, dy) = (bx - ax, by - ay);
                     if dx * dx + dy * dy > d2 {
                         return Err(format!("cluster {c}: members {a},{b} exceed d"));
@@ -834,6 +896,32 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_stale_cached_positions_and_loose_boxes() {
+        let mut e = TopologyEngine::new(cfg());
+        let a = e.join(10.0, 10.0, 50.0).unwrap();
+        e.join(15.0, 12.0, 40.0).unwrap();
+        e.join(12.0, 18.0, 30.0).unwrap();
+        e.validate().unwrap();
+        let c = a.cluster as usize;
+        // a cached position one ULP off the store's, inside the box
+        let mut stale = e.clone();
+        let p = &mut stale.clusters[c].pos[2];
+        p.0 = f64::from_bits(p.0.to_bits() + 1);
+        let err = stale.validate().unwrap_err();
+        assert!(err.contains("stale position"), "{err}");
+        // a cache that lost its last entry
+        let mut short = e.clone();
+        short.clusters[c].pos.pop();
+        let err = short.validate().unwrap_err();
+        assert!(err.contains("caches 2 positions for 3 members"), "{err}");
+        // a box that still holds every member but is not their box
+        let mut loose = e.clone();
+        loose.clusters[c].min_x -= 1.0;
+        let err = loose.validate().unwrap_err();
+        assert!(err.contains("not its members' box"), "{err}");
+    }
+
+    #[test]
     fn pu_arrival_touches_only_heads_in_footprint() {
         let mut e = TopologyEngine::new(cfg());
         let a = e.join(10.0, 10.0, 1.0).unwrap();
@@ -984,6 +1072,55 @@ mod tests {
                 "geometry {g} exercises re-election, recruitment and PU arrivals: {s:?}"
             );
         }
+    }
+
+    /// The work the topology maintenance does under seeded churn at the
+    /// 1M-SU density (~80 SUs per d-ball, d = 40 m, `max_cluster` 128,
+    /// D = 120 m) on a 400 m field: a deployment, then joins and deaths
+    /// of the node nearest a random point in equal numbers, as the
+    /// `million` slot loop draws them. The counters are pure functions of
+    /// the op sequence, so they are pinned exactly; a change that moves
+    /// them changes the work per op.
+    #[test]
+    fn work_counters_per_op_at_million_density() {
+        let side = 400.0;
+        let cfg = TopologyConfig {
+            width_m: side,
+            height_m: side,
+            d_m: 40.0,
+            max_cluster: 128,
+            long_range_m: 120.0,
+        };
+        let mut rng = derive(0x5CA7, 1);
+        let mut e = TopologyEngine::new(cfg);
+        let deployed = (side * side / (3.545 * 3.545)) as usize;
+        for _ in 0..deployed {
+            let (x, y) = (rng.gen_range(0.0..side), rng.gen_range(0.0..side));
+            e.join(x, y, rng.gen_range(10.0..100.0)).unwrap();
+        }
+        let built = e.stats();
+        for _ in 0..3000 {
+            let (x, y) = (rng.gen_range(0.0..side), rng.gen_range(0.0..side));
+            if rng.gen_range(0..2u32) == 0 {
+                e.join(x, y, rng.gen_range(10.0..100.0)).unwrap();
+            } else {
+                let (n, _) = e.nearest_node(x, y).unwrap();
+                e.death(n).unwrap();
+            }
+        }
+        e.validate().unwrap();
+        let s = e.stats();
+        let (joins, deaths) = (s.joins - built.joins, s.deaths);
+        let scans = s.member_scans - built.member_scans;
+        // 2.21 member scans per deployment join; under churn 2.45 per
+        // join and 0.091 box rescans per death (a death from the box's
+        // edge; before interior leavers skipped it, every death that
+        // left a member behind rescanned)
+        assert_eq!((built.joins, built.member_scans), (12_731, 28_100));
+        assert_eq!(
+            (joins, deaths, scans, s.bbox_rescans),
+            (1_487, 1_513, 3_644, 138)
+        );
     }
 
     #[test]

@@ -186,7 +186,7 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(&got, &want);
         // exact nearest with the (d², id) tie-break == brute force
-        let nearest = grid.nearest_matching(qx, qy, |_| true);
+        let nearest = grid.nearest_matching(qx, qy, f64::INFINITY, |_| true);
         let brute = mirror
             .iter()
             .enumerate()
