@@ -164,9 +164,9 @@ fn parse_roc_args(args: &[String]) -> RocArgs {
     a
 }
 
-/// Echoes the supervisor's resume/corruption/quarantine bookkeeping —
-/// shared by the `--roc` and `--byz` campaign modes.
-fn echo_campaign_health(report: &CampaignReport, max_attempts: u32) {
+/// Echoes the supervisor's resume/corruption bookkeeping — shared by
+/// the `--roc` and `--byz` campaign modes.
+fn echo_campaign_health(report: &CampaignReport) {
     if report.resumed_shards > 0 {
         println!(
             "resumed from checkpoint: {}/{} shards already done",
@@ -175,14 +175,6 @@ fn echo_campaign_health(report: &CampaignReport, max_attempts: u32) {
     }
     if report.recovered_from_corruption {
         println!("corrupt checkpoint detected and discarded; restarted from scratch");
-    }
-    if !report.quarantined.is_empty() {
-        let labels: Vec<u64> = report.quarantined.iter().map(|q| q.shard).collect();
-        println!(
-            "quarantined {} shard(s) after {} attempts each: {labels:?}",
-            report.quarantined.len(),
-            max_attempts
-        );
     }
 }
 
@@ -215,7 +207,7 @@ fn roc_mode(args: &[String]) {
         }
     };
 
-    echo_campaign_health(&report, cfg.max_attempts);
+    echo_campaign_health(&report);
     match report.status {
         CampaignStatus::Complete => {
             // pure functions of (spec, seed) — CI diffs these lines
@@ -236,11 +228,10 @@ fn roc_mode(args: &[String]) {
                 );
             }
             println!(
-                "complete: {} grid points, {}/{} shards, {} quarantined",
+                "complete: {} grid points, {}/{} shards",
                 roc.len(),
                 report.completed_shards,
-                report.total_shards,
-                report.quarantined.len()
+                report.total_shards
             );
         }
         CampaignStatus::Stopped => {
@@ -371,7 +362,7 @@ fn byz_mode(args: &[String]) {
         }
     };
 
-    echo_campaign_health(&report, cfg.max_attempts);
+    echo_campaign_health(&report);
     match report.status {
         CampaignStatus::Complete => {
             // pure functions of (spec, seed) — CI diffs these lines
@@ -411,11 +402,10 @@ fn byz_mode(args: &[String]) {
                 None => println!("containment: axis never samples f = (n-1)/3 — verdict vacuous"),
             }
             println!(
-                "complete: {} cells, {}/{} shards, {} quarantined",
+                "complete: {} cells, {}/{} shards",
                 cells.len(),
                 report.completed_shards,
-                report.total_shards,
-                report.quarantined.len()
+                report.total_shards
             );
         }
         CampaignStatus::Stopped => {

@@ -40,16 +40,38 @@ pub fn median(times: &[f64]) -> f64 {
     times[times.len() / 2]
 }
 
-/// `git rev-parse --short HEAD`, or `"unknown"` outside a work tree.
+/// The commit a measurement row is stamped with: `git rev-parse --short
+/// HEAD`, suffixed `-dirty` when tracked files other than the
+/// `BENCH_*.json` trajectories differ from HEAD (so a row measured
+/// before its change is committed does not read as the parent's), or
+/// `"unknown"` outside a work tree.
 pub fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
+    let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
+    let Some(sha) = git(&["rev-parse", "--short", "HEAD"])
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
+    else {
+        return "unknown".to_string();
+    };
+    // `git diff --quiet` exits 1 exactly when the tree differs
+    let dirty = git(&[
+        "diff",
+        "--quiet",
+        "HEAD",
+        "--",
+        ":(top,exclude,glob)**/BENCH_*.json",
+    ])
+    .is_some_and(|o| o.status.code() == Some(1));
+    commit_stamp(sha.trim(), dirty)
+}
+
+/// `sha`, or `<sha>-dirty` for a measurement taken on a modified tree.
+fn commit_stamp(sha: &str, dirty: bool) -> String {
+    if dirty {
+        format!("{sha}-dirty")
+    } else {
+        sha.to_string()
+    }
 }
 
 /// Seconds since the Unix epoch (0 if the clock is before it).
@@ -199,6 +221,12 @@ pub fn run_gates(gates: &[Gate]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_dirty_tree_marks_the_commit_stamp() {
+        assert_eq!(commit_stamp("0de901b", false), "0de901b");
+        assert_eq!(commit_stamp("0de901b", true), "0de901b-dirty");
+    }
 
     #[test]
     fn bench_returns_ascending_times_and_the_result() {

@@ -2,33 +2,44 @@
 //! shards have completed, written atomically so a crash can never leave a
 //! torn file behind.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"CMCK"
-//!      4     2  format version (little-endian u16, = 2)
+//!      4     2  format version (little-endian u16, = 3)
 //!      6     2  reserved (0)
 //!      8     4  payload length (LE u32)
 //!     12     4  CRC-32 (IEEE) of the payload bytes
 //!     16     n  payload
 //! ```
 //!
-//! The payload is fixed-order little-endian: campaign seed, config
-//! fingerprint, total shard count, stream count, merged `bits`/`errors`
-//! counts **per stream** (a stream is one counter of a multi-point
-//! campaign such as the sensing ROC grid; a classic single-point
-//! campaign has one stream), the
-//! done bitmap (one bit per shard), and the quarantine list. Every load
-//! re-derives the CRC, so truncation and bit flips are *detected* — the
-//! supervisor then recovers by restarting the campaign from scratch
-//! (sound, because shard results are pure functions of the seed) instead
-//! of trusting garbage counts.
+//! The payload is fixed-order little-endian:
 //!
-//! Version-1 images (single-stream, no stream-count field) decode to
-//! [`CheckpointError::UnsupportedVersion`]; the supervisor treats that
-//! like detected corruption and restarts from scratch, which reproduces
-//! the lost counts exactly.
+//! ```text
+//! size         field
+//!    8         campaign seed
+//!    8         config fingerprint
+//!    8         total shard count
+//!    4         stream count s (≥ 1)
+//! 16·s         merged bits, errors per stream (u64 each)
+//!    4         done-bitmap length b = ceil(total / 8)
+//!    b         done bitmap (one bit per shard)
+//! ```
+//!
+//! A stream is one counter of a multi-point campaign such as the sensing
+//! ROC grid; a single-point campaign has one. Every load re-derives the
+//! CRC, so truncation and bit flips are *detected* — the supervisor then
+//! recovers by restarting the campaign from scratch (sound, because
+//! shard results are pure functions of the seed) instead of trusting
+//! garbage counts.
+//!
+//! Images of the retired versions decode to
+//! [`CheckpointError::UnsupportedVersion`]: version 1 (single-stream, no
+//! stream-count field) and version 2 (a quarantine list of abandoned
+//! shards after the counts and bitmap). The supervisor treats that like
+//! detected corruption and restarts from scratch, which reproduces the
+//! lost counts exactly.
 //!
 //! # Atomicity
 //!
@@ -45,9 +56,10 @@ use std::path::Path;
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"CMCK";
-/// Current format version (version 1 lacked per-stream counts and is
-/// rejected as [`CheckpointError::UnsupportedVersion`]).
-pub const VERSION: u16 = 2;
+/// Current format version. Version 1 lacked per-stream counts and
+/// version 2 carried a quarantine list; both are rejected as
+/// [`CheckpointError::UnsupportedVersion`].
+pub const VERSION: u16 = 3;
 /// Header bytes before the payload.
 const HEADER_LEN: usize = 16;
 
@@ -76,7 +88,8 @@ pub enum CheckpointError {
         computed: u32,
     },
     /// The payload passed the CRC but its fields are inconsistent
-    /// (wrong bitmap length, out-of-range shard labels, trailing bytes).
+    /// (zero streams, wrong bitmap length, done bits past the last
+    /// shard, trailing bytes).
     Malformed(&'static str),
 }
 
@@ -99,15 +112,6 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-/// A shard the supervisor gave up on: every attempt panicked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Quarantined {
-    /// Shard label.
-    pub shard: u64,
-    /// Attempts spent before quarantine.
-    pub attempts: u32,
-}
 
 /// The resumable state of a campaign: merged counts per stream plus
 /// per-shard completion. A *stream* is one independently counted result
@@ -132,18 +136,12 @@ pub struct Checkpoint {
     pub counts: Vec<BerResult>,
     /// One bit per shard, set when the shard's counts are merged.
     done: Vec<u8>,
-    /// Shards abandoned after bounded retries.
-    pub quarantined: Vec<Quarantined>,
 }
 
 impl Checkpoint {
-    /// A fresh single-stream checkpoint with no shard done.
-    pub fn new(seed: u64, fingerprint: u64, total_shards: u64) -> Self {
-        Self::new_multi(seed, fingerprint, total_shards, 1)
-    }
-
-    /// A fresh checkpoint tracking `n_streams` independent count lanes.
-    pub fn new_multi(seed: u64, fingerprint: u64, total_shards: u64, n_streams: usize) -> Self {
+    /// A fresh checkpoint tracking `n_streams` independent count lanes,
+    /// with no shard done.
+    pub fn new(seed: u64, fingerprint: u64, total_shards: u64, n_streams: usize) -> Self {
         assert!(n_streams >= 1, "a campaign needs at least one stream");
         Self {
             seed,
@@ -151,7 +149,6 @@ impl Checkpoint {
             total_shards,
             counts: vec![BerResult { bits: 0, errors: 0 }; n_streams],
             done: vec![0u8; (total_shards as usize).div_ceil(8)],
-            quarantined: Vec::new(),
         }
     }
 
@@ -166,28 +163,11 @@ impl Checkpoint {
         byte < self.done.len() && self.done[byte] & (1 << bit) != 0
     }
 
-    /// Whether `shard` is quarantined.
-    pub fn is_quarantined(&self, shard: u64) -> bool {
-        self.quarantined.iter().any(|q| q.shard == shard)
-    }
-
-    /// Merges a completed shard's counts on a single-stream checkpoint.
-    /// Idempotence guard: merging a shard twice would double-count, so a
-    /// second merge panics — the supervisor never offers a done shard for
-    /// execution.
-    pub fn mark_done(&mut self, shard: u64, bits: u64, errors: u64) {
-        assert_eq!(
-            self.n_streams(),
-            1,
-            "multi-stream checkpoint needs mark_done_multi"
-        );
-        self.mark_done_multi(shard, &[BerResult { bits, errors }]);
-    }
-
     /// Merges a completed shard's per-stream counts (one entry per
-    /// stream, in stream order). Same idempotence guard as
-    /// [`Checkpoint::mark_done`].
-    pub fn mark_done_multi(&mut self, shard: u64, counts: &[BerResult]) {
+    /// stream, in stream order). Idempotence guard: merging a shard
+    /// twice would double-count, so a second merge panics — the
+    /// supervisor never offers a done shard for execution.
+    pub fn mark_done(&mut self, shard: u64, counts: &[BerResult]) {
         assert!(shard < self.total_shards, "shard {shard} out of range");
         assert!(!self.is_done(shard), "shard {shard} merged twice");
         assert_eq!(
@@ -202,36 +182,26 @@ impl Checkpoint {
         }
     }
 
-    /// Records a quarantined shard.
-    pub fn quarantine(&mut self, shard: u64, attempts: u32) {
-        assert!(shard < self.total_shards, "shard {shard} out of range");
-        if !self.is_quarantined(shard) {
-            self.quarantined.push(Quarantined { shard, attempts });
-        }
-    }
-
     /// Number of completed shards.
     pub fn done_count(&self) -> u64 {
         self.done.iter().map(|b| u64::from(b.count_ones())).sum()
     }
 
-    /// Whether every shard is either done or quarantined.
+    /// Whether every shard is done.
     pub fn is_complete(&self) -> bool {
-        self.done_count() + self.quarantined.len() as u64 == self.total_shards
+        self.done_count() == self.total_shards
     }
 
-    /// Shard labels still to run (not done, not quarantined), ascending.
+    /// Shard labels still to run, ascending.
     pub fn pending(&self) -> Vec<u64> {
         (0..self.total_shards)
-            .filter(|&s| !self.is_done(s) && !self.is_quarantined(s))
+            .filter(|&s| !self.is_done(s))
             .collect()
     }
 
-    /// Serialises to the version-2 image (header + CRC + payload).
+    /// Serialises to the version-3 image (header + CRC + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(
-            40 + 16 * self.counts.len() + self.done.len() + 12 * self.quarantined.len(),
-        );
+        let mut payload = Vec::with_capacity(32 + 16 * self.counts.len() + self.done.len());
         payload.extend_from_slice(&self.seed.to_le_bytes());
         payload.extend_from_slice(&self.fingerprint.to_le_bytes());
         payload.extend_from_slice(&self.total_shards.to_le_bytes());
@@ -240,13 +210,8 @@ impl Checkpoint {
             payload.extend_from_slice(&c.bits.to_le_bytes());
             payload.extend_from_slice(&c.errors.to_le_bytes());
         }
-        payload.extend_from_slice(&(self.quarantined.len() as u32).to_le_bytes());
         payload.extend_from_slice(&(self.done.len() as u32).to_le_bytes());
         payload.extend_from_slice(&self.done);
-        for q in &self.quarantined {
-            payload.extend_from_slice(&q.shard.to_le_bytes());
-            payload.extend_from_slice(&q.attempts.to_le_bytes());
-        }
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -257,7 +222,7 @@ impl Checkpoint {
         out
     }
 
-    /// Decodes a version-2 image, verifying magic, version, length and
+    /// Decodes a version-3 image, verifying magic, version, length and
     /// CRC before touching any field. Never panics on arbitrary bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         if bytes.len() < HEADER_LEN {
@@ -270,7 +235,7 @@ impl Checkpoint {
         if version != VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        // the reserved field must be zero in version 2; anything else is
+        // the reserved field must be zero; anything else is
         // header corruption (the CRC only covers the payload)
         if bytes[6] != 0 || bytes[7] != 0 {
             return Err(CheckpointError::Malformed("nonzero reserved header field"));
@@ -313,7 +278,6 @@ impl Checkpoint {
             let errors = r.u64()?;
             counts.push(BerResult { bits, errors });
         }
-        let n_quarantined = r.u32()? as usize;
         let bitmap_len = r.u32()? as usize;
         if bitmap_len != (total_shards as usize).div_ceil(8) {
             return Err(CheckpointError::Malformed("bitmap length mismatch"));
@@ -327,15 +291,6 @@ impl Checkpoint {
                 }
             }
         }
-        let mut quarantined = Vec::with_capacity(n_quarantined.min(1024));
-        for _ in 0..n_quarantined {
-            let shard = r.u64()?;
-            let attempts = r.u32()?;
-            if shard >= total_shards {
-                return Err(CheckpointError::Malformed("quarantined shard out of range"));
-            }
-            quarantined.push(Quarantined { shard, attempts });
-        }
         if !r.buf.is_empty() {
             return Err(CheckpointError::Malformed("payload longer than its fields"));
         }
@@ -345,7 +300,6 @@ impl Checkpoint {
             total_shards,
             counts,
             done,
-            quarantined,
         })
     }
 }
@@ -425,110 +379,60 @@ impl std::error::Error for LoadError {}
 mod tests {
     use super::*;
 
+    fn ber(bits: u64, errors: u64) -> BerResult {
+        BerResult { bits, errors }
+    }
+
     #[test]
     fn roundtrip_basic() {
-        let mut ck = Checkpoint::new(2013, 0xDEAD_BEEF, 37);
-        ck.mark_done(0, 100, 3);
-        ck.mark_done(5, 100, 1);
-        ck.mark_done(36, 50, 0);
-        ck.quarantine(7, 3);
+        let mut ck = Checkpoint::new(2013, 0xDEAD_BEEF, 37, 1);
+        ck.mark_done(0, &[ber(100, 3)]);
+        ck.mark_done(5, &[ber(100, 1)]);
+        ck.mark_done(36, &[ber(50, 0)]);
         let back = Checkpoint::decode(&ck.encode()).unwrap();
         assert_eq!(back, ck);
         assert_eq!(back.done_count(), 3);
         assert!(back.is_done(36) && !back.is_done(35));
-        assert!(back.is_quarantined(7));
-        assert_eq!(
-            back.counts,
-            vec![BerResult {
-                bits: 250,
-                errors: 4
-            }]
-        );
+        assert_eq!(back.counts, vec![ber(250, 4)]);
     }
 
     #[test]
     fn roundtrip_multi_stream() {
-        let mut ck = Checkpoint::new_multi(7, 8, 10, 3);
+        let mut ck = Checkpoint::new(7, 8, 10, 3);
         assert_eq!(ck.n_streams(), 3);
-        ck.mark_done_multi(
-            2,
-            &[
-                BerResult {
-                    bits: 10,
-                    errors: 1,
-                },
-                BerResult {
-                    bits: 20,
-                    errors: 2,
-                },
-                BerResult {
-                    bits: 30,
-                    errors: 3,
-                },
-            ],
-        );
-        ck.mark_done_multi(
-            9,
-            &[
-                BerResult {
-                    bits: 10,
-                    errors: 0,
-                },
-                BerResult {
-                    bits: 20,
-                    errors: 0,
-                },
-                BerResult {
-                    bits: 30,
-                    errors: 4,
-                },
-            ],
-        );
+        ck.mark_done(2, &[ber(10, 1), ber(20, 2), ber(30, 3)]);
+        ck.mark_done(9, &[ber(10, 0), ber(20, 0), ber(30, 4)]);
         let back = Checkpoint::decode(&ck.encode()).unwrap();
         assert_eq!(back, ck);
-        assert_eq!(
-            back.counts,
-            vec![
-                BerResult {
-                    bits: 20,
-                    errors: 1
-                },
-                BerResult {
-                    bits: 40,
-                    errors: 2
-                },
-                BerResult {
-                    bits: 60,
-                    errors: 7
-                },
-            ]
-        );
+        assert_eq!(back.counts, vec![ber(20, 1), ber(40, 2), ber(60, 7)]);
     }
 
     #[test]
     #[should_panic(expected = "wrong stream count")]
     fn stream_count_mismatch_is_refused() {
-        let mut ck = Checkpoint::new_multi(1, 2, 3, 2);
-        ck.mark_done_multi(0, &[BerResult { bits: 1, errors: 0 }]);
+        let mut ck = Checkpoint::new(1, 2, 3, 2);
+        ck.mark_done(0, &[ber(1, 0)]);
     }
 
     #[test]
-    fn version_1_images_are_rejected_as_unsupported() {
-        // a syntactically valid image stamped with the retired version 1
-        let ck = Checkpoint::new(1, 2, 3);
-        let mut image = ck.encode();
-        image[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            Checkpoint::decode(&image),
-            Err(CheckpointError::UnsupportedVersion(1))
-        );
+    fn retired_version_images_are_rejected_as_unsupported() {
+        // a syntactically valid image stamped with each retired version
+        let ck = Checkpoint::new(1, 2, 3, 1);
+        for retired in [1u16, 2] {
+            let mut image = ck.encode();
+            image[4..6].copy_from_slice(&retired.to_le_bytes());
+            assert_eq!(
+                Checkpoint::decode(&image),
+                Err(CheckpointError::UnsupportedVersion(retired))
+            );
+        }
     }
 
     #[test]
-    fn pending_excludes_done_and_quarantined() {
-        let mut ck = Checkpoint::new(1, 2, 6);
-        ck.mark_done(1, 10, 0);
-        ck.quarantine(4, 2);
+    fn pending_excludes_done() {
+        let mut ck = Checkpoint::new(1, 2, 6, 1);
+        ck.mark_done(1, &[ber(10, 0)]);
+        ck.mark_done(4, &[ber(10, 0)]);
         assert_eq!(ck.pending(), vec![0, 2, 3, 5]);
         assert!(!ck.is_complete());
     }
@@ -536,16 +440,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "merged twice")]
     fn double_merge_is_refused() {
-        let mut ck = Checkpoint::new(1, 2, 3);
-        ck.mark_done(0, 10, 0);
-        ck.mark_done(0, 10, 0);
+        let mut ck = Checkpoint::new(1, 2, 3, 1);
+        ck.mark_done(0, &[ber(10, 0)]);
+        ck.mark_done(0, &[ber(10, 0)]);
     }
 
     #[test]
     fn save_is_atomic_and_loadable() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("comimo_ck_unit_{}.bin", std::process::id()));
-        let ck = Checkpoint::new(9, 9, 100);
+        let ck = Checkpoint::new(9, 9, 100, 1);
         save_atomic(&path, &ck.encode()).unwrap();
         assert!(!tmp_path(&path).exists(), "temp file left behind");
         assert_eq!(load(&path).unwrap(), ck);

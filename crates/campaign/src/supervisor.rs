@@ -1,24 +1,23 @@
-//! The campaign supervisor: executes a deterministic shard plan under
-//! panic isolation, bounded retries, periodic atomic checkpoints and
-//! graceful-stop handling.
+//! The campaign supervisor: executes a deterministic shard plan with
+//! periodic atomic checkpoints and graceful-stop handling.
 //!
 //! # Execution model
 //!
 //! The pending shards (everything the checkpoint does not already mark
-//! done or quarantined) are processed in *chunks* of
+//! done) are processed in *chunks* of
 //! [`CampaignConfig::checkpoint_every_shards`]. Within a chunk, shards
 //! fan out through [`comimo_sim::map_shards`]: on the rayon pool, or
 //! inline when the pool has one thread (`RAYON_NUM_THREADS=1`, or a
 //! build without `comimo-sim`'s `parallel` feature) or the campaign itself runs on
 //! a worker of a map that fills the pool (a chaos run's mini-campaign
 //! inside an explore sweep of at least as many runs as threads). Each
-//! shard execution is wrapped in `catch_unwind`, retried with bounded
-//! exponential backoff on panic, and quarantined after
-//! [`CampaignConfig::max_attempts`] failures — the sweep keeps going
-//! instead of aborting. After every chunk the merged state is committed
-//! atomically to the checkpoint file, and the stop conditions (stop
-//! flag, wall-clock budget) are polled; a stop returns a partial result
-//! with a Wilson interval plus a resumable checkpoint.
+//! shard runs once. Shards are pure functions of `(seed, label)`, so a
+//! retry could only panic again: a panicking shard unwinds out of
+//! [`run_campaign`] with its own payload, and the chunks committed
+//! before it stay on disk, resumable. After every chunk the merged
+//! state is committed atomically to the checkpoint file, and the stop
+//! flags are polled; a stop returns the partial counts plus a resumable
+//! checkpoint.
 //!
 //! # Determinism
 //!
@@ -29,17 +28,17 @@
 //! any thread count, merges to counts bit-identical to an uninterrupted
 //! run.
 
-use crate::checkpoint::{self, Checkpoint, LoadError, Quarantined};
+use crate::checkpoint::{self, Checkpoint, LoadError};
 use comimo_faults::CampaignFaultPlan;
 use comimo_sim::map_shards;
 use comimo_stbc::sim::BerResult;
-use std::any::Any;
-use std::cell::Cell;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
-use std::time::{Duration, Instant};
+
+/// Retries of a failed checkpoint write before giving up on *that
+/// write* (the campaign itself continues either way).
+const IO_RETRIES: u32 = 3;
 
 /// Everything the supervisor needs to run (and re-run) a campaign.
 #[derive(Debug, Clone)]
@@ -50,49 +49,34 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Fingerprint of the campaign parameters (see
     /// [`crate::fingerprint64`]). A checkpoint with a different
-    /// fingerprint, seed or shard count is rejected at resume.
+    /// fingerprint, seed, shard count or stream count is rejected at
+    /// resume.
     pub fingerprint: u64,
-    /// Attempts per shard before quarantine (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff before retry `k` (1-based): `backoff_base · 2^(k−1)`,
-    /// capped at [`backoff_cap`](Self::backoff_cap).
-    pub backoff_base: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub backoff_cap: Duration,
     /// Checkpoint file; `None` disables checkpointing.
     pub checkpoint: Option<PathBuf>,
     /// Load an existing checkpoint instead of starting fresh.
     pub resume: bool,
     /// Shards per chunk — a checkpoint is committed after every chunk.
     pub checkpoint_every_shards: usize,
-    /// Retries for a failed checkpoint write before giving up on *that
-    /// write* (the campaign itself continues either way).
-    pub io_retries: u32,
-    /// Graceful-stop budget: the campaign stops at the next chunk
-    /// boundary once this much wall clock has elapsed.
-    pub wall_clock_budget: Option<Duration>,
-    /// Cooperative stop flag (e.g. from [`crate::install_sigint_stop`]),
-    /// polled at chunk boundaries.
+    /// Per-campaign cooperative stop flag, polled at chunk boundaries
+    /// alongside the process-wide one [`crate::install_sigint_stop`]
+    /// raises. Tests set it to emulate a Ctrl-C without stopping every
+    /// other campaign in the process.
     pub stop: Option<Arc<AtomicBool>>,
-    /// Deterministic fault injection (disabled by default).
+    /// Deterministic checkpoint-IO fault injection (disabled by default).
     pub faults: CampaignFaultPlan,
 }
 
 impl CampaignConfig {
-    /// Sensible defaults: 3 attempts, 10 ms base backoff capped at 1 s,
-    /// checkpoint every 64 shards, no checkpoint file, no stop sources.
+    /// Defaults: checkpoint every 64 shards, no checkpoint file, no
+    /// per-campaign stop flag, no injected faults.
     pub fn new(seed: u64, fingerprint: u64) -> Self {
         Self {
             seed,
             fingerprint,
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_secs(1),
             checkpoint: None,
             resume: false,
             checkpoint_every_shards: 64,
-            io_retries: 3,
-            wall_clock_budget: None,
             stop: None,
             faults: CampaignFaultPlan::disabled(),
         }
@@ -102,10 +86,11 @@ impl CampaignConfig {
 /// How a campaign run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignStatus {
-    /// Every shard is done or quarantined.
+    /// Every shard is done.
     Complete,
-    /// Stopped gracefully (stop flag or wall budget); the checkpoint is
-    /// resumable and [`CampaignReport::counts`] is the partial merge.
+    /// Stopped gracefully at a chunk boundary; the checkpoint is
+    /// resumable and [`CampaignReport::stream_counts`] is the partial
+    /// merge.
     Stopped,
 }
 
@@ -114,23 +99,13 @@ pub enum CampaignStatus {
 pub struct CampaignReport {
     /// Complete or gracefully stopped.
     pub status: CampaignStatus,
-    /// Merged counts over every completed shard (partial when stopped,
-    /// excludes quarantined shards), summed across streams. For a
-    /// single-stream campaign this is *the* result; for a multi-stream
-    /// campaign prefer [`CampaignReport::stream_counts`].
-    pub counts: BerResult,
-    /// Merged counts per stream (one entry per stream of a multi-stream
-    /// campaign; a single entry equal to [`CampaignReport::counts`]
-    /// otherwise).
+    /// Merged counts per stream over every completed shard (partial
+    /// when stopped), in stream order.
     pub stream_counts: Vec<BerResult>,
     /// Shards in the plan.
     pub total_shards: u64,
     /// Shards whose counts are merged.
     pub completed_shards: u64,
-    /// Shards abandoned after bounded retries — reported, not fatal.
-    pub quarantined: Vec<Quarantined>,
-    /// Shards that panicked at least once but succeeded on retry.
-    pub retried_ok: u64,
     /// Checkpoint writes that failed even after retries (campaign
     /// continued; the previous committed snapshot stayed intact).
     pub checkpoint_failures: u64,
@@ -141,15 +116,6 @@ pub struct CampaignReport {
     /// from scratch, which is sound because shard results are pure
     /// functions of the seed.
     pub recovered_from_corruption: bool,
-    /// 95 % Wilson confidence interval on the BER at these counts.
-    pub wilson_95: (f64, f64),
-}
-
-impl CampaignReport {
-    /// Measured BER of the merged counts.
-    pub fn ber(&self) -> f64 {
-        self.counts.ber()
-    }
 }
 
 /// A campaign could not start.
@@ -187,79 +153,20 @@ impl std::fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-thread_local! {
-    /// Set while a supervised shard runs on this thread: the global
-    /// panic hook stays silent for caught, retried panics instead of
-    /// spraying backtraces over the campaign's output.
-    static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Installs (once) a panic hook that suppresses output for panics the
-/// supervisor is about to catch, delegating everything else to the
-/// previously installed hook.
-fn install_quiet_hook() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if !QUIET_PANICS.with(Cell::get) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// `catch_unwind` with panic output suppressed on this thread.
-fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn Any + Send>> {
-    QUIET_PANICS.with(|q| q.set(true));
-    let r = panic::catch_unwind(AssertUnwindSafe(f));
-    QUIET_PANICS.with(|q| q.set(false));
-    r
-}
-
-/// The backoff before 1-based retry `k`.
-fn backoff(base: Duration, cap: Duration, k: u32) -> Duration {
-    base.checked_mul(1u32 << (k - 1).min(16))
-        .unwrap_or(cap)
-        .min(cap)
-}
-
-/// Outcome of supervising one shard.
-struct ShardOutcome {
-    label: u64,
-    /// `None` after `max_attempts` panics → quarantine.
-    result: Option<Vec<BerResult>>,
-    attempts: u32,
-}
-
 /// Runs `shards` (the deterministic plan: `(label, blocks)`, labels
-/// `0..n` in order) under supervision. `run_shard(label, blocks)` must
-/// be a pure function of `(config seed, label)` — draw only from
-/// `derive(seed, label)` — or the bit-identical-resume contract breaks.
+/// `0..n` in order) under supervision. `run_shard(label, blocks)`
+/// returns one [`BerResult`] per stream — `n_streams` of them, e.g. one
+/// per counter of the sensing ROC grid — and must be a pure function of
+/// `(config seed, label)`: draw only from `derive(seed, label)`, or the
+/// bit-identical-resume contract breaks.
 ///
 /// Returns the report; errors only when an existing checkpoint belongs
-/// to a different campaign or is unreadable at the IO level. Panicking
-/// shards and failing checkpoint writes are *handled*, not errors.
+/// to a different campaign or is unreadable at the IO level. A failing
+/// checkpoint write is *handled* (counted, the campaign goes on). A
+/// panicking shard is not: its panic unwinds to the caller with its own
+/// payload, and the checkpoint holds exactly the chunks committed before
+/// the panicking one.
 pub fn run_campaign<F>(
-    cfg: &CampaignConfig,
-    shards: &[(u64, usize)],
-    run_shard: F,
-) -> Result<CampaignReport, CampaignError>
-where
-    F: Fn(u64, usize) -> BerResult + Send + Sync,
-{
-    run_campaign_multi(cfg, shards, 1, |label, blocks| {
-        vec![run_shard(label, blocks)]
-    })
-}
-
-/// [`run_campaign`] for multi-stream shard functions: `run_shard` returns
-/// one [`BerResult`] per stream (one per counter of the sensing ROC and
-/// byzantine sweeps), and the checkpoint, resume validation and report all
-/// carry the per-stream counts. Everything else — panic isolation,
-/// retries, quarantine, atomic checkpoints, graceful stop, bit-identical
-/// resume — is the single-stream supervisor unchanged.
-pub fn run_campaign_multi<F>(
     cfg: &CampaignConfig,
     shards: &[(u64, usize)],
     n_streams: usize,
@@ -268,12 +175,10 @@ pub fn run_campaign_multi<F>(
 where
     F: Fn(u64, usize) -> Vec<BerResult> + Send + Sync,
 {
-    assert!(cfg.max_attempts >= 1, "max_attempts must be at least 1");
     assert!(n_streams >= 1, "a campaign needs at least one stream");
     for (i, &(label, _)) in shards.iter().enumerate() {
         assert_eq!(label, i as u64, "shard labels must be 0..n in order");
     }
-    install_quiet_hook();
     let total = shards.len() as u64;
 
     // ---- load or create the state --------------------------------------
@@ -285,7 +190,7 @@ where
                 ck
             }
             Err(LoadError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                Checkpoint::new_multi(cfg.seed, cfg.fingerprint, total, n_streams)
+                Checkpoint::new(cfg.seed, cfg.fingerprint, total, n_streams)
             }
             Err(LoadError::Io(e)) => return Err(CampaignError::Io(e)),
             Err(LoadError::Codec(_)) => {
@@ -294,64 +199,27 @@ where
                 // pure functions of the seed, so a restart reproduces
                 // the lost counts exactly
                 recovered = true;
-                Checkpoint::new_multi(cfg.seed, cfg.fingerprint, total, n_streams)
+                Checkpoint::new(cfg.seed, cfg.fingerprint, total, n_streams)
             }
         },
-        _ => Checkpoint::new_multi(cfg.seed, cfg.fingerprint, total, n_streams),
+        _ => Checkpoint::new(cfg.seed, cfg.fingerprint, total, n_streams),
     };
     let resumed_shards = state.done_count();
 
-    // ---- supervise the pending shards ----------------------------------
-    let started = Instant::now();
+    // ---- run the pending shards, one checkpoint per chunk --------------
     let mut write_index = 0u64;
     let mut checkpoint_failures = 0u64;
-    let mut retried_ok = 0u64;
     let mut stopped = false;
-    let pending = state.pending();
-
-    let run_one = |&label: &u64| -> ShardOutcome {
-        let blocks = shards[label as usize].1;
-        for attempt in 0..cfg.max_attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff(cfg.backoff_base, cfg.backoff_cap, attempt));
-            }
-            let injected = cfg.faults.shard_panics(label, attempt);
-            let outcome = quiet_catch(|| {
-                if injected {
-                    panic!("injected shard fault (shard {label}, attempt {attempt})");
-                }
-                run_shard(label, blocks)
-            });
-            if let Ok(result) = outcome {
-                return ShardOutcome {
-                    label,
-                    result: Some(result),
-                    attempts: attempt + 1,
-                };
-            }
-        }
-        ShardOutcome {
-            label,
-            result: None,
-            attempts: cfg.max_attempts,
-        }
-    };
-
-    for chunk in pending.chunks(cfg.checkpoint_every_shards.max(1)) {
-        if stop_requested(cfg, started) {
+    for chunk in state.pending().chunks(cfg.checkpoint_every_shards.max(1)) {
+        if stop_requested(cfg) {
             stopped = true;
             break;
         }
-        for o in map_shards(chunk, |_, label| run_one(label)) {
-            match o.result {
-                Some(r) => {
-                    state.mark_done_multi(o.label, &r);
-                    if o.attempts > 1 {
-                        retried_ok += 1;
-                    }
-                }
-                None => state.quarantine(o.label, o.attempts),
-            }
+        let results = map_shards(chunk, |_, &label| {
+            run_shard(label, shards[label as usize].1)
+        });
+        for (&label, r) in chunk.iter().zip(&results) {
+            state.mark_done(label, r);
         }
         if let Some(path) = &cfg.checkpoint {
             if !save_with_retries(path, &state, cfg, &mut write_index) {
@@ -360,29 +228,18 @@ where
         }
     }
 
-    let counts = state
-        .counts
-        .iter()
-        .fold(BerResult { bits: 0, errors: 0 }, |acc, c| BerResult {
-            bits: acc.bits + c.bits,
-            errors: acc.errors + c.errors,
-        });
     Ok(CampaignReport {
         status: if stopped {
             CampaignStatus::Stopped
         } else {
             CampaignStatus::Complete
         },
-        counts,
-        stream_counts: state.counts.clone(),
-        total_shards: total,
         completed_shards: state.done_count(),
-        quarantined: state.quarantined.clone(),
-        retried_ok,
+        stream_counts: state.counts,
+        total_shards: total,
         checkpoint_failures,
         resumed_shards,
         recovered_from_corruption: recovered,
-        wilson_95: crate::wilson_interval(counts.errors, counts.bits, 1.96),
     })
 }
 
@@ -410,28 +267,20 @@ fn validate(
     Ok(())
 }
 
-fn stop_requested(cfg: &CampaignConfig, started: Instant) -> bool {
+fn stop_requested(cfg: &CampaignConfig) -> bool {
     // the process-wide SIGINT flag is polled by every campaign, so a bin
     // only has to call install_sigint_stop() once — no plumbing needed
-    if SIGINT_STOP.load(Ordering::Relaxed) {
-        return true;
-    }
-    if let Some(flag) = &cfg.stop {
-        if flag.load(Ordering::Relaxed) {
-            return true;
-        }
-    }
-    if let Some(budget) = cfg.wall_clock_budget {
-        if started.elapsed() >= budget {
-            return true;
-        }
-    }
-    false
+    SIGINT_STOP.load(Ordering::Relaxed)
+        || cfg
+            .stop
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
 }
 
-/// Commits `state` atomically, retrying on (possibly injected) IO
-/// errors. Returns whether a write was committed; on `false` the
-/// previously committed snapshot is still intact on disk.
+/// Commits `state` atomically, retrying up to [`IO_RETRIES`] times on
+/// (possibly injected) IO errors. Every attempt consumes one write
+/// index of the fault plan. Returns whether a write was committed; on
+/// `false` the previously committed snapshot is still intact on disk.
 fn save_with_retries(
     path: &std::path::Path,
     state: &Checkpoint,
@@ -439,7 +288,7 @@ fn save_with_retries(
     write_index: &mut u64,
 ) -> bool {
     let image = state.encode();
-    for _ in 0..=cfg.io_retries {
+    for _ in 0..=IO_RETRIES {
         let idx = *write_index;
         *write_index += 1;
         let result = if cfg.faults.checkpoint_write_fails(idx) {
@@ -496,9 +345,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn multi_stream_counts_merge_per_stream_and_sum_across_streams() {
+    fn multi_stream_counts_merge_per_stream() {
         let shards: Vec<(u64, usize)> = (0..5).map(|l| (l, 10)).collect();
-        let report = run_campaign_multi(&CampaignConfig::new(1, 0), &shards, 3, |label, blocks| {
+        let report = run_campaign(&CampaignConfig::new(1, 0), &shards, 3, |label, blocks| {
             (0..3u64)
                 .map(|s| BerResult {
                     bits: blocks as u64 * (s + 1),
@@ -515,23 +364,6 @@ mod tests {
             })
             .collect();
         assert_eq!(report.stream_counts, per_stream);
-        assert_eq!(
-            report.counts,
-            BerResult {
-                bits: 300,
-                errors: 45
-            }
-        );
-    }
-
-    #[test]
-    fn backoff_is_bounded() {
-        let base = Duration::from_millis(10);
-        let cap = Duration::from_millis(100);
-        assert_eq!(backoff(base, cap, 1), Duration::from_millis(10));
-        assert_eq!(backoff(base, cap, 2), Duration::from_millis(20));
-        assert_eq!(backoff(base, cap, 5), cap);
-        assert_eq!(backoff(base, cap, 40), cap, "shift amount is clamped");
     }
 
     #[test]

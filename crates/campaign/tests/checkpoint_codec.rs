@@ -4,27 +4,27 @@
 //! cleanly, never panicking.
 
 use comimo_campaign::checkpoint::{load, save_atomic, Checkpoint, CheckpointError, VERSION};
+use comimo_stbc::sim::BerResult;
 use proptest::prelude::*;
 
-/// Builds a checkpoint from raw proptest inputs: `total` shards, `done`
-/// indices marked complete, `quar` indices quarantined (skipping
-/// collisions, mirroring what the supervisor can actually produce).
-fn build(seed: u64, fp: u64, total: u64, done: &[u64], quar: &[u64]) -> Checkpoint {
-    let mut ck = Checkpoint::new(seed, fp, total);
+/// Builds a one-stream checkpoint from raw proptest inputs: `total`
+/// shards, `done` indices marked complete (skipping repeats, mirroring
+/// what the supervisor can actually produce).
+fn build(seed: u64, fp: u64, total: u64, done: &[u64]) -> Checkpoint {
+    let mut ck = Checkpoint::new(seed, fp, total, 1);
     if total == 0 {
         return ck;
     }
     for &d in done {
         let d = d % total;
         if !ck.is_done(d) {
-            ck.mark_done(d, 4096, d % 7);
-        }
-    }
-    for &q in quar {
-        // low bits pick the shard, high bits its attempt count
-        let s = q % total;
-        if !ck.is_done(s) {
-            ck.quarantine(s, 1 + (q >> 32) as u32 % 4);
+            ck.mark_done(
+                d,
+                &[BerResult {
+                    bits: 4096,
+                    errors: d % 7,
+                }],
+            );
         }
     }
     ck
@@ -40,15 +40,14 @@ proptest! {
         fp in any::<u64>(),
         total in 0u64..700,
         done in proptest::collection::vec(any::<u64>(), 0..40),
-        quar in proptest::collection::vec(any::<u64>(), 0..10),
     ) {
-        let ck = build(seed, fp, total, &done, &quar);
+        let ck = build(seed, fp, total, &done);
         let back = Checkpoint::decode(&ck.encode()).expect("roundtrip decode");
         prop_assert_eq!(back, ck);
     }
 
     /// encode → decode is the identity for multi-stream checkpoints too
-    /// (the version-2 per-stream count lanes).
+    /// (the per-stream count lanes).
     #[test]
     fn prop_roundtrip_multi_stream(
         seed in any::<u64>(),
@@ -56,17 +55,17 @@ proptest! {
         n_streams in 1usize..9,
         done in proptest::collection::vec(any::<u64>(), 0..20),
     ) {
-        let mut ck = Checkpoint::new_multi(seed, 1, total, n_streams);
+        let mut ck = Checkpoint::new(seed, 1, total, n_streams);
         for &d in &done {
             let d = d % total;
             if !ck.is_done(d) {
                 let counts: Vec<_> = (0..n_streams)
-                    .map(|s| comimo_stbc::sim::BerResult {
+                    .map(|s| BerResult {
                         bits: 1024,
                         errors: (d + s as u64) % 5,
                     })
                     .collect();
-                ck.mark_done_multi(d, &counts);
+                ck.mark_done(d, &counts);
             }
         }
         let back = Checkpoint::decode(&ck.encode()).expect("roundtrip decode");
@@ -80,7 +79,7 @@ proptest! {
         done in proptest::collection::vec(any::<u64>(), 0..20),
         cut in any::<usize>(),
     ) {
-        let ck = build(1, 2, total, &done, &[]);
+        let ck = build(1, 2, total, &done);
         let bytes = ck.encode();
         let cut = cut % bytes.len(); // strictly shorter than the full image
         prop_assert!(Checkpoint::decode(&bytes[..cut]).is_err());
@@ -95,7 +94,7 @@ proptest! {
         flip_byte in any::<usize>(),
         flip_bit in 0u8..8,
     ) {
-        let ck = build(3, 4, total, &done, &[5]);
+        let ck = build(3, 4, total, &done);
         let mut bytes = ck.encode();
         let idx = flip_byte % bytes.len();
         bytes[idx] ^= 1 << flip_bit;
@@ -105,7 +104,7 @@ proptest! {
 
 #[test]
 fn every_prefix_truncation_of_a_small_checkpoint_errors() {
-    let ck = build(9, 9, 40, &[1, 3, 39], &[7]);
+    let ck = build(9, 9, 40, &[1, 3, 39]);
     let bytes = ck.encode();
     for cut in 0..bytes.len() {
         assert!(
@@ -118,7 +117,7 @@ fn every_prefix_truncation_of_a_small_checkpoint_errors() {
 
 #[test]
 fn every_single_bit_flip_of_a_small_checkpoint_errors() {
-    let ck = build(11, 12, 24, &[0, 5, 23], &[2]);
+    let ck = build(11, 12, 24, &[0, 5, 23]);
     let bytes = ck.encode();
     for byte in 0..bytes.len() {
         for bit in 0..8 {
@@ -134,7 +133,7 @@ fn every_single_bit_flip_of_a_small_checkpoint_errors() {
 
 #[test]
 fn stale_version_header_is_rejected_with_the_version() {
-    let ck = build(1, 2, 10, &[4], &[]);
+    let ck = build(1, 2, 10, &[4]);
     let mut bytes = ck.encode();
     // version field lives at offset 4..6 (LE u16)
     let stale = (VERSION + 1).to_le_bytes();
@@ -163,7 +162,7 @@ fn foreign_and_empty_files_are_rejected() {
 
 #[test]
 fn trailing_garbage_is_rejected() {
-    let ck = build(1, 2, 10, &[4], &[]);
+    let ck = build(1, 2, 10, &[4]);
     let mut bytes = ck.encode();
     bytes.push(0xAA);
     assert!(Checkpoint::decode(&bytes).is_err());
@@ -174,7 +173,7 @@ fn internally_inconsistent_payloads_error_not_panic() {
     // a syntactically valid image whose bitmap length disagrees with
     // total_shards: rebuild the image with a recomputed CRC so only the
     // semantic check can reject it
-    let ck = build(1, 2, 16, &[3], &[]);
+    let ck = build(1, 2, 16, &[3]);
     let bytes = ck.encode();
     let mut payload = bytes[16..].to_vec();
     // total_shards lives at payload offset 16..24; inflate it so the
@@ -194,11 +193,11 @@ fn internally_inconsistent_payloads_error_not_panic() {
 #[test]
 fn atomic_save_then_load_roundtrips_through_disk() {
     let path = std::env::temp_dir().join(format!("comimo_codec_io_{}.ck", std::process::id()));
-    let ck = build(21, 22, 100, &[0, 50, 99], &[7]);
+    let ck = build(21, 22, 100, &[0, 50, 99]);
     save_atomic(&path, &ck.encode()).unwrap();
     assert_eq!(load(&path).unwrap(), ck);
     // overwrite commits the new snapshot in place
-    let ck2 = build(21, 22, 100, &[0, 1, 2, 3], &[]);
+    let ck2 = build(21, 22, 100, &[0, 1, 2, 3]);
     save_atomic(&path, &ck2.encode()).unwrap();
     assert_eq!(load(&path).unwrap(), ck2);
     std::fs::remove_file(&path).unwrap();

@@ -283,6 +283,19 @@ mod tests {
         let second = replay(&art);
         assert!(first.reproduced, "{}", first.digest);
         assert_eq!(first.digest, second.digest);
+        // a v5 artifact written before the mini-campaign lost its shard
+        // panic knobs still carries them; they parse as unknown fields
+        // and the replay is unchanged
+        let json = art.to_json().expect("serializes");
+        let shards = "\"campaign_shards\": 12";
+        assert_eq!(json.matches(shards).count(), 1, "{json}");
+        let older = json.replace(
+            shards,
+            &format!("{shards}, \"campaign_panic_prob\": 0.35, \"campaign_max_attempts\": 2"),
+        );
+        let parsed = ChaosArtifact::from_json(&older).expect("parses");
+        assert_eq!(parsed, art);
+        assert_eq!(replay(&parsed).digest, first.digest);
     }
 
     #[test]

@@ -203,7 +203,7 @@ pub enum Observation {
         bits: u64,
         /// Merged errors.
         errors: u64,
-        /// Oracle bits (sum over non-quarantined shards).
+        /// Oracle bits (sum over every shard).
         expected_bits: u64,
         /// Oracle errors.
         expected_errors: u64,
@@ -384,7 +384,7 @@ impl InvariantRegistry {
                 INV_CKPT_COUNTS,
                 "completed campaigns merge exactly the oracle's (bits, errors)".into(),
                 "campaign determinism contract: counts are a pure function of (seed, shard)",
-                "comimo-campaign run_campaign merge, retry and quarantine accounting",
+                "comimo-campaign run_campaign merge: every shard runs once and its counts add",
             ),
             row(
                 INV_MISSED_DETECT_BUDGET,

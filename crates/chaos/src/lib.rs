@@ -19,7 +19,8 @@
 //! 2. **[`world`]** — one end-to-end scenario that drives a fault
 //!    schedule through the event queue, cooperative spectrum sensing
 //!    with hardened decision fusion, all three paradigm degradation
-//!    policies, cluster recruitment and a supervised mini-campaign,
+//!    policies, cluster recruitment and a checkpointless mini-campaign
+//!    whose merged counts face their seed oracle (`INV-CKPT-COUNTS`),
 //!    checking every invariant at every step. A pure function of
 //!    `(config, events)`. The same world walks each paradigm alone into
 //!    a degradation report (delivery, BER, energy, and the registry's
@@ -27,8 +28,9 @@
 //! 3. **[`explore`](mod@explore)** — randomized-but-deterministic fault campaigns:
 //!    run `r` of master seed `s` derives `(run_seed, λ)` with the
 //!    workspace's split-stream RNG, scales the nominal fault taxonomy,
-//!    and checks the whole horizon. Soak mode batches sweeps under a
-//!    wall-clock budget on the campaign layer's stop-flag machinery.
+//!    and checks the whole horizon. Soak mode batches sweeps until its
+//!    wall-clock budget runs out or the campaign layer's SIGINT flag is
+//!    raised.
 //! 4. **[`shrink`]** — classic ddmin over the violating schedule, down
 //!    to a 1-minimal trace that still fires the invariant.
 //! 5. **[`artifact`]** — the minimized trace + seed + expected violation

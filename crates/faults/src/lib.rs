@@ -8,8 +8,8 @@
 //! them and checks that no failure mode disturbs a primary receiver.
 //!
 //! * [`campaign`] — deterministic fault plans for the Monte-Carlo
-//!   campaign supervisor (`comimo-campaign`): shard-execution panics and
-//!   checkpoint-IO errors as pure functions of `(seed, shard, attempt)`;
+//!   campaign supervisor (`comimo-campaign`): checkpoint-IO errors as
+//!   pure functions of `(seed, write index)`;
 //! * [`model`] — the fault taxonomy: relay death, PU return, deep
 //!   shadowing bursts, lossy intra-cluster broadcast, with per-class
 //!   Poisson rates ([`model::FaultConfig`]);

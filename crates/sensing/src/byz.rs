@@ -24,9 +24,7 @@ use crate::detector::EnergyDetector;
 use crate::fusion::{FusionConfig, RuleUsed};
 use crate::reputation::{ReputationConfig, ReputationTracker};
 use crate::round::{run_round_byz, ReportChannelConfig, RoundOutcome, SensingError, SensingRound};
-use comimo_campaign::{
-    fingerprint64, run_campaign_multi, CampaignConfig, CampaignError, CampaignReport,
-};
+use comimo_campaign::{fingerprint64, run_campaign, CampaignConfig, CampaignError, CampaignReport};
 use comimo_faults::byzantine::{ByzantineConfig, ByzantineSuite};
 use comimo_faults::sensing::ReporterState;
 use comimo_math::db::db_to_lin;
@@ -378,7 +376,7 @@ pub fn run_byz_campaign(
     let n_streams = STREAMS_PER_POINT * spec.byz_counts.len();
     let seed = cfg.seed;
     let spec_for_shards = spec.clone();
-    let report = run_campaign_multi(cfg, &shards, n_streams, move |label, rounds| {
+    let report = run_campaign(cfg, &shards, n_streams, move |label, rounds| {
         byz_shard_counts(&spec_for_shards, seed, label, rounds)
     })?;
     let mut cells = Vec::with_capacity(2 * spec.byz_counts.len());
@@ -407,7 +405,6 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
 
     const SEED: u64 = 2013;
 
@@ -423,7 +420,6 @@ mod tests {
 
     fn base_cfg() -> CampaignConfig {
         let mut cfg = CampaignConfig::new(SEED, small_spec().fingerprint());
-        cfg.backoff_base = Duration::ZERO;
         cfg.checkpoint_every_shards = 2;
         cfg
     }
@@ -647,7 +643,7 @@ mod tests {
         let stop_in = stop.clone();
         let executed = Arc::new(AtomicU64::new(0));
         let counter = executed.clone();
-        let partial = run_campaign_multi(&cfg, &shards, n_streams, |label, rounds| {
+        let partial = run_campaign(&cfg, &shards, n_streams, |label, rounds| {
             if counter.fetch_add(1, Ordering::SeqCst) + 1 >= 2 {
                 stop_in.store(true, Ordering::SeqCst);
             }

@@ -22,9 +22,7 @@
 use crate::detector::EnergyDetector;
 use crate::fusion::{fuse_soft_weighted, quorum_of, FusionConfig};
 use crate::reputation::ReputationView;
-use comimo_campaign::{
-    fingerprint64, run_campaign_multi, CampaignConfig, CampaignError, CampaignReport,
-};
+use comimo_campaign::{fingerprint64, run_campaign, CampaignConfig, CampaignError, CampaignReport};
 use comimo_channel::BlockRayleigh;
 use comimo_math::rng::derive;
 use comimo_stbc::report::{ReportWordConfig, SoftReport};
@@ -256,7 +254,7 @@ pub fn run_roc_campaign(
     let points = spec.points();
     let seed = cfg.seed;
     let spec_for_shards = spec.clone();
-    let report = run_campaign_multi(cfg, &shards, 2 * points.len(), move |label, trials| {
+    let report = run_campaign(cfg, &shards, 2 * points.len(), move |label, trials| {
         roc_shard_counts(&spec_for_shards, seed, label, trials)
     })?;
     let roc = points
@@ -288,7 +286,6 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
 
     const SEED: u64 = 2013;
 
@@ -304,7 +301,6 @@ mod tests {
 
     fn base_cfg() -> CampaignConfig {
         let mut cfg = CampaignConfig::new(SEED, small_spec().fingerprint());
-        cfg.backoff_base = Duration::ZERO;
         cfg.checkpoint_every_shards = 3;
         cfg
     }
@@ -424,8 +420,7 @@ mod tests {
             n_shards: 8,
             ..RocGridSpec::paper()
         };
-        let mut cfg = CampaignConfig::new(SEED, spec.fingerprint());
-        cfg.backoff_base = Duration::ZERO;
+        let cfg = CampaignConfig::new(SEED, spec.fingerprint());
         let (_, roc) = run_roc_campaign(&spec, &cfg).unwrap();
         assert_eq!(roc.len(), 2);
         assert_eq!(roc[0].report_snr_db, f64::INFINITY);
@@ -475,7 +470,7 @@ mod tests {
         let n_streams = 2 * spec.points().len();
         let stop_in = stop.clone();
         let counter = executed.clone();
-        let partial = run_campaign_multi(&cfg, &shards, n_streams, |label, trials| {
+        let partial = run_campaign(&cfg, &shards, n_streams, |label, trials| {
             if counter.fetch_add(1, Ordering::SeqCst) + 1 >= 4 {
                 stop_in.store(true, Ordering::SeqCst);
             }
