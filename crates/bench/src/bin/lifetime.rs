@@ -5,17 +5,27 @@
 
 use comimo_bench::tables::render_table;
 use comimo_energy::model::EnergyModel;
-use comimo_net::comimonet::CoMimoNet;
-use comimo_net::graph::SuGraph;
 use comimo_net::lifetime::{run_lifetime, LifetimeConfig};
 use comimo_net::node::random_deployment;
 use comimo_net::routing::backbone_vs_optimal;
+use comimo_net::{TopologyConfig, TopologyEngine};
 
-fn build(seed: u64, n: usize, battery: f64, max_cluster: usize) -> CoMimoNet {
+/// `n` SUs on a 450 m field joined in id order (store id i is node i):
+/// d = 40 m clusters of at most `max_cluster`, backbone reach D = 650 m.
+fn build(seed: u64, n: usize, battery: f64, max_cluster: usize) -> TopologyEngine {
+    let mut net = TopologyEngine::new(TopologyConfig {
+        width_m: 450.0,
+        height_m: 450.0,
+        d_m: 40.0,
+        max_cluster,
+        long_range_m: 650.0,
+    });
     let mut rng = comimo_math::rng::seeded(seed);
-    let nodes = random_deployment(&mut rng, n, 450.0, 450.0, battery);
-    let graph = SuGraph::build(nodes, 80.0);
-    CoMimoNet::build(graph, 40.0, max_cluster, 650.0)
+    for node in random_deployment(&mut rng, n, 450.0, 450.0, battery) {
+        net.join(node.pos.x, node.pos.y, node.battery_j)
+            .expect("the deployment lies in the field");
+    }
+    net
 }
 
 fn main() {
@@ -36,9 +46,12 @@ fn main() {
         ("pairs (<=2)", 2),
         ("SISO (1)", 1),
     ] {
-        let net = build(2014, n, 0.5, max_cluster);
-        let clusters = net.clusters().len();
-        let res = run_lifetime(net, &model, &cfg, 0, n - 1);
+        let mut net = build(2014, n, 0.5, max_cluster);
+        let clusters = net.clusters_alive();
+        let res = run_lifetime(&mut net, &model, &cfg, 0, n as u32 - 1)
+            .expect("both endpoints are deployed");
+        net.validate()
+            .unwrap_or_else(|e| panic!("{label}: the run left an invalid topology: {e}"));
         rows.push(vec![
             label.to_string(),
             clusters.to_string(),
@@ -64,15 +77,18 @@ fn main() {
     );
 
     println!("\nRouting-policy energy (same deployment, 5 sample pairs):\n");
-    let net = build(2014, n, 0.5, 4);
-    let k = net.clusters().len();
+    let mut net = build(2014, n, 0.5, 4);
+    let ids: Vec<u32> = net.iter_clusters().collect();
+    let k = ids.len();
     let mut route_rows = Vec::new();
     for i in 0..5.min(k.saturating_sub(1)) {
-        let (a, b) = (i, k - 1 - i);
+        let (a, b) = (ids[i], ids[k - 1 - i]);
         if a >= b {
             break;
         }
-        if let Some((bb, opt)) = backbone_vs_optimal(&net, &model, 1e-3, 40e3, 1e4, a, b) {
+        let priced = backbone_vs_optimal(&mut net, &model, 1e-3, 40e3, 1e4, a, b)
+            .expect("sampled clusters are live");
+        if let Some((bb, opt)) = priced {
             route_rows.push(vec![
                 format!("{a} -> {b}"),
                 format!("{bb:.3e}"),

@@ -6,8 +6,9 @@
 //!
 //! Usage:
 //!   `cargo run --release -p comimo-bench --bin sensebench`
-//!       prints two degradation tables — the clean-transport oracle and
-//!       the noisy report long-haul at `SENSE_REPORT_SNR_DB` — (and
+//!       prints two degradation tables — reports on a noiseless
+//!       long-haul fused k-out-of-N, and the noisy report long-haul at
+//!       `SENSE_REPORT_SNR_DB` — (and
 //!       writes `results/sensebench.txt` when run from the repo root with
 //!       a `results/` directory); the output is a pure function of the
 //!       seed — CI diffs it across thread counts;
@@ -35,7 +36,7 @@
 //! --chunk N           shards per checkpoint commit          (default 2)
 //! --seed S            campaign seed                         (default 2013)
 //! --report-snrs-db L  comma-separated report-channel SNR axis in dB;
-//!                     `inf` = clean oracle                  (default inf)
+//!                     `inf` = noiseless long-haul           (default inf)
 //! ```
 //!
 //! `--byz` options:
@@ -52,7 +53,7 @@
 //! the shards on one thread.
 //!
 //! The campaign config binds the checkpoint to `spec.fingerprint()`, so a
-//! checkpoint written for one grid (e.g. the clean axis) refuses to
+//! checkpoint written for one grid (e.g. the default `inf` axis) refuses to
 //! resume under another (e.g. `--report-snrs-db 5,15`, or a different
 //! `--byz-counts`/`--warmup` axis). The byz sweep's reputation state
 //! needs no checkpoint of its own: every resumed shard replays its
@@ -91,7 +92,8 @@ struct RocArgs {
 }
 
 /// Parses the `--report-snrs-db` axis: comma-separated dB values where
-/// `inf` (any case) means the clean-transport oracle.
+/// `inf` (any case) means a noiseless long-haul, whose saturated reports
+/// reproduce clean-boolean k-out-of-N counts.
 fn parse_report_snrs(raw: &str) -> Vec<f64> {
     let snrs: Vec<f64> = raw
         .split(',')
@@ -164,9 +166,19 @@ fn parse_roc_args(args: &[String]) -> RocArgs {
     a
 }
 
-/// Echoes the supervisor's resume/corruption bookkeeping — shared by
-/// the `--roc` and `--byz` campaign modes.
+/// Echoes the supervisor's resume/corruption bookkeeping on stdout and
+/// failed checkpoint writes on stderr — shared by the `--roc` and
+/// `--byz` campaign modes. A failed write leaves the counts right but
+/// the checkpoint behind them, so a run that was meant to be resumable
+/// says so instead of staying silent.
 fn echo_campaign_health(report: &CampaignReport) {
+    if report.checkpoint_failures > 0 {
+        eprintln!(
+            "checkpoint: {} write(s) failed after retries; a resume restarts from the last \
+             committed snapshot",
+            report.checkpoint_failures
+        );
+    }
     if report.resumed_shards > 0 {
         println!(
             "resumed from checkpoint: {}/{} shards already done",

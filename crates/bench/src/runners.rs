@@ -301,8 +301,9 @@ pub struct SenseSweepRow {
     /// Slots fused on the soft LLR rung (noisy long-haul, confident;
     /// the λ sweeps carry no reputation view, so weights are uniform).
     pub used_weighted_llr: u64,
-    /// Slots fused by counting hard bits against the quorum: the clean
-    /// k-out-of-N head, or a shaky decode of the report words.
+    /// Slots fused by counting hard bits against the quorum: the
+    /// k-out-of-N head of [`SensingRound::paper`], or a shaky decode of
+    /// the report words.
     pub used_hard_decode: u64,
     /// Slots degraded to the OR fallback (quorum below the floor).
     pub used_or_fallback: u64,
@@ -341,10 +342,9 @@ impl SenseSweepRow {
 /// The shared sweep core: [`SENSE_HORIZON_S`] slotted fused decisions
 /// against the Markov ON/OFF primary, reporters faulted by their
 /// `derive(seed, unit)` schedule at λ × nominal rates, reports crossing
-/// the lossy intra-cluster channel — over the transport `cfg` carries
-/// (clean booleans or the noisy long-haul, with its own λ-scaled
-/// report-channel faults). A pure function of
-/// `(lambda, cfg, EXPERIMENT_SEED)` at any thread count.
+/// the lossy intra-cluster channel — over the long-haul `cfg` carries
+/// (noiseless, or noisy with its own λ-scaled report-channel faults). A
+/// pure function of `(lambda, cfg, EXPERIMENT_SEED)` at any thread count.
 fn sense_sweep_with(lambda: f64, mut cfg: SensingRound, noisy: bool) -> SenseSweepRow {
     let fcfg = if lambda == 0.0 {
         ReporterFaultConfig::disabled(SENSE_HORIZON_S)
@@ -422,8 +422,9 @@ fn sense_sweep_with(lambda: f64, mut cfg: SensingRound, noisy: bool) -> SenseSwe
     row
 }
 
-/// One λ point of the sensing sweep over the clean-boolean transport
-/// (the pinned-oracle path).
+/// One λ point of the sensing sweep with reports on a noiseless
+/// long-haul fused k-out-of-N ([`SensingRound::paper`]): the clean
+/// boolean decisions, count for count.
 pub fn sense_sweep(lambda: f64) -> SenseSweepRow {
     let snr = comimo_math::db::db_to_lin(SENSE_SNR_DB);
     sense_sweep_with(lambda, SensingRound::paper(snr), false)

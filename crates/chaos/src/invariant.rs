@@ -125,8 +125,9 @@ pub enum Observation {
     ReportLongHaul {
         /// Slot start (ns) — when the report words went on the air.
         at_ns: u64,
-        /// Whether any report word actually radiated this slot (a
-        /// clean-transport or zero-reporter slot transmits nothing).
+        /// Whether any report word actually radiated this slot (a slot
+        /// with no live reporter or a muted long-haul transmits
+        /// nothing).
         transmitted: bool,
         /// Noise-floor margin of the rung whose PA budget clamps the
         /// report word energy (dB; `+∞` when nothing radiated).

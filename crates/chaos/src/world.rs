@@ -802,16 +802,15 @@ fn run_in_world(
         let full_rung = &un_deg[cfg.mt];
         let mut report_margin_db = f64::INFINITY;
         let mut long_haul_muted = false;
-        if !round_cfg.report_channel.clean_transport {
-            match (rung_start, full_rung) {
-                (Some(step), Some(full)) => {
-                    round_cfg.report_channel.word.clamp_es(
-                        (step.analysis.pa_long_haul / full.analysis.pa_long_haul).min(1.0),
-                    );
-                    report_margin_db = step.margin_db;
-                }
-                _ => long_haul_muted = true,
+        match (rung_start, full_rung) {
+            (Some(step), Some(full)) => {
+                round_cfg
+                    .report_channel
+                    .word
+                    .clamp_es((step.analysis.pa_long_haul / full.analysis.pa_long_haul).min(1.0));
+                report_margin_db = step.margin_db;
             }
+            _ => long_haul_muted = true,
         }
         let states: Vec<ReporterState> = (0..topo.n_nodes)
             .map(|r| {
@@ -890,8 +889,7 @@ fn run_in_world(
                     },
                     Observation::ReportLongHaul {
                         at_ns: start_ns,
-                        transmitted: !round_cfg.report_channel.clean_transport
-                            && out.frames_sent > 0,
+                        transmitted: out.frames_sent > 0,
                         margin_db: report_margin_db,
                         mt: round_cfg.report_channel.word.mt,
                     },

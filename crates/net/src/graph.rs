@@ -2,6 +2,7 @@
 //!
 //! "For any pair of nodes u and v, the edge (u, v) ∈ E if u and v are in
 //! their communication range with each other." (paper, Section 2.1)
+//! The recruitment protocol ([`crate::recruit`]) walks it.
 
 use crate::node::SuNode;
 
@@ -9,7 +10,6 @@ use crate::node::SuNode;
 #[derive(Debug, Clone)]
 pub struct SuGraph {
     nodes: Vec<SuNode>,
-    range: f64,
     adjacency: Vec<Vec<usize>>,
 }
 
@@ -34,11 +34,7 @@ impl SuGraph {
                 }
             }
         }
-        Self {
-            nodes,
-            range,
-            adjacency,
-        }
+        Self { nodes, adjacency }
     }
 
     /// The nodes (including dead ones; dead nodes have no edges).
@@ -46,66 +42,9 @@ impl SuGraph {
         &self.nodes
     }
 
-    /// Mutable node access (rebuild after structural changes).
-    pub fn nodes_mut(&mut self) -> &mut [SuNode] {
-        &mut self.nodes
-    }
-
-    /// Communication range `r`.
-    pub fn range(&self) -> f64 {
-        self.range
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the node set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Neighbours of node `i`.
     pub fn neighbours(&self, i: usize) -> &[usize] {
         &self.adjacency[i]
-    }
-
-    /// Degree of node `i`.
-    pub fn degree(&self, i: usize) -> usize {
-        self.adjacency[i].len()
-    }
-
-    /// Total edge count.
-    pub fn n_edges(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
-    /// Connected components (alive nodes only), each sorted by id.
-    pub fn components(&self) -> Vec<Vec<usize>> {
-        let n = self.nodes.len();
-        let mut seen = vec![false; n];
-        let mut comps = Vec::new();
-        for start in 0..n {
-            if seen[start] || !self.nodes[start].alive {
-                continue;
-            }
-            let mut stack = vec![start];
-            let mut comp = Vec::new();
-            seen[start] = true;
-            while let Some(u) = stack.pop() {
-                comp.push(u);
-                for &v in &self.adjacency[u] {
-                    if !seen[v] {
-                        seen[v] = true;
-                        stack.push(v);
-                    }
-                }
-            }
-            comp.sort_unstable();
-            comps.push(comp);
-        }
-        comps
     }
 }
 
@@ -123,10 +62,8 @@ mod tests {
     #[test]
     fn edges_respect_range() {
         let g = SuGraph::build(line_nodes(10.0, 4), 10.0);
-        assert!(g.neighbours(0).contains(&1));
-        assert!(!g.neighbours(0).contains(&2));
-        assert_eq!(g.n_edges(), 3);
-        assert_eq!(g.degree(1), 2);
+        assert_eq!(g.neighbours(0), &[1]);
+        assert_eq!(g.neighbours(1), &[0, 2]);
     }
 
     #[test]
@@ -134,23 +71,8 @@ mod tests {
         let mut nodes = line_nodes(10.0, 3);
         nodes[1].alive = false;
         let g = SuGraph::build(nodes, 10.0);
-        assert_eq!(g.degree(1), 0);
-        assert!(!g.neighbours(0).contains(&1));
-        // 0 and 2 are now disconnected
-        assert_eq!(g.components().len(), 2);
-    }
-
-    #[test]
-    fn components_partition_alive_nodes() {
-        // two separated pairs
-        let nodes = vec![
-            SuNode::new(0, Point::new(0.0, 0.0), 1.0),
-            SuNode::new(1, Point::new(5.0, 0.0), 1.0),
-            SuNode::new(2, Point::new(100.0, 0.0), 1.0),
-            SuNode::new(3, Point::new(105.0, 0.0), 1.0),
-        ];
-        let g = SuGraph::build(nodes, 10.0);
-        let comps = g.components();
-        assert_eq!(comps, vec![vec![0, 1], vec![2, 3]]);
+        assert!(g.neighbours(1).is_empty());
+        // 0 and 2 lost their only link
+        assert!(g.neighbours(0).is_empty() && g.neighbours(2).is_empty());
     }
 }

@@ -5,34 +5,31 @@
 //! users organised so that clusters act as virtual MIMO terminals.
 //!
 //! * `G = (V, E)`: SU nodes with an edge when within communication range
-//!   `r` — [`graph::SuGraph`];
-//! * **d-clustering**: a node-disjoint division where any two nodes of a
-//!   cluster are within `d ≤ r` of each other — [`cluster`];
-//! * **head nodes**: one per cluster, battery-aware election, holding the
-//!   member roster — [`cluster::Cluster`];
-//! * `G_MIMO`: the cluster graph with a `D`-`mt × mr` cooperative MIMO link
-//!   between clusters whose largest pairwise node distance is at most `D`
-//!   — [`comimonet::CoMimoNet`];
-//! * a **spanning-tree routing backbone** over the head nodes, used for
-//!   multi-hop data relay, with reconfiguration on node failure —
-//!   [`comimonet`];
-//! * route-level energy accounting with the `comimo-energy` model —
-//!   [`comimonet::CoMimoNet::route_energy_per_bit`];
-//! * minimum-energy routing over the full cluster graph (Dijkstra), for
-//!   comparison against the backbone policy — [`routing`];
+//!   `r` — [`graph::SuGraph`], the graph the recruitment protocol walks;
+//! * the **topology engine** ([`topology`]): d-clusters (any two members
+//!   within `d`, at most `max_cluster` of them) formed by joins in arrival
+//!   order, battery-aware heads that rotate as batteries drain, and a
+//!   backbone over the heads — a parent forest in which every cluster
+//!   points at the nearest older head within the long-haul range `D` —
+//!   all repaired locally as nodes die. An SoA node store ([`store`]) and
+//!   a uniform spatial hash grid with cell size tied to `d` ([`grid`])
+//!   let joins, deaths and PU arrivals touch only the affected cells, up
+//!   to a million SUs;
+//! * `G_MIMO`: the cluster graph with a `D`-`mt × mr` cooperative MIMO
+//!   link between clusters whose largest pairwise node distance is at
+//!   most `D`, per-hop energy accounting with the `comimo-energy` model,
+//!   and minimum-energy routing (Dijkstra) against the backbone policy —
+//!   [`routing`];
+//! * battery-aware head election over an SU graph and the recruitment
+//!   protocol that grows a cluster by backoff contention — [`cluster`],
+//!   [`recruit`];
 //! * network-lifetime simulation with battery drain and reconfiguration
 //!   — [`lifetime`];
 //! * fault-tolerant sensing-report collection at the cluster head, with
 //!   timeout, bounded-backoff retry and loss/stale/duplicate handling —
-//!   [`report`];
-//! * the **million-SU engine**: an SoA node store ([`store`]), a uniform
-//!   spatial hash-grid index with cell size tied to the d-clustering
-//!   radius ([`grid`]), and an incremental topology engine where joins,
-//!   deaths and PU arrivals touch only the affected cells —
-//!   [`topology`].
+//!   [`report`].
 
 pub mod cluster;
-pub mod comimonet;
 pub mod graph;
 pub mod grid;
 pub mod lifetime;
@@ -43,11 +40,10 @@ pub mod routing;
 pub mod store;
 pub mod topology;
 
-pub use cluster::{d_clustering, try_elect_head, Cluster, ClusterError};
-pub use comimonet::CoMimoNet;
+pub use cluster::{try_elect_head, ClusterError};
 pub use graph::SuGraph;
 pub use grid::{GridEntry, SpatialGrid};
-pub use lifetime::{run_lifetime, try_run_lifetime, LifetimeConfig, LifetimeError, LifetimeResult};
+pub use lifetime::{run_lifetime, LifetimeConfig, LifetimeError, LifetimeResult};
 pub use node::SuNode;
 pub use recruit::{
     backoff_delay, run_recruitment, run_recruitment_excluding, RecruitConfig, RecruitOutcome,

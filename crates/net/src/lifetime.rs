@@ -4,13 +4,14 @@
 //! analysis exists because SU nodes are battery-powered. This module
 //! closes the loop: it pushes traffic across a CoMIMONet round after
 //! round, drains each participating node's battery by the hop-level
-//! energy accounting, re-elects heads and reconfigures as nodes die, and
-//! reports how long the network keeps the flow alive — letting
+//! energy accounting (heads rotate as they fall behind a member), retires
+//! nodes as they run dry (the engine repairs their clusters locally),
+//! and reports how long the network keeps the flow alive — letting
 //! cooperative MIMO routing be compared against SISO-style routing on the
 //! same deployment.
 
-use crate::comimonet::CoMimoNet;
-use crate::routing::min_energy_route;
+use crate::routing::{hop_energy, min_energy_route};
+use crate::topology::{TopologyEngine, TopologyError};
 use comimo_energy::model::EnergyModel;
 use serde::{Deserialize, Serialize};
 
@@ -44,18 +45,20 @@ impl LifetimeConfig {
     }
 }
 
-/// Why a lifetime run could not start. Kept typed so scale drivers (the
-/// chaos explorer, netperf churn harnesses) surface a bad endpoint as a
-/// value instead of an indexing panic mid-campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a lifetime run could not start or continue. Kept typed so scale
+/// drivers surface a bad endpoint as a value instead of a panic
+/// mid-campaign.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LifetimeError {
-    /// An endpoint id is outside the deployment.
+    /// An endpoint id names no node of the deployment.
     EndpointOutOfRange {
         /// The offending node id.
-        node: usize,
-        /// Nodes in the deployment.
+        node: u32,
+        /// Node slots in the deployment.
         len: usize,
     },
+    /// The engine rejected an operation on its own topology.
+    Topology(TopologyError),
 }
 
 impl std::fmt::Display for LifetimeError {
@@ -64,11 +67,18 @@ impl std::fmt::Display for LifetimeError {
             Self::EndpointOutOfRange { node, len } => {
                 write!(f, "endpoint node {node} outside the {len}-node deployment")
             }
+            Self::Topology(e) => write!(f, "topology: {e}"),
         }
     }
 }
 
 impl std::error::Error for LifetimeError {}
+
+impl From<TopologyError> for LifetimeError {
+    fn from(e: TopologyError) -> Self {
+        Self::Topology(e)
+    }
+}
 
 /// Result of a lifetime run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -78,72 +88,30 @@ pub struct LifetimeResult {
     /// Total bits delivered.
     pub bits_delivered: f64,
     /// Node ids that died, in order.
-    pub deaths: Vec<usize>,
+    pub deaths: Vec<u32>,
     /// Total energy drained across the network (J).
     pub energy_spent_j: f64,
 }
 
-/// Drains batteries for one hop's transmission of `bits` bits: the
-/// transmit cluster's members pay the long-haul + local-broadcast share,
-/// the receive cluster's members the receive + collection share.
-fn drain_hop(
-    net: &mut CoMimoNet,
-    model: &EnergyModel,
-    cfg: &LifetimeConfig,
-    a: usize,
-    b: usize,
-    bits: f64,
-) -> f64 {
-    let hop = net.hop_energy(model, cfg.ber, cfg.bandwidth_hz, cfg.block_bits, a, b);
-    let tx_members = net.clusters()[a].members.clone();
-    let rx_members = net.clusters()[b].members.clone();
-    let tx_share = (hop.local_broadcast_j + hop.long_haul_tx_j) / tx_members.len() as f64;
-    let rx_share = (hop.long_haul_rx_j + hop.local_collect_j) / rx_members.len() as f64;
-    let mut spent = 0.0;
-    for m in tx_members {
-        let j = tx_share * bits;
-        net.graph_mut().nodes_mut()[m].drain(j);
-        spent += j;
-    }
-    for m in rx_members {
-        let j = rx_share * bits;
-        net.graph_mut().nodes_mut()[m].drain(j);
-        spent += j;
-    }
-    spent
-}
-
-/// Runs traffic from the cluster containing `src_node` to the cluster
-/// containing `dst_node` until the flow cannot be routed any more (node
-/// deaths partition the network or consume an endpoint).
-///
-/// Panics on an out-of-range endpoint; [`try_run_lifetime`] returns the
-/// same condition as a [`LifetimeError`] instead.
+/// Runs traffic from the cluster containing node `src` to the cluster
+/// containing node `dst` along the minimum-energy route, re-routed every
+/// round, until an endpoint dies or no route is left. Each hop's
+/// transmit-side members share the local broadcast and long-haul
+/// transmit energy, its receive-side members the long-haul receive and
+/// collection energy, every share drained through
+/// [`TopologyEngine::drain`]; after the round every node whose battery
+/// reached zero dies, in ascending id order. The engine stays with the
+/// caller, so the topology the run left behind can be audited.
 pub fn run_lifetime(
-    net: CoMimoNet,
+    engine: &mut TopologyEngine,
     model: &EnergyModel,
     cfg: &LifetimeConfig,
-    src_node: usize,
-    dst_node: usize,
-) -> LifetimeResult {
-    match try_run_lifetime(net, model, cfg, src_node, dst_node) {
-        Ok(res) => res,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`run_lifetime`] with the endpoint validation surfaced as a typed
-/// error instead of an indexing panic.
-pub fn try_run_lifetime(
-    mut net: CoMimoNet,
-    model: &EnergyModel,
-    cfg: &LifetimeConfig,
-    src_node: usize,
-    dst_node: usize,
+    src: u32,
+    dst: u32,
 ) -> Result<LifetimeResult, LifetimeError> {
-    let len = net.graph().len();
-    for node in [src_node, dst_node] {
-        if node >= len {
+    let len = engine.store().slots();
+    for node in [src, dst] {
+        if node as usize >= len {
             return Err(LifetimeError::EndpointOutOfRange { node, len });
         }
     }
@@ -153,51 +121,51 @@ pub fn try_run_lifetime(
         deaths: Vec::new(),
         energy_spent_j: 0.0,
     };
+    let (ber, bw, block) = (cfg.ber, cfg.bandwidth_hz, cfg.block_bits);
+    let mut drained: Vec<u32> = Vec::new();
     for _ in 0..cfg.max_rounds {
-        // endpoints must still be alive
-        if !net.graph().nodes()[src_node].alive || !net.graph().nodes()[dst_node].alive {
+        let store = engine.store();
+        if !store.is_alive(src) || !store.is_alive(dst) {
             break;
         }
-        let (Some(from), Some(to)) = (net.cluster_of(src_node), net.cluster_of(dst_node)) else {
+        let (from, to) = (store.cluster_of(src), store.cluster_of(dst));
+        let Some(route) = min_energy_route(engine, model, ber, bw, block, from, to)? else {
             break;
         };
-        let Some(route) = min_energy_route(
-            &net,
-            model,
-            cfg.ber,
-            cfg.bandwidth_hz,
-            cfg.block_bits,
-            from,
-            to,
-        ) else {
-            break;
-        };
+        // price every hop before any battery moves: the round's plan is
+        // the route Dijkstra chose, whatever heads rotate while it runs
+        let mut hops = Vec::with_capacity(route.path.len());
         for w in route.path.windows(2) {
-            result.energy_spent_j +=
-                drain_hop(&mut net, model, cfg, w[0], w[1], cfg.bits_per_round);
+            hops.push((
+                w[0],
+                w[1],
+                hop_energy(engine, model, ber, bw, block, w[0], w[1])?,
+            ));
+        }
+        drained.clear();
+        for (a, b, hop) in hops {
+            for (c, per_bit) in [
+                (a, hop.local_broadcast_j + hop.long_haul_tx_j),
+                (b, hop.long_haul_rx_j + hop.local_collect_j),
+            ] {
+                let members = engine.members(c)?.to_vec();
+                let j = per_bit / members.len() as f64 * cfg.bits_per_round;
+                for m in members {
+                    engine.drain(m, j)?;
+                    result.energy_spent_j += j;
+                    drained.push(m);
+                }
+            }
         }
         result.rounds += 1;
         result.bits_delivered += cfg.bits_per_round;
-        // reconfigure around any deaths this round
-        let dead: Vec<usize> = net
-            .graph()
-            .nodes()
-            .iter()
-            .filter(|n| !n.alive && !result.deaths.contains(&n.id))
-            .map(|n| n.id)
-            .collect();
-        let mut reconfig_failed = false;
-        for d in dead {
-            result.deaths.push(d);
-            // a broken reconfiguration ends the lifetime instead of
-            // unwinding: the rounds delivered so far are still the answer
-            if net.try_kill_node_and_reconfigure(d).is_err() {
-                reconfig_failed = true;
-                break;
+        drained.sort_unstable();
+        drained.dedup();
+        for &m in &drained {
+            if engine.store().battery_j(m) == 0.0 {
+                engine.death(m)?;
+                result.deaths.push(m);
             }
-        }
-        if reconfig_failed {
-            break;
         }
     }
     Ok(result)
@@ -206,31 +174,28 @@ pub fn try_run_lifetime(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::SuGraph;
-    use crate::node::random_deployment;
-    use comimo_math::rng::seeded;
+    use crate::routing::tests::deploy;
 
-    fn deployment(seed: u64, battery_j: f64, max_cluster: usize) -> CoMimoNet {
-        let mut rng = seeded(seed);
-        let nodes = random_deployment(&mut rng, 50, 400.0, 400.0, battery_j);
-        let graph = SuGraph::build(nodes, 80.0);
-        CoMimoNet::build(graph, 40.0, max_cluster, 600.0)
+    fn deployment(seed: u64, battery_j: f64, max_cluster: usize) -> TopologyEngine {
+        deploy(seed, 50, 400.0, battery_j, 40.0, max_cluster, 600.0)
     }
 
     #[test]
     fn flow_runs_until_energy_runs_out() {
-        let net = deployment(5, 0.2, 4);
+        let mut net = deployment(5, 0.2, 4);
         let model = EnergyModel::paper();
         let cfg = LifetimeConfig {
             max_rounds: 5_000,
             ..LifetimeConfig::default_rounds()
         };
-        let res = run_lifetime(net, &model, &cfg, 0, 49);
+        let res = run_lifetime(&mut net, &model, &cfg, 0, 49).unwrap();
         assert!(res.rounds > 0, "no rounds completed");
         assert!(res.rounds < cfg.max_rounds, "flow should eventually die");
         assert!(!res.deaths.is_empty(), "someone must run dry");
         assert!(res.energy_spent_j > 0.0);
         assert!((res.bits_delivered - res.rounds as f64 * 1e4).abs() < 1.0);
+        assert_eq!(net.nodes_alive(), 50 - res.deaths.len());
+        net.validate().unwrap();
     }
 
     #[test]
@@ -240,14 +205,17 @@ mod tests {
             max_rounds: 20_000,
             ..LifetimeConfig::default_rounds()
         };
-        let small = run_lifetime(deployment(7, 0.05, 4), &model, &cfg, 0, 49);
-        let large = run_lifetime(deployment(7, 0.5, 4), &model, &cfg, 0, 49);
+        let (mut small_net, mut large_net) = (deployment(7, 0.05, 4), deployment(7, 0.5, 4));
+        let small = run_lifetime(&mut small_net, &model, &cfg, 0, 49).unwrap();
+        let large = run_lifetime(&mut large_net, &model, &cfg, 0, 49).unwrap();
         assert!(
             large.rounds > small.rounds * 3,
             "large {} vs small {}",
             large.rounds,
             small.rounds
         );
+        small_net.validate().unwrap();
+        large_net.validate().unwrap();
     }
 
     #[test]
@@ -260,34 +228,45 @@ mod tests {
             max_rounds: 50_000,
             ..LifetimeConfig::default_rounds()
         };
-        let coop = run_lifetime(deployment(11, 0.3, 4), &model, &cfg, 0, 49);
-        let siso = run_lifetime(deployment(11, 0.3, 1), &model, &cfg, 0, 49);
+        let (mut coop_net, mut siso_net) = (deployment(11, 0.3, 4), deployment(11, 0.3, 1));
+        let coop = run_lifetime(&mut coop_net, &model, &cfg, 0, 49).unwrap();
+        let siso = run_lifetime(&mut siso_net, &model, &cfg, 0, 49).unwrap();
         assert!(
             coop.bits_delivered > 2.0 * siso.bits_delivered,
             "coop {} bits vs SISO {} bits",
             coop.bits_delivered,
             siso.bits_delivered
         );
+        coop_net.validate().unwrap();
+        siso_net.validate().unwrap();
     }
 
     #[test]
     fn out_of_range_endpoints_are_a_typed_error_not_a_panic() {
         let model = EnergyModel::paper();
         let cfg = LifetimeConfig::default_rounds();
-        let err = try_run_lifetime(deployment(5, 0.2, 4), &model, &cfg, 0, 50).unwrap_err();
+        let mut net = deployment(5, 0.2, 4);
+        let err = run_lifetime(&mut net, &model, &cfg, 0, 50).unwrap_err();
         assert_eq!(err, LifetimeError::EndpointOutOfRange { node: 50, len: 50 });
-        let err = try_run_lifetime(deployment(5, 0.2, 4), &model, &cfg, 99, 0).unwrap_err();
+        let err = run_lifetime(&mut net, &model, &cfg, 99, 0).unwrap_err();
         assert_eq!(err, LifetimeError::EndpointOutOfRange { node: 99, len: 50 });
         assert!(err.to_string().contains("node 99"));
+        // a rejected run touches nothing
+        assert_eq!(net.stats().deaths, 0);
+        net.validate().unwrap();
     }
 
     #[test]
     fn dead_endpoint_ends_the_flow() {
         let mut net = deployment(13, 0.2, 4);
         let model = EnergyModel::paper();
-        net.graph_mut().nodes_mut()[0].drain(1.0); // kill the source
+        // kill the source
+        assert_eq!(net.drain(0, 1.0).unwrap(), 0.0);
+        net.death(0).unwrap();
         let cfg = LifetimeConfig::default_rounds();
-        let res = run_lifetime(net, &model, &cfg, 0, 49);
+        let res = run_lifetime(&mut net, &model, &cfg, 0, 49).unwrap();
         assert_eq!(res.rounds, 0);
+        assert!(res.deaths.is_empty());
+        net.validate().unwrap();
     }
 }

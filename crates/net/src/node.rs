@@ -31,15 +31,6 @@ impl SuNode {
         }
     }
 
-    /// Drains energy; the node dies when the battery empties.
-    pub fn drain(&mut self, joules: f64) {
-        assert!(joules >= 0.0);
-        self.battery_j = (self.battery_j - joules).max(0.0);
-        if self.battery_j == 0.0 {
-            self.alive = false;
-        }
-    }
-
     /// Euclidean distance to another node.
     pub fn distance_to(&self, other: &SuNode) -> f64 {
         self.pos.distance(other.pos)
@@ -69,17 +60,6 @@ pub fn random_deployment(
 mod tests {
     use super::*;
     use comimo_math::rng::seeded;
-
-    #[test]
-    fn drain_and_death() {
-        let mut n = SuNode::new(0, Point::origin(), 10.0);
-        n.drain(4.0);
-        assert!((n.battery_j - 6.0).abs() < 1e-12);
-        assert!(n.alive);
-        n.drain(100.0);
-        assert_eq!(n.battery_j, 0.0);
-        assert!(!n.alive);
-    }
 
     #[test]
     fn deployment_bounds_and_ids() {

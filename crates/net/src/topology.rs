@@ -1,12 +1,11 @@
-//! Incremental million-SU topology engine.
+//! The CoMIMONet topology engine.
 //!
-//! [`crate::comimonet::CoMimoNet`] rebuilds the SU graph, the
-//! d-clustering and the spanning backbone from scratch on every change —
-//! O(N²) per reconfiguration, fine at paper scale, hopeless at a million
-//! secondary users. This module is the production-scale engine: an SoA
-//! [`NodeStore`] plus a [`SpatialGrid`] whose cell equals the clustering
-//! diameter `d`, so every churn operation touches only the affected
-//! cells:
+//! One model of the paper's Section 2.1 network, from a 60-SU lifetime
+//! study to a million secondary users: d-clusters with battery-aware
+//! heads and a reconfigurable backbone over the heads, all maintained
+//! incrementally. An SoA [`NodeStore`] plus a [`SpatialGrid`] whose
+//! cell equals the clustering diameter `d` lets every churn operation
+//! touch only the affected cells:
 //!
 //! * **join** — enter the lowest-id cluster the newcomer fits (size
 //!   below max, bounding-box quick-accept, member scan only on the
@@ -29,6 +28,10 @@
 //!   interior non-head leaver, else O(cluster + neighbours within d).
 //!   A caller that picks the victim with [`TopologyEngine::nearest_node`]
 //!   reads about 1.2 grid cells (~150 entries) at 1M density.
+//! * **drain** — spend battery; a head that falls below a member hands
+//!   the cluster to the best one, so heads stay battery-maximal while
+//!   traffic runs ([`crate::lifetime`]): O(cluster) for a head, O(1)
+//!   otherwise.
 //! * **PU arrival** — collect the clusters whose head sits inside the
 //!   primary's footprint from the head index: O(affected).
 //!
@@ -203,7 +206,8 @@ pub struct TopoStats {
     pub clusters_founded: u64,
     /// Clusters retired (emptied by deaths).
     pub clusters_retired: u64,
-    /// Head re-elections forced by a head death.
+    /// Head re-elections forced by a head death, a head recruited
+    /// away, or a head drained below a member.
     pub head_reelections: u64,
     /// Members recruited across clusters by quorum repair.
     pub recruits: u64,
@@ -607,6 +611,37 @@ impl TopologyEngine {
             head_changed,
             recruited,
         })
+    }
+
+    /// Drains `joules` from `node`'s battery (clamped at zero) and
+    /// returns what is left. A head that is no longer battery-maximal
+    /// hands its cluster to the best member (higher battery, lower id on
+    /// ties), counted in [`TopoStats::head_reelections`]; any other
+    /// member only falls further behind its head. The node stays alive
+    /// at zero: retiring it is the caller's [`Self::death`].
+    ///
+    /// # Panics
+    /// If `joules` is negative or NaN.
+    pub fn drain(&mut self, node: u32, joules: f64) -> Result<f64, TopologyError> {
+        assert!(joules >= 0.0, "cannot drain {joules} J");
+        if !self.store.is_alive(node) {
+            self.store.try_pos(node)?;
+            return Err(TopologyError::Store(StoreError::DeadNode(node)));
+        }
+        let left = self.store.drain(node, joules);
+        let c = self.store.cluster_of(node);
+        let cl = &self.clusters[c as usize];
+        if cl.head == node {
+            let best = self.best_of(&cl.members);
+            if best != node {
+                self.clusters[c as usize].head = best;
+                let (ox, oy) = self.store.pos(node);
+                let (nx, ny) = self.store.pos(best);
+                self.heads.relocate(c, ox, oy, nx, ny);
+                self.stats.head_reelections += 1;
+            }
+        }
+        Ok(left)
     }
 
     /// A primary user appears at `(x, y)` with protection radius
@@ -1166,5 +1201,66 @@ mod tests {
         assert_eq!((d1, s1), (d2, s2), "same seed replays bit-identically");
         let (d3, _) = run(8);
         assert_ne!(d1, d3, "different seed explores a different topology");
+    }
+
+    #[test]
+    fn drain_rotates_heads_and_keeps_the_engine_valid() {
+        let mut rng = derive(0xD2A1, 3);
+        let mut e = TopologyEngine::new(TopologyConfig {
+            width_m: 400.0,
+            height_m: 400.0,
+            d_m: 40.0,
+            max_cluster: 4,
+            long_range_m: 120.0,
+        });
+        let mut live: Vec<u32> = (0..1000)
+            .map(|_| {
+                let (x, y) = (rng.gen_range(0.0..400.0), rng.gen_range(0.0..400.0));
+                e.join(x, y, rng.gen_range(0.5..1.0)).unwrap().node
+            })
+            .collect();
+        e.validate().unwrap();
+        let (mut drains, mut rotations) = (0u64, 0u64);
+        while live.len() > 100 {
+            // half the steps drain a head, half any live node
+            let node = if rng.gen_range(0..2u32) == 0 {
+                let clusters: Vec<u32> = e.iter_clusters().collect();
+                e.head(clusters[rng.gen_range(0..clusters.len())]).unwrap()
+            } else {
+                live[rng.gen_range(0..live.len())]
+            };
+            let c = e.store().cluster_of(node);
+            let (head, before) = (e.head(c).unwrap(), e.stats().head_reelections);
+            let left = e.drain(node, rng.gen_range(0.0..0.1)).unwrap();
+            drains += 1;
+            let rotated = e.head(c).unwrap() != head;
+            assert!(!rotated || node == head, "only a drained head hands over");
+            rotations += u64::from(rotated);
+            assert_eq!(e.stats().head_reelections - before, u64::from(rotated));
+            e.validate()
+                .unwrap_or_else(|err| panic!("drain {drains} of {node}: {err}"));
+            if left == 0.0 {
+                let heads: Vec<u32> = e.iter_clusters().map(|c| e.head(c).unwrap()).collect();
+                let before = e.stats().head_reelections;
+                let impact = e.death(node).unwrap();
+                // a recruited donor head is re-elected in its donor too
+                let donor_head = impact.recruited.is_some_and(|n| heads.contains(&n));
+                assert_eq!(
+                    e.stats().head_reelections - before,
+                    u64::from(impact.head_changed) + u64::from(donor_head)
+                );
+                live.retain(|&n| n != node);
+                e.validate()
+                    .unwrap_or_else(|err| panic!("death of {node}: {err}"));
+                assert!(matches!(
+                    e.drain(node, 0.1),
+                    Err(TopologyError::Store(StoreError::UnknownNode(_)))
+                ));
+            }
+        }
+        assert!(
+            rotations > 100 && rotations < drains,
+            "{rotations} rotations in {drains} drains"
+        );
     }
 }

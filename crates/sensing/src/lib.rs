@@ -27,9 +27,10 @@
 //!   adversaries, riding the checkpointable campaign supervisor;
 //! * [`round`] — one hardened round end to end: detector draws under
 //!   reporter faults, report transport over `comimo_net::report`
-//!   (timeout, bounded backoff retry, loss/stale/duplicate handling) —
-//!   either as clean booleans (the pinned oracle) or as BPSK report
-//!   words over the noisy block-Rayleigh long-haul — then fusion;
+//!   (timeout, bounded backoff retry, loss/stale/duplicate handling) as
+//!   BPSK report words over the noisy block-Rayleigh long-haul — at
+//!   report SNR = +∞ exactly the clean booleans of the k-out-of-N
+//!   oracle — then fusion;
 //! * [`roc`] — Pd/Pfa ROC campaigns on the `comimo-campaign`
 //!   supervisor: checkpointable, crash-resumable, bit-identical at any
 //!   thread count;

@@ -14,10 +14,10 @@
 //! channel and the head fuses the decoded posteriors on the soft rung
 //! ([`crate::fusion::fuse_soft_weighted`]). The paper grid pins the report SNR
 //! at `+inf` — the channel draws still happen, the LLRs saturate to
-//! exactly `±inf`, and the soft decisions reproduce the clean
+//! exactly `±inf`, and the soft decisions reproduce the clean-boolean
 //! k-out-of-N counts bit for bit (`infinite_report_snr_is_the_oracle`
-//! below), so the historical clean-transport curves stay pinned while
-//! finite report SNRs expose the long-haul's erosion.
+//! below), so that curve stays pinned while finite report SNRs expose
+//! the long-haul's erosion.
 
 use crate::detector::EnergyDetector;
 use crate::fusion::{fuse_soft_weighted, quorum_of, FusionConfig};
@@ -35,8 +35,8 @@ use serde::Serialize;
 const ROC_SALT: u64 = 0x5EA5_E000_0003;
 
 /// Salt for the report-word channel draws of a ROC point: a separate
-/// stream family, so the detector streams stay byte-identical to the
-/// clean-transport era at any report SNR.
+/// stream family, so the detector streams do not move with the report
+/// SNR.
 const ROC_REPORT_SALT: u64 = 0x5EA5_E000_0006;
 
 /// The `(report SNR, SNR, k)` grid a ROC campaign sweeps.
@@ -76,8 +76,7 @@ pub struct RocGridPoint {
 impl RocGridSpec {
     /// The experiments' default grid: a 16-sample detector at 10 %
     /// per-SU Pfa, 5 reporters, 4 SNRs × OR/majority/AND fractions,
-    /// report channel pinned at `+inf` (same point set as the
-    /// clean-transport era).
+    /// report channel pinned at `+inf`.
     pub fn paper() -> Self {
         Self {
             n_samples: 16,
@@ -132,8 +131,10 @@ impl RocGridSpec {
 /// One measured ROC point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RocPoint {
-    /// Report-channel SNR (dB). `f64::INFINITY` is the clean-transport
-    /// oracle — note serde_json renders it as `null` in `report.json`.
+    /// Report-channel SNR (dB). `f64::INFINITY` is the noiseless
+    /// long-haul, whose saturated reports reproduce clean-boolean
+    /// k-out-of-N counts — note serde_json renders it as `null` in
+    /// `report.json`.
     pub report_snr_db: f64,
     /// SNR at each reporter (dB).
     pub snr_db: f64,

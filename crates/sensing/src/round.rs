@@ -1,7 +1,7 @@
 //! One hardened sensing round, end to end: local detection under
 //! reporter faults → report transport over the *noisy virtual-MIMO
-//! long-haul* (or the clean-boolean oracle path) → decision fusion with
-//! graceful degradation. [`run_round_byz`] is the one entry point.
+//! long-haul* → decision fusion with graceful degradation.
+//! [`run_round_byz`] is the one entry point.
 //!
 //! The round is a pure function of `(config, channel state, reporter
 //! states, report-channel states, adversaries, reputation view, seed,
@@ -14,13 +14,11 @@
 //! report-channel faults scale noise and gain downstream of the draws —
 //! toggling any fault never shifts any other stream.
 //!
-//! The clean path sends each decision as a [`SoftReport::saturated`]
-//! report and draws no report words; transport and fusion are the same
-//! code on both paths. It is the pinned oracle for the noisy one: at
-//! report SNR → ∞ the decoded posteriors saturate to exactly 0/1 and
-//! [`crate::fusion::fuse_soft_weighted`] reproduces the clean path's
-//! k-out-of-N decisions count for count (`oracle_equivalence` test
-//! below).
+//! At report SNR = +∞ the decoded posteriors saturate to exactly 0/1,
+//! so a round reproduces the clean-boolean k-out-of-N decisions count
+//! for count: the `oracle_equivalence` test below pins it against a
+//! reference that delivers each decision as a [`SoftReport::saturated`]
+//! report with no channel draws. [`SensingRound::paper`] runs there.
 
 use crate::detector::EnergyDetector;
 use crate::fusion::{fuse_soft_weighted, FusionConfig, FusionDecision, LadderEvidence};
@@ -40,8 +38,8 @@ use comimo_stbc::report::{transmit_report_word, ReportWordConfig, SoftReport};
 const ROUND_SALT: u64 = 0x5EA5_E000_0002;
 
 /// Salt separating per-round report-word channel draws: the noisy
-/// long-haul gets its own stream family, so the detector streams stay
-/// byte-identical to the clean-transport era.
+/// long-haul gets its own stream family, so the detector streams do not
+/// move with the report channel.
 const REPORT_WORD_SALT: u64 = 0x5EA5_E000_0005;
 
 /// How sensing reports reach the fusion center.
@@ -49,28 +47,15 @@ const REPORT_WORD_SALT: u64 = 0x5EA5_E000_0005;
 pub struct ReportChannelConfig {
     /// Shape and power of the BPSK report words on the long-haul.
     pub word: ReportWordConfig,
-    /// The pinned oracle flag: `true` bypasses the long-haul entirely
-    /// and delivers each decision as a saturated report (a clean
-    /// boolean at `llr = ±inf`), with no channel draws.
-    pub clean_transport: bool,
 }
 
 impl ReportChannelConfig {
-    /// The clean-boolean oracle: ideal transport, no channel draws.
-    pub fn clean() -> Self {
-        Self {
-            word: ReportWordConfig::from_report_snr_db(2, 1, 2, f64::INFINITY),
-            clean_transport: true,
-        }
-    }
-
     /// Reports ride an Alamouti-shaped (2×1, 2-block) long-haul at the
     /// given report SNR. `f64::INFINITY` keeps the channel noiseless
     /// while still exercising the full soft decode path.
     pub fn noisy(report_snr_db: f64) -> Self {
         Self {
             word: ReportWordConfig::from_report_snr_db(2, 1, 2, report_snr_db),
-            clean_transport: false,
         }
     }
 }
@@ -84,7 +69,7 @@ pub struct SensingRound {
     pub fusion: FusionConfig,
     /// Report-transport knobs (timeout, retry, deadline).
     pub transport: ReportConfig,
-    /// How reports reach the head: noisy long-haul or clean oracle.
+    /// How reports reach the head over the long-haul.
     pub report_channel: ReportChannelConfig,
     /// Linear SNR of the primary signal at each reporter when the
     /// channel is busy.
@@ -93,13 +78,15 @@ pub struct SensingRound {
 
 impl SensingRound {
     /// The experiments' default round: 16-sample CFAR detector at 10 %
-    /// per-SU false alarm, majority fusion, lossless clean transport.
+    /// per-SU false alarm, majority fusion of hard decisions, reports on
+    /// a noiseless long-haul (report SNR = +∞, so every decoded
+    /// posterior is exactly 0 or 1).
     pub fn paper(snr: f64) -> Self {
         Self {
             detector: EnergyDetector::from_target_pfa(16, 0.1),
             fusion: FusionConfig::paper(),
             transport: ReportConfig::default(),
-            report_channel: ReportChannelConfig::clean(),
+            report_channel: ReportChannelConfig::noisy(f64::INFINITY),
             snr,
         }
     }
@@ -173,7 +160,7 @@ pub struct ReportSummary {
     pub reporter: usize,
     /// Its (possibly falsified) hard decision as the head decoded it.
     pub busy: bool,
-    /// Decode confidence in `[0.5, 1]` (`1.0` on the clean path).
+    /// Decode confidence in `[0.5, 1]` (`1.0` at report SNR = +∞).
     pub confidence: f64,
 }
 
@@ -185,7 +172,7 @@ pub struct RoundOutcome {
     /// The ladder bookkeeping behind it (rung eligibility evidence).
     pub ladder: LadderEvidence,
     /// Mean effective report SNR over the delivered reports (linear);
-    /// `inf` on the clean path, `0.0` when nothing was delivered.
+    /// `0.0` when nothing was delivered.
     pub mean_report_snr: f64,
     /// Reports that reached the head in time.
     pub delivered: usize,
@@ -205,8 +192,7 @@ pub struct RoundOutcome {
 /// the ladder). Further:
 ///
 /// * `report_states[i]` is reporter `i`'s long-haul condition; reporters
-///   past the end of the slice see a nominal channel (ignored on the
-///   clean-transport path);
+///   past the end of the slice see a nominal channel;
 /// * `overrides[i]` is reporter `i`'s SSDF falsification this round
 ///   (from `comimo_faults::byzantine`), applied *after* the detector
 ///   draw and after the honest fault-state override, so toggling an
@@ -278,32 +264,25 @@ pub fn run_round_byz(
 
     // stage 2: every reporter's decision rides a BPSK report word over
     // the block-Rayleigh long-haul, one derived stream per reporter —
-    // dead reporters still burn their draws. The clean oracle sends
-    // saturated reports and draws nothing.
-    let clean = cfg.report_channel.clean_transport;
+    // dead reporters still burn their draws
     let long_haul = BlockRayleigh::unit();
     let reporters: Vec<Reporter<SoftReport>> = bits
         .iter()
         .zip(&faults)
         .enumerate()
         .map(|(i, (&bit, &(extra_delay, dies_at)))| {
-            let payload = if clean {
-                SoftReport::saturated(bit)
-            } else {
-                let rc = report_states
-                    .get(i)
-                    .copied()
-                    .unwrap_or_else(ReportChannelState::nominal);
-                let mut word = cfg.report_channel.word;
-                // collapse inflates the noise; desync erodes the
-                // coherent gain — both applied after the draws
-                word.n0 *= db_to_lin(rc.snr_drop_db);
-                let mut rng = derive(seed, REPORT_WORD_SALT ^ round_mix ^ (i as u64));
-                transmit_report_word(bit, rc.gain, &word, &long_haul, &mut rng)
-            };
+            let rc = report_states
+                .get(i)
+                .copied()
+                .unwrap_or_else(ReportChannelState::nominal);
+            let mut word = cfg.report_channel.word;
+            // collapse inflates the noise; desync erodes the coherent
+            // gain — both applied after the draws
+            word.n0 *= db_to_lin(rc.snr_drop_db);
+            let mut rng = derive(seed, REPORT_WORD_SALT ^ round_mix ^ (i as u64));
             Reporter {
                 id: i,
-                payload,
+                payload: transmit_report_word(bit, rc.gain, &word, &long_haul, &mut rng),
                 extra_delay,
                 dies_at,
             }
@@ -320,9 +299,7 @@ pub fn run_round_byz(
             confidence: r.confidence(),
         })
         .collect();
-    let mean_report_snr = if clean {
-        f64::INFINITY
-    } else if out.delivered.is_empty() {
+    let mean_report_snr = if out.delivered.is_empty() {
         0.0
     } else {
         out.delivered.iter().map(|(_, r)| r.report_snr).sum::<f64>() / out.delivered.len() as f64
@@ -373,6 +350,65 @@ mod tests {
             None,
         )
         .map(|(outcome, _)| outcome)
+    }
+
+    /// The saturated-report reference for [`run_round_byz`] with honest
+    /// reporters and no reputation view: the same detector draws and
+    /// reporter faults, but each decision reaches the head as a
+    /// [`SoftReport::saturated`] report — a clean boolean at
+    /// `llr = ±inf` — with no report-word draws, then the same transport
+    /// and fusion.
+    fn oracle_round(
+        cfg: &SensingRound,
+        channel_busy: bool,
+        states: &[ReporterState],
+        head_local: bool,
+        seed: u64,
+        round: u64,
+    ) -> RoundOutcome {
+        let truth_snr = if channel_busy { cfg.snr } else { 0.0 };
+        let round_mix = round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let reporters: Vec<Reporter<SoftReport>> = states
+            .iter()
+            .enumerate()
+            .map(|(i, &state)| {
+                let mut rng = derive(seed, ROUND_SALT ^ round_mix ^ (i as u64));
+                let own = cfg
+                    .detector
+                    .decide(cfg.detector.sample_statistic(&mut rng, truth_snr));
+                let (bit, extra_delay, dies_at) = match state {
+                    ReporterState::Healthy => (own, SimTime::ZERO, None),
+                    ReporterState::StuckH0 => (false, SimTime::ZERO, None),
+                    ReporterState::StuckH1 => (true, SimTime::ZERO, None),
+                    ReporterState::Delayed { delay_s } => {
+                        (own, SimTime::from_secs_f64(delay_s), None)
+                    }
+                    ReporterState::Dead => (own, SimTime::ZERO, Some(SimTime::ZERO)),
+                };
+                Reporter {
+                    id: i,
+                    payload: SoftReport::saturated(bit),
+                    extra_delay,
+                    dies_at,
+                }
+            })
+            .collect();
+        let out = try_collect_reports(&reporters, &cfg.transport, seed, round).unwrap();
+        let (decision, ladder) = fuse_soft_weighted(&cfg.fusion, &out.delivered, head_local, None);
+        RoundOutcome {
+            decision,
+            ladder,
+            mean_report_snr: if out.delivered.is_empty() {
+                0.0
+            } else {
+                f64::INFINITY
+            },
+            delivered: out.delivered.len(),
+            missing: out.missing.len(),
+            frames_sent: out.frames_sent,
+            duplicates: out.duplicates,
+            stale: out.stale,
+        }
     }
 
     /// High-SNR round where every healthy detector is essentially exact.
@@ -478,11 +514,7 @@ mod tests {
         assert_eq!(out.decision.rule_used, RuleUsed::HeadLocal);
         assert_eq!(out.delivered, 0);
         assert_eq!(out.frames_sent, 0);
-        assert_eq!(
-            out.mean_report_snr,
-            f64::INFINITY,
-            "the clean path stays at inf"
-        );
+        assert_eq!(out.mean_report_snr, 0.0, "no report, no report SNR");
         assert!(out.decision.busy, "the head's own sensing still protects");
     }
 
@@ -560,35 +592,38 @@ mod tests {
     fn oracle_equivalence_noisy_at_infinite_snr_matches_clean_count_for_count() {
         // THE acceptance property: the full soft path — report words,
         // channel draws, LLR decode, soft fusion — at report SNR → ∞
-        // must reproduce the clean k-out-of-N decisions count for count,
-        // under a live reporter-fault schedule
-        let clean = sharp_round();
-        let noisy = sharp_noisy(f64::INFINITY);
+        // must reproduce the saturated-report k-out-of-N decisions count
+        // for count, under a live reporter-fault schedule; on the hard
+        // rung (`SensingRound::paper`) the whole outcome matches
+        let hard = sharp_round();
+        let soft = sharp_noisy(f64::INFINITY);
         let n = 6usize;
         let fcfg = ReporterFaultConfig::nominal(500.0).scaled(3.0);
         let tl = ReporterTimeline::from_schedule(&build_reporter_schedule(&fcfg, n, 2013));
-        let mut busy_clean = 0u64;
-        let mut busy_noisy = 0u64;
+        let mut busy_oracle = 0u64;
+        let mut busy_soft = 0u64;
         for (round, t) in (0..500).map(|s| (s as u64, s as f64)) {
             let states: Vec<_> = (0..n).map(|r| tl.state_at(t, r)).collect();
             let truth = round % 3 != 0;
             let head = truth;
-            let a = run(&clean, truth, &states, &[], head, 2013, round).unwrap();
-            let b = run(&noisy, truth, &states, &[], head, 2013, round).unwrap();
+            let o = oracle_round(&hard, truth, &states, head, 2013, round);
+            let a = run(&hard, truth, &states, &[], head, 2013, round).unwrap();
+            let b = run(&soft, truth, &states, &[], head, 2013, round).unwrap();
+            assert_eq!(a, o, "hard rung diverged from the oracle at round {round}");
             assert_eq!(
-                a.decision.busy, b.decision.busy,
+                o.decision.busy, b.decision.busy,
                 "decision diverged at round {round}"
             );
-            assert_eq!(a.decision.quorum, b.decision.quorum);
-            assert_eq!(a.delivered, b.delivered);
-            assert_eq!(a.frames_sent, b.frames_sent, "transport must not shift");
-            assert!(b.ladder.soft_path);
-            busy_clean += u64::from(a.decision.busy);
-            busy_noisy += u64::from(b.decision.busy);
+            assert_eq!(o.decision.quorum, b.decision.quorum);
+            assert_eq!(o.delivered, b.delivered);
+            assert_eq!(o.frames_sent, b.frames_sent, "transport must not shift");
+            assert!(b.ladder.soft_path && !a.ladder.soft_path);
+            busy_oracle += u64::from(o.decision.busy);
+            busy_soft += u64::from(b.decision.busy);
         }
-        assert_eq!(busy_clean, busy_noisy);
+        assert_eq!(busy_oracle, busy_soft);
         assert!(
-            busy_clean > 0 && busy_clean < 500,
+            busy_oracle > 0 && busy_oracle < 500,
             "both verdicts exercised"
         );
     }
@@ -645,20 +680,24 @@ mod tests {
 
     #[test]
     fn summaries_mirror_the_delivered_reports_on_both_paths() {
-        // the clean path's saturated reports summarize to exact
-        // confidence 1.0; both paths summarize exactly the delivered set
+        // reports off a noiseless long-haul summarize to exact
+        // confidence 1.0; the hard and the soft rung alike summarize
+        // exactly the delivered set
         let states = vec![ReporterState::Healthy; 5];
         for cfg in [sharp_round(), sharp_noisy(18.0)] {
             let (out, summaries) =
                 run_round_byz(&cfg, true, &states, &[], &[], true, 31, 4, None).unwrap();
             assert_eq!(summaries.len(), out.delivered);
-            let clean = cfg.report_channel.clean_transport;
+            let noiseless = cfg.report_channel.word.n0 == 0.0;
             for s in &summaries {
                 assert!(s.reporter < 5);
                 assert!((0.5..=1.0).contains(&s.confidence));
-                assert!(!clean || s.confidence == 1.0);
+                assert!(!noiseless || s.confidence == 1.0);
             }
-            assert_eq!(out.ladder.soft_path, !clean);
+            assert_eq!(
+                out.ladder.soft_path,
+                cfg.fusion.reliability_floor.is_finite()
+            );
         }
     }
 
@@ -771,13 +810,13 @@ mod proptests {
 
         /// Under arbitrary reporter and report-channel fault timelines,
         /// every round lands on exactly one rung: the per-rung counters
-        /// always sum to the rounds run, on both transport paths.
+        /// always sum to the rounds run, with and without a soft rung.
         #[test]
         fn prop_rule_used_accounting_sums_to_rounds_run(
             seed in 0u64..1000,
             lambda in 0.0f64..6.0,
             report_snr_db in -5.0f64..30.0,
-            clean in any::<bool>(),
+            hard_only in any::<bool>(),
         ) {
             let n = 5usize;
             let horizon = 60.0;
@@ -785,7 +824,7 @@ mod proptests {
                 &ReporterFaultConfig::nominal(horizon).scaled(lambda), n, seed));
             let ctl = ReportChannelTimeline::from_schedule(&build_report_channel_schedule(
                 &ReportChannelFaultConfig::nominal(horizon).scaled(lambda), n, seed));
-            let cfg = if clean {
+            let cfg = if hard_only {
                 SensingRound::paper(4.0)
             } else {
                 SensingRound::paper_noisy(4.0, report_snr_db)
@@ -802,11 +841,11 @@ mod proptests {
                 counts[out.decision.rule_used.rung_index() as usize] += 1;
                 prop_assert_eq!(out.decision.rule_used, out.ladder.rung);
                 prop_assert!(!out.ladder.weighted, "no reputation view was supplied");
-                prop_assert_eq!(out.ladder.soft_path, !clean);
+                prop_assert_eq!(out.ladder.soft_path, !hard_only);
             }
             prop_assert_eq!(counts.iter().sum::<u64>(), rounds);
-            if clean {
-                // k-out-of-N over saturated reports has no soft rung
+            if hard_only {
+                // k-out-of-N over hard decisions has no soft rung
                 prop_assert_eq!(counts[0], 0);
             }
         }

@@ -20,8 +20,9 @@
 //! means "busy", its magnitude is the channel's confidence. At
 //! `n0 = 0` (report SNR → ∞) the LLR saturates to exactly `±inf`, the
 //! posterior [`SoftReport::posterior_busy`] to exactly `1.0`/`0.0` —
-//! which is what makes the clean-boolean fusion path a pinned oracle
-//! for the soft path.
+//! the report a clean boolean would be ([`SoftReport::saturated`]), so
+//! a round at report SNR = +∞ reproduces clean-boolean k-out-of-N
+//! fusion count for count.
 //!
 //! Each block draws two variates from the caller's derived stream: the
 //! gain `g_b` as one [`FadingChannel::sample_block_gain`] call over the

@@ -4,48 +4,53 @@
 //! cargo run --release --example underlay_network
 //! ```
 //!
-//! Deploys a random field of secondary users, forms the d-clustering and
-//! the spanning-tree backbone (paper Section 2.1), routes a flow across
-//! the backbone with cooperative MIMO hops (Algorithm 2), accounts the
-//! per-hop energy with the Cui–Goldsmith model, and checks the
-//! noise-floor margin at a primary receiver.
+//! Deploys a random field of secondary users, forms the d-clusters and
+//! the backbone over their heads (paper Section 2.1) on the topology
+//! engine, routes a flow along the backbone with cooperative MIMO hops
+//! (Algorithm 2), accounts the per-hop energy with the Cui–Goldsmith
+//! model, and checks the noise-floor margin at a primary receiver.
 
 use comimo::channel::pathloss::SquareLawLongHaul;
 use comimo::core::underlay::{Underlay, UnderlayConfig};
 use comimo::energy::model::EnergyModel;
-use comimo::net::comimonet::CoMimoNet;
-use comimo::net::graph::SuGraph;
 use comimo::net::node::random_deployment;
+use comimo::net::routing::{backbone_route, hop_energy, route_energy_per_bit};
+use comimo::net::{TopologyConfig, TopologyEngine};
 
 fn main() {
     let mut rng = comimo::math::rng::seeded(42);
 
     // ---------------- network formation ----------------
-    let nodes = random_deployment(&mut rng, 60, 400.0, 400.0, 50.0);
-    let graph = SuGraph::build(nodes, 60.0);
-    println!(
-        "deployed 60 SUs over 400 m x 400 m, range 60 m: {} edges",
-        graph.n_edges()
-    );
-    let net = CoMimoNet::build(graph, 30.0, 4, 500.0);
+    let mut net = TopologyEngine::new(TopologyConfig {
+        width_m: 400.0,
+        height_m: 400.0,
+        d_m: 30.0,
+        max_cluster: 4,
+        long_range_m: 500.0,
+    });
+    for node in random_deployment(&mut rng, 60, 400.0, 400.0, 50.0) {
+        net.join(node.pos.x, node.pos.y, node.battery_j)
+            .expect("the deployment lies in the field");
+    }
+    println!("deployed 60 SUs over 400 m x 400 m, joined in id order");
+    let ids: Vec<u32> = net.iter_clusters().collect();
     println!(
         "d-clustering (d = 30 m, max 4 nodes): {} clusters",
-        net.clusters().len()
+        ids.len()
     );
-    let sizes: Vec<usize> = net.clusters().iter().map(|c| c.size()).collect();
+    let sizes: Vec<usize> = ids.iter().map(|&c| net.members(c).unwrap().len()).collect();
     println!("cluster sizes: {sizes:?}\n");
 
     // ---------------- backbone routing + energy ----------------
     let model = EnergyModel::paper();
-    let src = 0;
-    let dst = net.clusters().len() - 1;
-    match net.backbone_path(src, dst) {
+    let (src, dst) = (ids[0], ids[ids.len() - 1]);
+    match backbone_route(&mut net, src, dst).expect("both clusters are live") {
         Some(path) => {
             println!("backbone route {src} -> {dst}: {path:?}");
-            let e = net.route_energy_per_bit(&model, 1e-3, 40_000.0, 1e4, &path);
+            let e = route_energy_per_bit(&net, &model, 1e-3, 40_000.0, 1e4, &path).unwrap();
             println!("route energy: {e:.3e} J/bit over {} hops", path.len() - 1);
             for w in path.windows(2) {
-                let hop = net.hop_energy(&model, 1e-3, 40_000.0, 1e4, w[0], w[1]);
+                let hop = hop_energy(&net, &model, 1e-3, 40_000.0, 1e4, w[0], w[1]).unwrap();
                 println!(
                     "  hop {} -> {}: b = {:<2} total = {:.3e} J/bit (long-haul tx {:.1e})",
                     w[0],
@@ -56,7 +61,7 @@ fn main() {
                 );
             }
         }
-        None => println!("clusters {src} and {dst} are in different components"),
+        None => println!("clusters {src} and {dst} are in different backbone trees"),
     }
 
     // ---------------- the underlay admission check ----------------

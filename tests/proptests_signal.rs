@@ -109,16 +109,26 @@ proptest! {
         }
     }
 
-    /// Clustering invariants hold for arbitrary random deployments.
+    /// Clustering invariants hold for arbitrary random deployments: the
+    /// topology engine's joins leave every structural check of
+    /// `TopologyEngine::validate` true.
     #[test]
     fn prop_clustering_invariants(seed in any::<u64>(), n in 2usize..60) {
-        use comimo::net::cluster::{d_clustering, validate_clustering};
-        use comimo::net::graph::SuGraph;
         use comimo::net::node::random_deployment;
+        use comimo::net::{TopologyConfig, TopologyEngine};
         let mut rng = comimo::math::rng::seeded(seed);
-        let nodes = random_deployment(&mut rng, n, 300.0, 300.0, 1.0);
-        let g = SuGraph::build(nodes, 60.0);
-        let clusters = d_clustering(&g, 30.0, 4);
-        prop_assert!(validate_clustering(&g, &clusters, 30.0).is_ok());
+        let mut net = TopologyEngine::new(TopologyConfig {
+            width_m: 300.0,
+            height_m: 300.0,
+            d_m: 30.0,
+            max_cluster: 4,
+            long_range_m: 600.0,
+        });
+        for node in random_deployment(&mut rng, n, 300.0, 300.0, 1.0) {
+            net.join(node.pos.x, node.pos.y, node.battery_j).unwrap();
+        }
+        prop_assert_eq!(net.nodes_alive(), n);
+        let verdict = net.validate();
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 }
